@@ -4,7 +4,8 @@ Subcommands: field-check, cone, markings, count, sieve, zeta, tamagawa,
 limit-check, manin.  Configuration comes from a declarative key = value
 file plus flag overrides; the cache directory can also be set through the
 DP4SIEVE_CACHE environment variable.  Exit codes: 0 success, 2 invalid
-configuration, 3 budget exceeded, 4 internal invariant violation.
+configuration, 3 budget or resource limit exceeded, 4 internal invariant
+violation.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from .errors import BudgetExceeded, Dp4Error, InvalidConfig
+from .errors import BudgetExceeded, Dp4Error, InvalidConfig, TooLarge
 from .field import make_field
 from .harness import (
     CountCache,
@@ -23,7 +23,6 @@ from .harness import (
     asymptotic_report,
     config_from_mapping,
     counting_function,
-    emit,
     parse_config_file,
     write_outputs,
 )
@@ -208,6 +207,9 @@ def main(argv=None) -> int:
         return 2
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return 3
+    except TooLarge as exc:
+        print(f"resource limit exceeded: {exc}", file=sys.stderr)
         return 3
     except Dp4Error as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)

@@ -114,6 +114,3 @@ class VersionMismatch(Dp4Error):
 class IoError(Dp4Error):
     pass
 
-
-class InternalInvariantViolation(Dp4Error):
-    pass

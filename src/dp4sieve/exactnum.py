@@ -137,9 +137,3 @@ def _coerce(x, bits: int) -> Interval:
         return Interval(x.nlo >> shift, _ceil_div(x.nhi, 1 << shift), bits)
     return Interval.exact(x, bits)
 
-
-def product(intervals, bits: int = DEFAULT_BITS) -> Interval:
-    acc = Interval.exact(1, bits)
-    for iv in intervals:
-        acc = acc * iv
-    return acc

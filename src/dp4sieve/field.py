@@ -30,65 +30,21 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over Z/p (dense little-endian coefficient tuples)
-
-def _poly_trim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _poly_mod(num, den, p):
-    """Remainder of num modulo monic den, coefficients in Z/p."""
-    num = list(num)
-    dn = len(den) - 1
-    while len(num) - 1 >= dn and any(num):
-        num = _poly_trim(num)
-        num = list(num)
-        if len(num) - 1 < dn:
-            break
-        lead = num[-1]
-        shift = len(num) - 1 - dn
-        for i, d in enumerate(den):
-            num[shift + i] = (num[shift + i] - lead * d) % p
-        num = num[:-1]
-    return _poly_trim(num)
+def to_digits(code: int, base: int, length: int) -> tuple:
+    """The first `length` little-endian base-`base` digits of code."""
+    out = []
+    for _ in range(length):
+        code, digit = divmod(code, base)
+        out.append(digit)
+    return tuple(out)
 
 
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
-
-
-def _monic_polys(degree: int, p: int):
-    """All monic polynomials of exactly the given degree over Z/p, lex order."""
-    for code in range(p ** degree):
-        coeffs = []
-        c = code
-        for _ in range(degree):
-            coeffs.append(c % p)
-            c //= p
-        yield tuple(coeffs) + (1,)
-
-
-def _is_irreducible(poly, p: int) -> bool:
-    """Trial division against every monic polynomial of degree <= deg/2."""
-    deg = len(poly) - 1
-    if deg <= 0:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for div in _monic_polys(d, p):
-            if not _poly_mod(poly, div, p):
-                return False
-    return True
+def from_digits(digits, base: int) -> int:
+    """The integer whose little-endian base-`base` digits are `digits`."""
+    code = 0
+    for digit in reversed(digits):
+        code = code * base + digit
+    return code
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,17 +73,10 @@ class FieldSpec:
 
     def to_vector(self, e: int) -> tuple:
         """Canonical coefficient vector of length n, each entry in [0, p)."""
-        out = []
-        for _ in range(self.n):
-            out.append(e % self.p)
-            e //= self.p
-        return tuple(out)
+        return to_digits(e, self.p, self.n)
 
     def from_vector(self, vec) -> int:
-        e = 0
-        for c in reversed(vec):
-            e = e * self.p + (c % self.p)
-        return e
+        return from_digits([c % self.p for c in vec], self.p)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -191,16 +140,89 @@ class FieldSpec:
         return f"F_{self.q}" if self.n == 1 else f"F_{self.q} = F_{self.p}[x]/{self.modulus}"
 
 
+# ---------------------------------------------------------------------------
+# dense polynomials over a field K (little-endian tuples of field elements)
+
+def poly_trim(c):
+    i = len(c)
+    while i > 0 and c[i - 1] == 0:
+        i -= 1
+    return tuple(c[:i])
+
+
+def poly_mul(K: FieldSpec, a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = K.add(out[i + j], K.mul(x, y))
+    return poly_trim(out)
+
+
+def poly_divmod(K: FieldSpec, num, den):
+    num = list(poly_trim(num))
+    den = poly_trim(den)
+    if not den:
+        raise ZeroDivisionError("polynomial division by zero")
+    dn = len(den) - 1
+    inv_lead = K.inv(den[-1])
+    quot = [0] * max(0, len(num) - dn)
+    while len(num) - 1 >= dn and any(num):
+        if num[-1] == 0:
+            num.pop()
+            continue
+        coef = K.mul(num[-1], inv_lead)
+        shift = len(num) - 1 - dn
+        quot[shift] = coef
+        for i, d in enumerate(den):
+            num[shift + i] = K.sub(num[shift + i], K.mul(coef, d))
+        num.pop()
+    return tuple(quot), poly_trim(num)
+
+
+def poly_gcd(K: FieldSpec, a, b):
+    """Monic gcd; gcd(a, 0) = monic(a)."""
+    a, b = poly_trim(a), poly_trim(b)
+    while b:
+        _, a = poly_divmod(K, a, b)
+        a, b = b, a
+    if a:
+        inv = K.inv(a[-1])
+        a = tuple(K.mul(c, inv) for c in a)
+    return a
+
+
+# ---------------------------------------------------------------------------
+# construction: F_{p^n} = F_p[x]/(modulus), arithmetic over the prime field
+
+def _monic_polys(degree: int, p: int):
+    """All monic polynomials of exactly the given degree over Z/p, lex order."""
+    for code in range(p ** degree):
+        yield to_digits(code, p, degree) + (1,)
+
+
+def _is_irreducible(poly, p: int) -> bool:
+    """Trial division against every monic polynomial of degree <= deg/2."""
+    deg = len(poly) - 1
+    if deg <= 0:
+        return False
+    P = _make_field_cached(p, 1, ())
+    for d in range(1, deg // 2 + 1):
+        for div in _monic_polys(d, p):
+            if not poly_divmod(P, poly, div)[1]:
+                return False
+    return True
+
+
 def _raw_mul(a: int, b: int, p: int, n: int, modulus) -> int:
     if n == 1:
         return (a * b) % p
-    av = [(a // p ** i) % p for i in range(n)]
-    bv = [(b // p ** i) % p for i in range(n)]
-    prod = _poly_mod(_poly_mul(tuple(av), tuple(bv), p), modulus, p)
-    out = 0
-    for c in reversed(prod):
-        out = out * p + c
-    return out
+    P = _make_field_cached(p, 1, ())
+    prod = poly_mul(P, to_digits(a, p, n), to_digits(b, p, n))
+    return from_digits(poly_divmod(P, prod, modulus)[1], p)
 
 
 def _build_log_tables(p: int, n: int, modulus, q: int):
@@ -267,3 +289,14 @@ def make_field(p: int, n: int = 1, modulus=None) -> FieldSpec:
         if not _is_irreducible(modulus, p):
             raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
     return _make_field_cached(p, n, modulus)
+
+
+def field_of_order(q: int) -> FieldSpec:
+    """F_q with its default modulus, for a supported prime power q."""
+    for p in _SUPPORTED_PRIMES:
+        n = 1
+        while p ** n < q:
+            n += 1
+        if p ** n == q:
+            return make_field(p, n)
+    raise UnsupportedSize(f"{q} is not a supported prime power")

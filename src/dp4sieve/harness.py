@@ -17,7 +17,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import __version__
 from .errors import (
     BudgetExceeded,
     CorruptCache,
@@ -26,15 +25,8 @@ from .errors import (
     VersionMismatch,
 )
 from .field import make_field
-from .heightzeta import limit_formula_check, tamagawa
-from .nslattice import (
-    ANTICANONICAL,
-    ShrunkenCone,
-    choose_marking,
-    enumerate_nef_points,
-    export_inventory,
-    nef_cone_volume_level1,
-)
+from .heightzeta import tamagawa
+from .nslattice import ShrunkenCone, enumerate_nef_points, nef_cone_volume_level1
 from .secenum import DEFAULT_BUDGET, count_morphisms, default_config, validate_points
 
 CACHE_FORMAT_VERSION = 1
@@ -60,7 +52,6 @@ class RunConfig:
     budget: int = DEFAULT_BUDGET
     cache_dir: str | None = None
     alpha_normalization: str = "volume_rho"
-    allow_degenerate_points: bool = True
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -78,14 +69,13 @@ class RunConfig:
         if self.points is None:
             return default_config(self.q)
         K = make_field(self.p, self.n)
-        return validate_points(K, self.points,
-                               allow_on_bidegree_curve=self.allow_degenerate_points)
+        return validate_points(K, self.points, allow_on_bidegree_curve=True)
 
     def as_dict(self) -> dict:
         return {
             "p": self.p, "n": self.n,
             "points": self.points if self.points is None else [
-                [list(u), list(v)] for u, v in self.points],
+                list(pair) for pair in self.points],
             "epsilon": str(self.epsilon),
             "d_max": self.d_max, "sieve_D": self.sieve_D,
             "euler_N": self.euler_N, "limit_m_max": self.limit_m_max,
@@ -280,17 +270,15 @@ def counting_function(cfg: RunConfig, shrunken: bool = True,
     per_class = {}
     partial_from = None
     for alpha in classes:
-        mk_a, mk_b, mk_k = alpha.a, alpha.b, alpha.k
-        # exercise the admissible-marking guarantee; counting itself uses
-        # identity-model invariants (counts are marking independent)
-        choose_marking(alpha)
-        key = CountCache.class_key(cfg, surface, mk_a, mk_b, mk_k)
+        # counts are marking independent, so every class is counted with
+        # its identity-model invariants
+        key = CountCache.class_key(cfg, surface, alpha.a, alpha.b, alpha.k)
         val = cache.lookup(key)
         if val is None:
             try:
-                val = count_morphisms(surface, mk_a, mk_b, mk_k, budget=cfg.budget)
+                val = count_morphisms(surface, alpha.a, alpha.b, alpha.k, budget=cfg.budget)
             except BudgetExceeded:
-                partial_from = min(partial_from, alpha.h) if partial_from else alpha.h
+                partial_from = alpha.h if partial_from is None else min(partial_from, alpha.h)
                 continue
             cache.store(key, val)
         per_class[alpha] = val

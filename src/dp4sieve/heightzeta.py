@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import DEFAULT_BITS, Interval
-from .sieve import count_closed_points_for
+from .projline import count_closed_points_for
 
 NVARS = 4
 

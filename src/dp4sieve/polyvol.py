@@ -2,7 +2,9 @@
 
 Vertex enumeration tries every d-subset of constraints; the volume comes
 from a recursive simplicial decomposition: cone each facet triangulation
-over a base vertex.  All arithmetic is Fraction arithmetic, no floats.
+over a base vertex.  All arithmetic is exact rational arithmetic, no
+floats: every solve, rank, determinant and kernel vector is computed by
+linalg over QQ.
 """
 
 from __future__ import annotations
@@ -12,68 +14,7 @@ from itertools import combinations
 from math import factorial
 
 from .errors import DegenerateInput, Unbounded
-
-
-def _solve_square(rows, rhs):
-    """Solve a d x d system exactly; returns None if singular."""
-    d = len(rows)
-    m = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(d)]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(d):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return tuple(m[i][d] for i in range(d))
-
-
-def _rank(vectors):
-    if not vectors:
-        return 0
-    rows = [list(map(Fraction, v)) for v in vectors]
-    ncols = len(rows[0])
-    rank, col = 0, 0
-    while rank < len(rows) and col < ncols:
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def _det(vectors):
-    d = len(vectors)
-    m = [list(map(Fraction, v)) for v in vectors]
-    det = Fraction(1)
-    for col in range(d):
-        piv = next((r for r in range(col, d) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        m[col] = [v * inv for v in m[col]]
-        for r in range(col + 1, d):
-            if m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
+from .linalg import QQ, det, nullspace, rank, solve
 
 
 def enumerate_vertices(A, b):
@@ -81,7 +22,7 @@ def enumerate_vertices(A, b):
     d = len(A[0])
     verts = set()
     for idx in combinations(range(len(A)), d):
-        sol = _solve_square([A[i] for i in idx], [b[i] for i in idx])
+        sol = solve(QQ, [A[i] for i in idx], [b[i] for i in idx])
         if sol is None:
             continue
         if all(sum(r * x for r, x in zip(A[i], sol)) <= b[i] for i in range(len(A))):
@@ -98,45 +39,17 @@ def has_recession_ray(A, strict_rows=None):
     the full system.
     """
     d = len(A[0])
-    if _rank(A) < d:
+    if rank(QQ, A) < d:
         return True
     for idx in combinations(range(len(A)), d - 1):
         rows = [A[i] for i in idx]
-        if _rank(rows) != d - 1:
+        if rank(QQ, rows) != d - 1:
             continue
-        ray = _kernel_vector(rows)
+        ray = nullspace(QQ, rows)[0]
         for cand in (ray, tuple(-c for c in ray)):
             if all(sum(r * x for r, x in zip(A[i], cand)) <= 0 for i in range(len(A))):
                 return True
     return False
-
-
-def _kernel_vector(rows):
-    """A nonzero kernel vector of a rank d-1 system of d-vectors."""
-    d = len(rows[0])
-    m = [list(map(Fraction, r)) for r in rows]
-    # row reduce, track pivot columns
-    pivots = []
-    rank = 0
-    for col in range(d):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-    free = next(c for c in range(d) if c not in pivots)
-    vec = [Fraction(0)] * d
-    vec[free] = Fraction(1)
-    for r, col in enumerate(pivots):
-        vec[col] = -m[r][free]
-    return tuple(vec)
 
 
 def _facet_vertex_sets(A, b, verts):
@@ -167,7 +80,7 @@ def _triangulate(A, b, verts, dim):
         return [(lo, hi)] if lo != hi else []
     if len(verts) == dim + 1:
         edges = [tuple(x - y for x, y in zip(v, verts[0])) for v in verts[1:]]
-        return [tuple(verts)] if _det(edges) != 0 else []
+        return [tuple(verts)] if det(QQ, edges) != 0 else []
     v0 = verts[0]
     simplices = []
     for tight in _facet_vertex_sets(A, b, verts):
@@ -175,7 +88,7 @@ def _triangulate(A, b, verts, dim):
         if v0 in fverts:
             continue
         dirs = [tuple(x - y for x, y in zip(v, fverts[0])) for v in fverts[1:]]
-        if _rank(dirs) != dim - 1:
+        if rank(QQ, dirs) != dim - 1:
             continue
         # parametrize the facet: x = w0 + B c with B a basis of its direction
         basis = _independent_subset(dirs, dim - 1)
@@ -197,7 +110,7 @@ def _triangulate(A, b, verts, dim):
 def _independent_subset(vectors, k):
     out = []
     for v in vectors:
-        if _rank(out + [v]) > len(out):
+        if rank(QQ, out + [v]) > len(out):
             out.append(v)
             if len(out) == k:
                 return out
@@ -213,12 +126,12 @@ def _coords_in_basis(basis, vec):
     chosen = []
     for r in range(d):
         cand = chosen + [tuple(bv[r] for bv in basis)]
-        if _rank(cand) > len(chosen):
+        if rank(QQ, cand) > len(chosen):
             chosen = cand
             rows_idx.append(r)
             if len(rows_idx) == k:
                 break
-    sol = _solve_square([tuple(bv[r] for bv in basis) for r in rows_idx],
+    sol = solve(QQ, [tuple(bv[r] for bv in basis) for r in rows_idx],
                         [vec[r] for r in rows_idx])
     return sol
 
@@ -231,10 +144,10 @@ def polytope_volume(A, b) -> Fraction:
     verts = enumerate_vertices(A, b)
     if not verts:
         return Fraction(0)
-    if _rank([tuple(x - y for x, y in zip(v, verts[0])) for v in verts[1:]]) < dim:
+    if rank(QQ, [tuple(x - y for x, y in zip(v, verts[0])) for v in verts[1:]]) < dim:
         return Fraction(0)
     total = Fraction(0)
     for simplex in _triangulate(A, b, verts, dim):
         edges = [tuple(x - y for x, y in zip(v, simplex[0])) for v in simplex[1:]]
-        total += abs(_det(edges))
+        total += abs(det(QQ, edges))
     return total / factorial(dim)

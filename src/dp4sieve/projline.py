@@ -20,71 +20,17 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import BothZero, TooLarge, ZeroForm
-from .field import FieldSpec
+from .field import (
+    FieldSpec,
+    field_of_order,
+    from_digits,
+    poly_divmod,
+    poly_gcd,
+    poly_trim,
+    to_digits,
+)
 
 _HILB_CAP = 2_000_000
-
-
-# ---------------------------------------------------------------------------
-# dense polynomial arithmetic over F_q (little-endian tuples of field ints)
-
-def poly_trim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def poly_mul(K: FieldSpec, a, b):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = K.add(out[i + j], K.mul(x, y))
-    return poly_trim(out)
-
-
-def poly_divmod(K: FieldSpec, num, den):
-    num = list(poly_trim(num))
-    den = poly_trim(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    dn = len(den) - 1
-    inv_lead = K.inv(den[-1])
-    quot = [0] * max(0, len(num) - dn)
-    while len(num) - 1 >= dn and any(num):
-        if num[-1] == 0:
-            num.pop()
-            continue
-        coef = K.mul(num[-1], inv_lead)
-        shift = len(num) - 1 - dn
-        quot[shift] = coef
-        for i, d in enumerate(den):
-            num[shift + i] = K.sub(num[shift + i], K.mul(coef, d))
-        num.pop()
-    return tuple(quot), poly_trim(num)
-
-
-def poly_gcd(K: FieldSpec, a, b):
-    """Monic gcd; gcd(a, 0) = monic(a)."""
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        _, a = poly_divmod(K, a, b)
-        a, b = b, a
-    if a:
-        inv = K.inv(a[-1])
-        a = tuple(K.mul(c, inv) for c in a)
-    return a
-
-
-def poly_eval(K: FieldSpec, c, x):
-    acc = 0
-    for coef in reversed(c):
-        acc = K.add(K.mul(acc, x), coef)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +53,6 @@ class ClosedPoint:
         return not self.poly
 
 
-def _poly_code(q: int, poly) -> int:
-    code = 0
-    for c in reversed(poly):
-        code = code * q + c
-    return code
-
-
 def point_at_infinity() -> ClosedPoint:
     # sort key puts infinity first within degree 1; enumeration order is
     # fixed separately by closed_points_up_to
@@ -123,8 +62,7 @@ def point_at_infinity() -> ClosedPoint:
 def _affine_point(K: FieldSpec, poly) -> ClosedPoint:
     poly = tuple(poly)
     deg = len(poly) - 1
-    code = _poly_code(K.q, poly)
-    return ClosedPoint(degree=deg, code=code, poly=poly)
+    return ClosedPoint(degree=deg, code=from_digits(poly, K.q), poly=poly)
 
 
 def rational_point(K: FieldSpec, x: int) -> ClosedPoint:
@@ -142,12 +80,7 @@ def _irreducibles_of_degree(K: FieldSpec, n: int):
         lower.extend(pt.poly for pt in _irreducibles_of_degree(K, d))
     out = []
     for code in range(K.q ** n):
-        coeffs = []
-        c = code
-        for _ in range(n):
-            coeffs.append(c % K.q)
-            c //= K.q
-        poly = tuple(coeffs) + (1,)
+        poly = to_digits(code, K.q, n) + (1,)
         if all(poly_divmod(K, poly, div)[1] for div in lower):
             out.append(_affine_point(K, poly))
     return tuple(out)
@@ -197,6 +130,12 @@ def count_closed_points(K: FieldSpec, n: int) -> int:
             total += _int_mobius(d) * K.q ** (n // d)
     assert total % n == 0
     return total // n
+
+
+@lru_cache(maxsize=None)
+def count_closed_points_for(q: int, n: int) -> int:
+    """count_closed_points over F_q, for a supported prime power q."""
+    return count_closed_points(field_of_order(q), n)
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +337,13 @@ def _point_counts(K: FieldSpec, N: int, use_enumeration: bool):
     return [0] + [count_closed_points(K, n) for n in range(1, N + 1)]
 
 
-def zeta_p1_identity_check(K: FieldSpec, N: int, use_enumeration: bool = False,
-                           return_detail: bool = False):
+def zeta_p1_identity_check(K: FieldSpec, N: int, use_enumeration: bool = False):
     """Check prod_{deg c <= N} (1 - t^{deg c})^{-1} = 1/((1-t)(1-qt)) mod t^{N+1}.
 
     The left side multiplies out the closed-point inventory (counts by the
     necklace formula, or by actual enumeration when requested); the right
     side has coefficient #P^n(F_q) at t^n.  Returns True on full agreement,
-    otherwise the first mismatching order (or (ok, first_bad) with
-    return_detail).
+    otherwise the first mismatching order.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -425,13 +362,7 @@ def zeta_p1_identity_check(K: FieldSpec, N: int, use_enumeration: bool = False,
             j += 1
             binom = binom * (c + j - 1) // j
         series = new
-    first_bad = None
     for n in range(N + 1):
-        rhs = (K.q ** (n + 1) - 1) // (K.q - 1)
-        if series[n] != rhs:
-            first_bad = n
-            break
-    ok = first_bad is None
-    if return_detail:
-        return ok, first_bad
-    return ok if ok else first_bad
+        if series[n] != (K.q ** (n + 1) - 1) // (K.q - 1):
+            return n
+    return True

@@ -40,12 +40,13 @@ from .errors import (
     TooLarge,
     ZeroSection,
 )
-from .field import FieldSpec, make_field
+from .field import FieldSpec, field_of_order, to_digits
+from .linalg import det, nullspace
 from .projline import (
     ZERO_DIVISOR,
     EffectiveDivisor,
-    divisor,
     divisor_of_form,
+    form_gcd,
     form_gcd_degree,
     form_is_zero,
     hilb_points,
@@ -103,29 +104,10 @@ class SurfaceConfig:
         return (d, self.field.neg(c))
 
 
-def _bidegree_matrix_det(K: FieldSpec, first, second) -> int:
-    """det of the 4x4 matrix of bidegree-(1,1) monomials at the 4 points."""
-    rows = []
-    for (u0, u1), (v0, v1) in zip(first, second):
-        rows.append([K.mul(u0, v0), K.mul(u0, v1), K.mul(u1, v0), K.mul(u1, v1)])
-    # fraction-free Gaussian elimination over the field
-    det = 1
-    m = [row[:] for row in rows]
-    for col in range(4):
-        piv = next((r for r in range(col, 4) if m[r][col] != 0), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = K.neg(det)
-        det = K.mul(det, m[col][col])
-        inv = K.inv(m[col][col])
-        for r in range(col + 1, 4):
-            if m[r][col]:
-                f = K.mul(m[r][col], inv)
-                for c in range(col, 4):
-                    m[r][c] = K.sub(m[r][c], K.mul(f, m[col][c]))
-    return det
+def _bidegree_monomials(K: FieldSpec, u, v) -> list:
+    """The four bidegree-(1,1) monomials u_a v_b at the point pair (u, v)."""
+    (u0, u1), (v0, v1) = u, v
+    return [K.mul(u0, v0), K.mul(u0, v1), K.mul(u1, v0), K.mul(u1, v1)]
 
 
 def validate_points(K: FieldSpec, points, allow_on_bidegree_curve: bool = False) -> SurfaceConfig:
@@ -152,7 +134,8 @@ def validate_points(K: FieldSpec, points, allow_on_bidegree_curve: bool = False)
         raise CoincidentFirstCoords(f"repeated first coordinates: {first}")
     if len(set(second)) != 4:
         raise CoincidentSecondCoords(f"repeated second coordinates: {second}")
-    degenerate = _bidegree_matrix_det(K, first, second) == 0
+    monomials = [_bidegree_monomials(K, u, v) for u, v in zip(first, second)]
+    degenerate = det(K, monomials) == 0
     if degenerate and not allow_on_bidegree_curve:
         raise OnBidegreeCurve("a (1,1)-curve passes through all four centers")
     return SurfaceConfig(field=K, first=first, second=second, on_bidegree_curve=degenerate)
@@ -166,7 +149,7 @@ def default_config(q: int) -> SurfaceConfig:
     assignment passing the certificate, except over F_3 where no assignment
     certifies and the matched-order configuration ships flagged.
     """
-    K = make_field(*_pq(q))
+    K = field_of_order(q)
     # four distinct first coordinates: 0, 1, the element encoded 2, inf
     first = [(0, 1), (1, 1), (2, 1), (1, 0)]
     if K.q == 3:
@@ -179,16 +162,6 @@ def default_config(q: int) -> SurfaceConfig:
         except OnBidegreeCurve:
             continue
     raise OnBidegreeCurve("no certified assignment found")  # pragma: no cover
-
-
-def _pq(q: int):
-    for p in (2, 3, 5, 7, 11, 13):
-        n = 1
-        while p ** n <= q:
-            if p ** n == q:
-                return p, n
-            n += 1
-    raise ValueError(f"{q} is not a supported prime power")
 
 
 def _index_to_point(K: FieldSpec, i: int):
@@ -293,20 +266,12 @@ def _form_divisor_ids(K: FieldSpec, degree: int):
     q = K.q
     out = np.empty(q ** (degree + 1), dtype=np.int64)
     for code in range(q ** (degree + 1)):
-        coeffs = _decode_form(q, code, degree)
+        coeffs = to_digits(code, q, degree + 1)
         if form_is_zero(coeffs):
             out[code] = len(divs)
         else:
             out[code] = ids[divisor_of_form(K, coeffs).entries]
     return out
-
-
-def _decode_form(q: int, code: int, degree: int):
-    c = []
-    for _ in range(degree + 1):
-        c.append(code % q)
-        code //= q
-    return tuple(c)
 
 
 @lru_cache(maxsize=None)
@@ -543,7 +508,7 @@ def count_sections_raw(cfg: SurfaceConfig, a: int, b: int, k, budget: int = DEFA
 
 
 def count_sections(cfg: SurfaceConfig, a: int, b: int, k,
-                   budget: int = DEFAULT_BUDGET, method: str = "auto") -> int:
+                   budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of section pairs with contact profile exactly k.
 
     Counts pairs (s, t) of coefficient tuples of bidegree (a, b), each side
@@ -555,8 +520,6 @@ def count_sections(cfg: SurfaceConfig, a: int, b: int, k,
     if a < 0 or b < 0 or any(x < 0 for x in k):
         raise DegreeMismatch("degrees and contact orders must be non-negative")
     _check_budget(cfg.field.q, a, b, budget)
-    if method == "raw":
-        return count_sections_raw(cfg, a, b, k, budget)
     bins, cap = _join_for(cfg, a, b, max(k) if k else 0)
     up, _ = _inventory_upto(cfg.field, cap)
     degs = np.array([d.degree for d in up] + [cap + 1], dtype=np.int64)  # overflow deg
@@ -573,39 +536,12 @@ def count_sections(cfg: SurfaceConfig, a: int, b: int, k,
 
 
 def count_morphisms(cfg: SurfaceConfig, a: int, b: int, k,
-                    budget: int = DEFAULT_BUDGET, method: str = "auto") -> int:
+                    budget: int = DEFAULT_BUDGET) -> int:
     """count_sections divided by the (q-1)^2 scaling torsor."""
-    n = count_sections(cfg, a, b, k, budget=budget, method=method)
+    n = count_sections(cfg, a, b, k, budget=budget)
     d = (cfg.field.q - 1) ** 2
     assert n % d == 0, "torsor divisibility violated"
     return n // d
-
-
-def count_profile_table(cfg: SurfaceConfig, a: int, b: int, cap: int,
-                        budget: int = DEFAULT_BUDGET) -> dict:
-    """All profile counts with every k_i <= cap from one join pass.
-
-    Returns {k: count}; pairs with any contact order above cap are not
-    represented (they fall into overflow bins).
-    """
-    _check_budget(cfg.field.q, a, b, budget)
-    bins, used = _join_for(cfg, a, b, cap)
-    up, _ = _inventory_upto(cfg.field, used)
-    degs = [d.degree for d in up] + [used + 1]
-    B = len(up) + 1
-    out: dict = {}
-    nz = np.nonzero(bins)[0]
-    for key in nz:
-        ks = []
-        rem = int(key)
-        for _ in range(4):
-            ks.append(degs[rem % B])
-            rem //= B
-        ks = tuple(reversed(ks))
-        if any(x > cap for x in ks):
-            continue
-        out[ks] = out.get(ks, 0) + int(bins[key])
-    return out
 
 
 def u_k_points(K: FieldSpec, k, limit: int = 200_000):
@@ -680,19 +616,15 @@ def remark_config(cfg: SurfaceConfig, i: int, j: int):
 
     # solve for the pencil basis: G(u, v) = sum g_ab u_a v_b vanishing at
     # centers i and j; exact nullspace of a 2x4 system over the field
-    rows = []
-    for m in (i, j):
-        (u0, u1), (v0, v1) = cfg.first[m], cfg.second[m]
-        rows.append([K.mul(u0, v0), K.mul(u0, v1), K.mul(u1, v0), K.mul(u1, v1)])
-    basis = _nullspace(K, rows)
+    basis = nullspace(K, [_bidegree_monomials(K, cfg.first[m], cfg.second[m])
+                          for m in (i, j)])
     assert len(basis) == 2, "pencil through two centers must be 2-dimensional"
     G1, G2 = basis
 
     def ev(G, u, v):
-        (u0, u1), (v0, v1) = u, v
         acc = 0
-        for g, mono in zip(G, ((u0, v0), (u0, v1), (u1, v0), (u1, v1))):
-            acc = K.add(acc, K.mul(g, K.mul(*mono)))
+        for g, mono in zip(G, _bidegree_monomials(K, u, v)):
+            acc = K.add(acc, K.mul(g, mono))
         return acc
 
     def psi(u, v):
@@ -729,37 +661,6 @@ def _projective_points(K: FieldSpec):
     return [(c, 1) for c in K.elements()] + [(1, 0)]
 
 
-def _nullspace(K: FieldSpec, rows):
-    """Basis of the right nullspace of a small matrix over the field."""
-    ncols = len(rows[0])
-    m = [row[:] for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = K.inv(m[rank][col])
-        m[rank] = [K.mul(v, inv) for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col]
-                m[r] = [K.sub(x, K.mul(f, y)) for x, y in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for r, col in enumerate(pivots):
-            vec[col] = K.neg(m[r][free])
-        basis.append(tuple(vec))
-    return basis
-
-
 def fiber_count_raw(cfg: SurfaceConfig, w, a: int, b: int) -> int:
     """Reference path for fiber_count: direct enumeration."""
     K = cfg.field
@@ -789,7 +690,6 @@ def fiber_count_raw(cfg: SurfaceConfig, w, a: int, b: int) -> int:
                         elif form_is_zero(h):
                             got = divisor_of_form(K, g).entries
                         else:
-                            from .projline import form_gcd
                             got = form_gcd(K, g, h).entries
                         if got != want[i]:
                             ok = False

@@ -38,11 +38,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import NotComparable, NotSaturated, TooLarge
-from .field import FieldSpec
-from .projline import ClosedPoint, closed_points_up_to, poly_divmod, poly_mul
+from .field import FieldSpec, poly_divmod, poly_mul
+from .linalg import rank
+from .projline import ClosedPoint, closed_points_up_to, count_closed_points_for
 from .secenum import SurfaceConfig, u_k_points
-
-INFINITE = -1  # sentinel multiplicity for the top element
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +164,6 @@ def local_condition(lattice: ConditionLattice, mults: dict) -> tuple:
     cond = tuple(m[i] for i in lattice.nontop)
     validate_condition(lattice, cond)
     return cond
-
-
-def _mult_of(lattice: ConditionLattice, cond, i: int):
-    if i == lattice.top:
-        return float("inf")
-    return cond[lattice.nontop.index(i)]
 
 
 def validate_condition(lattice: ConditionLattice, cond):
@@ -537,20 +530,6 @@ def _series_pow(a, e, order):
 
 
 @lru_cache(maxsize=None)
-def count_closed_points_for(q: int, n: int) -> int:
-    from .field import make_field
-    from .projline import count_closed_points as ccp
-
-    for p in (2, 3, 5, 7, 11, 13):
-        m = 1
-        while p ** m <= q:
-            if p ** m == q:
-                return ccp(make_field(p, m), n)
-            m += 1
-    raise ValueError(f"unsupported q = {q}")
-
-
-@lru_cache(maxsize=None)
 def _background_series(lattice: ConditionLattice, q: int, D: int):
     """Product over all closed points of the no-base excess polynomial,
     truncated at T^D."""
@@ -641,7 +620,7 @@ def gamma_rank_oracle(x: Configuration, a: int, b: int, cfg: SurfaceConfig) -> i
         for i, v in enumerate(row):
             vec[base + i] = v
         full.append(vec)
-    return _rank_mod(K, full)
+    return rank(K, full)
 
 
 def _subspace_rows(K: FieldSpec, cfg: SurfaceConfig, pt: ClosedPoint, mult: int,
@@ -692,27 +671,6 @@ def _vanishing_rows(K: FieldSpec, pt: ClosedPoint, mult: int, degree: int):
         for r in range(red):
             rows[r][j] = rem[r] if r < len(rem) else 0
     return tuple(tuple(r) for r in rows)
-
-
-def _rank_mod(K: FieldSpec, rows) -> int:
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0])
-    rank, col = 0, 0
-    while rank < len(rows) and col < ncols:
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = K.inv(rows[rank][col])
-        rows[rank] = [K.mul(v, inv) for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [K.sub(x, K.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
 import json
+import pathlib
 
 import pytest
 
+from dp4sieve import cli
 from dp4sieve.cli import main
+from dp4sieve.errors import TooLarge
+from dp4sieve.harness import parse_config_file
+
+CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.cfg"))
 
 
 def test_field_check(capsys):
@@ -67,3 +73,30 @@ def test_budget_exit_code(tmp_path):
                  "--cache-dir", str(tmp_path / "c"),
                  "--out-dir", str(tmp_path / "o"), "count"])
     assert code == 3
+    # d = 0 is refused too, so no row may pass for complete (the true N(0)
+    # is 16): the report holds one partial d = 0 row and nothing else
+    report = json.loads((tmp_path / "o" / "count_q3_d2.json").read_text())
+    assert report["rows"] == [{"d": 0, "partial": True}]
+    assert "budget_exceeded_at_d=0" in report["flags"]
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_runs(path, tmp_path, capsys):
+    code = main(["--config", str(path), "--d-max", "1",
+                 "--out-dir", str(tmp_path), "count"])
+    assert code == 0
+    json_path = next(p for p in capsys.readouterr().out.split() if p.endswith(".json"))
+    report = json.loads(pathlib.Path(json_path).read_text())
+    points = parse_config_file(str(path)).points
+    assert report["config"]["points"] == (None if points is None
+                                          else [list(pair) for pair in points])
+
+
+def test_resource_limit_exit_code(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise TooLarge("join histogram would need 10**9 bins")
+
+    monkeypatch.setattr(cli, "counting_function", refuse)
+    assert main(["--field-p", "3", "count"]) == 3
+    err = capsys.readouterr().err
+    assert err == "resource limit exceeded: join histogram would need 10**9 bins\n"

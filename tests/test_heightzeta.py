@@ -4,7 +4,7 @@ import pytest
 
 from dp4sieve import heightzeta as hz
 from dp4sieve.exactnum import Interval
-from dp4sieve.sieve import count_closed_points_for
+from dp4sieve.projline import count_closed_points_for
 
 
 def test_interval_arithmetic():

@@ -82,7 +82,7 @@ def test_form_gcd_matches_pointwise_min_exhaustive():
 
 
 def test_div_of_product_is_sum():
-    from dp4sieve.projline import poly_mul
+    from dp4sieve.field import poly_mul
 
     # div(f*g) = div(f) + div(g), checked exhaustively at small degree
     forms1 = [f for f in all_forms(F2, 1) if any(f)]
