@@ -22,6 +22,8 @@ from .errors import (
     CorruptCache,
     InvalidConfig,
     IoError,
+    NonPrime,
+    UnsupportedSize,
     VersionMismatch,
 )
 from .field import make_field
@@ -54,6 +56,10 @@ class RunConfig:
     alpha_normalization: str = "volume_rho"
 
     def __post_init__(self):
+        try:
+            make_field(self.p, self.n)
+        except (NonPrime, UnsupportedSize) as exc:
+            raise InvalidConfig(f"unsupported field: {exc}") from exc
         if self.epsilon <= 0:
             raise InvalidConfig("epsilon must be > 0")
         if self.d_max < 0 or self.budget <= 0:

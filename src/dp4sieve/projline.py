@@ -40,12 +40,13 @@ _HILB_CAP = 2_000_000
 class ClosedPoint:
     """A closed point of P^1: infinity, or a monic irreducible in x.
 
-    The sort key (degree, code) fixes the deterministic enumeration order;
-    infinity sorts после the rational affine points.
+    The sort key is (degree, code).  Infinity carries code -1, so it sorts
+    first among the degree-1 points; closed_points_up_to lists it last
+    among them instead.
     """
 
     degree: int
-    code: int            # poly code sum c_i q^i, or -1 sentinel... see below
+    code: int            # poly code sum c_i q^i, or -1 for infinity
     poly: tuple          # () for infinity, else monic coefficient tuple
 
     @property
@@ -163,9 +164,6 @@ class EffectiveDivisor:
             if p == pt:
                 return m
         return 0
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def add(self, other: "EffectiveDivisor") -> "EffectiveDivisor":
         out = dict(self.entries)

@@ -1,6 +1,6 @@
-"""Brute-force counting of section spaces over F_q: pairs of binary-form
-pairs (s, t) of bidegree (a, b) with no common roots and prescribed contact
-order k_i at four marked point pairs of P^1 x P^1.
+"""Counting section spaces over F_q: pairs of binary-form pairs (s, t) of
+bidegree (a, b) with no common roots and prescribed contact order k_i at
+four marked point pairs of P^1 x P^1.
 
 The contact order at the i-th marked pair (p_i, p'_i) is the degree of the
 common vanishing divisor of the two composite forms lambda_i(s) and
@@ -12,12 +12,24 @@ When both composites vanish identically the pair is a constant section
 sitting at the marked point; the artifact counts it with contact 0, which
 makes the degree-0 count equal the number of constant maps to P^1 x P^1.
 
-Two independent strategies are implemented: raw enumeration of all
-q^{2a+2b+4} coefficient tuples with direct gcd computations, and a
-bucket/join strategy that enumerates the two sides separately (q^{2a+2} and
-q^{2b+2} tuples), compresses each side to its vanishing-divisor signature,
-and convolves the signatures.  The raw path guards the join on small
-instances; the join makes the acceptance grid feasible.
+Two independent strategies are implemented.  The raw path enumerates all
+q^{2a+2b+4} coefficient tuples with direct gcd computations and guards the
+other on small instances.  The join enumerates the two sides separately
+(q^{2a+2} and q^{2b+2} tuples, up to a common scalar), compresses each side
+to the multiset of its four composite divisors, and joins the two
+multisets through a table of contact degrees deg min(D, D').  Every
+contact is at most max(a, b), so one int64 histogram of (max(a, b) + 1)^4
+bins per (a, b) answers every k.
+
+Orbit reduction.  Reparametrising the source P^1 by g in PGL_2(F_q) maps
+coprime pairs to coprime pairs and pulls every composite divisor back
+along g, on both sides at once; degrees, and so every contact degree, are
+unchanged, and each side's multiset is carried onto itself with equal
+weights.  Hence the sum over x in S, y in T of w(x) w(y) [key(gx, y)]
+equals that of [key(x, g^-1 y)], and the larger side may be replaced by
+one representative per orbit, weighted by the orbit's total weight.
+fiber_count, whose target divisors are not invariant, runs through the
+same join kernel with 0/1 tables [min(D, D') = w_i] and unreduced rows.
 """
 
 from __future__ import annotations
@@ -40,11 +52,12 @@ from .errors import (
     TooLarge,
     ZeroSection,
 )
-from .field import FieldSpec, field_of_order, to_digits
+from .field import FieldSpec, field_of_order, poly_mul, to_digits
 from .linalg import det, nullspace
 from .projline import (
     ZERO_DIVISOR,
     EffectiveDivisor,
+    closed_points_up_to,
     divisor_of_form,
     form_gcd,
     form_gcd_degree,
@@ -238,19 +251,27 @@ def _np_tables(K: FieldSpec):
     return mul, sub
 
 
+def _form_digits(q: int, degree: int):
+    """(q^(degree+1), degree+1) coefficient table of every form, row = code."""
+    codes = np.arange(q ** (degree + 1), dtype=np.int64)
+    return (codes[:, None] // q ** np.arange(degree + 1, dtype=np.int64)) % q
+
+
+_CHUNK = 1 << 17
+
+
+def _projective_codes(q: int, length: int):
+    """Codes of the nonzero length-digit vectors whose top nonzero digit is
+    1 (one per line through the origin), in chunks."""
+    for j in range(length):
+        for start in range(q ** j, 2 * q ** j, _CHUNK):
+            yield np.arange(start, min(start + _CHUNK, 2 * q ** j), dtype=np.int64)
+
+
 @lru_cache(maxsize=None)
 def _inventory(K: FieldSpec, degree: int):
     """Divisors of exact degree, with id map; id order is deterministic."""
     divs = hilb_points(K, degree)
-    ids = {d.entries: i for i, d in enumerate(divs)}
-    return tuple(divs), ids
-
-
-@lru_cache(maxsize=None)
-def _inventory_upto(K: FieldSpec, cap: int):
-    divs = []
-    for n in range(cap + 1):
-        divs.extend(hilb_points(K, n))
     ids = {d.entries: i for i, d in enumerate(divs)}
     return tuple(divs), ids
 
@@ -264,205 +285,279 @@ def _form_divisor_ids(K: FieldSpec, degree: int):
     """
     divs, ids = _inventory(K, degree)
     q = K.q
-    out = np.empty(q ** (degree + 1), dtype=np.int64)
-    for code in range(q ** (degree + 1)):
-        coeffs = to_digits(code, q, degree + 1)
-        if form_is_zero(coeffs):
-            out[code] = len(divs)
-        else:
-            out[code] = ids[divisor_of_form(K, coeffs).entries]
+    mul, _ = _np_tables(K)
+    digits = _form_digits(q, degree)
+    powers = q ** np.arange(degree + 1, dtype=np.int64)
+    out = np.full(q ** (degree + 1), len(divs), dtype=np.int64)
+    # factor one form per line through the origin; its multiples share it
+    for codes in _projective_codes(q, degree + 1):
+        found = [ids[divisor_of_form(K, to_digits(c, q, degree + 1)).entries]
+                 for c in codes.tolist()]
+        for scalar in range(1, q):
+            out[mul[scalar][digits[codes]] @ powers] = found
     return out
 
 
 @lru_cache(maxsize=None)
-def _same_side_mindeg(K: FieldSpec, degree: int):
-    """(m+1)x(m+1) table of min-divisor degrees; -1 where both are zero forms."""
-    divs, _ = _inventory(K, degree)
-    m = len(divs)
-    tab = np.empty((m + 1, m + 1), dtype=np.int64)
-    for i, d1 in enumerate(divs):
-        for j, d2 in enumerate(divs):
-            tab[i, j] = d1.min(d2).degree
-        tab[i, m] = degree      # min with the zero form: the divisor itself
-        tab[m, i] = degree
-    tab[m, m] = -1
+def _degree_table(K: FieldSpec, deg_s: int, deg_t: int):
+    """Contact degrees deg min(D, D') between the two inventories.
+
+    Rows are the degree-deg_s divisor ids plus the zero sentinel, columns
+    the degree-deg_t ones.  A zero form passes the other side's degree
+    through, and two zero forms give 0.  Two nonzero forms can only share
+    closed points of degree <= min(deg_s, deg_t), so those points suffice.
+    """
+    top = min(deg_s, deg_t)
+    pts = closed_points_up_to(K, top) if top else []
+    col = {pt: j for j, pt in enumerate(pts)}
+    mult = []
+    for degree in (deg_s, deg_t):
+        divs, _ = _inventory(K, degree)
+        m = np.zeros((len(divs), len(pts)), dtype=np.int64)
+        for i, d in enumerate(divs):
+            for pt, e in d.entries:
+                if pt in col:
+                    m[i, col[pt]] = e
+        mult.append(m)
+    mS, mT = mult[0].shape[0], mult[1].shape[0]
+    tab = np.zeros((mS + 1, mT + 1), dtype=np.int64)
+    for j, pt in enumerate(pts):
+        tab[:mS, :mT] += pt.degree * np.minimum(mult[0][:, j, None], mult[1][None, :, j])
+    tab[:mS, mT] = deg_s
+    tab[mS, :mT] = deg_t
     return tab
 
 
-@lru_cache(maxsize=None)
-def _cross_min_table(K: FieldSpec, deg_s: int, deg_t: int, cap: int):
-    """Min-divisor ids (in the <=cap inventory) across the two sides.
+def _fiber_table(K: FieldSpec, deg_s: int, deg_t: int, w: EffectiveDivisor):
+    """0/1 table [min(D, D') = w] over the same rows and columns as
+    _degree_table, with the same zero rules (two zero forms meet in 0)."""
+    S = list(_inventory(K, deg_s)[0]) + [None]
+    T = list(_inventory(K, deg_t)[0]) + [None]
 
-    Entry OVERFLOW when the min has degree above cap; a zero form on one
-    side passes the other side through; two zero forms resolve to the empty
-    divisor (contact 0 by convention).
+    def meet(x, y):
+        if x is None:
+            return ZERO_DIVISOR if y is None else y
+        return x if y is None else x.min(y)
+
+    return np.array([[meet(x, y) == w for y in T] for x in S], dtype=np.int64)
+
+
+# ---------------------------------------------------------------------------
+# reparametrising the source P^1
+
+def _pullback_perm(K: FieldSpec, degree: int, g):
+    """Divisor-id permutation of f(X, Y) -> f(aX + bY, cX + dY), g = (a, b, c, d).
+
+    The substitution pulls every divisor back along the Moebius map; the
+    zero sentinel is fixed.  g must be invertible.
     """
-    dS, _ = _inventory(K, deg_s)
-    dT, _ = _inventory(K, deg_t)
-    up, upid = _inventory_upto(K, cap)
-    overflow = len(up)
+    a, b, c, d = g
+    mul, sub = _np_tables(K)
+    # images of the monomials X^j Y^(degree-j), as coefficient tuples
+    basis = []
+    for j in range(degree + 1):
+        f = (1,)
+        for lin in [(b, a)] * j + [(d, c)] * (degree - j):
+            f = poly_mul(K, f, lin)
+        basis.append(f + (0,) * (degree + 1 - len(f)))
+    digits = _form_digits(K.q, degree)
+    image = np.zeros(len(digits), dtype=np.int64)
+    for k in range(degree + 1):
+        acc = np.zeros(len(digits), dtype=np.int64)
+        for j in range(degree + 1):
+            acc = sub[acc, mul[digits[:, j], K.neg(basis[j][k])]]
+        image += acc * K.q ** k
+    div_id = _form_divisor_ids(K, degree)
+    perm = np.empty(len(_inventory(K, degree)[0]) + 1, dtype=np.int64)
+    perm[div_id] = div_id[image]
+    return perm
 
-    def locate(d: EffectiveDivisor):
-        return upid.get(d.entries, overflow)
 
-    mS, mT = len(dS), len(dT)
-    tab = np.empty((mS + 1, mT + 1), dtype=np.int64)
-    for i, d1 in enumerate(dS):
-        for j, d2 in enumerate(dT):
-            tab[i, j] = locate(d1.min(d2))
-        tab[i, mT] = locate(d1)
-    for j, d2 in enumerate(dT):
-        tab[mS, j] = locate(d2)
-    tab[mS, mT] = upid[ZERO_DIVISOR.entries]
-    return tab, overflow
+@lru_cache(maxsize=None)
+def _pgl2_perms(K: FieldSpec, degree: int):
+    """Every divisor-id permutation that PGL_2(F_q) induces in this degree.
+
+    Closes the generators x -> x + c, x -> c x and x -> 1/x under
+    composition; one row per group element (q^3 - q rows for degree >= 1,
+    where the action is faithful), the identity first.
+    """
+    gens = [(1, c, 0, 1) for c in range(1, K.q)] + [(c, 0, 0, 1) for c in range(2, K.q)]
+    gens = [_pullback_perm(K, degree, g) for g in gens + [(0, 1, 1, 0)]]
+    ident = np.arange(gens[0].size, dtype=np.int64)
+    group = {ident.tobytes(): ident}
+    frontier = [ident]
+    while frontier:
+        found = []
+        for perm in frontier:
+            for gen in gens:
+                new = gen[perm]
+                if new.tobytes() not in group:
+                    group[new.tobytes()] = new
+                    found.append(new)
+        frontier = found
+    return np.stack(list(group.values()))
 
 
 # ---------------------------------------------------------------------------
 # side summaries and the join
 
-@lru_cache(maxsize=32)
+def _encode(comp, base: int):
+    return ((comp[0] * base + comp[1]) * base + comp[2]) * base + comp[3]
+
+
+def _decode(keys, base: int):
+    comp = np.empty((4, keys.size), dtype=np.int64)
+    for i in range(3, -1, -1):
+        keys, comp[i] = np.divmod(keys, base)
+    return comp
+
+
+def _tally(keys, weights):
+    """Distinct keys with their summed int64 weights."""
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    total = np.zeros(uniq.size, dtype=np.int64)
+    np.add.at(total, inverse, weights)
+    return uniq, total
+
+
+@lru_cache(maxsize=8)
 def _side_summary(cfg: SurfaceConfig, side: str, degree: int):
     """Compress one side to (divisor-id quadruples, multiplicities).
 
-    Enumerates all q^{2 degree + 2} coefficient pairs, keeps those with no
-    common root, computes the four composite forms by vectorized table
-    arithmetic, and aggregates equal divisor-id quadruples.
+    Enumerates the coefficient pairs of one side up to a common scalar
+    (every pair's four contact divisors are those of its q-1 multiples),
+    keeps those with no common root, computes the four composite forms by
+    vectorized table arithmetic, and aggregates equal divisor-id quadruples.
     """
     K = cfg.field
     q = K.q
     mul, sub = _np_tables(K)
     nforms = q ** (degree + 1)
-    f1, f2 = np.divmod(np.arange(nforms * nforms, dtype=np.int64), nforms)
-
+    digits = _form_digits(q, degree)
     div_id = _form_divisor_ids(K, degree)
-    mindeg = _same_side_mindeg(K, degree)
-    ok = mindeg[div_id[f1], div_id[f2]] == 0
-    f1, f2 = f1[ok], f2[ok]
-
-    # coefficient digits of both forms
-    digits1 = np.empty((degree + 1, f1.size), dtype=np.int64)
-    digits2 = np.empty((degree + 1, f1.size), dtype=np.int64)
-    tmp1, tmp2 = f1.copy(), f2.copy()
-    for j in range(degree + 1):
-        digits1[j] = tmp1 % q
-        digits2[j] = tmp2 % q
-        tmp1 //= q
-        tmp2 //= q
-
-    lam = (cfg.lam if side == "s" else cfg.lam2)
-    quad = np.empty((4, f1.size), dtype=np.int64)
-    powers = q ** np.arange(degree + 1, dtype=np.int64)
+    coprime = _degree_table(K, degree, degree) == 0
+    base = len(_inventory(K, degree)[0]) + 1
+    if base ** 4 >= 2 ** 63:
+        raise TooLarge(f"degree-{degree} divisor quadruples overflow int64 keys")
+    lam = cfg.lam if side == "s" else cfg.lam2
+    scaled = []
     for i in range(4):
         d, negc = lam(i)
-        c = K.neg(negc)
-        code = np.zeros(f1.size, dtype=np.int64)
-        for j in range(degree + 1):
-            digit = sub[mul[d, digits1[j]], mul[c, digits2[j]]]  # d*s1_j - c*s2_j
-            code += digit * powers[j]
-        quad[i] = div_id[code]
-
-    base = np.int64(np.max(div_id) + 2)
-    key = ((quad[0] * base + quad[1]) * base + quad[2]) * base + quad[3]
-    uniq, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
-    # recover component ids for each unique key
-    comp = np.empty((4, uniq.size), dtype=np.int64)
-    first_idx = np.full(uniq.size, -1, dtype=np.int64)
-    first_idx[inverse[::-1]] = np.arange(f1.size - 1, -1, -1)
-    for i in range(4):
-        comp[i] = quad[i][first_idx]
-    return comp, counts.astype(np.int64)
+        scaled.append((mul[d][digits], mul[K.neg(negc)][digits]))
+    powers = q ** np.arange(degree + 1, dtype=np.int64)
+    parts, counts = [], []
+    for codes in _projective_codes(q, 2 * degree + 2):
+        f1, f2 = np.divmod(codes, nforms)
+        ok = coprime[div_id[f1], div_id[f2]]
+        f1, f2 = f1[ok], f2[ok]
+        quad = np.empty((4, f1.size), dtype=np.int64)
+        for i, (ds1, cs2) in enumerate(scaled):
+            quad[i] = div_id[sub[ds1[f1], cs2[f2]] @ powers]   # d*s1 - c*s2
+        keys, n = np.unique(_encode(quad, base), return_counts=True)
+        parts.append(keys)
+        counts.append(n)
+    keys, n = _tally(np.concatenate(parts), np.concatenate(counts))
+    return _decode(keys, base), n * (q - 1)
 
 
-def _join_histogram(cfg: SurfaceConfig, a: int, b: int, cap: int):
-    """Histogram over capped min-divisor id quadruples of section pairs.
+@lru_cache(maxsize=8)
+def _side_orbits(cfg: SurfaceConfig, side: str, degree: int):
+    """The side summary with one representative quadruple per PGL_2(F_q)
+    orbit, weighted by the orbit's total weight.
 
-    bins[key] counts pairs (s, t), both sides with no common root, whose
-    four contact divisors resolve to the given <=cap inventory ids
-    (one extra overflow id per component for contacts of larger degree).
+    The representative is the orbit's least key.  Its first component is
+    the least id in the orbit of the first component, and the group
+    elements reaching that id form a coset of the id's stabilizer; so each
+    quadruple is moved there once, and only the stabilizer is searched.
     """
-    K = cfg.field
-    compS, wS = _side_summary(cfg, "s", a)
-    compT, wT = _side_summary(cfg, "t", b)
-    cross, overflow = _cross_min_table(K, a, b, cap)
-    B = np.int64(overflow + 1)
-    key_tabs = []
-    mult = np.int64(1)
-    for i in range(3, -1, -1):
-        key_tabs.append((cross * mult).astype(np.int64))
-        mult *= B
-    key_tabs = key_tabs[::-1]  # key_tabs[i] scaled for component i
-
-    nbins = int(B ** 4)
-    if nbins > 40_000_000:
-        raise TooLarge(f"join histogram would need {nbins} bins")
-    bins = np.zeros(nbins, dtype=np.float64)
-    wTf = wT.astype(np.float64)
-    block = max(1, 2_000_000 // max(1, compT.shape[1]))
-    for start in range(0, compS.shape[1], block):
-        stop = min(start + block, compS.shape[1])
-        keys = key_tabs[0][compS[0, start:stop][:, None], compT[0][None, :]].copy()
-        for i in range(1, 4):
-            keys += key_tabs[i][compS[i, start:stop][:, None], compT[i][None, :]]
-        weights = wS[start:stop].astype(np.float64)[:, None] * wTf[None, :]
-        bins += np.bincount(keys.ravel(), weights=weights.ravel(), minlength=nbins)
-    assert float(bins.sum()) == float(int(wS.sum()) * int(wT.sum()))
-    return bins
+    comp, weights = _side_summary(cfg, side, degree)
+    perms = _pgl2_perms(cfg.field, degree)
+    base = perms.shape[1]
+    moved = perms[perms.argmin(axis=0)[comp[0]], comp]
+    canon = np.empty(comp.shape[1], dtype=np.int64)
+    for first in np.unique(moved[0]):
+        sel = np.flatnonzero(moved[0] == first)
+        quads = moved[:, sel]
+        best = _encode(quads, base)
+        for perm in perms[np.flatnonzero(perms[:, first] == first)]:
+            np.minimum(best, _encode(perm[quads], base), out=best)
+        canon[sel] = best
+    keys, total = _tally(canon, weights)
+    return _decode(keys, base), total
 
 
-_JOIN_STORE: dict = {}
+def _join(rows, row_w, cols, col_w, tables, base: int):
+    """Weighted histogram over base^4 keys of all row x column pairs.
+
+    The key of a pair has digit tables[i][row_i, col_i] at component i
+    (most significant first); each pair adds row weight * column weight.
+    """
+    total = int(row_w.sum()) * int(col_w.sum())
+    if total >= 2 ** 63:
+        raise TooLarge(f"{total} section pairs overflow the int64 histogram")
+    dtype = np.min_scalar_type(base ** 4 - 1)
+    hist = np.zeros(base ** 4, dtype=np.int64)
+    step = max(1, (1 << 20) // max(1, rows.shape[1]))     # columns per pass
+    for first in range(0, cols.shape[1], step):
+        cs = slice(first, first + step)
+        keys = 0
+        for i, tab in enumerate(tables):
+            # component i's table on these columns, in the narrowest dtype
+            # that holds a key, so that each row gathers one short line
+            keys = keys + (tab[:, cols[i, cs]] * base ** (3 - i)).astype(dtype)[rows[i]]
+        np.add.at(hist, keys.ravel(), (row_w[:, None] * col_w[cs]).ravel())
+    assert int(hist.sum()) == total
+    return hist
+
+
+def _join_sides(cfg: SurfaceConfig, a: int, b: int):
+    """(rows, row weights, columns, column weights, degree table) of the
+    degree join: the side with more quadruples, reduced to PGL_2 orbit
+    representatives, against the other side in full."""
+    S = _side_summary(cfg, "s", a)
+    T = _side_summary(cfg, "t", b)
+    if S[0].shape[1] >= T[0].shape[1]:
+        return (*_side_orbits(cfg, "s", a), *T, _degree_table(cfg.field, a, b))
+    return (*_side_orbits(cfg, "t", b), *S, _degree_table(cfg.field, b, a))
+
+
+@lru_cache(maxsize=256)
+def _contact_histogram(cfg: SurfaceConfig, a: int, b: int):
+    """Section pairs of bidegree (a, b) by contact-degree quadruple, as an
+    int64 array of shape (max(a, b) + 1,) * 4."""
+    rows, row_w, cols, col_w, tab = _join_sides(cfg, a, b)
+    base = max(a, b) + 1
+    return _join(rows, row_w, cols, col_w, [tab] * 4, base).reshape((base,) * 4)
 
 
 def clear_caches():
-    """Drop all in-memory engine caches (side summaries, joins, tables).
+    """Drop all in-memory engine caches (histograms, summaries, tables).
 
     Used by timing comparisons that must attribute speedups to the on-disk
     count cache rather than to warm in-process state.
     """
-    _JOIN_STORE.clear()
-    _side_summary.cache_clear()
-    _form_divisor_ids.cache_clear()
-    _same_side_mindeg.cache_clear()
-    _cross_min_table.cache_clear()
-    _inventory.cache_clear()
-    _inventory_upto.cache_clear()
-    _np_tables.cache_clear()
-
-
-def _join_for(cfg: SurfaceConfig, a: int, b: int, min_cap: int):
-    """Join histogram with cap >= min_cap, reusing any stored larger join.
-
-    Returns (bins, cap); consumers must interpret bin keys in the <=cap
-    inventory actually used.
-    """
-    key = (cfg, a, b)
-    stored = _JOIN_STORE.get(key)
-    if stored is not None and stored[1] >= min_cap:
-        return stored
-    cap = max(min_cap, 2, stored[1] if stored else 0)
-    bins = _join_histogram(cfg, a, b, cap)
-    _JOIN_STORE[key] = (bins, cap)
-    if len(_JOIN_STORE) > 64:
-        _JOIN_STORE.pop(next(iter(_JOIN_STORE)))
-    return bins, cap
-
-
-def _bin_key(K: FieldSpec, cap: int, divs) -> int:
-    _, upid = _inventory_upto(K, cap)
-    overflow = len(upid)
-    B = overflow + 1
-    key = 0
-    for d in divs:
-        key = key * B + upid[d.entries]
-    return key
+    for cached in (_contact_histogram, _side_orbits, _side_summary, _pgl2_perms,
+                   _degree_table, _form_divisor_ids, _inventory, _np_tables):
+        cached.cache_clear()
 
 
 # ---------------------------------------------------------------------------
 # public counting operations
 
+def _charge(cost: int, budget: int, what: str):
+    if cost > budget:
+        raise BudgetExceeded(f"{what} = {cost} exceeds budget {budget}")
+
+
+def _charge_sides(cfg: SurfaceConfig, a: int, b: int, budget: int) -> int:
+    q = cfg.field.q
+    cost = q ** (2 * a + 2) + q ** (2 * b + 2)
+    _charge(cost, budget, f"side enumerations {q}^{2 * a + 2} + {q}^{2 * b + 2}")
+    return cost
+
+
 def _check_budget(q: int, a: int, b: int, budget: int):
-    if q ** (2 * a + 2 * b + 4) > budget:
-        raise BudgetExceeded(
-            f"naive cost q^(2a+2b+4) = {q}^{2 * a + 2 * b + 4} exceeds budget {budget}")
+    _charge(q ** (2 * a + 2 * b + 4), budget, f"naive cost {q}^{2 * a + 2 * b + 4}")
 
 
 def count_sections_raw(cfg: SurfaceConfig, a: int, b: int, k, budget: int = DEFAULT_BUDGET) -> int:
@@ -514,25 +609,19 @@ def count_sections(cfg: SurfaceConfig, a: int, b: int, k,
     Counts pairs (s, t) of coefficient tuples of bidegree (a, b), each side
     without common roots, whose contact order at the i-th marked pair is
     exactly k_i.  The result is divisible by (q-1)^2 (independent scaling
-    of the two sides).
+    of the two sides).  The budget is charged the side enumerations
+    q^(2a+2) + q^(2b+2) plus the pairs of the degree join.
     """
     k = tuple(k)
-    if a < 0 or b < 0 or any(x < 0 for x in k):
-        raise DegreeMismatch("degrees and contact orders must be non-negative")
-    _check_budget(cfg.field.q, a, b, budget)
-    bins, cap = _join_for(cfg, a, b, max(k) if k else 0)
-    up, _ = _inventory_upto(cfg.field, cap)
-    degs = np.array([d.degree for d in up] + [cap + 1], dtype=np.int64)  # overflow deg
-    B = len(up) + 1
-    idx = np.arange(bins.size, dtype=np.int64)
-    mask = np.ones(bins.size, dtype=bool)
-    for i in range(3, -1, -1):
-        comp = idx % B
-        idx = idx // B
-        mask &= degs[comp] == k[i]
-    val = float(bins[mask].sum())
-    assert val.is_integer()
-    return int(val)
+    if a < 0 or b < 0 or len(k) != 4 or any(x < 0 for x in k):
+        raise DegreeMismatch("degrees and four contact orders must be non-negative")
+    if max(k) > max(a, b):
+        return 0        # no contact exceeds the larger side's degree
+    spent = _charge_sides(cfg, a, b, budget)
+    rows, _, cols, _, _ = _join_sides(cfg, a, b)
+    _charge(spent + rows.shape[1] * cols.shape[1], budget,
+            "side enumerations plus orbit-reduced join pairs")
+    return int(_contact_histogram(cfg, a, b)[k])
 
 
 def count_morphisms(cfg: SurfaceConfig, a: int, b: int, k,
@@ -588,13 +677,13 @@ def fiber_count(cfg: SurfaceConfig, w, a: int, b: int,
         if supports & s:
             raise OverlappingSupports("components of w share support")
         supports |= s
-    k = tuple(d.degree for d in w)
-    _check_budget(cfg.field.q, a, b, budget)
-    bins, cap = _join_for(cfg, a, b, max(k) if k else 0)
-    key = _bin_key(cfg.field, cap, w)
-    val = float(bins[key])
-    assert val.is_integer()
-    return int(val)
+    spent = _charge_sides(cfg, a, b, budget)
+    S = _side_summary(cfg, "s", a)
+    T = _side_summary(cfg, "t", b)
+    _charge(spent + S[0].shape[1] * T[0].shape[1], budget,
+            "side enumerations plus join pairs")
+    tables = [_fiber_table(cfg.field, a, b, d) for d in w]
+    return int(_join(*S, *T, tables, 2)[-1])
 
 
 def remark_config(cfg: SurfaceConfig, i: int, j: int):
@@ -665,6 +754,7 @@ def fiber_count_raw(cfg: SurfaceConfig, w, a: int, b: int) -> int:
     """Reference path for fiber_count: direct enumeration."""
     K = cfg.field
     q = K.q
+    _check_budget(q, a, b, DEFAULT_BUDGET)
     w = tuple(w)
     forms_a = list(itertools.product(range(q), repeat=a + 1))
     forms_b = list(itertools.product(range(q), repeat=b + 1))

@@ -259,10 +259,6 @@ class Configuration:
     lattice: ConditionLattice
     data: tuple          # sorted ((ClosedPoint, cond), ...), conds nonzero
 
-    @property
-    def total_degree(self) -> int:
-        return sum(pt.degree * condition_max_order(c) for pt, c in self.data)
-
     def condition_at(self, pt: ClosedPoint):
         for p, c in self.data:
             if p == pt:

@@ -66,6 +66,17 @@ def test_invalid_config_exit_code(tmp_path):
     assert main(["--config", str(bad), "field-check"]) == 2
 
 
+@pytest.mark.parametrize("p", ["17", "4"])
+def test_unsupported_field_is_a_config_error(p, tmp_path, capsys):
+    # 17 lies outside the supported characteristics, and 4 is not prime
+    # (F_4 is --field-p 2 --field-n 2)
+    code = main(["--field-p", p, "--d-max", "1", "--out-dir", str(tmp_path), "count"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_budget_exit_code(tmp_path):
     # a budget too small for even the degree-0 class marks every row
     # partial; the report is still written and the exit code is 3

@@ -1,5 +1,6 @@
-"""Static checks on the package source: no unused imports, and the module
-layering that keeps the arithmetic kernels at the bottom."""
+"""Static checks on the package source: no unused imports, no float
+accumulator, and the module layering that keeps the arithmetic kernels at
+the bottom."""
 
 import ast
 import pathlib
@@ -43,6 +44,21 @@ def test_no_unused_imports(path):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in used)
     assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
+
+
+def test_no_float_accumulator():
+    # exact counts stay integers: no weighted bincount (it returns float64)
+    # and no float64 arrays anywhere in the package
+    found = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "bincount"
+                    and (len(node.args) > 1 or any(kw.arg == "weights" for kw in node.keywords))):
+                found.append(f"{path.name}:{node.lineno} weighted bincount")
+            if isinstance(node, ast.Attribute) and node.attr == "float64":
+                found.append(f"{path.name}:{node.lineno} float64")
+    assert not found, ", ".join(found)
 
 
 def test_field_sits_below_everything_but_errors():

@@ -1,6 +1,9 @@
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dp4sieve import secenum as se
 from dp4sieve.errors import (
@@ -133,6 +136,30 @@ def test_raw_vs_join_small_grid():
     assert se.count_sections(CFG4, 1, 1, (0, 0, 0, 0)) == se.count_sections_raw(CFG4, 1, 1, (0, 0, 0, 0))
 
 
+def test_raw_vs_join_every_01_profile_q3():
+    # all sixteen k in {0,1}^4, plus a contact above max(a, b), which the
+    # join answers as 0 without building anything
+    for k in list(itertools.product((0, 1), repeat=4)) + [(2, 0, 0, 0)]:
+        assert se.count_sections(CFG3, 1, 1, k) == se.count_sections_raw(CFG3, 1, 1, k), k
+
+
+def _coprime_pairs(q, d):
+    # pairs of degree-d binary forms without a common root
+    return q * q - 1 if d == 0 else (q - 1) * (q ** (2 * d + 1) - q ** (2 * d - 1))
+
+
+def test_histogram_total_is_the_product_of_side_totals():
+    from dp4sieve import nslattice as ns
+
+    bidegrees = sorted({(x.a, x.b) for x in ns.enumerate_nef_points(4)})
+    for cfg in (CFG3, CFG4):
+        q = cfg.field.q
+        for a, b in bidegrees:
+            hist = se._contact_histogram(cfg, a, b)
+            assert hist.dtype == np.int64 and hist.shape == (max(a, b) + 1,) * 4
+            assert int(hist.sum()) == _coprime_pairs(q, a) * _coprime_pairs(q, b)
+
+
 def test_torsor_divisibility_spot():
     for cfg, a, b, k in ((CFG3, 2, 2, (1, 1, 0, 0)), (CFG4, 2, 1, (0, 2, 0, 0)),
                          (CFG5, 1, 1, (1, 0, 0, 0))):
@@ -143,6 +170,18 @@ def test_torsor_divisibility_spot():
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         se.count_sections(CFG5, 6, 6, (0, 0, 0, 0), budget=2 ** 20)
+
+
+def test_default_budget_counts_the_q5_42_class():
+    # the side enumerations 5^10 + 5^6 plus the orbit-reduced join fit the
+    # default budget; the naive charge 5^16 of the raw path does not
+    from dp4sieve import nslattice as ns
+
+    (alpha,) = [x for x in ns.enumerate_nef_points(4) if (x.a, x.b) == (4, 2)]
+    n = se.count_sections(CFG5, 4, 2, alpha.k)
+    assert n == se.count_sections(CFG5, 4, 2, alpha.k, budget=2 ** 60) > 0
+    with pytest.raises(BudgetExceeded):
+        se.count_sections_raw(CFG5, 4, 2, alpha.k)
 
 
 def test_negative_k_rejected():
@@ -183,6 +222,13 @@ def test_fiber_partition_exact():
     assert parts == [4176] * 4
 
 
+def test_large_contact_equals_its_fiber_partition_q4():
+    # contact 3 at q = 4: the divisor-id join would have needed 86^4 bins
+    for a, b, k, total in ((3, 1, (3, 0, 0, 0), 0), (0, 3, (3, 0, 0, 0), 138240)):
+        parts = [se.fiber_count(CFG4, w, a, b) for w in se.u_k_points(F4, k)]
+        assert se.count_sections(CFG4, a, b, k) == sum(parts) == total
+
+
 def test_fiber_single_fiber_at_k0():
     w = (ZERO_DIVISOR,) * 4
     assert se.fiber_count(CFG3, w, 1, 1) == se.count_sections(CFG3, 1, 1, (0, 0, 0, 0))
@@ -213,6 +259,71 @@ def test_fiber_bound_structure_theorem():
         bound = (q - 1) ** 2 * npro(q, 2 * a + 1 - sk) * npro(q, 2 * b + 1 - sk)
         for w in se.u_k_points(cfg.field, k):
             assert se.fiber_count(cfg, w, a, b) <= bound
+
+
+# ---------------------------------------------------------------------------
+# the PGL_2 reparametrisation behind the orbit-reduced join
+
+def _invertible(q):
+    K = se.field_of_order(q)
+    return st.sampled_from([g for g in itertools.product(range(q), repeat=4)
+                            if K.sub(K.mul(g[0], g[3]), K.mul(g[1], g[2]))])
+
+
+def _shape(d):
+    return sorted((pt.degree, m) for pt, m in d.entries)
+
+
+def test_degree_table_is_the_degree_of_the_meet():
+    for K in (F3, F4):
+        for ds, dt in itertools.product(range(3), repeat=2):
+            S, T = se._inventory(K, ds)[0], se._inventory(K, dt)[0]
+            tab = se._degree_table(K, ds, dt)
+            assert tab[:-1, :-1].tolist() == [[x.min(y).degree for y in T] for x in S]
+            # a zero form passes the other side through; two meet in 0
+            assert (tab[:-1, -1] == ds).all() and (tab[-1, :-1] == dt).all()
+            assert tab[-1, -1] == 0
+
+
+def test_orbit_reduction_q4():
+    # the 245,760 divisor quadruples of degree-4 pairs over F_4 fall into
+    # 4,336 orbits of PGL_2(F_4), a group of order 60
+    comp, weights = se._side_summary(CFG4, "s", 4)
+    reps, totals = se._side_orbits(CFG4, "s", 4)
+    assert (comp.shape[1], reps.shape[1]) == (245760, 4336)
+    assert int(totals.sum()) == int(weights.sum()) == _coprime_pairs(4, 4)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(q=st.sampled_from([3, 4, 5]), degree=st.integers(0, 3),
+       other=st.integers(0, 3), data=st.data())
+def test_pullback_permutation_fixes_the_side_summaries(q, degree, other, data):
+    cfg = se.default_config(q)
+    K = cfg.field
+    g = data.draw(_invertible(q))
+    perm = se._pullback_perm(K, degree, g)
+    divs, _ = se._inventory(K, degree)
+    m = len(divs)
+    # a bijection of the divisor ids that fixes the zero sentinel and keeps
+    # each divisor's shape, hence its degree
+    assert sorted(perm) == list(range(m + 1)) and perm[m] == m
+    assert all(_shape(divs[perm[i]]) == _shape(divs[i]) for i in range(m))
+    # it lies in the closure of the generators, which is all of PGL_2(F_q)
+    group = se._pgl2_perms(K, degree)
+    assert any((row == perm).all() for row in group)
+    assert len(group) == (q ** 3 - q if degree else 1)
+    # the same g keeps every contact degree against any other degree
+    other_perm = se._pullback_perm(K, other, g)
+    tab = se._degree_table(K, degree, other)
+    assert (tab[perm][:, other_perm] == tab).all()
+    # and carries each side summary onto itself with equal weights
+    for side in "st":
+        comp, weights = se._side_summary(cfg, side, degree)
+        keys = se._encode(comp, m + 1)       # ascending: the summary is sorted
+        moved = se._encode(perm[comp], m + 1)
+        order = np.argsort(moved)
+        assert (moved[order] == keys).all()
+        assert (weights[order] == weights).all()
 
 
 # ---------------------------------------------------------------------------
