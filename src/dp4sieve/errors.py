@@ -48,10 +48,6 @@ class LemmaViolation(Dp4Error):
     """No admissible contraction with non-negative slack exists; indicates a lattice bug."""
 
 
-class Unbounded(Dp4Error):
-    pass
-
-
 class DegenerateInput(Dp4Error):
     pass
 

@@ -44,8 +44,6 @@ class Interval:
         return Interval(_floor_div(scaled_num, x.denominator),
                         _ceil_div(scaled_num, x.denominator), bits)
 
-    point = exact
-
     @staticmethod
     def from_bounds(lo, hi, bits: int = DEFAULT_BITS) -> "Interval":
         lo, hi = Fraction(lo), Fraction(hi)

@@ -19,17 +19,6 @@ _SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 _MAX_Q = 13 ** 3
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def to_digits(code: int, base: int, length: int) -> tuple:
     """The first `length` little-endian base-`base` digits of code."""
     out = []
@@ -270,11 +259,12 @@ def make_field(p: int, n: int = 1, modulus=None) -> FieldSpec:
     If the modulus is omitted for n > 1, the lexicographically least monic
     irreducible of degree n is chosen, deterministically.
     """
-    if not _is_prime(p):
-        raise NonPrime(f"{p} is not prime")
     if p not in _SUPPORTED_PRIMES:
+        # every prime up to 13 is supported, so a smaller p is not prime
+        if p < _SUPPORTED_PRIMES[-1]:
+            raise NonPrime(f"{p} is not prime")
         raise UnsupportedSize(f"characteristic {p} outside supported range 2..13")
-    if n < 1 or p ** n > _MAX_Q:
+    if not 1 <= n < _MAX_Q.bit_length() or p ** n > _MAX_Q:
         raise UnsupportedSize(f"q = {p}^{n} outside supported range")
     if n == 1:
         if modulus not in (None, ()):

@@ -19,7 +19,10 @@ from fractions import Fraction
 
 from .errors import (
     BudgetExceeded,
+    CoincidentFirstCoords,
+    CoincidentSecondCoords,
     CorruptCache,
+    FieldTooSmall,
     InvalidConfig,
     IoError,
     NonPrime,
@@ -56,14 +59,24 @@ class RunConfig:
     alpha_normalization: str = "volume_rho"
 
     def __post_init__(self):
+        # refuse a field or points no surface can be built from; the default
+        # surface itself is built once, by the run
         try:
-            make_field(self.p, self.n)
-        except (NonPrime, UnsupportedSize) as exc:
+            K = make_field(self.p, self.n)
+            if self.points is not None:
+                validate_points(K, self.points, allow_on_bidegree_curve=True)
+            elif K.q < 3:
+                raise FieldTooSmall("the default centres need four points of P^1(F_q)")
+        except (NonPrime, UnsupportedSize, FieldTooSmall) as exc:
             raise InvalidConfig(f"unsupported field: {exc}") from exc
+        except (CoincidentFirstCoords, CoincidentSecondCoords, ValueError) as exc:
+            raise InvalidConfig(f"bad points: {exc}") from exc
         if self.epsilon <= 0:
             raise InvalidConfig("epsilon must be > 0")
-        if self.d_max < 0 or self.budget <= 0:
-            raise InvalidConfig("d_max must be >= 0 and budget > 0")
+        if min(self.d_max, self.sieve_D) < 0 or min(self.euler_N, self.limit_m_max) < 1:
+            raise InvalidConfig("d_max and sieve_D must be >= 0, euler_N and limit_m_max >= 1")
+        if self.budget <= 0:
+            raise InvalidConfig("budget must be > 0")
         if self.alpha_normalization not in ALPHA_NORMALIZATIONS:
             raise InvalidConfig(f"alpha_normalization must be one of {ALPHA_NORMALIZATIONS}")
 
@@ -162,8 +175,9 @@ class CountCache:
 
     The first line records the format version; each entry line is
     {"key": ..., "count": ..., "sha": ...} where sha is the first 16 hex
-    digits of sha256 over key and count.  Any checksum failure surfaces as
-    CorruptCache, never as a wrong count.  Writes go through a temp file
+    digits of sha256 over key and count.  Any unreadable byte, malformed
+    line, non-integer count or checksum failure surfaces as CorruptCache,
+    never as a wrong count.  Writes go through a temp file
     followed by an atomic rename.
     """
 
@@ -187,27 +201,33 @@ class CountCache:
     def _load(self):
         if not self.path or not os.path.exists(self.path):
             return
-        with open(self.path) as fh:
-            header = fh.readline()
+        try:
+            with open(self.path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise CorruptCache(f"cache byte {exc.start} is not UTF-8") from exc
+        except OSError as exc:
+            raise IoError(f"cannot read cache: {exc}") from exc
+        try:
+            version = json.loads(lines[0] if lines else "").get("format")
+        except (json.JSONDecodeError, AttributeError) as exc:
+            raise CorruptCache("unreadable cache header") from exc
+        if version != CACHE_FORMAT_VERSION:
+            raise VersionMismatch(f"cache format {version} != {CACHE_FORMAT_VERSION}")
+        for lineno, line in enumerate(lines[1:], 2):
+            line = line.strip()
+            if not line:
+                continue
             try:
-                meta = json.loads(header)
-            except json.JSONDecodeError as exc:
-                raise CorruptCache(f"unreadable cache header: {exc}") from exc
-            if meta.get("format") != CACHE_FORMAT_VERSION:
-                raise VersionMismatch(
-                    f"cache format {meta.get('format')} != {CACHE_FORMAT_VERSION}")
-            for lineno, line in enumerate(fh, 2):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                    key, count, sha = entry["key"], entry["count"], entry["sha"]
-                except (json.JSONDecodeError, KeyError) as exc:
-                    raise CorruptCache(f"cache line {lineno} unreadable") from exc
-                if self._line_sha(key, count) != sha:
-                    raise CorruptCache(f"cache line {lineno} fails its checksum")
-                self.entries[key] = count
+                entry = json.loads(line)
+                key, count, sha = entry["key"], entry["count"], entry["sha"]
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise CorruptCache(f"cache line {lineno} unreadable") from exc
+            if not (isinstance(key, str) and type(count) is int):
+                raise CorruptCache(f"cache line {lineno} needs a string key and an integer count")
+            if self._line_sha(key, count) != sha:
+                raise CorruptCache(f"cache line {lineno} fails its checksum")
+            self.entries[key] = count
 
     def flush(self):
         if not self.path:

@@ -1,8 +1,8 @@
 """The Neron-Severi lattice of the split quartic del Pezzo surface
 Bl_4(P^1 x P^1): intersection pairing, the sixteen (-1)-classes, the nef
 cone of curves, ruled-surface contractions ("markings"), the piecewise
-linear functional that controls the sieve's stable range, and exact cone
-volumes.
+linear functional that controls the sieve's stable range, and the exact
+nef cone volume, from one W(D5) Weyl-chamber simplex.
 
 Basis convention: class vectors are integer 6-tuples in the ordered basis
 (F, F', E1, E2, E3, E4), where F, F' are the two ruling fibers and the E_i
@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import factorial
 
 import numpy as np
 
 from .errors import LemmaViolation, NotNef
-from .polyvol import polytope_volume
+from .linalg import QQ, det, solve
 
 RANK = 6
 
@@ -137,7 +138,7 @@ def _search_box_bound(selfint: int, degree: int):
     L.L = (u^2 - v^2)/2 - sum y_i^2 and -K.L = 2u + sum y_i, Cauchy-Schwarz
     (sum y_i)^2 <= 4 sum y_i^2 forces 2u^2 - 4*degree*u + degree^2
     + 4*selfint <= 0, which bounds u; then sum y_i^2 = u^2/2 - selfint
-    - v^2/2 bounds |v| and each |y_i|.  Returns (u_values, y_bound, x_bound).
+    - v^2/2 bounds |v| and each |y_i|.  Returns (y_bound, x_bound).
     """
     from math import isqrt
 
@@ -148,12 +149,12 @@ def _search_box_bound(selfint: int, degree: int):
     y_bound = isqrt(max(0, u_hi * u_hi - 2 * s) // 2)   # y_i^2 <= u^2/2 - s
     v_bound = isqrt(max(0, u_hi * u_hi - 2 * s))        # v^2 <= u^2 - 2s
     x_bound = (u_hi + v_bound + 1) // 2 + 1
-    return us, y_bound, x_bound
+    return y_bound, x_bound
 
 
 def _classes_with(selfint: int, degree: int):
     """Exhaustive certified search for {L : L.L = selfint, -K.L = degree}."""
-    _, y_bound, x_bound = _search_box_bound(selfint, degree)
+    y_bound, x_bound = _search_box_bound(selfint, degree)
     out = []
     for x in range(-x_bound, x_bound + 1):
         for xp in range(-x_bound, x_bound + 1):
@@ -327,10 +328,6 @@ class ShrunkenCone:
             return False
         return ell_functional(alpha) >= self.epsilon * alpha.h
 
-    @property
-    def inequalities(self) -> tuple:
-        return minus_one_classes()
-
 
 # ---------------------------------------------------------------------------
 # lattice point enumeration
@@ -383,26 +380,45 @@ def count_nef_points(d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# cone volumes
+# the nef cone volume
 
-def cone_volume(inequalities, level) -> Fraction:
-    """Exact volume of {alpha real : alpha.L >= 0 for all L, h(alpha) <= level}
-    in basis-coordinate Lebesgue measure.
+WEYL_ORDER = 1920     # |W(D5)|, the number of markings
+SIMPLE_ROOTS = (      # walls of the Weyl chamber a >= b >= k1 + k2, k1 >= ... >= k4
+    CurveClass((1, -1, 0, 0, 0, 0)),     # F - F'
+    CurveClass((0, 1, -1, -1, 0, 0)),    # F' - E1 - E2
+    CurveClass((0, 0, 1, -1, 0, 0)),     # E1 - E2
+    CurveClass((0, 0, 0, 1, -1, 0)),     # E2 - E3
+    CurveClass((0, 0, 0, 0, 1, -1)),     # E3 - E4
+)
+CHAMBER_LINE = E[3]   # the one (-1)-class whose nef wall meets the chamber
 
-    Vertex enumeration over all 6-subsets of active constraints, then a
-    simplicial decomposition; scales as level^6 by homogeneity.
-    """
-    level = Fraction(level)
-    A = [tuple(-r for r in pairing_functional(L)) for L in inequalities]
-    b = [Fraction(0)] * len(A)
-    A.append(pairing_functional(ANTICANONICAL))
-    b.append(level)
-    return polytope_volume(A, b)
+
+def chamber_rays() -> tuple:
+    """The six rays of the nef part of the chamber at h = 1: each lies on
+    five of the six walls x.r = 0 (r a simple root) and x.E4 = 0."""
+    walls = [pairing_functional(r) for r in SIMPLE_ROOTS + (CHAMBER_LINE,)]
+    h = pairing_functional(ANTICANONICAL)
+    return tuple(solve(QQ, walls[:i] + walls[i + 1:] + [h], [0] * 5 + [1])
+                 for i in range(RANK))
 
 
 @lru_cache(maxsize=1)
 def nef_cone_volume_level1() -> Fraction:
-    return cone_volume(minus_one_classes(), 1)
+    """Exact volume of {alpha real nef, h(alpha) <= 1} in basis-coordinate
+    Lebesgue measure.
+
+    W(D5), of order 1920, acts on Pic(S) by integral isometries that fix K
+    and permute the sixteen (-1)-classes, generated by the reflections
+    x -> x + (x.r) r in the roots r (r.r = -2, r.K = 0).  So it preserves
+    the nef cone, h and volume.  The chamber {x.r >= 0} of the simple roots
+    F - F', F' - E1 - E2, E1 - E2, E2 - E3, E3 - E4 is a fundamental domain,
+    and inside it the only active nef inequality is x.E4 >= 0.  Hence the
+    nef part of the chamber with h <= 1 is the simplex
+    {a >= b >= k1 + k2, k1 >= k2 >= k3 >= k4 >= 0, 2a + 2b - sum k <= 1},
+    of volume |det(rays)| / 6! = 1/2073600, and the nef volume is 1920
+    times that, 1/1080.
+    """
+    return WEYL_ORDER * abs(det(QQ, chamber_rays())) / factorial(RANK)
 
 
 def export_inventory() -> dict:

@@ -77,7 +77,9 @@ def _normalize_point(K: FieldSpec, pt):
     if pt == INF:
         return (1, 0)
     if isinstance(pt, int):
-        return (pt % K.q if K.n == 1 else pt, 1)
+        if not 0 <= pt < K.q:
+            raise ValueError(f"coordinate {pt} is not an element code of F_{K.q} (0..{K.q - 1})")
+        return (pt, 1)
     c, d = pt
     if d == 0:
         if c == 0:
@@ -160,12 +162,13 @@ def default_config(q: int) -> SurfaceConfig:
     First coordinates are the first four points (0, 1, x, ..., inf order as
     available); the second coordinates are the lexicographically first
     assignment passing the certificate, except over F_3 where no assignment
-    certifies and the matched-order configuration ships flagged.
+    certifies and the matched-order configuration ships flagged.  F_2 has
+    only three rational points, and validate_points refuses it.
     """
     K = field_of_order(q)
     # four distinct first coordinates: 0, 1, the element encoded 2, inf
     first = [(0, 1), (1, 1), (2, 1), (1, 0)]
-    if K.q == 3:
+    if K.q <= 3:
         cfg = validate_points(K, list(zip(first, first)), allow_on_bidegree_curve=True)
         return cfg
     for perm in itertools.permutations(range(K.q + 1), 4):

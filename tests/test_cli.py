@@ -66,15 +66,47 @@ def test_invalid_config_exit_code(tmp_path):
     assert main(["--config", str(bad), "field-check"]) == 2
 
 
-@pytest.mark.parametrize("p", ["17", "4"])
+@pytest.mark.parametrize("p", ["17", "4", "2"])
 def test_unsupported_field_is_a_config_error(p, tmp_path, capsys):
-    # 17 lies outside the supported characteristics, and 4 is not prime
-    # (F_4 is --field-p 2 --field-n 2)
+    # 17 lies outside the supported characteristics, 4 is not prime (F_4 is
+    # --field-p 2 --field-n 2), and P^1(F_2) has too few points for four
+    # distinct centres
     code = main(["--field-p", p, "--d-max", "1", "--out-dir", str(tmp_path), "count"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration: ") and err.count("\n") == 1
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text", [
+    "field.p = 5\npoints = 0,0,1,2; 0,1,2,3\n",            # repeated first coordinate
+    "field.p = 5\npoints = 0,1,2,3; 0,1,1,inf\n",          # repeated second coordinate
+    "field.p = 5\npoints = 0,1,2,7; 0,1,2,3\n",            # 7 is not in F_5
+    "field.p = 5\npoints = -1,1,2,3; 0,1,2,3\n",           # nor is -1
+    "field.p = 2\nfield.n = 2\npoints = 0,1,2,inf; 0,1,2,9\n",  # 9 is not in F_4
+], ids=["repeat-first", "repeat-second", "7-over-F5", "negative", "9-over-F4"])
+def test_bad_points_are_a_config_error(text, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code = main(["--config", str(cfg), "--d-max", "1", "--out-dir", str(tmp_path / "o"), "count"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: bad points: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_corrupt_cache_byte_is_an_invariant_violation(tmp_path, capsys):
+    argv = ["--field-p", "3", "--d-max", "1", "--cache-dir", str(tmp_path / "c"),
+            "--out-dir", str(tmp_path / "o"), "count"]
+    assert main(argv) == 0
+    path = tmp_path / "c" / "counts.jsonl"
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] = 0xFF
+    path.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal invariant violation: ") and err.count("\n") == 1
 
 
 def test_budget_exit_code(tmp_path):

@@ -31,7 +31,11 @@ def test_construction_errors():
     with pytest.raises(UnsupportedSize):
         make_field(17, 1)
     with pytest.raises(UnsupportedSize):
+        make_field(2 ** 61 - 1)     # a large prime, refused without a primality test
+    with pytest.raises(UnsupportedSize):
         make_field(13, 4)
+    with pytest.raises(UnsupportedSize):
+        make_field(2, 10 ** 9)      # refused before 2^n is computed
     with pytest.raises(ReducibleModulus):
         make_field(2, 2, modulus=(0, 0, 1))  # x^2 is reducible
     with pytest.raises(ReducibleModulus):

@@ -1,11 +1,14 @@
 import json
 import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dp4sieve import secenum
-from dp4sieve.errors import CorruptCache, InvalidConfig, VersionMismatch
+from dp4sieve.errors import CorruptCache, InvalidConfig, IoError, VersionMismatch
 from dp4sieve.harness import (
     CountCache,
     RunConfig,
@@ -22,6 +25,10 @@ def test_runconfig_validation():
         RunConfig(epsilon=Fraction(0))
     with pytest.raises(InvalidConfig):
         RunConfig(alpha_normalization="nope")
+    for bad in ({"sieve_D": -1}, {"euler_N": 0}, {"limit_m_max": 0}, {"budget": 0},
+                {"d_max": -1}, {"p": 2}, {"points": ((0, 0), (0, 1), (1, 2), (2, "inf"))}):
+        with pytest.raises(InvalidConfig):
+            RunConfig(**bad)
     cfg = RunConfig(p=3, d_max=2)
     assert cfg.q == 3
 
@@ -75,6 +82,23 @@ def test_cache_corruption_detected(tmp_path):
     tampered = lines[1].replace("864", "865")
     open(cache.path, "w").write("\n".join([lines[0], tampered]) + "\n")
     with pytest.raises(CorruptCache):
+        CountCache(str(tmp_path))
+
+
+def test_cache_rejects_a_string_count(tmp_path):
+    # the checksum hashes f"{key}|{count}", so "5" and 5 share a checksum
+    path = os.path.join(str(tmp_path), "counts.jsonl")
+    sha = CountCache._line_sha("k", 5)
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"format": 1}) + "\n")
+        fh.write(json.dumps({"key": "k", "count": "5", "sha": sha}) + "\n")
+    with pytest.raises(CorruptCache):
+        CountCache(str(tmp_path))
+
+
+def test_unreadable_cache_is_an_io_error(tmp_path):
+    os.mkdir(os.path.join(str(tmp_path), "counts.jsonl"))
+    with pytest.raises(IoError):
         CountCache(str(tmp_path))
 
 
@@ -157,3 +181,70 @@ def test_asymptotic_report_constants(tmp_path):
 def test_config_from_mapping_defaults():
     cfg = config_from_mapping({})
     assert cfg.q == 3 and cfg.d_max == 4
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+CONFIG_KEYS = ("field.p", "field.n", "epsilon", "d_max", "sieve_D", "euler_N",
+               "limit_m_max", "budget", "cache_dir", "alpha_normalization")
+_coordinate = st.one_of(st.integers(-1, 5).map(str), st.just("inf"), st.text(max_size=2))
+_coordinates = st.one_of(st.lists(_coordinate, min_size=4, max_size=4),
+                         st.lists(_coordinate, max_size=5))
+_points_text = st.one_of(
+    st.builds(lambda us, vs, sep: ",".join(us) + sep + ",".join(vs),
+              _coordinates, _coordinates, st.sampled_from(["; ", ";", ",", ";;"])),
+    st.text(max_size=12))
+_config_value = st.one_of(
+    st.text(max_size=8), st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.fractions(max_denominator=10).map(str),
+    st.sampled_from(["1", "2", "3", "4", "5", "13", "17", "volume", "volume_rho"]))
+_config_mapping = st.builds(
+    lambda known, extra: {**extra, **known},
+    st.fixed_dictionaries({}, optional={"points": _points_text,
+                                        **{key: _config_value for key in CONFIG_KEYS}}),
+    st.dictionaries(st.text(max_size=5), _config_value, max_size=2))
+
+
+@PROPERTY
+@given(_config_mapping)
+def test_config_from_mapping_returns_a_config_or_refuses(raw):
+    try:
+        cfg = config_from_mapping(raw)
+    except InvalidConfig:
+        return
+    # a config that is accepted describes a surface the engine can build
+    assert cfg.surface().field.q == cfg.q
+
+
+_cache_entries = st.dictionaries(st.text(), st.integers(), max_size=6)
+
+
+@PROPERTY
+@given(_cache_entries)
+def test_cache_roundtrips_arbitrary_entries(entries):
+    with tempfile.TemporaryDirectory() as directory:
+        cache = CountCache(directory)
+        for key, count in entries.items():
+            cache.store(key, count)
+        cache.flush()
+        assert CountCache(directory).entries == entries
+
+
+@PROPERTY
+@given(_cache_entries, st.integers(min_value=0), st.integers(1, 255))
+def test_one_changed_byte_never_passes_as_other_entries(entries, where, delta):
+    with tempfile.TemporaryDirectory() as directory:
+        cache = CountCache(directory)
+        for key, count in entries.items():
+            cache.store(key, count)
+        cache.flush()
+        with open(cache.path, "rb") as fh:
+            data = bytearray(fh.read())
+        where %= len(data)
+        data[where] = (data[where] + delta) % 256
+        with open(cache.path, "wb") as fh:
+            fh.write(data)
+        try:
+            loaded = CountCache(directory).entries
+        except (CorruptCache, VersionMismatch):
+            return
+        assert loaded == entries

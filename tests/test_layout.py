@@ -65,5 +65,9 @@ def test_field_sits_below_everything_but_errors():
     assert _package_imports(_tree(SRC / "field.py")) <= {"errors"}
 
 
+def test_nslattice_sits_on_errors_and_linalg():
+    assert _package_imports(_tree(SRC / "nslattice.py")) <= {"errors", "linalg"}
+
+
 def test_heightzeta_does_not_import_sieve():
     assert "sieve" not in _package_imports(_tree(SRC / "heightzeta.py"))

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from dp4sieve import nslattice as ns
-from dp4sieve.errors import NotNef, Unbounded
+from dp4sieve.errors import NotNef
+from dp4sieve.linalg import QQ, solve
 
 
 def test_gram_entries():
@@ -137,28 +138,61 @@ def test_shrunken_cone_membership_monotone_in_epsilon():
     assert n_small <= n_big <= len(pts)
 
 
-def test_cone_volume_simplex():
-    # unimodular functional family summing to -K: dual coordinates are a
-    # standard simplex at level 1
-    M = [ns.FPRIME, ns.F,
-         ns.F.add(ns.E[0].scale(-1)), ns.FPRIME.add(ns.E[1].scale(-1)),
-         ns.E[2].scale(-1), ns.E[3].scale(-1)]
-    assert ns._sum_classes(M) == ns.ANTICANONICAL
-    vol = ns.cone_volume(M, 1)
-    assert vol == Fraction(1, 720)
-    assert ns.cone_volume(M, 2) == Fraction(64, 720)
+def _reflect(x, r):
+    """The reflection x -> x + (x.r) r in a root r (r.r = -2)."""
+    return x.add(r.scale(ns.intersect(x, r)))
 
 
-def test_cone_volume_unbounded_raises():
-    # dropping the level constraint direction: region {alpha.F >= 0} is a cone
-    with pytest.raises(Unbounded):
-        from dp4sieve.polyvol import polytope_volume
-        polytope_volume([(-1, 0, 0, 0, 0, 0)], [Fraction(0)])
+def test_simple_roots_form_a_simple_system():
+    roots = ns._classes_with(-2, 0)
+    assert len(roots) == 40
+    simple = ns.SIMPLE_ROOTS
+    assert all(r in roots for r in simple)
+    cartan = [[ns.intersect(s, t) for t in simple] for s in simple]
+    for r in roots:
+        coeffs = solve(QQ, cartan, [ns.intersect(s, r) for s in simple])
+        assert all(c.denominator == 1 for c in coeffs)
+        combo = ns.ZERO
+        for c, s in zip(coeffs, simple):
+            combo = combo.add(s.scale(int(c)))
+        assert combo == r
+        assert all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)
+
+
+def test_simple_reflections_generate_w_d5_on_the_lines():
+    lines = ns.minus_one_classes()
+    index = {L: i for i, L in enumerate(lines)}
+    gens = []
+    for r in ns.SIMPLE_ROOTS:
+        assert _reflect(ns.ANTICANONICAL, r) == ns.ANTICANONICAL
+        gens.append(tuple(index[_reflect(L, r)] for L in lines))
+    group = {tuple(range(len(lines)))}
+    frontier = list(group)
+    while frontier:
+        new = []
+        for g in frontier:
+            for s in gens:
+                gs = tuple(s[i] for i in g)
+                if gs not in group:
+                    group.add(gs)
+                    new.append(gs)
+        frontier = new
+    assert len(group) == ns.WEYL_ORDER == len(ns.enumerate_markings()) == 1920
+
+
+def test_chamber_rays_are_nef_in_the_chamber_at_level_one():
+    rays = [ns.CurveClass(ray) for ray in ns.chamber_rays()]
+    assert len(set(rays)) == ns.RANK
+    for ray in rays:
+        assert ns.is_nef(ray)
+        assert all(ns.intersect(ray, r) >= 0 for r in ns.SIMPLE_ROOTS)
+        assert ray.h == 1
 
 
 def test_nef_cone_volume_value():
-    # frozen from the exact computation; independently confirmed by a
-    # 2e7-point Monte Carlo estimate 0.0009248 (rel err ~1e-3)
+    # 1920 times the chamber simplex volume 1/2073600; a vertex enumeration
+    # of the full 17-inequality polytope gives the same value, and a
+    # 2e7-point Monte Carlo estimate 0.0009248 agrees (rel err ~1e-3)
     assert ns.nef_cone_volume_level1() == Fraction(1, 1080)
 
 
