@@ -58,7 +58,7 @@ def _build_parser():
     sub.add_parser("markings", help="export the marking inventory as JSON")
     p = sub.add_parser("count", help="counting function N(d), CSV/JSON")
     p.add_argument("--no-shrunken", action="store_true")
-    p = sub.add_parser("sieve", help="truncated sieve sums for small contact patterns")
+    p = sub.add_parser("sieve", help="truncated sieve sums, one Euler-type product per contact pattern")
     p.add_argument("--k", default="0,0,0,0")
     p.add_argument("--lattice", choices=("subspace16", "survey14"), default="subspace16")
     p = sub.add_parser("zeta", help="Euler product coefficients at small truncation")
@@ -119,9 +119,20 @@ def _cmd_count(cfg: RunConfig, args) -> int:
     return 3 if _partial(report) else 0
 
 
+def _four_degrees(flag: str, text: str) -> tuple:
+    """Exactly four comma-separated non-negative integers, else InvalidConfig."""
+    try:
+        vals = tuple(int(s) for s in text.split(","))
+    except ValueError:
+        vals = ()
+    if len(vals) != 4 or min(vals) < 0:
+        raise InvalidConfig(f"{flag} needs four non-negative integers, got {text!r}")
+    return vals
+
+
 def _cmd_sieve(cfg: RunConfig, args) -> int:
+    k = _four_degrees("--k", args.k)
     K = make_field(cfg.p, cfg.n)
-    k = tuple(int(s) for s in args.k.split(","))
     lattice = subspace_q_lattice() if args.lattice == "subspace16" else survey_q_lattice()
     partials = sieve_sum(K, k, cfg.sieve_D, lattice=lattice, with_deltas=True)
     payload = {
@@ -135,7 +146,9 @@ def _cmd_sieve(cfg: RunConfig, args) -> int:
 
 
 def _cmd_zeta(cfg: RunConfig, args) -> int:
-    orders = tuple(int(s) for s in args.orders.split(","))
+    orders = _four_degrees("--orders", args.orders)
+    if args.N < 1:
+        raise InvalidConfig(f"--N must be >= 1, got {args.N}")
     series = euler_product(cfg.q, args.N, orders)
     factor = local_factor(EulerFactorSpec(degree=1, q=cfg.q, orders=orders))
     payload = {

@@ -25,14 +25,14 @@ NVARS = 4
 # truncated multivariate series
 
 class TruncatedMultiSeries:
-    """Power series in t_1..t_4 with exact rational coefficients, truncated
-    per variable, carrying the closed-point cutoff it was built from."""
+    """Power series with exact rational coefficients in one variable per
+    entry of orders (t_1..t_4 here; the sieve adds its excess variable T),
+    truncated per variable, carrying the closed-point cutoff it was built from."""
 
     __slots__ = ("orders", "point_cutoff", "coeffs")
 
     def __init__(self, orders, point_cutoff=None, coeffs=None):
         self.orders = tuple(orders)
-        assert len(self.orders) == NVARS
         self.point_cutoff = point_cutoff
         self.coeffs = {}
         if coeffs:
@@ -49,7 +49,7 @@ class TruncatedMultiSeries:
 
     @property
     def constant(self) -> Fraction:
-        return self.coefficient((0,) * NVARS)
+        return self.coefficient((0,) * len(self.orders))
 
     def __eq__(self, other):
         return (isinstance(other, TruncatedMultiSeries)
@@ -101,7 +101,7 @@ def _merge_cutoff(a, b):
 
 
 def series_one(orders, point_cutoff=None) -> TruncatedMultiSeries:
-    return TruncatedMultiSeries(orders, point_cutoff, {(0,) * NVARS: Fraction(1)})
+    return TruncatedMultiSeries(orders, point_cutoff, {(0,) * len(orders): Fraction(1)})
 
 
 # ---------------------------------------------------------------------------

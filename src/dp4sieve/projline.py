@@ -15,6 +15,7 @@ plenty fast at the degrees this package ever touches.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -304,24 +305,13 @@ def hilb_points(K: FieldSpec, n: int):
         raise TooLarge(f"degree-{n} divisor inventory over F_{K.q} has {expected} members")
     if n == 0:
         return [ZERO_DIVISOR]
-    pts = closed_points_up_to(K, n)
-    out = []
-
-    def rec(idx, remaining, acc):
-        if remaining == 0:
-            out.append(divisor(acc))
-            return
-        if idx == len(pts):
-            return
-        pt = pts[idx]
-        if pt.degree > remaining:
-            rec(idx + 1, remaining, acc)
-            return
-        max_mult = remaining // pt.degree
-        for m in range(max_mult, -1, -1):
-            rec(idx + 1, remaining - m * pt.degree, acc + [(pt, m)] if m else acc)
-
-    rec(0, n, [])
+    # by_degree[r]: point multisets of degree r over the points seen so far;
+    # taking r upwards lets each point repeat (an unbounded knapsack)
+    by_degree = [[()]] + [[] for _ in range(n)]
+    for pt in closed_points_up_to(K, n):
+        for r in range(pt.degree, n + 1):
+            by_degree[r].extend(ms + (pt,) for ms in by_degree[r - pt.degree])
+    out = [divisor(Counter(ms).items()) for ms in by_degree[n]]
     assert len(out) == expected
     return sorted(out, key=lambda d: d.entries)
 

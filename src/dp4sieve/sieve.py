@@ -2,6 +2,10 @@
 at closed points of P^1, saturation, expected codimension, Moebius
 functions, and truncated sieve sums.
 
+A sieve sum is one Euler-type product of local excess polynomials over
+closed points, a truncated series in t_1..t_4 and the excess variable T on
+heightzeta's series kernel (see sieve_sum); no tuple is enumerated.
+
 The local condition lattice is pluggable.  Its elements are product
 subspaces A + B of the four-dimensional fiber V_1 + V_2, each factor being
 the full plane, one of four marked lines, or zero; the order is inclusion
@@ -33,15 +37,17 @@ acceptance suite) while depth-1 conditions at fresh points cost one unit.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NotComparable, NotSaturated, TooLarge
+from .errors import DegreeMismatch, NotComparable, NotSaturated, TooLarge
 from .field import FieldSpec, poly_divmod, poly_mul
+from .heightzeta import TruncatedMultiSeries, series_one
 from .linalg import rank
 from .projline import ClosedPoint, closed_points_up_to, count_closed_points_for
-from .secenum import SurfaceConfig, u_k_points
+from .secenum import SurfaceConfig
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +456,12 @@ def enumerate_configs_above(w, D: int, K: FieldSpec,
 # ---------------------------------------------------------------------------
 # sieve sums
 
+# Most monomials t^k' T^e (k' <= k, e <= D) one sieve product may carry:
+# about half a minute on a 2-core machine.  Any k with at most 200,000 tuples
+# at q in {3, 4, 5} has at most 108 t-monomials, so runs through D = 91.
+SIEVE_MONOMIAL_CAP = 10_000
+
+
 @dataclass(frozen=True)
 class SievePrediction:
     a: int
@@ -489,90 +501,46 @@ def _local_poly(lattice: ConditionLattice, q: int, deg: int, base, budget: int):
     return tuple(out)
 
 
-def _series_mul(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, x in enumerate(a[: order + 1]):
-        if x:
-            for j, y in enumerate(b[: order + 1 - i]):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _series_inv(a, order):
-    assert a[0] != 0
-    inv0 = 1 / a[0]
-    out = [Fraction(0)] * (order + 1)
-    out[0] = inv0
-    for n in range(1, order + 1):
-        acc = Fraction(0)
-        for i in range(1, min(n, len(a) - 1) + 1):
-            acc += a[i] * out[n - i]
-        out[n] = -acc * inv0
-    return out
-
-
-def _series_pow(a, e, order):
-    result = [Fraction(0)] * (order + 1)
-    result[0] = Fraction(1)
-    base = list(a[: order + 1]) + [Fraction(0)] * max(0, order + 1 - len(a))
-    while e:
-        if e & 1:
-            result = _series_mul(result, base, order)
-        e >>= 1
-        if e:
-            base = _series_mul(base, base, order)
-    return result
-
-
-@lru_cache(maxsize=None)
-def _background_series(lattice: ConditionLattice, q: int, D: int):
-    """Product over all closed points of the no-base excess polynomial,
-    truncated at T^D."""
-    empty = tuple(0 for _ in lattice.nontop)
-    series = [Fraction(0)] * (D + 1)
-    series[0] = Fraction(1)
-    for d in range(1, D + 1):
-        count = count_closed_points_for(q, d)
-        local = _local_poly(lattice, q, d, empty, D)
-        series = _series_mul(series, _series_pow(local, count, D), D)
-    return tuple(series)
-
-
 def sieve_sum(K: FieldSpec, k, D: int,
               lattice: ConditionLattice | None = None,
               with_deltas: bool = False):
-    """Exact truncated sieve sum over (w <= x) pairs.
+    """Exact truncated sieve sum: mu(x_w, x) q^{-gamma(x)} summed over w in
+    U_k(F_q) and saturated x above x_w with excess <= D.
 
-    Sums mu(x_w, x) q^{-gamma(x)} over w in U_k(F_q) and saturated x above
-    x_w with excess <= D.  Moebius multiplicativity over closed points
-    (verified in tests against the generic recursion) factors the sum into
-    per-point excess polynomials against a background Euler product.  The
-    x = x_w terms sit at excess 0, so the D = 0 value is the bare
-    sum_w q^{-gamma(x_w)}.  Returns an exact Fraction; with_deltas gives
-    the partial values at truncations 0..D so stabilization is observable.
+    Moebius multiplicativity (tested against the generic recursion) makes
+    this the coefficient of t^k in one Euler-type product over degrees
+    d <= max(D, max k) of (den_d(T) + sum_{i, m>=1} t_i^{md} num_{d,m}(T))^{N_d}:
+    den_d is the local excess polynomial at the empty base, num_{d,m} at the
+    depth-m plane base (component 0 stands for all four by symmetry), and
+    N_d counts degree-d closed points.  Each point picks one term, so the
+    supports of w are disjoint for free and nothing is divided.  Raises
+    TooLarge before multiplying past SIEVE_MONOMIAL_CAP monomials.  The
+    D = 0 value is the bare sum_w q^{-gamma(x_w)}; with_deltas returns the
+    partial values at truncations 0..D.
     """
     lattice = lattice or subspace_q_lattice()
-    q = K.q
     k = tuple(k)
-    background = _background_series(lattice, q, D)
+    if len(k) != 4 or min(k) < 0:
+        raise DegreeMismatch("a contact pattern is four non-negative degrees")
+    orders = k + (D,)
+    size = math.prod(o + 1 for o in orders)
+    if size > SIEVE_MONOMIAL_CAP:
+        raise TooLarge(f"sieve product for k = {k}, D = {D} has {size} monomials, "
+                       f"above the cap {SIEVE_MONOMIAL_CAP}")
     empty = tuple(0 for _ in lattice.nontop)
-    totals = [Fraction(0)] * (D + 1)
-    for w in u_k_points(K, k):
-        per_w = list(background)
-        for i, div in enumerate(w):
-            for pt, mult in div.entries:
-                base = local_condition(lattice, {(i, i): mult})
-                num = _local_poly(lattice, q, pt.degree, base, D)
-                den = _local_poly(lattice, q, pt.degree, empty, D)
-                per_w = _series_mul(per_w, num, D)
-                per_w = _series_mul(per_w, _series_inv(den, D), D)
-        for e in range(D + 1):
-            totals[e] += per_w[e]
-    partials = list(itertools.accumulate(totals))
-    if with_deltas:
-        return partials
-    return partials[D]
+    product = series_one(orders)
+    for d in range(1, max(orders) + 1):
+        den = _local_poly(lattice, K.q, d, empty, D)
+        coeffs = {(0, 0, 0, 0, e): c for e, c in enumerate(den)}
+        for m in range(1, max(k) // d + 1):
+            num = _local_poly(lattice, K.q, d, local_condition(lattice, {(0, 0): m}), D)
+            for i, e in itertools.product(range(4), range(D + 1)):
+                coeffs[(0,) * i + (m * d,) + (0,) * (3 - i) + (e,)] = num[e]
+        factor = TruncatedMultiSeries(orders, None, coeffs)
+        product = product * factor.power(count_closed_points_for(K.q, d))
+    partials = list(itertools.accumulate(
+        product.coefficient(k + (e,)) for e in range(D + 1)))
+    return partials if with_deltas else partials[D]
 
 
 def prediction(K: FieldSpec, a: int, b: int, k, D: int,

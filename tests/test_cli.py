@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import pytest
 
@@ -121,6 +122,27 @@ def test_budget_exit_code(tmp_path):
     report = json.loads((tmp_path / "o" / "count_q3_d2.json").read_text())
     assert report["rows"] == [{"d": 0, "partial": True}]
     assert "budget_exceeded_at_d=0" in report["flags"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sieve", "--k", "x"],
+    ["sieve", "--k", "1,2"],
+    ["sieve", "--k=-1,0,0,0"],
+    ["zeta", "--N", "0"],
+    ["zeta", "--orders", "1,1"],
+], ids=["k-not-integer", "k-two-entries", "k-negative", "N-zero", "orders-two-entries"])
+def test_bad_subcommand_argument_is_a_config_error(argv, capsys):
+    assert main(["--field-p", "3"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: ") and err.count("\n") == 1
+
+
+def test_sieve_monomial_cap_exit_code(capsys):
+    start = time.perf_counter()
+    assert main(["--field-p", "3", "sieve", "--k", "40,40,40,40"]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit exceeded: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)

@@ -71,3 +71,17 @@ def test_nslattice_sits_on_errors_and_linalg():
 
 def test_heightzeta_does_not_import_sieve():
     assert "sieve" not in _package_imports(_tree(SRC / "heightzeta.py"))
+
+
+def test_sieve_takes_only_the_surface_from_secenum():
+    names = {alias.name for node in ast.walk(_tree(SRC / "sieve.py"))
+             if isinstance(node, ast.ImportFrom) and node.module == "secenum"
+             for alias in node.names}
+    assert names == {"SurfaceConfig"}
+
+
+def test_sieve_has_no_series_kernel_of_its_own():
+    # truncated series arithmetic lives in heightzeta.TruncatedMultiSeries
+    defs = [node.name for node in ast.walk(_tree(SRC / "sieve.py"))
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_series")]
+    assert not defs

@@ -127,6 +127,9 @@ def test_hilb_points_counts():
     assert len(hilb_points(F2, 2)) == 7  # #P^2(F_2)
     assert len(hilb_points(F3, 2)) == 13
     assert len(hilb_points(F4, 2)) == 21
+    # #P^8(F_3), over 1,319 closed points of degree <= 8: more than Python's
+    # default recursion limit, so the enumeration must not recurse per point
+    assert len(hilb_points(F3, 8)) == 9841
     # all degree-n, all distinct
     divs = hilb_points(F3, 3)
     assert len(divs) == 40

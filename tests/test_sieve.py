@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -157,6 +158,35 @@ def test_sieve_sum_base_cases():
     assert len(partials) == 4
     deltas = [abs(b - a) for a, b in zip(partials, partials[1:])]
     assert deltas[-1] < deltas[0]
+
+
+def _sieve_partials_by_definition(K, k, D, lattice):
+    """Partial sums over excess 0..D of mu(x_w, x) q^{-gamma(x)}, by direct
+    enumeration of every w in U_k and every configuration x above x_w."""
+    totals = [Fraction(0)] * (D + 1)
+    for w in se.u_k_points(K, k):
+        base = sv.config_from_divisor_tuple(lattice, w)
+        for x in sv.enumerate_configs_above(base, D, K, lattice=lattice):
+            totals[sv.config_excess(base, x)] += Fraction(sv.mobius(base, x), K.q ** sv.gamma(x))
+    return list(itertools.accumulate(totals))
+
+
+@pytest.mark.parametrize("lattice", [L16, L14], ids=["L16", "L14"])
+@pytest.mark.parametrize("k, D", [
+    ((0, 0, 0, 0), 1), ((1, 0, 0, 0), 1), ((1, 1, 0, 0), 1), ((2, 0, 0, 0), 1),
+    ((0, 0, 1, 1), 1), ((0, 0, 0, 0), 2),
+], ids=["k0-D1", "k1000-D1", "k1100-D1", "k2000-D1", "k0011-D1", "k0-D2"])
+def test_sieve_sum_matches_definition(lattice, k, D):
+    # (2,0,0,0) reaches depth 2 and a degree-2 contact point; (0,0,1,1)
+    # puts contact on the last two components
+    assert sv.sieve_sum(K3, k, D, lattice=lattice, with_deltas=True) == \
+        _sieve_partials_by_definition(K3, k, D, lattice)
+
+
+def test_sieve_sum_beyond_tuple_enumeration():
+    # 40^4 candidate tuples, yet a product of 4^4 * 2 monomials
+    partials = sv.sieve_sum(K3, (3, 3, 3, 3), 1, with_deltas=True)
+    assert len(partials) == 2 and partials[0] > 0
 
 
 def test_sieve_sum_leading_term_identity():
