@@ -35,7 +35,7 @@ from .heightzeta import (
 )
 from .nslattice import export_inventory
 from .projline import zeta_p1_identity_check
-from .sieve import sieve_sum, stable_range_I, subspace_q_lattice, survey_q_lattice
+from .sieve import sieve_sum, stable_range_start, subspace_q_lattice, survey_q_lattice
 
 
 def _build_parser():
@@ -135,9 +135,10 @@ def _cmd_sieve(cfg: RunConfig, args) -> int:
     K = make_field(cfg.p, cfg.n)
     lattice = subspace_q_lattice() if args.lattice == "subspace16" else survey_q_lattice()
     partials = sieve_sum(K, k, cfg.sieve_D, lattice=lattice, with_deltas=True)
+    start = stable_range_start(k)
     payload = {
         "q": K.q, "k": list(k), "lattice": args.lattice,
-        "stable_range_hint": stable_range_I(6, 6, k),
+        "stable_range_hint": {"a": start, "b": start},
         "partials": [str(p) for p in partials],
         "deltas": [str(b - a) for a, b in zip(partials, partials[1:])],
     }

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactnum import DEFAULT_BITS, Interval
 from .projline import count_closed_points_for
@@ -205,12 +206,14 @@ class TamagawaResult:
     partials: tuple              # midpoints of partial products, 1..N
 
 
+@lru_cache(maxsize=64)
 def tamagawa(q: int, N: int, bits: int = DEFAULT_BITS) -> TamagawaResult:
     """Truncated Tamagawa constant q^2 (1-q^{-1})^{-6} prod good_factor^count.
 
     Partial products are certified interval enclosures; the reported value
     is the final midpoint and the width quantifies the (negligible)
-    rounding.  The last increment serves as the convergence report.
+    rounding.  The last increment serves as the convergence report.  Pure
+    and immutable, so memoized: every per-class expectation shares one.
     """
     if N < 1:
         raise ValueError("N must be >= 1")

@@ -27,6 +27,16 @@ the same thing as a weakly shrinking chain of subspaces (the level meets),
 and its expected codimension is the sum of their coranks.  Non-saturated
 input is rejected, never repaired.
 
+Moebius values come from Rota's crosscut theorem.  Pad each chain with the
+top for its empty levels; then x <= y exactly when every level of y lies
+below the same level of x, so the conditions are monotone chains in a
+finite lattice ordered levelwise in reverse, and the join is the levelwise
+meet.  Every interval [w, x] is therefore a finite lattice, and
+mu(w, x) = sum of (-1)^|S| over the sets S of covers of w whose join is x.
+A cover lowers one level one lattice step, so mu(w, .) vanishes beyond one
+level above w: 16 conditions above the empty base of the 16-element
+lattice, 8 above a plane base.
+
 Truncation bookkeeping: the excess of x over a base w counts, per closed
 point and weighted by its degree, the growth in multiplicity depth plus the
 number of base levels strictly refined.  This is the unique grading for
@@ -327,18 +337,41 @@ def config_excess(w: Configuration, x: Configuration) -> int:
 # ---------------------------------------------------------------------------
 # Moebius functions
 
+def _chain_condition(lattice: ConditionLattice, chain) -> tuple:
+    """Inverse of condition_chain: m(e) counts the levels whose meet is <= e
+    (a top level counts nowhere)."""
+    return tuple(sum(1 for c in chain if lattice.leq(c, i)) for i in lattice.nontop)
+
+
+def _cover_chains(lattice: ConditionLattice, chain) -> list:
+    """Chains of the covers of the condition with this chain, which ends in
+    one empty level (the top): one level drops one lattice cover step and
+    the chain stays monotone."""
+    def below(f, e):
+        return f != e and lattice.leq(f, e)
+    return [chain[:j] + (f,) + chain[j + 1:]
+            for j, cur in enumerate(chain) for f in lattice.nontop
+            if below(f, cur) and (j == 0 or lattice.leq(chain[j - 1], f))
+            and not any(below(f, g) and below(g, cur) for g in lattice.nontop)]
+
+
 @lru_cache(maxsize=None)
-def _local_interval_mobius(lattice: ConditionLattice, lo, hi) -> int:
-    """mu(lo, hi) in the poset of saturated local conditions."""
-    if lo == hi:
-        return 1
-    if not condition_leq(lattice, lo, hi):
-        raise NotComparable("conditions are not nested")
-    total = 0
-    for mid in _conditions_between(lattice, lo, hi):
-        if mid != hi:
-            total += _local_interval_mobius(lattice, lo, mid)
-    return -total
+def _crosscut(lattice: ConditionLattice, base) -> tuple:
+    """((tau, mu(base, tau)), ...) over every tau with mu(base, tau) != 0.
+
+    Rota's crosscut theorem on the finite lattice [base, tau]:
+    mu(base, tau) = sum of (-1)^|S| over the sets S of covers of base whose
+    join, the levelwise meet, is tau.  Every such join lies within one level
+    of base.
+    """
+    chain = condition_chain(lattice, base) + (lattice.top,)
+    covers = _cover_chains(lattice, chain)
+    mu: dict = {}
+    for size in range(len(covers) + 1):
+        for subset in itertools.combinations(covers, size):
+            tau = tuple(map(lattice.meet_many, zip(chain, *subset)))
+            mu[tau] = mu.get(tau, 0) + (-1) ** size
+    return tuple((_chain_condition(lattice, tau), m) for tau, m in mu.items() if m)
 
 
 @lru_cache(maxsize=None)
@@ -369,18 +402,17 @@ def interval(w: Configuration, x: Configuration):
 def mobius(w: Configuration, x: Configuration, recursive: bool = False) -> int:
     """mu(w, x) of the configuration poset.
 
-    The default multiplies local interval values over closed points;
+    The default multiplies the local crosscut values over closed points;
     recursive=True runs the generic interval recursion instead, so
-    multiplicativity is a tested fact, not an assumption.
+    multiplicativity and the crosscut are tested facts, not assumptions.
     """
     if not config_leq(w, x):
         raise NotComparable("w is not below x")
     if recursive:
         return _mobius_recursive(w, x)
-    lattice = w.lattice
     out = 1
     for pt in x.support:
-        out *= _local_interval_mobius(lattice, w.condition_at(pt), x.condition_at(pt))
+        out *= dict(_crosscut(w.lattice, w.condition_at(pt))).get(x.condition_at(pt), 0)
     return out
 
 
@@ -457,8 +489,9 @@ def enumerate_configs_above(w, D: int, K: FieldSpec,
 # sieve sums
 
 # Most monomials t^k' T^e (k' <= k, e <= D) one sieve product may carry:
-# about half a minute on a 2-core machine.  Any k with at most 200,000 tuples
-# at q in {3, 4, 5} has at most 108 t-monomials, so runs through D = 91.
+# (9, 9, 9, 9) at D = 0 takes 31 s on a 2-core machine, nearly all of it in
+# the series products.  Any k with at most 200,000 tuples at q in {3, 4, 5}
+# has at most 108 t-monomials, so runs through D = 91.
 SIEVE_MONOMIAL_CAP = 10_000
 
 
@@ -480,23 +513,25 @@ def stable_range_I(a: int, b: int, k) -> int:
     return val.numerator // val.denominator
 
 
+def stable_range_start(k) -> int:
+    """Least a with stable_range_I(a, a, k) >= 0, i.e. 2a + 1 - sum k >= 4."""
+    return (4 + sum(k)) // 2
+
+
 @lru_cache(maxsize=None)
 def _local_poly(lattice: ConditionLattice, q: int, deg: int, base, budget: int):
     """Excess generating polynomial at one closed point.
 
     Coefficient of T^e sums mu(base, tau) q^{-deg * gamma(tau)} over
-    saturated tau >= base of excess e <= budget.
+    saturated tau >= base of excess e <= budget.  By the crosscut
+    (_crosscut) that is the sum over the sets S of covers of base of
+    (-1)^|S| q^{-deg * gamma(join S)} T^{excess(join S)}, so the cost does
+    not grow with the budget.
     """
-    base_ord = condition_max_order(base)
     out = [Fraction(0)] * (budget + 1)
-    for tau in _local_shapes(lattice, base_ord + budget // deg + 1):
-        if not condition_leq(lattice, base, tau):
-            continue
+    for tau, mu in _crosscut(lattice, base):
         excess = condition_excess(lattice, base, tau, deg)
-        if excess > budget:
-            continue
-        mu = _local_interval_mobius(lattice, base, tau)
-        if mu:
+        if excess <= budget:
             out[excess] += mu * Fraction(1, q ** (deg * condition_gamma(lattice, tau)))
     return tuple(out)
 
@@ -508,39 +543,50 @@ def sieve_sum(K: FieldSpec, k, D: int,
     U_k(F_q) and saturated x above x_w with excess <= D.
 
     Moebius multiplicativity (tested against the generic recursion) makes
-    this the coefficient of t^k in one Euler-type product over degrees
-    d <= max(D, max k) of (den_d(T) + sum_{i, m>=1} t_i^{md} num_{d,m}(T))^{N_d}:
-    den_d is the local excess polynomial at the empty base, num_{d,m} at the
-    depth-m plane base (component 0 stands for all four by symmetry), and
-    N_d counts degree-d closed points.  Each point picks one term, so the
-    supports of w are disjoint for free and nothing is divided.  Raises
-    TooLarge before multiplying past SIEVE_MONOMIAL_CAP monomials.  The
-    D = 0 value is the bare sum_w q^{-gamma(x_w)}; with_deltas returns the
-    partial values at truncations 0..D.
+    this the coefficient of t^k in one Euler-type product (_sieve_partials).
+    Raises TooLarge before multiplying past SIEVE_MONOMIAL_CAP monomials.
+    The D = 0 value is the bare sum_w q^{-gamma(x_w)}; with_deltas returns
+    the partial values at truncations 0..D.
     """
     lattice = lattice or subspace_q_lattice()
     k = tuple(k)
     if len(k) != 4 or min(k) < 0:
         raise DegreeMismatch("a contact pattern is four non-negative degrees")
-    orders = k + (D,)
-    size = math.prod(o + 1 for o in orders)
+    if D < 0:
+        raise ValueError("D must be >= 0")
+    size = math.prod(o + 1 for o in k + (D,))
     if size > SIEVE_MONOMIAL_CAP:
         raise TooLarge(f"sieve product for k = {k}, D = {D} has {size} monomials, "
                        f"above the cap {SIEVE_MONOMIAL_CAP}")
+    partials = _sieve_partials(lattice, K.q, tuple(sorted(k)), D)
+    return list(partials) if with_deltas else partials[D]
+
+
+@lru_cache(maxsize=256)
+def _sieve_partials(lattice: ConditionLattice, q: int, k: tuple, D: int) -> tuple:
+    """Coefficients of t^k T^{<=D}, accumulated, in the product over degrees
+    d <= max(D, max k) of (den_d(T) + sum_{i, m>=1} t_i^{md} num_{d,m}(T))^{N_d}.
+
+    den_d is the local excess polynomial at the empty base, num_{d,m} at the
+    depth-m plane base (component 0 stands for all four by symmetry), and
+    N_d counts degree-d closed points.  Each point picks one term, so the
+    supports of w are disjoint for free and nothing is divided.  The product
+    is symmetric in t_1..t_4, so sieve_sum asks only for sorted k.
+    """
+    orders = k + (D,)
     empty = tuple(0 for _ in lattice.nontop)
     product = series_one(orders)
     for d in range(1, max(orders) + 1):
-        den = _local_poly(lattice, K.q, d, empty, D)
+        den = _local_poly(lattice, q, d, empty, D)
         coeffs = {(0, 0, 0, 0, e): c for e, c in enumerate(den)}
         for m in range(1, max(k) // d + 1):
-            num = _local_poly(lattice, K.q, d, local_condition(lattice, {(0, 0): m}), D)
+            num = _local_poly(lattice, q, d, local_condition(lattice, {(0, 0): m}), D)
             for i, e in itertools.product(range(4), range(D + 1)):
                 coeffs[(0,) * i + (m * d,) + (0,) * (3 - i) + (e,)] = num[e]
         factor = TruncatedMultiSeries(orders, None, coeffs)
-        product = product * factor.power(count_closed_points_for(K.q, d))
-    partials = list(itertools.accumulate(
+        product = product * factor.power(count_closed_points_for(q, d))
+    return tuple(itertools.accumulate(
         product.coefficient(k + (e,)) for e in range(D + 1)))
-    return partials if with_deltas else partials[D]
 
 
 def prediction(K: FieldSpec, a: int, b: int, k, D: int,
@@ -653,19 +699,12 @@ def lattice_local_factor(lattice: ConditionLattice, q: int, deg: int,
     """
     empty = tuple(0 for _ in lattice.nontop)
     out = {}
-    max_ord = t_order + u_order // 2 + 1
-    shapes = _local_shapes(lattice, max_ord)
     for m in range(t_order + 1):
         base = local_condition(lattice, {(0, 0): m}) if m else empty
         acc = Fraction(0)
-        for tau in shapes:
-            if not condition_leq(lattice, base, tau):
-                continue
+        for tau, mu in _crosscut(lattice, base):
             g = condition_gamma(lattice, tau)
-            if g > u_order:
-                continue
-            mu = _local_interval_mobius(lattice, base, tau)
-            if mu:
+            if g <= u_order:
                 acc += mu * Fraction(1, q ** (deg * g))
         out[m] = acc * q ** (deg * m)
     return out

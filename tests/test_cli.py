@@ -8,6 +8,7 @@ from dp4sieve import cli
 from dp4sieve.cli import main
 from dp4sieve.errors import TooLarge
 from dp4sieve.harness import parse_config_file
+from dp4sieve.sieve import stable_range_I
 
 CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.cfg"))
 
@@ -32,6 +33,16 @@ def test_sieve_command(capsys):
     assert main(["--field-p", "3", "sieve", "--k", "1,0,0,0"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["partials"][0] == "4/9"
+
+
+@pytest.mark.parametrize("k", ["0,0,0,0", "1,0,0,0", "1,1,0,0", "3,2,2,2"])
+def test_sieve_stable_range_hint(capsys, k):
+    # the least a = b whose class lies in the stable range I >= 0
+    assert main(["--field-p", "3", "sieve", "--k", k]) == 0
+    hint = json.loads(capsys.readouterr().out)["stable_range_hint"]
+    a, kk = hint["a"], tuple(int(v) for v in k.split(","))
+    assert hint["b"] == a
+    assert stable_range_I(a, a, kk) >= 0 > stable_range_I(a - 1, a - 1, kk)
 
 
 def test_zeta_command(capsys):

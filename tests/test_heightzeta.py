@@ -112,6 +112,14 @@ def test_tamagawa_structure():
     assert abs(hz.tamagawa_exact(5, 4) - hz.tamagawa(5, 4).value) < Fraction(1, 2 ** 100)
 
 
+def test_expected_counts_share_one_tamagawa():
+    hz.tamagawa.cache_clear()
+    for a, b, k in ((1, 1, (0, 0, 0, 0)), (2, 1, (1, 0, 0, 0)), (2, 2, (1, 1, 0, 0))):
+        hz.expected_section_count(3, a, b, k, 6)
+    assert hz.tamagawa.cache_info().misses == 1
+    assert hz.tamagawa(3, 6, bits=hz.DEFAULT_BITS) is hz.tamagawa(3, 6, bits=hz.DEFAULT_BITS)
+
+
 def test_tamagawa_large_q_trend():
     # each local factor tends to 1, so tau -> q^2 (1 + o(1)) at fixed N
     vals = []

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -16,6 +17,20 @@ L14 = sv.survey_q_lattice()
 L16 = sv.subspace_q_lattice()
 EMPTY14 = tuple(0 for _ in L14.nontop)
 W = [(i, i) for i in range(4)]
+LATTICES = pytest.mark.parametrize("lattice", [L16, L14], ids=["L16", "L14"])
+
+
+@functools.lru_cache(maxsize=None)
+def _interval_mobius(lattice, lo, hi):
+    """mu(lo, hi) by the generic recursion over the local interval [lo, hi]."""
+    if lo == hi:
+        return 1
+    return -sum(_interval_mobius(lattice, lo, mid)
+                for mid in sv._conditions_between(lattice, lo, hi) if mid != hi)
+
+
+def _plane_bases(lattice):
+    return [sv.local_condition(lattice, {W[0]: m}) for m in (1, 2, 3)]
 
 
 def test_lattice_shapes():
@@ -81,6 +96,59 @@ def test_mobius_base_cases():
     with pytest.raises(NotComparable):
         y = sv.configuration(L14, [(rational_point(K3, 1), sv.local_condition(L14, {W[1]: 1}))])
         sv.mobius(x, y)
+
+
+@LATTICES
+def test_covers_are_the_minimal_shapes_above_base(lattice):
+    # every shape of depth <= 2 and the plane bases of depth 1-3; nothing
+    # two levels deeper is minimal either
+    for base in set(sv._local_shapes(lattice, 2)) | set(_plane_bases(lattice)):
+        above = [s for s in sv._local_shapes(lattice, sv.condition_max_order(base) + 2)
+                 if s != base and sv.condition_leq(lattice, base, s)]
+        minimal = {s for s in above
+                   if not any(t != s and sv.condition_leq(lattice, t, s) for t in above)}
+        chain = sv.condition_chain(lattice, base) + (lattice.top,)
+        covers = sv._cover_chains(lattice, chain)
+        assert {sv._chain_condition(lattice, c) for c in covers} == minimal
+
+
+@LATTICES
+def test_crosscut_mobius_matches_interval_recursion(lattice):
+    # mu(base, x) vanishes more than one level above the base, and the
+    # crosscut values equal the recursion everywhere up to three levels
+    for base in sv._local_shapes(lattice, 1):
+        depth = sv.condition_max_order(base)
+        crosscut = dict(sv._crosscut(lattice, base))
+        assert all(sv.condition_max_order(x) <= depth + 1 for x in crosscut)
+        for x in sv._local_shapes(lattice, depth + 3):
+            if sv.condition_leq(lattice, base, x):
+                mu = _interval_mobius(lattice, base, x)
+                assert mu == crosscut.get(x, 0)
+                if sv.condition_max_order(x) > depth + 1:
+                    assert mu == 0
+
+
+def _local_poly_by_recursion(lattice, q, deg, base, budget):
+    """The definition of _local_poly: every saturated tau above base of
+    excess <= budget, weighted by the recursive mu(base, tau)."""
+    out = [Fraction(0)] * (budget + 1)
+    for tau in sv._local_shapes(lattice, sv.condition_max_order(base) + budget // deg):
+        if sv.condition_leq(lattice, base, tau):
+            excess = sv.condition_excess(lattice, base, tau, deg)
+            if excess <= budget:
+                out[excess] += Fraction(_interval_mobius(lattice, base, tau),
+                                        q ** (deg * sv.condition_gamma(lattice, tau)))
+    return tuple(out)
+
+
+@LATTICES
+@pytest.mark.parametrize("deg", [1, 2, 3])
+def test_crosscut_local_poly_matches_definition(lattice, deg):
+    empty = tuple(0 for _ in lattice.nontop)
+    for base in [empty] + _plane_bases(lattice):
+        full = _local_poly_by_recursion(lattice, 3, deg, base, 6)
+        for D in range(7):
+            assert sv._local_poly(lattice, 3, deg, base, D) == full[:D + 1]
 
 
 def test_mobius_multiplicative_matches_recursive_seeded():
@@ -171,7 +239,7 @@ def _sieve_partials_by_definition(K, k, D, lattice):
     return list(itertools.accumulate(totals))
 
 
-@pytest.mark.parametrize("lattice", [L16, L14], ids=["L16", "L14"])
+@LATTICES
 @pytest.mark.parametrize("k, D", [
     ((0, 0, 0, 0), 1), ((1, 0, 0, 0), 1), ((1, 1, 0, 0), 1), ((2, 0, 0, 0), 1),
     ((0, 0, 1, 1), 1), ((0, 0, 0, 0), 2),
@@ -181,6 +249,34 @@ def test_sieve_sum_matches_definition(lattice, k, D):
     # puts contact on the last two components
     assert sv.sieve_sum(K3, k, D, lattice=lattice, with_deltas=True) == \
         _sieve_partials_by_definition(K3, k, D, lattice)
+
+
+def test_deep_truncation_skips_the_shape_scan():
+    # k = 0 at D = 8 on the 16-element lattice, recorded from the
+    # per-interval recursion; the product path scans no local shapes
+    sv._local_shapes.cache_clear()
+    sv._sieve_partials.cache_clear()
+    partials = sv.sieve_sum(K3, (0, 0, 0, 0), 8, with_deltas=True)
+    assert partials == [Fraction(v) for v in (
+        "1", "-17/27", "128/729", "27136/177147", "424960/4782969",
+        "35554688/387420489", "8575322368/94143178827",
+        "236486874752/2541865828329", "6381765399296/68630377364883")]
+    assert sv._local_shapes.cache_info().misses == 0
+
+
+@LATTICES
+@pytest.mark.parametrize("k, D", [((2, 1, 1, 0), 2), ((0, 1, 2, 3), 1)])
+def test_sieve_product_symmetric_in_contact_pattern(lattice, k, D):
+    # the premise of the memo keyed on sorted k
+    memo = sv._sieve_partials(lattice, 3, tuple(sorted(k)), D)
+    for perm in set(itertools.permutations(k)):
+        assert sv._sieve_partials.__wrapped__(lattice, 3, perm, D) == memo
+        assert sv.sieve_sum(K3, perm, D, lattice=lattice, with_deltas=True) == list(memo)
+
+
+def test_sieve_sum_rejects_negative_truncation():
+    with pytest.raises(ValueError):
+        sv.sieve_sum(K3, (0, 0, 0, 0), -1)
 
 
 def test_sieve_sum_beyond_tuple_enumeration():
