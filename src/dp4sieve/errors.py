@@ -31,10 +31,6 @@ class ZeroForm(Dp4Error):
     pass
 
 
-class BothZero(Dp4Error):
-    pass
-
-
 class TooLarge(Dp4Error):
     pass
 
@@ -46,10 +42,6 @@ class NotNef(Dp4Error):
 
 class LemmaViolation(Dp4Error):
     """No admissible contraction with non-negative slack exists; indicates a lattice bug."""
-
-
-class DegenerateInput(Dp4Error):
-    pass
 
 
 # surface configurations and section counting
@@ -69,15 +61,7 @@ class FieldTooSmall(Dp4Error):
     pass
 
 
-class ZeroSection(Dp4Error):
-    pass
-
-
 class BudgetExceeded(Dp4Error):
-    pass
-
-
-class OverlappingSupports(Dp4Error):
     pass
 
 
@@ -87,10 +71,6 @@ class DegreeMismatch(Dp4Error):
 
 # configuration posets
 class NotSaturated(Dp4Error):
-    pass
-
-
-class NotComparable(Dp4Error):
     pass
 
 

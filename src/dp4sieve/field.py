@@ -172,18 +172,6 @@ def poly_divmod(K: FieldSpec, num, den):
     return tuple(quot), poly_trim(num)
 
 
-def poly_gcd(K: FieldSpec, a, b):
-    """Monic gcd; gcd(a, 0) = monic(a)."""
-    a, b = poly_trim(a), poly_trim(b)
-    while b:
-        _, a = poly_divmod(K, a, b)
-        a, b = b, a
-    if a:
-        inv = K.inv(a[-1])
-        a = tuple(K.mul(c, inv) for c in a)
-    return a
-
-
 # ---------------------------------------------------------------------------
 # construction: F_{p^n} = F_p[x]/(modulus), arithmetic over the prime field
 

@@ -245,7 +245,7 @@ class CountCache:
             raise IoError(f"cannot write cache: {exc}") from exc
 
     @staticmethod
-    def class_key(cfg: RunConfig, surface, a: int, b: int, k) -> str:
+    def class_key(surface, a: int, b: int, k) -> str:
         payload = {
             "q": surface.field.q,
             "modulus": list(surface.field.modulus),
@@ -276,7 +276,6 @@ class CountReport:
     rows: list = field(default_factory=list)
     constants: dict = field(default_factory=dict)
     flags: list = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
 
 
 def counting_function(cfg: RunConfig, shrunken: bool = True,
@@ -298,7 +297,7 @@ def counting_function(cfg: RunConfig, shrunken: bool = True,
     for alpha in classes:
         # counts are marking independent, so every class is counted with
         # its identity-model invariants
-        key = CountCache.class_key(cfg, surface, alpha.a, alpha.b, alpha.k)
+        key = CountCache.class_key(surface, alpha.a, alpha.b, alpha.k)
         val = cache.lookup(key)
         if val is None:
             try:
@@ -309,7 +308,6 @@ def counting_function(cfg: RunConfig, shrunken: bool = True,
             cache.store(key, val)
         per_class[alpha] = val
     counting_seconds = time.perf_counter() - t0
-    report.timings["counting_stage_seconds"] = counting_seconds
     cache.flush()
 
     in_cone = {alpha for alpha in classes if cone is not None and cone.contains(alpha)}

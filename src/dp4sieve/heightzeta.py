@@ -5,21 +5,29 @@ per-class expected counts.
 Everything is exact.  Small truncations use Fractions end to end; deep
 truncations (degree-n factors raised to counts ~ q^n/n) use certified
 dyadic interval enclosures from exactnum, whose widths are reported and
-sit many orders of magnitude below every tolerance used.  Truncation
-bookkeeping (closed-point cutoff and per-variable orders) travels with
-every value so reports cannot silently mix precisions.
+sit many orders of magnitude below every tolerance used.  Every series
+carries its per-variable orders.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import TooLarge
 from .exactnum import DEFAULT_BITS, Interval
 from .projline import count_closed_points_for
 
 NVARS = 4
+# Most monomials a truncated series may carry, the product of its orders
+# plus one: (9, 9, 9, 9) at sieve truncation D = 0 takes 31 s on a 2-core
+# machine, nearly all of it in the series products.  Any sieve k with at
+# most 200,000 tuples at q in {3, 4, 5} has at most 108 t-monomials, so
+# runs through D = 91.
+MONOMIAL_CAP = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -28,13 +36,17 @@ NVARS = 4
 class TruncatedMultiSeries:
     """Power series with exact rational coefficients in one variable per
     entry of orders (t_1..t_4 here; the sieve adds its excess variable T),
-    truncated per variable, carrying the closed-point cutoff it was built from."""
+    truncated per variable.  Raises TooLarge when the orders admit more
+    than MONOMIAL_CAP monomials."""
 
-    __slots__ = ("orders", "point_cutoff", "coeffs")
+    __slots__ = ("orders", "coeffs")
 
-    def __init__(self, orders, point_cutoff=None, coeffs=None):
+    def __init__(self, orders, coeffs=None):
         self.orders = tuple(orders)
-        self.point_cutoff = point_cutoff
+        size = math.prod(o + 1 for o in self.orders)
+        if size > MONOMIAL_CAP:
+            raise TooLarge(f"a series with orders {self.orders} has {size} monomials, "
+                           f"above the cap {MONOMIAL_CAP}")
         self.coeffs = {}
         if coeffs:
             for expo, val in coeffs.items():
@@ -52,23 +64,10 @@ class TruncatedMultiSeries:
     def constant(self) -> Fraction:
         return self.coefficient((0,) * len(self.orders))
 
-    def __eq__(self, other):
-        return (isinstance(other, TruncatedMultiSeries)
-                and self.orders == other.orders and self.coeffs == other.coeffs)
-
-    def __add__(self, other):
-        orders = tuple(min(a, b) for a, b in zip(self.orders, other.orders))
-        out = {}
-        for src in (self.coeffs, other.coeffs):
-            for expo, val in src.items():
-                out[expo] = out.get(expo, Fraction(0)) + val
-        return TruncatedMultiSeries(orders, _merge_cutoff(self, other), out)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return TruncatedMultiSeries(
-                self.orders, self.point_cutoff,
-                {e: v * other for e, v in self.coeffs.items()})
+            return TruncatedMultiSeries(self.orders,
+                                        {e: v * other for e, v in self.coeffs.items()})
         orders = tuple(min(a, b) for a, b in zip(self.orders, other.orders))
         out = {}
         for e1, v1 in self.coeffs.items():
@@ -76,12 +75,12 @@ class TruncatedMultiSeries:
                 expo = tuple(x + y for x, y in zip(e1, e2))
                 if all(e <= o for e, o in zip(expo, orders)):
                     out[expo] = out.get(expo, Fraction(0)) + v1 * v2
-        return TruncatedMultiSeries(orders, _merge_cutoff(self, other), out)
+        return TruncatedMultiSeries(orders, out)
 
     __rmul__ = __mul__
 
     def power(self, e: int):
-        result = series_one(self.orders, self.point_cutoff)
+        result = series_one(self.orders)
         base = self
         while e:
             if e & 1:
@@ -96,13 +95,8 @@ class TruncatedMultiSeries:
         return f"TruncatedMultiSeries(orders={self.orders}, {items}...)"
 
 
-def _merge_cutoff(a, b):
-    cuts = [c for c in (a.point_cutoff, b.point_cutoff) if c is not None]
-    return min(cuts) if cuts else None
-
-
-def series_one(orders, point_cutoff=None) -> TruncatedMultiSeries:
-    return TruncatedMultiSeries(orders, point_cutoff, {(0,) * len(orders): Fraction(1)})
+def series_one(orders) -> TruncatedMultiSeries:
+    return TruncatedMultiSeries(orders, {(0,) * len(orders): Fraction(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +142,7 @@ def local_factor(spec: EulerFactorSpec) -> TruncatedMultiSeries:
             expo[i] = spec.degree * depth
             coeffs[tuple(expo)] = factor_contact_coefficient(spec.q, spec.degree, depth)
             depth += 1
-    return TruncatedMultiSeries(spec.orders, spec.degree, coeffs)
+    return TruncatedMultiSeries(spec.orders, coeffs)
 
 
 def euler_product(q: int, N: int, orders) -> TruncatedMultiSeries:
@@ -158,11 +152,20 @@ def euler_product(q: int, N: int, orders) -> TruncatedMultiSeries:
     exponentiates; degrees above every t-order contribute scalar constants.
     Exact Fractions throughout, so N is expected small (the deep-cutoff
     evaluations live in the interval-based routines below).
+
+    Every coefficient must print: before multiplying, an N whose constant
+    coefficient has more digits than sys.get_int_max_str_digits() is
+    refused with TooLarge, and so is a product with any longer coefficient.
+    The constant's denominator is prod_n den(factor_constant(q, n))^count_n
+    exactly, since the reduced numerators are prime to p.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     orders = tuple(orders)
-    out = series_one(orders, N)
+    out = series_one(orders)
+    digits = sys.get_int_max_str_digits()
+    if digits and _constant_too_long(q, N, digits):
+        raise TooLarge(f"the constant coefficient at N = {N} has more than {digits} digits")
     for n in range(1, N + 1):
         count = count_closed_points_for(q, n)
         base = local_factor(EulerFactorSpec(degree=n, q=q, orders=orders))
@@ -170,24 +173,29 @@ def euler_product(q: int, N: int, orders) -> TruncatedMultiSeries:
             out = out * (factor_constant(q, n) ** count)
         else:
             out = out * base.power(count)
-    out.point_cutoff = N
+    if digits and any(max(abs(v.numerator), v.denominator) >= 10 ** digits
+                      for v in out.coeffs.values()):
+        raise TooLarge(f"a coefficient at N = {N} has more than {digits} digits")
     return out
 
 
+def _constant_too_long(q: int, N: int, digits: int) -> bool:
+    """Whether p^e >= 10^digits, p^e the constant's denominator: e sums
+    count_n times the p-adic valuation of den(factor_constant(q, n))."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    e = 0
+    for n in range(1, N + 1):
+        den, v = factor_constant(q, n).denominator, 0
+        while den > 1:
+            den, v = den // p, v + 1
+        e += count_closed_points_for(q, n) * v
+        if e >= 4 * digits:         # p^e >= 2^e >= 10^digits, as log2(10) < 4
+            return True
+    return p ** e >= 10 ** digits
+
+
 # ---------------------------------------------------------------------------
-# the surface's point counts and the Tamagawa constant
-
-def surface_count(q: int, n: int) -> int:
-    """#S(F_{q^n}) = q^{2n} + 6 q^n + 1 for the split quartic del Pezzo.
-
-    Forced by equating the Euler factor (1 + 6 q^{-|c|} + q^{-2|c|}) with
-    #S(F_{q^{|c|}}) / q^{2|c|}, and independently by the blow-up count
-    #(P^1 x P^1)(F_{q^n}) + 4 q^n.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return q ** (2 * n) + 6 * q ** n + 1
-
+# the Tamagawa constant
 
 def good_factor(q: int, n: int) -> Fraction:
     """(1 - q^{-n})^6 (1 + 6 q^{-n} + q^{-2n}), one degree-n local factor
@@ -207,7 +215,7 @@ class TamagawaResult:
 
 
 @lru_cache(maxsize=64)
-def tamagawa(q: int, N: int, bits: int = DEFAULT_BITS) -> TamagawaResult:
+def tamagawa(q: int, N: int) -> TamagawaResult:
     """Truncated Tamagawa constant q^2 (1-q^{-1})^{-6} prod good_factor^count.
 
     Partial products are certified interval enclosures; the reported value
@@ -217,12 +225,11 @@ def tamagawa(q: int, N: int, bits: int = DEFAULT_BITS) -> TamagawaResult:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    pref = Interval.exact(Fraction(q ** 2), bits) * Interval.exact(
-        (1 - Fraction(1, q)) ** -6, bits)
+    pref = Interval.exact(Fraction(q ** 2)) * Interval.exact((1 - Fraction(1, q)) ** -6)
     partials = []
     acc = pref
     for n in range(1, N + 1):
-        fac = Interval.exact(good_factor(q, n), bits)
+        fac = Interval.exact(good_factor(q, n))
         acc = acc * fac.power(count_closed_points_for(q, n))
         partials.append(acc)
     value = partials[-1]
@@ -232,14 +239,6 @@ def tamagawa(q: int, N: int, bits: int = DEFAULT_BITS) -> TamagawaResult:
                           last_increment=increment.mid,
                           enclosure_width=value.width,
                           partials=tuple(p.mid for p in partials))
-
-
-def tamagawa_exact(q: int, N: int) -> Fraction:
-    """Plain-Fraction Tamagawa partial product; small N only."""
-    out = Fraction(q ** 2) * (1 - Fraction(1, q)) ** -6
-    for n in range(1, N + 1):
-        out *= good_factor(q, n) ** count_closed_points_for(q, n)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +288,7 @@ class LimitCheckResult:
     lhs_cutoffs: tuple
 
 
-def limit_formula_check(q: int, N: int, m_max: int,
-                        bits: int = DEFAULT_BITS) -> LimitCheckResult:
+def limit_formula_check(q: int, N: int, m_max: int) -> LimitCheckResult:
     """Compare prod (1-t_i) Z(t) along t_i = 1 - 2^{-m} with the limit's
     right side (1-q^{-1})^{-4} prod good_factor, truncated at N.
 
@@ -308,7 +306,7 @@ def limit_formula_check(q: int, N: int, m_max: int,
     deepest = _lhs_depth_needed(q, 1 - Fraction(1, 2 ** m_max),
                                 Fraction(1, 2 ** (m_max + 4)))
     need = count_closed_points_for(q, deepest).bit_length() + 96
-    bits = max(bits, need)
+    bits = max(DEFAULT_BITS, need)
     rhs = Interval.exact((1 - Fraction(1, q)) ** -4, bits)
     for n in range(1, N + 1):
         rhs = rhs * Interval.exact(good_factor(q, n), bits).power(
@@ -345,9 +343,8 @@ def limit_formula_check(q: int, N: int, m_max: int,
 # ---------------------------------------------------------------------------
 # expected counts
 
-def expected_section_count(q: int, a: int, b: int, k, N: int,
-                           bits: int = DEFAULT_BITS) -> Fraction:
+def expected_section_count(q: int, a: int, b: int, k, N: int) -> Fraction:
     """(q-1)^2 tamagawa_N q^{2a+2b-sum k}: the asymptotic-regime expectation
     for the section count of a class with the given invariants."""
-    tau = tamagawa(q, N, bits=bits).value
+    tau = tamagawa(q, N).value
     return (q - 1) ** 2 * tau * q ** (2 * a + 2 * b - sum(k))

@@ -1,5 +1,5 @@
-"""Exact linear algebra over a field: one row reduction and the rank,
-determinant, solve and nullspace built on it.
+"""Exact linear algebra over a field: one row reduction and the
+determinant and solve built on it.
 
 The field K is anything with FieldSpec's add, sub, mul, neg and inv on its
 elements: a FieldSpec for F_q, or QQ for the rationals.  Matrices are
@@ -75,10 +75,6 @@ def row_reduce(K, rows, ncols: int | None = None, square: bool = False):
     return m, pivots, values, swaps
 
 
-def rank(K, rows) -> int:
-    return len(row_reduce(K, rows)[1])
-
-
 def det(K, rows):
     """Determinant of a square matrix: the signed product of its pivots."""
     reduced = row_reduce(K, rows, square=True)
@@ -98,21 +94,3 @@ def solve(K, rows, rhs):
     if reduced is None:
         return None
     return tuple(r[d] for r in reduced[0])
-
-
-def nullspace(K, rows) -> list:
-    """Basis of {x : rows . x = 0}, one vector per free column, in column
-    order: the free entry is 1, the other free entries 0, and the pivot
-    entries are read off the reduced row echelon form."""
-    ncols = len(rows[0])
-    m, pivots, _, _ = row_reduce(K, rows)
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [0] * ncols
-        vec[free] = 1
-        for r, col in enumerate(pivots):
-            vec[col] = K.neg(m[r][free])
-        basis.append(tuple(vec))
-    return basis

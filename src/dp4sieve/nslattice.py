@@ -20,8 +20,6 @@ from functools import lru_cache
 from itertools import product
 from math import factorial
 
-import numpy as np
-
 from .errors import LemmaViolation, NotNef
 from .linalg import QQ, det, solve
 
@@ -79,16 +77,6 @@ E = tuple(CurveClass(tuple(1 if i == 2 + j else 0 for i in range(RANK))) for j i
 ZERO = CurveClass((0,) * RANK)
 ANTICANONICAL = CurveClass((2, 2, -1, -1, -1, -1))
 
-GRAM = (
-    (0, 1, 0, 0, 0, 0),
-    (1, 0, 0, 0, 0, 0),
-    (0, 0, -1, 0, 0, 0),
-    (0, 0, 0, -1, 0, 0),
-    (0, 0, 0, 0, -1, 0),
-    (0, 0, 0, 0, 0, -1),
-)
-
-
 def intersect(x: CurveClass, y: CurveClass) -> int:
     """The bilinear symmetric pairing in the fixed Gram matrix."""
     a, b = x.coords, y.coords
@@ -99,33 +87,6 @@ def pairing_functional(L: CurveClass) -> tuple:
     """Row vector r with r . coords(alpha) = intersect(L, alpha)."""
     c = L.coords
     return (c[1], c[0], -c[2], -c[3], -c[4], -c[5])
-
-
-def gram_signature() -> tuple:
-    """Exact (positive, negative) eigenvalue counts of the Gram matrix.
-
-    Computes the characteristic polynomial by Faddeev-LeVerrier and counts
-    sign changes of its coefficient sequence; since a symmetric matrix has
-    only real eigenvalues, Descartes' rule is exact here.
-    """
-    n = RANK
-    G = [list(row) for row in GRAM]
-    M = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    coeffs = [Fraction(1)]  # leading coefficient of lambda^n
-    for k in range(1, n + 1):
-        GM = [[sum(Fraction(G[i][t]) * M[t][j] for t in range(n)) for j in range(n)]
-              for i in range(n)]
-        c = -sum(GM[i][i] for i in range(n)) / k
-        coeffs.append(c)
-        M = [[GM[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-
-    def sign_changes(seq):
-        signs = [1 if c > 0 else -1 for c in seq if c != 0]
-        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-    pos = sign_changes(coeffs)
-    neg = sign_changes([c * (-1) ** (n - i) for i, c in enumerate(coeffs)])
-    return pos, neg
 
 
 # ---------------------------------------------------------------------------
@@ -360,23 +321,6 @@ def enumerate_nef_points(d: int, cone: ShrunkenCone | None = None):
                 out.append(alpha)
     assert all(is_nef(x) for x in out[: min(len(out), 50)])
     return sorted(out)
-
-
-def count_nef_points(d: int) -> int:
-    """Fast exact count of nef lattice classes with h <= d (numpy integers)."""
-    total = 0
-    for a in range(d + 1):
-        for b in range(d + 1):
-            top = min(a, b)
-            if 2 * a + 2 * b - 4 * top > d:
-                continue
-            rng = np.arange(top + 1)
-            k1, k2, k3, k4 = np.meshgrid(rng, rng, rng, rng, indexing="ij", sparse=True)
-            s = k1 + k2 + k3 + k4
-            m = np.minimum(np.minimum(k1, k2), np.minimum(k3, k4))
-            ok = (2 * a + 2 * b - s <= d) & (s - m <= a + b)
-            total += int(ok.sum())
-    return total
 
 
 # ---------------------------------------------------------------------------

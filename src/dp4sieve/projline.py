@@ -20,13 +20,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BothZero, TooLarge, ZeroForm
+from .errors import TooLarge, ZeroForm
 from .field import (
     FieldSpec,
     field_of_order,
     from_digits,
     poly_divmod,
-    poly_gcd,
     poly_trim,
     to_digits,
 )
@@ -65,11 +64,6 @@ def _affine_point(K: FieldSpec, poly) -> ClosedPoint:
     poly = tuple(poly)
     deg = len(poly) - 1
     return ClosedPoint(degree=deg, code=from_digits(poly, K.q), poly=poly)
-
-
-def rational_point(K: FieldSpec, x: int) -> ClosedPoint:
-    """The degree-1 point at affine coordinate x."""
-    return _affine_point(K, (K.neg(x), 1))
 
 
 @lru_cache(maxsize=None)
@@ -180,9 +174,6 @@ class EffectiveDivisor:
                 out.append((pt, min(m, m2)))
         return divisor(out)
 
-    def contains(self, other: "EffectiveDivisor") -> bool:
-        return all(self.mult(pt) >= m for pt, m in other.entries)
-
     def __str__(self):
         if not self.entries:
             return "0"
@@ -202,7 +193,7 @@ ZERO_DIVISOR = EffectiveDivisor(entries=())
 
 
 # ---------------------------------------------------------------------------
-# forms: divisor extraction and gcd
+# forms: divisor extraction
 
 def form_is_zero(coeffs) -> bool:
     return not any(coeffs)
@@ -254,45 +245,6 @@ def divisor_of_form(K: FieldSpec, coeffs) -> EffectiveDivisor:
     return div
 
 
-def form_gcd(K: FieldSpec, f, g) -> EffectiveDivisor:
-    """Pointwise minimum of the two divisors, as a divisor.
-
-    Equals the divisor of the polynomial gcd of the affine parts plus the
-    minimum of the orders at infinity.  A zero form acts as the neutral
-    upper bound: form_gcd(0, g) = div(g).
-    """
-    fz, gz = form_is_zero(f), form_is_zero(g)
-    if fz and gz:
-        raise BothZero("gcd of two zero forms")
-    if fz:
-        return divisor_of_form(K, g)
-    if gz:
-        return divisor_of_form(K, f)
-    aff_f, inf_f = _affine_part(f)
-    aff_g, inf_g = _affine_part(g)
-    gcd_poly = poly_gcd(K, aff_f, aff_g)
-    pairs = factor_poly(K, gcd_poly) if len(gcd_poly) > 1 else []
-    inf_mult = min(inf_f, inf_g)
-    if inf_mult:
-        pairs.append((point_at_infinity(), inf_mult))
-    return divisor(pairs)
-
-
-def form_gcd_degree(K: FieldSpec, f, g) -> int:
-    """Degree of form_gcd without factoring (fast path for counting)."""
-    fz, gz = form_is_zero(f), form_is_zero(g)
-    if fz and gz:
-        raise BothZero("gcd of two zero forms")
-    if fz:
-        return len(g) - 1
-    if gz:
-        return len(f) - 1
-    aff_f, inf_f = _affine_part(f)
-    aff_g, inf_g = _affine_part(g)
-    gcd_poly = poly_gcd(K, aff_f, aff_g)
-    return max(0, len(gcd_poly) - 1) + min(inf_f, inf_g)
-
-
 # ---------------------------------------------------------------------------
 # Hilbert scheme slices and the zeta identity
 
@@ -316,31 +268,20 @@ def hilb_points(K: FieldSpec, n: int):
     return sorted(out, key=lambda d: d.entries)
 
 
-def _point_counts(K: FieldSpec, N: int, use_enumeration: bool):
-    if use_enumeration:
-        by_deg = [0] * (N + 1)
-        for pt in closed_points_up_to(K, N):
-            by_deg[pt.degree] += 1
-        return by_deg
-    return [0] + [count_closed_points(K, n) for n in range(1, N + 1)]
-
-
-def zeta_p1_identity_check(K: FieldSpec, N: int, use_enumeration: bool = False):
+def zeta_p1_identity_check(K: FieldSpec, N: int):
     """Check prod_{deg c <= N} (1 - t^{deg c})^{-1} = 1/((1-t)(1-qt)) mod t^{N+1}.
 
-    The left side multiplies out the closed-point inventory (counts by the
-    necklace formula, or by actual enumeration when requested); the right
-    side has coefficient #P^n(F_q) at t^n.  Returns True on full agreement,
-    otherwise the first mismatching order.
+    The left side multiplies out the closed-point counts of the necklace
+    formula; the right side has coefficient #P^n(F_q) at t^n.  Returns True
+    on full agreement, otherwise the first mismatching order.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    counts = _point_counts(K, N, use_enumeration)
     series = [Fraction(0)] * (N + 1)
     series[0] = Fraction(1)
     for n in range(1, N + 1):
         # multiply by (1 - t^n)^{-count} = sum_j C(count+j-1, j) t^{nj}
-        c = counts[n]
+        c = count_closed_points(K, n)
         new = [Fraction(0)] * (N + 1)
         j, binom = 0, 1
         while n * j <= N:

@@ -12,14 +12,13 @@ When both composites vanish identically the pair is a constant section
 sitting at the marked point; the artifact counts it with contact 0, which
 makes the degree-0 count equal the number of constant maps to P^1 x P^1.
 
-Two independent strategies are implemented.  The raw path enumerates all
-q^{2a+2b+4} coefficient tuples with direct gcd computations and guards the
-other on small instances.  The join enumerates the two sides separately
-(q^{2a+2} and q^{2b+2} tuples, up to a common scalar), compresses each side
-to the multiset of its four composite divisors, and joins the two
-multisets through a table of contact degrees deg min(D, D').  Every
-contact is at most max(a, b), so one int64 histogram of (max(a, b) + 1)^4
-bins per (a, b) answers every k.
+The engine enumerates the two sides separately (q^{2a+2} and q^{2b+2}
+tuples, up to a common scalar), compresses each side to the multiset of
+its four composite divisors, and joins the two multisets through a table
+of contact degrees deg min(D, D').  Every contact is at most max(a, b), so
+one int64 histogram of (max(a, b) + 1)^4 bins per (a, b) answers every k.
+Its brute-force oracle, which enumerates all q^{2a+2b+4} coefficient
+tuples with direct gcd computations, lives in tests/oracles.py.
 
 Orbit reduction.  Reparametrising the source P^1 by g in PGL_2(F_q) maps
 coprime pairs to coprime pairs and pulls every composite divisor back
@@ -28,8 +27,6 @@ unchanged, and each side's multiset is carried onto itself with equal
 weights.  Hence the sum over x in S, y in T of w(x) w(y) [key(gx, y)]
 equals that of [key(x, g^-1 y)], and the larger side may be replaced by
 one representative per orbit, weighted by the orbit's total weight.
-fiber_count, whose target divisors are not invariant, runs through the
-same join kernel with 0/1 tables [min(D, D') = w_i] and unreduced rows.
 """
 
 from __future__ import annotations
@@ -42,28 +39,16 @@ import numpy as np
 
 from .errors import (
     BudgetExceeded,
-    DegenerateInput,
     CoincidentFirstCoords,
     CoincidentSecondCoords,
     DegreeMismatch,
     FieldTooSmall,
     OnBidegreeCurve,
-    OverlappingSupports,
     TooLarge,
-    ZeroSection,
 )
 from .field import FieldSpec, field_of_order, poly_mul, to_digits
-from .linalg import det, nullspace
-from .projline import (
-    ZERO_DIVISOR,
-    EffectiveDivisor,
-    closed_points_up_to,
-    divisor_of_form,
-    form_gcd,
-    form_gcd_degree,
-    form_is_zero,
-    hilb_points,
-)
+from .linalg import det
+from .projline import closed_points_up_to, divisor_of_form, hilb_points
 
 DEFAULT_BUDGET = 2 ** 34
 INF = "inf"
@@ -185,61 +170,6 @@ def _index_to_point(K: FieldSpec, i: int):
 
 
 # ---------------------------------------------------------------------------
-# single-pair profile (scalar reference path)
-
-@dataclass(frozen=True)
-class SectionPair:
-    """s and t are pairs of coefficient tuples (length a+1 and b+1)."""
-
-    s: tuple
-    t: tuple
-
-
-@dataclass(frozen=True)
-class ContactProfile:
-    k: tuple
-    s_ok: bool
-    t_ok: bool
-    degenerate: tuple  # True where both composites vanish identically
-
-
-def _composite(K: FieldSpec, lam, pair):
-    d, negc = lam
-    f1, f2 = pair
-    return tuple(K.add(K.mul(d, x), K.mul(negc, y)) for x, y in zip(f1, f2))
-
-
-def multiplicity_profile(sp: SectionPair, cfg: SurfaceConfig) -> ContactProfile:
-    """Contact orders k_i plus the no-common-root flags for both sides.
-
-    k_i is the degree of the common vanishing divisor of the composite
-    forms; a single zero composite contributes the divisor of the other
-    composite, and two zero composites (constant section at the marked
-    point) count as contact 0 by the artifact's convention.
-    """
-    K = cfg.field
-    s1, s2 = sp.s
-    t1, t2 = sp.t
-    if form_is_zero(s1) and form_is_zero(s2):
-        raise ZeroSection("s is identically zero")
-    if form_is_zero(t1) and form_is_zero(t2):
-        raise ZeroSection("t is identically zero")
-    s_ok = form_gcd_degree(K, s1, s2) == 0
-    t_ok = form_gcd_degree(K, t1, t2) == 0
-    k, degen = [], []
-    for i in range(4):
-        g = _composite(K, cfg.lam(i), sp.s)
-        h = _composite(K, cfg.lam2(i), sp.t)
-        if form_is_zero(g) and form_is_zero(h):
-            k.append(0)
-            degen.append(True)
-        else:
-            k.append(form_gcd_degree(K, g, h))
-            degen.append(False)
-    return ContactProfile(k=tuple(k), s_ok=s_ok, t_ok=t_ok, degenerate=tuple(degen))
-
-
-# ---------------------------------------------------------------------------
 # divisor inventories and numpy tables
 
 @lru_cache(maxsize=None)
@@ -329,20 +259,6 @@ def _degree_table(K: FieldSpec, deg_s: int, deg_t: int):
     tab[:mS, mT] = deg_s
     tab[mS, :mT] = deg_t
     return tab
-
-
-def _fiber_table(K: FieldSpec, deg_s: int, deg_t: int, w: EffectiveDivisor):
-    """0/1 table [min(D, D') = w] over the same rows and columns as
-    _degree_table, with the same zero rules (two zero forms meet in 0)."""
-    S = list(_inventory(K, deg_s)[0]) + [None]
-    T = list(_inventory(K, deg_t)[0]) + [None]
-
-    def meet(x, y):
-        if x is None:
-            return ZERO_DIVISOR if y is None else y
-        return x if y is None else x.min(y)
-
-    return np.array([[meet(x, y) == w for y in T] for x in S], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -533,17 +449,6 @@ def _contact_histogram(cfg: SurfaceConfig, a: int, b: int):
     return _join(rows, row_w, cols, col_w, [tab] * 4, base).reshape((base,) * 4)
 
 
-def clear_caches():
-    """Drop all in-memory engine caches (histograms, summaries, tables).
-
-    Used by timing comparisons that must attribute speedups to the on-disk
-    count cache rather than to warm in-process state.
-    """
-    for cached in (_contact_histogram, _side_orbits, _side_summary, _pgl2_perms,
-                   _degree_table, _form_divisor_ids, _inventory, _np_tables):
-        cached.cache_clear()
-
-
 # ---------------------------------------------------------------------------
 # public counting operations
 
@@ -557,52 +462,6 @@ def _charge_sides(cfg: SurfaceConfig, a: int, b: int, budget: int) -> int:
     cost = q ** (2 * a + 2) + q ** (2 * b + 2)
     _charge(cost, budget, f"side enumerations {q}^{2 * a + 2} + {q}^{2 * b + 2}")
     return cost
-
-
-def _check_budget(q: int, a: int, b: int, budget: int):
-    _charge(q ** (2 * a + 2 * b + 4), budget, f"naive cost {q}^{2 * a + 2 * b + 4}")
-
-
-def count_sections_raw(cfg: SurfaceConfig, a: int, b: int, k, budget: int = DEFAULT_BUDGET) -> int:
-    """Reference path: enumerate every coefficient tuple pair directly."""
-    K = cfg.field
-    k = tuple(k)
-    _check_budget(K.q, a, b, budget)
-    q = K.q
-    forms_a = list(itertools.product(range(q), repeat=a + 1))
-    forms_b = list(itertools.product(range(q), repeat=b + 1))
-    s_side = []
-    for s1 in forms_a:
-        for s2 in forms_a:
-            if form_is_zero(s1) and form_is_zero(s2):
-                continue
-            if form_gcd_degree(K, s1, s2) == 0:
-                s_side.append((s1, s2))
-    t_side = []
-    for t1 in forms_b:
-        for t2 in forms_b:
-            if form_is_zero(t1) and form_is_zero(t2):
-                continue
-            if form_gcd_degree(K, t1, t2) == 0:
-                t_side.append((t1, t2))
-    t_comps = [[_composite(K, cfg.lam2(i), t) for i in range(4)] for t in t_side]
-    total = 0
-    for s in s_side:
-        gs = [_composite(K, cfg.lam(i), s) for i in range(4)]
-        for hs in t_comps:
-            ok = True
-            for i in range(4):
-                g, h = gs[i], hs[i]
-                if form_is_zero(g) and form_is_zero(h):
-                    ki = 0
-                else:
-                    ki = form_gcd_degree(K, g, h)
-                if ki != k[i]:
-                    ok = False
-                    break
-            if ok:
-                total += 1
-    return total
 
 
 def count_sections(cfg: SurfaceConfig, a: int, b: int, k,
@@ -634,159 +493,3 @@ def count_morphisms(cfg: SurfaceConfig, a: int, b: int, k,
     d = (cfg.field.q - 1) ** 2
     assert n % d == 0, "torsor divisibility violated"
     return n // d
-
-
-def u_k_points(K: FieldSpec, k, limit: int = 200_000):
-    """All tuples (T_1..T_4) of effective divisors, deg T_i = k_i, with
-    pairwise disjoint supports; deterministic order."""
-    k = tuple(k)
-    if any(x < 0 for x in k):
-        raise DegreeMismatch("contact orders must be non-negative")
-    pools = [hilb_points(K, x) for x in k]
-    est = 1
-    for p in pools:
-        est *= len(p)
-    if est > limit:
-        raise TooLarge(f"{est} candidate tuples exceeds limit {limit}")
-    out = []
-    for combo in itertools.product(*pools):
-        supports: set = set()
-        ok = True
-        for d in combo:
-            s = set(d.support)
-            if supports & s:
-                ok = False
-                break
-            supports |= s
-        if ok:
-            out.append(tuple(combo))
-    return out
-
-
-def fiber_count(cfg: SurfaceConfig, w, a: int, b: int,
-                budget: int = DEFAULT_BUDGET) -> int:
-    """Sections whose four contact divisors equal the given tuple exactly.
-
-    w is a tuple of four effective divisors with pairwise disjoint
-    supports; summing over all of u_k_points recovers count_sections for
-    k = (deg w_i).
-    """
-    w = tuple(w)
-    if len(w) != 4:
-        raise DegreeMismatch("w must have four components")
-    supports: set = set()
-    for d in w:
-        s = set(d.support)
-        if supports & s:
-            raise OverlappingSupports("components of w share support")
-        supports |= s
-    spent = _charge_sides(cfg, a, b, budget)
-    S = _side_summary(cfg, "s", a)
-    T = _side_summary(cfg, "t", b)
-    _charge(spent + S[0].shape[1] * T[0].shape[1], budget,
-            "side enumerations plus join pairs")
-    tables = [_fiber_table(cfg.field, a, b, d) for d in w]
-    return int(_join(*S, *T, tables, 2)[-1])
-
-
-def remark_config(cfg: SurfaceConfig, i: int, j: int):
-    """Re-coordinatize through the contraction keeping the first ruling and
-    replacing the second by the pencil of (1,1)-curves through centers i, j.
-
-    In lattice terms this is the marking (F, F+F'-E_i-E_j) with contracted
-    classes (E_m1, E_m2, F-E_i, F-E_j), m1 < m2 the other two indices.  A
-    class with identity invariants (a, b, k) has new invariants
-    (a, a+b-k_i-k_j, (k_m1, k_m2, a-k_i, a-k_j)); the section counts of the
-    two models agree because both enumerate the same abstract moduli
-    points.  Returns (new_config, new_invariants_function).
-    """
-    K = cfg.field
-    if i == j or not (0 <= i < 4 and 0 <= j < 4):
-        raise ValueError("need two distinct center indices")
-    others = [m for m in range(4) if m not in (i, j)]
-    m1, m2 = others
-
-    # solve for the pencil basis: G(u, v) = sum g_ab u_a v_b vanishing at
-    # centers i and j; exact nullspace of a 2x4 system over the field
-    basis = nullspace(K, [_bidegree_monomials(K, cfg.first[m], cfg.second[m])
-                          for m in (i, j)])
-    assert len(basis) == 2, "pencil through two centers must be 2-dimensional"
-    G1, G2 = basis
-
-    def ev(G, u, v):
-        acc = 0
-        for g, mono in zip(G, _bidegree_monomials(K, u, v)):
-            acc = K.add(acc, K.mul(g, mono))
-        return acc
-
-    def psi(u, v):
-        return (ev(G1, u, v), ev(G2, u, v))
-
-    new_first, new_second = [], []
-    for m in (m1, m2):
-        img = psi(cfg.first[m], cfg.second[m])
-        if img == (0, 0):
-            raise DegenerateInput(f"center {m} lies on the pencil base locus")
-        new_first.append(cfg.first[m])
-        new_second.append(img)
-    for m in (i, j):
-        # along the fiber u = p_m both pencil members are multiples of the
-        # same linear form in v; their constant ratio is the image point
-        probe = next(pt for pt in _projective_points(K) if pt != cfg.second[m])
-        img = (ev(G1, cfg.first[m], probe), ev(G2, cfg.first[m], probe))
-        if img == (0, 0):
-            raise DegenerateInput(f"fiber through center {m} collapses badly")
-        new_first.append(cfg.first[m])
-        new_second.append(img)
-    new_cfg = validate_points(K, list(zip(new_first, new_second)),
-                              allow_on_bidegree_curve=True)
-
-    def new_invariants(a: int, b: int, k):
-        k = tuple(k)
-        return (a, a + b - k[i] - k[j],
-                (k[m1], k[m2], a - k[i], a - k[j]))
-
-    return new_cfg, new_invariants
-
-
-def _projective_points(K: FieldSpec):
-    return [(c, 1) for c in K.elements()] + [(1, 0)]
-
-
-def fiber_count_raw(cfg: SurfaceConfig, w, a: int, b: int) -> int:
-    """Reference path for fiber_count: direct enumeration."""
-    K = cfg.field
-    q = K.q
-    _check_budget(q, a, b, DEFAULT_BUDGET)
-    w = tuple(w)
-    forms_a = list(itertools.product(range(q), repeat=a + 1))
-    forms_b = list(itertools.product(range(q), repeat=b + 1))
-    want = [d.entries for d in w]
-    total = 0
-    for s1 in forms_a:
-        for s2 in forms_a:
-            if (form_is_zero(s1) and form_is_zero(s2)) or form_gcd_degree(K, s1, s2):
-                continue
-            gs = [_composite(K, cfg.lam(i), (s1, s2)) for i in range(4)]
-            for t1 in forms_b:
-                for t2 in forms_b:
-                    if (form_is_zero(t1) and form_is_zero(t2)) or form_gcd_degree(K, t1, t2):
-                        continue
-                    ok = True
-                    for i in range(4):
-                        h = _composite(K, cfg.lam2(i), (t1, t2))
-                        g = gs[i]
-                        if form_is_zero(g) and form_is_zero(h):
-                            got = ZERO_DIVISOR.entries
-                        elif form_is_zero(g):
-                            got = divisor_of_form(K, h).entries
-                        elif form_is_zero(h):
-                            got = divisor_of_form(K, g).entries
-                        else:
-                            got = form_gcd(K, g, h).entries
-                        if got != want[i]:
-                            ok = False
-                            break
-                    if ok:
-                        total += 1
-    return total

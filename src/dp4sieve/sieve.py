@@ -1,6 +1,6 @@
 """Inclusion-exclusion over configuration posets: local condition lattices
-at closed points of P^1, saturation, expected codimension, Moebius
-functions, and truncated sieve sums.
+at closed points of P^1, saturation, expected codimension, local Moebius
+values, and truncated sieve sums.
 
 A sieve sum is one Euler-type product of local excess polynomials over
 closed points, a truncated series in t_1..t_4 and the excess variable T on
@@ -15,9 +15,8 @@ and the meet is intersection.  Two instances ship:
   lines l_i + 0 and 0 + l'_i; 0}, the literal reading of the survey data;
 * the 16-element subspace closure that also contains 0 + V_2 and V_1 + 0
   (one whole side vanishes).  Only this one has the six corank-2 elements
-  that the explicit Euler factor's -6 q^{-2|c|} term counts; the
-  coefficient-by-coefficient comparison lives in the diagnostics and is
-  asserted only for the 16-element lattice.
+  that the explicit Euler factor's -6 q^{-2|c|} term counts, and only its
+  local factors match heightzeta's display coefficient by coefficient.
 
 A local condition at a closed point is a multiplicity assignment m on the
 lattice with m(V) treated as infinity; it is saturated when every level set
@@ -47,17 +46,14 @@ acceptance suite) while depth-1 conditions at fresh points cost one unit.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DegreeMismatch, NotComparable, NotSaturated, TooLarge
-from .field import FieldSpec, poly_divmod, poly_mul
+from .errors import DegreeMismatch, NotSaturated
+from .field import FieldSpec
 from .heightzeta import TruncatedMultiSeries, series_one
-from .linalg import rank
-from .projline import ClosedPoint, closed_points_up_to, count_closed_points_for
-from .secenum import SurfaceConfig
+from .projline import count_closed_points_for
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +147,6 @@ def subspace_q_lattice() -> ConditionLattice:
     return _build_lattice("subspace16", elems)
 
 
-def meet(lattice: ConditionLattice, p, q):
-    """Meet of two elements given as (A, B) pairs or indices."""
-    i = p if isinstance(p, int) else lattice.index(p)
-    j = q if isinstance(q, int) else lattice.index(q)
-    return lattice.elements[lattice.meet_idx[i][j]]
-
-
 # ---------------------------------------------------------------------------
 # local conditions
 
@@ -219,14 +208,6 @@ def condition_gamma(lattice: ConditionLattice, cond) -> int:
     return sum(lattice.coranks[m] for m in condition_chain(lattice, cond))
 
 
-def condition_leq(lattice: ConditionLattice, lo, hi) -> bool:
-    return all(a <= b for a, b in zip(lo, hi))
-
-
-def condition_max_order(cond) -> int:
-    return max(cond) if cond else 0
-
-
 def condition_excess(lattice: ConditionLattice, base, cond, degree: int) -> int:
     """Degree-weighted truncation excess of cond over base (see module doc)."""
     cb = condition_chain(lattice, base)
@@ -235,107 +216,8 @@ def condition_excess(lattice: ConditionLattice, base, cond, degree: int) -> int:
     return degree * ((len(cc) - len(cb)) + refined)
 
 
-@lru_cache(maxsize=None)
-def _local_shapes(lattice: ConditionLattice, max_order: int) -> tuple:
-    """All saturated conditions with multiplicity depth <= max_order.
-
-    Level sets of a saturated condition are principal filters up(e_j) with
-    e_1 <= e_2 <= ... in the lattice order, so conditions are enumerated as
-    weakly increasing chains of non-top elements; the empty chain is the
-    trivial condition.
-    """
-    chains_by_len = {0: [()]}
-    for length in range(1, max_order + 1):
-        new = []
-        for ch in chains_by_len[length - 1]:
-            for e in lattice.nontop:
-                if not ch or lattice.leq(ch[-1], e):
-                    new.append(ch + (e,))
-        chains_by_len[length] = new
-    conds = []
-    for chains in chains_by_len.values():
-        for ch in chains:
-            m = [0] * len(lattice.elements)
-            for e in ch:
-                # level j has principal filter up(ch[j-1])
-                for i in range(len(lattice.elements)):
-                    if lattice.leq(e, i) and i != lattice.top:
-                        m[i] += 1
-            conds.append(tuple(m[i] for i in lattice.nontop))
-    return tuple(sorted(set(conds)))
-
-
 # ---------------------------------------------------------------------------
-# configurations
-
-@dataclass(frozen=True)
-class Configuration:
-    """Finitely supported assignment of saturated local conditions."""
-
-    lattice: ConditionLattice
-    data: tuple          # sorted ((ClosedPoint, cond), ...), conds nonzero
-
-    def condition_at(self, pt: ClosedPoint):
-        for p, c in self.data:
-            if p == pt:
-                return c
-        return tuple(0 for _ in self.lattice.nontop)
-
-    @property
-    def support(self):
-        return tuple(pt for pt, _ in self.data)
-
-
-def configuration(lattice: ConditionLattice, assignments) -> Configuration:
-    data = []
-    for pt, cond in assignments:
-        validate_condition(lattice, cond)
-        if any(cond):
-            data.append((pt, tuple(cond)))
-    data.sort(key=lambda e: (e[0], e[1]))
-    return Configuration(lattice=lattice, data=tuple(data))
-
-
-def empty_configuration(lattice: ConditionLattice) -> Configuration:
-    return Configuration(lattice=lattice, data=())
-
-
-def config_leq(w: Configuration, x: Configuration) -> bool:
-    """Pointwise divisor containment at every lattice element."""
-    assert w.lattice is x.lattice
-    for pt, cond in w.data:
-        if not condition_leq(w.lattice, cond, x.condition_at(pt)):
-            return False
-    return True
-
-
-def config_from_divisor_tuple(lattice: ConditionLattice, w) -> Configuration:
-    """The configuration induced by a disjoint divisor tuple: component i
-    places its multiplicities at the plane W_i."""
-    by_point: dict = {}
-    for i, div in enumerate(w):
-        for pt, mult in div.entries:
-            cond = by_point.setdefault(pt, {})
-            cond[(i, i)] = cond.get((i, i), 0) + mult
-    return configuration(lattice, [(pt, local_condition(lattice, m))
-                                   for pt, m in by_point.items()])
-
-
-def gamma(x: Configuration) -> int:
-    """Expected codimension: degree-weighted sum of local level coranks."""
-    return sum(pt.degree * condition_gamma(x.lattice, cond) for pt, cond in x.data)
-
-
-def config_excess(w: Configuration, x: Configuration) -> int:
-    assert config_leq(w, x)
-    total = 0
-    for pt, cond in x.data:
-        total += condition_excess(x.lattice, w.condition_at(pt), cond, pt.degree)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Moebius functions
+# local Moebius values
 
 def _chain_condition(lattice: ConditionLattice, chain) -> tuple:
     """Inverse of condition_chain: m(e) counts the levels whose meet is <= e
@@ -374,126 +256,8 @@ def _crosscut(lattice: ConditionLattice, base) -> tuple:
     return tuple((_chain_condition(lattice, tau), m) for tau, m in mu.items() if m)
 
 
-@lru_cache(maxsize=None)
-def _conditions_between(lattice: ConditionLattice, lo, hi) -> tuple:
-    out = []
-    for cand in _local_shapes(lattice, condition_max_order(hi)):
-        if condition_leq(lattice, lo, cand) and condition_leq(lattice, cand, hi):
-            out.append(cand)
-    return tuple(out)
-
-
-def interval(w: Configuration, x: Configuration):
-    """All configurations between w and x (product of local intervals)."""
-    if not config_leq(w, x):
-        raise NotComparable("w is not below x")
-    lattice = w.lattice
-    pts = x.support
-    locals_ = []
-    for pt in pts:
-        lo, hi = w.condition_at(pt), x.condition_at(pt)
-        locals_.append([(pt, c) for c in _conditions_between(lattice, lo, hi)])
-    out = []
-    for combo in itertools.product(*locals_):
-        out.append(configuration(lattice, list(combo)))
-    return out
-
-
-def mobius(w: Configuration, x: Configuration, recursive: bool = False) -> int:
-    """mu(w, x) of the configuration poset.
-
-    The default multiplies the local crosscut values over closed points;
-    recursive=True runs the generic interval recursion instead, so
-    multiplicativity and the crosscut are tested facts, not assumptions.
-    """
-    if not config_leq(w, x):
-        raise NotComparable("w is not below x")
-    if recursive:
-        return _mobius_recursive(w, x)
-    out = 1
-    for pt in x.support:
-        out *= dict(_crosscut(w.lattice, w.condition_at(pt))).get(x.condition_at(pt), 0)
-    return out
-
-
-def _mobius_recursive(w: Configuration, x: Configuration) -> int:
-    members = interval(w, x)
-    members.sort(key=lambda y: gamma(y))
-    mu = {}
-    for y in members:
-        if y.data == w.data:
-            mu[y.data] = 1
-            continue
-        acc = 0
-        for z in members:
-            if z.data != y.data and config_leq(z, y):
-                acc += mu.get(z.data, 0)
-        mu[y.data] = -acc
-    return mu[x.data]
-
-
-# ---------------------------------------------------------------------------
-# enumeration of configurations above a base
-
-def enumerate_configs_above(w, D: int, K: FieldSpec,
-                            lattice: ConditionLattice | None = None,
-                            limit: int = 500_000):
-    """All saturated configurations dominating the w-induced configuration
-    with excess at most D, in deterministic order.
-
-    w is a tuple of four effective divisors with disjoint supports, or a
-    Configuration.  Excess counts depth growth plus strict level
-    refinements, degree-weighted (module doc); D = 0 yields exactly the
-    base configuration.
-    """
-    if D < 0:
-        raise ValueError("D must be >= 0")
-    lattice = lattice or subspace_q_lattice()
-    base = w if isinstance(w, Configuration) else config_from_divisor_tuple(lattice, w)
-    base_pts = list(base.support)
-    new_pts = [pt for pt in closed_points_up_to(K, max(1, D))
-               if pt.degree <= D and pt not in base_pts] if D >= 1 else []
-    all_pts = base_pts + new_pts
-
-    per_point = []
-    for pt in all_pts:
-        lo = base.condition_at(pt)
-        lo_ord = condition_max_order(lo)
-        cands = []
-        for cand in _local_shapes(lattice, lo_ord + D // pt.degree):
-            if condition_leq(lattice, lo, cand):
-                excess = condition_excess(lattice, lo, cand, pt.degree)
-                if excess <= D:
-                    cands.append((cand, excess))
-        per_point.append(cands)
-
-    out = []
-
-    def rec(idx, remaining, acc):
-        if len(out) > limit:
-            raise TooLarge("configuration inventory exceeds limit")
-        if idx == len(all_pts):
-            out.append(configuration(lattice, acc))
-            return
-        pt = all_pts[idx]
-        for cand, excess in per_point[idx]:
-            if excess <= remaining:
-                rec(idx + 1, remaining - excess, acc + [(pt, cand)])
-
-    rec(0, D, [])
-    out.sort(key=lambda x: (config_excess(base, x), x.data))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # sieve sums
-
-# Most monomials t^k' T^e (k' <= k, e <= D) one sieve product may carry:
-# (9, 9, 9, 9) at D = 0 takes 31 s on a 2-core machine, nearly all of it in
-# the series products.  Any k with at most 200,000 tuples at q in {3, 4, 5}
-# has at most 108 t-monomials, so runs through D = 91.
-SIEVE_MONOMIAL_CAP = 10_000
-
 
 @dataclass(frozen=True)
 class SievePrediction:
@@ -542,9 +306,10 @@ def sieve_sum(K: FieldSpec, k, D: int,
     """Exact truncated sieve sum: mu(x_w, x) q^{-gamma(x)} summed over w in
     U_k(F_q) and saturated x above x_w with excess <= D.
 
-    Moebius multiplicativity (tested against the generic recursion) makes
-    this the coefficient of t^k in one Euler-type product (_sieve_partials).
-    Raises TooLarge before multiplying past SIEVE_MONOMIAL_CAP monomials.
+    Moebius multiplicativity over closed points makes this the coefficient
+    of t^k in one Euler-type product (_sieve_partials).  Raises TooLarge
+    before multiplying when the product's orders k and D admit more than
+    heightzeta.MONOMIAL_CAP monomials.
     The D = 0 value is the bare sum_w q^{-gamma(x_w)}; with_deltas returns
     the partial values at truncations 0..D.
     """
@@ -554,10 +319,6 @@ def sieve_sum(K: FieldSpec, k, D: int,
         raise DegreeMismatch("a contact pattern is four non-negative degrees")
     if D < 0:
         raise ValueError("D must be >= 0")
-    size = math.prod(o + 1 for o in k + (D,))
-    if size > SIEVE_MONOMIAL_CAP:
-        raise TooLarge(f"sieve product for k = {k}, D = {D} has {size} monomials, "
-                       f"above the cap {SIEVE_MONOMIAL_CAP}")
     partials = _sieve_partials(lattice, K.q, tuple(sorted(k)), D)
     return list(partials) if with_deltas else partials[D]
 
@@ -583,7 +344,7 @@ def _sieve_partials(lattice: ConditionLattice, q: int, k: tuple, D: int) -> tupl
             num = _local_poly(lattice, q, d, local_condition(lattice, {(0, 0): m}), D)
             for i, e in itertools.product(range(4), range(D + 1)):
                 coeffs[(0,) * i + (m * d,) + (0,) * (3 - i) + (e,)] = num[e]
-        factor = TruncatedMultiSeries(orders, None, coeffs)
+        factor = TruncatedMultiSeries(orders, coeffs)
         product = product * factor.power(count_closed_points_for(q, d))
     return tuple(itertools.accumulate(
         product.coefficient(k + (e,)) for e in range(D + 1)))
@@ -597,114 +358,3 @@ def prediction(K: FieldSpec, a: int, b: int, k, D: int,
                            value=K.q ** (2 * a + 2 * b + 4) * value,
                            stable_range=stable_range_I(a, b, k))
 
-
-# ---------------------------------------------------------------------------
-# exact linear-algebra oracle for gamma
-
-def gamma_rank_oracle(x: Configuration, a: int, b: int, cfg: SurfaceConfig) -> int:
-    """Rank of the exact linear system imposed by x on the section space.
-
-    Assembles, over F_q, the conditions "the section lies in the prescribed
-    subspace to the prescribed order" for every lattice element with
-    positive multiplicity, as linear equations on the 2a+2b+4 coefficients,
-    and returns the codimension of the solution space: the ground truth for
-    gamma in the stable range.
-    """
-    K = cfg.field
-    rows = []
-    for pt, cond in x.data:
-        for pos, idx in enumerate(x.lattice.nontop):
-            mult = cond[pos]
-            if mult == 0:
-                continue
-            A, B = x.lattice.elements[idx]
-            rows.extend(_subspace_rows(K, cfg, pt, mult, A, side="s", degree=a))
-            rows.extend(_subspace_rows(K, cfg, pt, mult, B, side="t", degree=b))
-    if not rows:
-        return 0
-    width = (2 * a + 2) + (2 * b + 2)
-    full = []
-    for side, row in rows:
-        vec = [0] * width
-        base = 0 if side == "s" else 2 * a + 2
-        for i, v in enumerate(row):
-            vec[base + i] = v
-        full.append(vec)
-    return rank(K, full)
-
-
-def _subspace_rows(K: FieldSpec, cfg: SurfaceConfig, pt: ClosedPoint, mult: int,
-                   factor, side: str, degree: int):
-    """Rows for "this side's value at pt lies in factor, to order mult"."""
-    if factor == "full":
-        return []
-    if factor == "zero":
-        rows = []
-        for coord in (0, 1):
-            for r in _vanishing_rows(K, pt, mult, degree):
-                rows.append((side, _embed(r, coord, degree)))
-        return rows
-    lam = (cfg.lam if side == "s" else cfg.lam2)(factor)
-    d, negc = lam
-    rows = []
-    for r in _vanishing_rows(K, pt, mult, degree):
-        combined = [K.mul(d, v) for v in r] + [K.mul(negc, v) for v in r]
-        rows.append((side, combined))
-    return rows
-
-
-def _embed(row, coord, degree):
-    zero = [0] * (degree + 1)
-    return (list(row) + zero) if coord == 0 else (zero + list(row))
-
-
-@lru_cache(maxsize=None)
-def _vanishing_rows(K: FieldSpec, pt: ClosedPoint, mult: int, degree: int):
-    """Rows expressing "a degree-`degree` form vanishes on mult * pt"."""
-    ncols = degree + 1
-    if pt.is_infinity:
-        # order at infinity = number of vanishing top coefficients
-        rows = []
-        for j in range(min(mult, ncols)):
-            row = [0] * ncols
-            row[ncols - 1 - j] = 1
-            rows.append(tuple(row))
-        return tuple(rows)
-    modulus = pt.poly
-    for _ in range(mult - 1):
-        modulus = poly_mul(K, modulus, pt.poly)
-    red = len(modulus) - 1
-    rows = [[0] * ncols for _ in range(red)]
-    for j in range(ncols):
-        xj = (0,) * j + (1,)
-        _, rem = poly_divmod(K, xj, modulus)
-        for r in range(red):
-            rows[r][j] = rem[r] if r < len(rem) else 0
-    return tuple(tuple(r) for r in rows)
-
-
-# ---------------------------------------------------------------------------
-# diagnostic: local factor of a lattice vs the explicit Euler factor
-
-def lattice_local_factor(lattice: ConditionLattice, q: int, deg: int,
-                         u_order: int, t_order: int) -> dict:
-    """Local factor of the lattice at a degree-`deg` point.
-
-    Returns {m: Fraction}: entry m sums mu(base_m, tau) q^{-deg gamma(tau)}
-    over saturated tau above the depth-m plane condition at a fixed marked
-    index (the four are symmetric), truncated to gamma <= u_order, times
-    the height-zeta bookkeeping power q^{deg m}.  Entry 0 is the factor's
-    constant part; comparisons against the closed-form display live in the
-    heightzeta module.
-    """
-    empty = tuple(0 for _ in lattice.nontop)
-    out = {}
-    for m in range(t_order + 1):
-        base = local_condition(lattice, {(0, 0): m}) if m else empty
-        acc = Fraction(0)
-        for tau, mu in _crosscut(lattice, base):
-            g = condition_gamma(lattice, tau)
-            if g <= u_order:
-                acc += mu * Fraction(1, q ** (deg * g))
-        out[m] = acc * q ** (deg * m)
-    return out

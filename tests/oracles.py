@@ -1,0 +1,592 @@
+"""Brute-force references for the engines in src/dp4sieve.
+
+Nothing here runs in the pipeline; each block recomputes what one engine
+computes, by a path that shares as little with it as possible:
+
+* section counting: one pass over every coprime section pair of a bidegree,
+  tallied by the four contact divisors that polynomial gcds give, against
+  secenum's contact-degree join; the join-based fiber count; u_k_points;
+  the elementary transform remark_config;
+* the configuration poset behind the sieve: configurations, intervals, the
+  generic Moebius recursion, enumeration above a base, and the exact rank
+  of the linear system a configuration imposes;
+* small closed forms: surface_count, tamagawa_exact, count_nef_points.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from collections import Counter
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
+
+from dp4sieve import secenum as se
+from dp4sieve import sieve as sv
+from dp4sieve.errors import DegreeMismatch, TooLarge, ZeroForm
+from dp4sieve.field import FieldSpec, poly_divmod, poly_mul, poly_trim
+from dp4sieve.heightzeta import good_factor
+from dp4sieve.linalg import row_reduce
+from dp4sieve.projline import (
+    ZERO_DIVISOR,
+    ClosedPoint,
+    EffectiveDivisor,
+    _affine_part,
+    _affine_point,
+    closed_points_up_to,
+    count_closed_points_for,
+    divisor,
+    divisor_of_form,
+    factor_poly,
+    form_is_zero,
+    hilb_points,
+    point_at_infinity,
+)
+from dp4sieve.secenum import DEFAULT_BUDGET, SurfaceConfig
+from dp4sieve.sieve import ConditionLattice
+
+
+# ---------------------------------------------------------------------------
+# polynomial gcds and exact linear algebra
+
+def poly_gcd(K: FieldSpec, a, b):
+    """Monic gcd; gcd(a, 0) = monic(a)."""
+    a, b = poly_trim(a), poly_trim(b)
+    while b:
+        _, a = poly_divmod(K, a, b)
+        a, b = b, a
+    if a:
+        inv = K.inv(a[-1])
+        a = tuple(K.mul(c, inv) for c in a)
+    return a
+
+
+def rational_point(K: FieldSpec, x: int) -> ClosedPoint:
+    """The degree-1 point at affine coordinate x."""
+    return _affine_point(K, (K.neg(x), 1))
+
+
+def form_gcd(K: FieldSpec, f, g) -> EffectiveDivisor:
+    """Pointwise minimum of the two divisors, as a divisor.
+
+    Equals the divisor of the polynomial gcd of the affine parts plus the
+    minimum of the orders at infinity.  A zero form acts as the neutral
+    upper bound: form_gcd(0, g) = div(g).
+    """
+    fz, gz = form_is_zero(f), form_is_zero(g)
+    if fz and gz:
+        raise ZeroForm("gcd of two zero forms")
+    if fz:
+        return divisor_of_form(K, g)
+    if gz:
+        return divisor_of_form(K, f)
+    aff_f, inf_f = _affine_part(f)
+    aff_g, inf_g = _affine_part(g)
+    gcd_poly = poly_gcd(K, aff_f, aff_g)
+    pairs = factor_poly(K, gcd_poly) if len(gcd_poly) > 1 else []
+    inf_mult = min(inf_f, inf_g)
+    if inf_mult:
+        pairs.append((point_at_infinity(), inf_mult))
+    return divisor(pairs)
+
+
+def form_gcd_degree(K: FieldSpec, f, g) -> int:
+    """Degree of form_gcd without factoring."""
+    fz, gz = form_is_zero(f), form_is_zero(g)
+    if fz and gz:
+        raise ZeroForm("gcd of two zero forms")
+    if fz:
+        return len(g) - 1
+    if gz:
+        return len(f) - 1
+    aff_f, inf_f = _affine_part(f)
+    aff_g, inf_g = _affine_part(g)
+    gcd_poly = poly_gcd(K, aff_f, aff_g)
+    return max(0, len(gcd_poly) - 1) + min(inf_f, inf_g)
+
+
+def rank(K, rows) -> int:
+    return len(row_reduce(K, rows)[1])
+
+
+def nullspace(K, rows) -> list:
+    """Basis of {x : rows . x = 0}, one vector per free column, in column
+    order: the free entry is 1, the other free entries 0, and the pivot
+    entries are read off the reduced row echelon form."""
+    ncols = len(rows[0])
+    m, pivots, _, _ = row_reduce(K, rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [0] * ncols
+        vec[free] = 1
+        for r, col in enumerate(pivots):
+            vec[col] = K.neg(m[r][free])
+        basis.append(tuple(vec))
+    return basis
+
+
+# ---------------------------------------------------------------------------
+# section counting: one brute-force pass per bidegree
+
+def _composite(K: FieldSpec, lam, pair):
+    d, negc = lam
+    f1, f2 = pair
+    return tuple(K.add(K.mul(d, x), K.mul(negc, y)) for x, y in zip(f1, f2))
+
+
+@lru_cache(maxsize=None)
+def _contact(K: FieldSpec, g, h) -> EffectiveDivisor:
+    # two zero composites: a constant section at the marked point, contact 0
+    return ZERO_DIVISOR if form_is_zero(g) and form_is_zero(h) else form_gcd(K, g, h)
+
+
+def contact_divisors(cfg: SurfaceConfig, s, t) -> tuple:
+    """The four contact divisors of the section pair (s, t), each a pair of
+    coefficient tuples: the gcd of the composites lambda_i(s), lambda'_i(t),
+    with the zero conventions of secenum's module docstring."""
+    K = cfg.field
+    for name, side in (("s", s), ("t", t)):
+        if all(form_is_zero(f) for f in side):
+            raise ZeroForm(f"{name} is identically zero")
+    return tuple(_contact(K, _composite(K, cfg.lam(i), s), _composite(K, cfg.lam2(i), t))
+                 for i in range(4))
+
+
+def _coprime_side(K: FieldSpec, degree: int) -> list:
+    forms = list(itertools.product(range(K.q), repeat=degree + 1))
+    return [(f1, f2) for f1 in forms for f2 in forms
+            if not (form_is_zero(f1) and form_is_zero(f2))
+            and form_gcd_degree(K, f1, f2) == 0]
+
+
+@lru_cache(maxsize=None)
+def contact_tally(cfg: SurfaceConfig, a: int, b: int) -> Counter:
+    """Every section pair of bidegree (a, b), both sides coprime, tallied by
+    its four contact divisors.  Charges the naive q^(2a+2b+4)."""
+    q = cfg.field.q
+    se._charge(q ** (2 * a + 2 * b + 4), DEFAULT_BUDGET, f"naive cost {q}^{2 * a + 2 * b + 4}")
+    T = _coprime_side(cfg.field, b)
+    return Counter(contact_divisors(cfg, s, t) for s in _coprime_side(cfg.field, a) for t in T)
+
+
+def count_sections_raw(cfg: SurfaceConfig, a: int, b: int, k) -> int:
+    """Reference for secenum.count_sections."""
+    k = tuple(k)
+    return sum(n for key, n in contact_tally(cfg, a, b).items()
+               if tuple(d.degree for d in key) == k)
+
+
+def fiber_count_raw(cfg: SurfaceConfig, w, a: int, b: int) -> int:
+    """Reference for fiber_count."""
+    return contact_tally(cfg, a, b)[tuple(w)]
+
+
+def _disjoint(divisors) -> bool:
+    support = [pt for d in divisors for pt in d.support]
+    return len(support) == len(set(support))
+
+
+def u_k_points(K: FieldSpec, k, limit: int = 200_000):
+    """All tuples (T_1..T_4) of effective divisors, deg T_i = k_i, with
+    pairwise disjoint supports; deterministic order."""
+    if any(x < 0 for x in k):
+        raise DegreeMismatch("contact orders must be non-negative")
+    pools = [hilb_points(K, x) for x in k]
+    est = math.prod(map(len, pools))
+    if est > limit:
+        raise TooLarge(f"{est} candidate tuples exceeds limit {limit}")
+    return [combo for combo in itertools.product(*pools) if _disjoint(combo)]
+
+
+def fiber_count(cfg: SurfaceConfig, w, a: int, b: int,
+                budget: int = DEFAULT_BUDGET) -> int:
+    """Sections whose four contact divisors equal the given tuple exactly,
+    through secenum's join kernel with 0/1 tables and unreduced rows.
+
+    w is a tuple of four effective divisors with pairwise disjoint
+    supports; summing over all of u_k_points recovers count_sections for
+    k = (deg w_i).
+    """
+    if len(w) != 4:
+        raise DegreeMismatch("w must have four components")
+    if not _disjoint(w):
+        raise ValueError("components of w share support")
+    spent = se._charge_sides(cfg, a, b, budget)
+    S = se._side_summary(cfg, "s", a)
+    T = se._side_summary(cfg, "t", b)
+    se._charge(spent + S[0].shape[1] * T[0].shape[1], budget,
+               "side enumerations plus join pairs")
+    tables = [_fiber_table(cfg.field, a, b, d) for d in w]
+    return int(se._join(*S, *T, tables, 2)[-1])
+
+
+def _fiber_table(K: FieldSpec, deg_s: int, deg_t: int, w: EffectiveDivisor):
+    """0/1 table [min(D, D') = w] over the same rows and columns as
+    _degree_table, with the same zero rules (two zero forms meet in 0)."""
+    S = list(se._inventory(K, deg_s)[0]) + [None]
+    T = list(se._inventory(K, deg_t)[0]) + [None]
+
+    def meet(x, y):
+        if x is None:
+            return ZERO_DIVISOR if y is None else y
+        return x if y is None else x.min(y)
+
+    return np.array([[meet(x, y) == w for y in T] for x in S], dtype=np.int64)
+
+
+def remark_config(cfg: SurfaceConfig, i: int, j: int):
+    """Re-coordinatize through the contraction keeping the first ruling and
+    replacing the second by the pencil of (1,1)-curves through centers i, j.
+
+    In lattice terms this is the marking (F, F+F'-E_i-E_j) with contracted
+    classes (E_m1, E_m2, F-E_i, F-E_j), m1 < m2 the other two indices.  A
+    class with identity invariants (a, b, k) has new invariants
+    (a, a+b-k_i-k_j, (k_m1, k_m2, a-k_i, a-k_j)); the section counts of the
+    two models agree because both enumerate the same abstract moduli
+    points.  Returns (new_config, new_invariants_function).
+    """
+    K = cfg.field
+    if i == j or not (0 <= i < 4 and 0 <= j < 4):
+        raise ValueError("need two distinct center indices")
+    others = [m for m in range(4) if m not in (i, j)]
+    m1, m2 = others
+
+    # solve for the pencil basis: G(u, v) = sum g_ab u_a v_b vanishing at
+    # centers i and j; exact nullspace of a 2x4 system over the field
+    basis = nullspace(K, [se._bidegree_monomials(K, cfg.first[m], cfg.second[m])
+                          for m in (i, j)])
+    assert len(basis) == 2, "pencil through two centers must be 2-dimensional"
+    G1, G2 = basis
+
+    def ev(G, u, v):
+        acc = 0
+        for g, mono in zip(G, se._bidegree_monomials(K, u, v)):
+            acc = K.add(acc, K.mul(g, mono))
+        return acc
+
+    def psi(u, v):
+        return (ev(G1, u, v), ev(G2, u, v))
+
+    new_first, new_second = [], []
+    for m in (m1, m2):
+        img = psi(cfg.first[m], cfg.second[m])
+        if img == (0, 0):
+            raise ValueError(f"center {m} lies on the pencil base locus")
+        new_first.append(cfg.first[m])
+        new_second.append(img)
+    for m in (i, j):
+        # along the fiber u = p_m both pencil members are multiples of the
+        # same linear form in v; their constant ratio is the image point
+        probe = next(pt for pt in _projective_points(K) if pt != cfg.second[m])
+        img = (ev(G1, cfg.first[m], probe), ev(G2, cfg.first[m], probe))
+        if img == (0, 0):
+            raise ValueError(f"fiber through center {m} collapses badly")
+        new_first.append(cfg.first[m])
+        new_second.append(img)
+    new_cfg = se.validate_points(K, list(zip(new_first, new_second)),
+                                 allow_on_bidegree_curve=True)
+
+    def new_invariants(a: int, b: int, k):
+        k = tuple(k)
+        return (a, a + b - k[i] - k[j],
+                (k[m1], k[m2], a - k[i], a - k[j]))
+
+    return new_cfg, new_invariants
+
+
+def _projective_points(K: FieldSpec):
+    return [(c, 1) for c in K.elements()] + [(1, 0)]
+
+
+def clear_caches():
+    """Drop all of secenum's in-memory caches (histograms, summaries,
+    tables), so that a second run recomputes or reads the on-disk cache."""
+    for cached in (se._contact_histogram, se._side_orbits, se._side_summary, se._pgl2_perms,
+                   se._degree_table, se._form_divisor_ids, se._inventory, se._np_tables):
+        cached.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# the configuration poset behind the sieve
+
+def condition_leq(lattice: ConditionLattice, lo, hi) -> bool:
+    return all(a <= b for a, b in zip(lo, hi))
+
+
+def condition_max_order(cond) -> int:
+    return max(cond) if cond else 0
+
+
+@lru_cache(maxsize=None)
+def _local_shapes(lattice: ConditionLattice, max_order: int) -> tuple:
+    """All saturated conditions with multiplicity depth <= max_order.
+
+    Level sets of a saturated condition are principal filters up(e_j) with
+    e_1 <= e_2 <= ... in the lattice order, so conditions are enumerated as
+    weakly increasing chains of non-top elements; the empty chain is the
+    trivial condition.
+    """
+    chains, level = [()], [()]
+    for _ in range(max_order):
+        level = [ch + (e,) for ch in level for e in lattice.nontop
+                 if not ch or lattice.leq(ch[-1], e)]
+        chains += level
+    return tuple(sorted({sv._chain_condition(lattice, ch) for ch in chains}))
+
+
+@dataclass(frozen=True)
+class Configuration:
+    """Finitely supported assignment of saturated local conditions."""
+
+    lattice: ConditionLattice
+    data: tuple          # sorted ((ClosedPoint, cond), ...), conds nonzero
+
+    def condition_at(self, pt: ClosedPoint):
+        for p, c in self.data:
+            if p == pt:
+                return c
+        return tuple(0 for _ in self.lattice.nontop)
+
+    @property
+    def support(self):
+        return tuple(pt for pt, _ in self.data)
+
+
+def configuration(lattice: ConditionLattice, assignments) -> Configuration:
+    data = []
+    for pt, cond in assignments:
+        sv.validate_condition(lattice, cond)
+        if any(cond):
+            data.append((pt, tuple(cond)))
+    data.sort(key=lambda e: (e[0], e[1]))
+    return Configuration(lattice=lattice, data=tuple(data))
+
+
+def empty_configuration(lattice: ConditionLattice) -> Configuration:
+    return Configuration(lattice=lattice, data=())
+
+
+def config_leq(w: Configuration, x: Configuration) -> bool:
+    """Pointwise divisor containment at every lattice element."""
+    assert w.lattice is x.lattice
+    return all(condition_leq(w.lattice, cond, x.condition_at(pt)) for pt, cond in w.data)
+
+
+def config_from_divisor_tuple(lattice: ConditionLattice, w) -> Configuration:
+    """The configuration induced by a disjoint divisor tuple: component i
+    places its multiplicities at the plane W_i."""
+    by_point: dict = {}
+    for i, div in enumerate(w):
+        for pt, mult in div.entries:
+            cond = by_point.setdefault(pt, {})
+            cond[(i, i)] = cond.get((i, i), 0) + mult
+    return configuration(lattice, [(pt, sv.local_condition(lattice, m))
+                                   for pt, m in by_point.items()])
+
+
+def gamma(x: Configuration) -> int:
+    """Expected codimension: degree-weighted sum of local level coranks."""
+    return sum(pt.degree * sv.condition_gamma(x.lattice, cond) for pt, cond in x.data)
+
+
+def config_excess(w: Configuration, x: Configuration) -> int:
+    assert config_leq(w, x)
+    return sum(sv.condition_excess(x.lattice, w.condition_at(pt), cond, pt.degree)
+               for pt, cond in x.data)
+
+
+@lru_cache(maxsize=None)
+def _conditions_between(lattice: ConditionLattice, lo, hi) -> tuple:
+    return tuple(cand for cand in _local_shapes(lattice, condition_max_order(hi))
+                 if condition_leq(lattice, lo, cand) and condition_leq(lattice, cand, hi))
+
+
+def interval(w: Configuration, x: Configuration):
+    """All configurations between w and x (product of local intervals)."""
+    if not config_leq(w, x):
+        raise ValueError("w is not below x")
+    lattice = w.lattice
+    locals_ = [[(pt, c) for c in _conditions_between(lattice, w.condition_at(pt), x.condition_at(pt))]
+               for pt in x.support]
+    return [configuration(lattice, list(combo)) for combo in itertools.product(*locals_)]
+
+
+def mobius(w: Configuration, x: Configuration) -> int:
+    """mu(w, x) of the configuration poset as the product over closed
+    points of the local crosscut values that the sieve uses."""
+    if not config_leq(w, x):
+        raise ValueError("w is not below x")
+    out = 1
+    for pt in x.support:
+        out *= dict(sv._crosscut(w.lattice, w.condition_at(pt))).get(x.condition_at(pt), 0)
+    return out
+
+
+def mobius_recursive(w: Configuration, x: Configuration) -> int:
+    """mu(w, x) by the generic recursion over the interval [w, x]."""
+    members = interval(w, x)
+    members.sort(key=lambda y: gamma(y))
+    mu = {}
+    for y in members:
+        if y.data == w.data:
+            mu[y.data] = 1
+            continue
+        acc = 0
+        for z in members:
+            if z.data != y.data and config_leq(z, y):
+                acc += mu.get(z.data, 0)
+        mu[y.data] = -acc
+    return mu[x.data]
+
+
+def enumerate_configs_above(w, D: int, K: FieldSpec,
+                            lattice: ConditionLattice | None = None,
+                            limit: int = 500_000):
+    """All saturated configurations dominating the w-induced configuration
+    with excess at most D, in deterministic order.
+
+    w is a tuple of four effective divisors with disjoint supports, or a
+    Configuration.  Excess counts depth growth plus strict level
+    refinements, degree-weighted (sieve module doc); D = 0 yields exactly
+    the base configuration.
+    """
+    if D < 0:
+        raise ValueError("D must be >= 0")
+    lattice = lattice or sv.subspace_q_lattice()
+    base = w if isinstance(w, Configuration) else config_from_divisor_tuple(lattice, w)
+    base_pts = list(base.support)
+    new_pts = [pt for pt in closed_points_up_to(K, max(1, D))
+               if pt.degree <= D and pt not in base_pts] if D >= 1 else []
+    all_pts = base_pts + new_pts
+
+    per_point = []
+    for pt in all_pts:
+        lo = base.condition_at(pt)
+        lo_ord = condition_max_order(lo)
+        cands = []
+        for cand in _local_shapes(lattice, lo_ord + D // pt.degree):
+            if condition_leq(lattice, lo, cand):
+                excess = sv.condition_excess(lattice, lo, cand, pt.degree)
+                if excess <= D:
+                    cands.append((cand, excess))
+        per_point.append(cands)
+
+    out = []
+
+    def rec(idx, remaining, acc):
+        if len(out) > limit:
+            raise TooLarge("configuration inventory exceeds limit")
+        if idx == len(all_pts):
+            out.append(configuration(lattice, acc))
+            return
+        pt = all_pts[idx]
+        for cand, excess in per_point[idx]:
+            if excess <= remaining:
+                rec(idx + 1, remaining - excess, acc + [(pt, cand)])
+
+    rec(0, D, [])
+    out.sort(key=lambda x: (config_excess(base, x), x.data))
+    return out
+
+
+def gamma_rank_oracle(x: Configuration, a: int, b: int, cfg: SurfaceConfig) -> int:
+    """Rank of the exact linear system imposed by x on the section space.
+
+    Assembles, over F_q, the conditions "the section lies in the prescribed
+    subspace to the prescribed order" for every lattice element with
+    positive multiplicity, as linear equations on the 2a+2b+4 coefficients,
+    and returns the codimension of the solution space: the ground truth for
+    gamma in the stable range.
+    """
+    K = cfg.field
+    rows = []
+    for pt, cond in x.data:
+        for mult, idx in zip(cond, x.lattice.nontop):
+            if mult:
+                A, B = x.lattice.elements[idx]
+                rows += [r + [0] * (2 * b + 2) for r in _subspace_rows(K, cfg.lam, pt, mult, A, a)]
+                rows += [[0] * (2 * a + 2) + r for r in _subspace_rows(K, cfg.lam2, pt, mult, B, b)]
+    return rank(K, rows) if rows else 0
+
+
+def _subspace_rows(K: FieldSpec, lam, pt: ClosedPoint, mult: int, factor, degree: int):
+    """Rows on one side's 2 * degree + 2 coefficients for "the side's value
+    at pt lies in factor, to order mult"."""
+    if factor == "full":
+        return []
+    zero = [0] * (degree + 1)
+    rows = [list(r) for r in _vanishing_rows(K, pt, mult, degree)]
+    if factor == "zero":
+        return [r + zero for r in rows] + [zero + r for r in rows]
+    d, negc = lam(factor)
+    return [[K.mul(d, v) for v in r] + [K.mul(negc, v) for v in r] for r in rows]
+
+
+@lru_cache(maxsize=None)
+def _vanishing_rows(K: FieldSpec, pt: ClosedPoint, mult: int, degree: int):
+    """Rows expressing "a degree-`degree` form vanishes on mult * pt"."""
+    ncols = degree + 1
+    if pt.is_infinity:
+        # order at infinity = number of vanishing top coefficients
+        rows = []
+        for j in range(min(mult, ncols)):
+            row = [0] * ncols
+            row[ncols - 1 - j] = 1
+            rows.append(tuple(row))
+        return tuple(rows)
+    modulus = pt.poly
+    for _ in range(mult - 1):
+        modulus = poly_mul(K, modulus, pt.poly)
+    red = len(modulus) - 1
+    rows = [[0] * ncols for _ in range(red)]
+    for j in range(ncols):
+        xj = (0,) * j + (1,)
+        _, rem = poly_divmod(K, xj, modulus)
+        for r in range(red):
+            rows[r][j] = rem[r] if r < len(rem) else 0
+    return tuple(tuple(r) for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# closed forms
+
+def surface_count(q: int, n: int) -> int:
+    """#S(F_{q^n}) = q^{2n} + 6 q^n + 1 for the split quartic del Pezzo.
+
+    Forced by equating the Euler factor (1 + 6 q^{-|c|} + q^{-2|c|}) with
+    #S(F_{q^{|c|}}) / q^{2|c|}, and independently by the blow-up count
+    #(P^1 x P^1)(F_{q^n}) + 4 q^n.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return q ** (2 * n) + 6 * q ** n + 1
+
+
+def tamagawa_exact(q: int, N: int) -> Fraction:
+    """Plain-Fraction Tamagawa partial product; small N only."""
+    out = Fraction(q ** 2) * (1 - Fraction(1, q)) ** -6
+    for n in range(1, N + 1):
+        out *= good_factor(q, n) ** count_closed_points_for(q, n)
+    return out
+
+
+def count_nef_points(d: int) -> int:
+    """Fast exact count of nef lattice classes with h <= d (numpy integers)."""
+    total = 0
+    for a in range(d + 1):
+        for b in range(d + 1):
+            top = min(a, b)
+            if 2 * a + 2 * b - 4 * top > d:
+                continue
+            rng = np.arange(top + 1)
+            k1, k2, k3, k4 = np.meshgrid(rng, rng, rng, rng, indexing="ij", sparse=True)
+            s = k1 + k2 + k3 + k4
+            m = np.minimum(np.minimum(k1, k2), np.minimum(k3, k4))
+            ok = (2 * a + 2 * b - s <= d) & (s - m <= a + b)
+            total += int(ok.sum())
+    return total

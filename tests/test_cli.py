@@ -156,6 +156,21 @@ def test_sieve_monomial_cap_exit_code(capsys):
     assert err.startswith("resource limit exceeded: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--N", "7"],
+    ["zeta", "--N", "40"],
+    ["zeta", "--orders", "200,200,200,200", "--N", "1"],
+], ids=["N7-digits", "N40-digits", "orders-monomials"])
+def test_zeta_resource_limit_exit_code(argv, capsys):
+    # N = 7 gives a constant coefficient of 5,914 digits, past Python's
+    # 4,300-digit int-to-str limit; 201^4 monomials exceed the series cap
+    start = time.perf_counter()
+    assert main(["--field-p", "3"] + argv) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit exceeded: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
 def test_shipped_config_runs(path, tmp_path, capsys):
     code = main(["--config", str(path), "--d-max", "1",

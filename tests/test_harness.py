@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import clear_caches
 
-from dp4sieve import secenum
 from dp4sieve.errors import CorruptCache, InvalidConfig, IoError, VersionMismatch
 from dp4sieve.harness import (
     CountCache,
@@ -61,21 +61,21 @@ def test_cache_roundtrip(tmp_path):
     cache = CountCache(str(tmp_path))
     cfg = RunConfig(p=3, d_max=1, cache_dir=str(tmp_path))
     surface = cfg.surface()
-    key = CountCache.class_key(cfg, surface, 1, 1, (0, 0, 0, 0))
+    key = CountCache.class_key(surface, 1, 1, (0, 0, 0, 0))
     assert cache.lookup(key) is None
     cache.store(key, 864)
     cache.flush()
     fresh = CountCache(str(tmp_path))
     assert fresh.lookup(key) == 864
     # a different configuration misses
-    other = CountCache.class_key(cfg, surface, 1, 2, (0, 0, 0, 0))
+    other = CountCache.class_key(surface, 1, 2, (0, 0, 0, 0))
     assert fresh.lookup(other) is None
 
 
 def test_cache_corruption_detected(tmp_path):
     cache = CountCache(str(tmp_path))
     cfg = RunConfig(p=3, d_max=1, cache_dir=str(tmp_path))
-    key = CountCache.class_key(cfg, cfg.surface(), 1, 1, (0, 0, 0, 0))
+    key = CountCache.class_key(cfg.surface(), 1, 1, (0, 0, 0, 0))
     cache.store(key, 864)
     cache.flush()
     lines = open(cache.path).read().splitlines()
@@ -124,7 +124,7 @@ def test_counting_partition_consistency(tmp_path):
     # recomputing from the populated cache gives identical rows
     cfg = RunConfig(p=3, d_max=3, cache_dir=str(tmp_path))
     first = counting_function(cfg)
-    secenum.clear_caches()
+    clear_caches()
     second = counting_function(cfg)
     assert first.rows == second.rows
 

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from oracles import surface_count, tamagawa_exact
 
 from dp4sieve import heightzeta as hz
+from dp4sieve.errors import TooLarge
 from dp4sieve.exactnum import Interval
 from dp4sieve.projline import count_closed_points_for
 
@@ -71,6 +73,25 @@ def test_euler_product_log_derivative():
         assert direct == expected
 
 
+@pytest.mark.parametrize("digits, refused", [(186, "the constant"), (187, "a coefficient"),
+                                             (191, "a coefficient"), (192, None)])
+def test_euler_product_refuses_coefficients_that_cannot_print(monkeypatch, digits, refused):
+    # q = 3, N = 4: the constant has 187 digits and the t^(2,2,2,2)
+    # coefficient 192, the most of any
+    monkeypatch.setattr(hz.sys, "get_int_max_str_digits", lambda: digits)
+    if refused is None:
+        assert hz.euler_product(3, 4, (2, 2, 2, 2)).coefficient((2, 2, 2, 2))
+    else:
+        with pytest.raises(TooLarge, match=refused):
+            hz.euler_product(3, 4, (2, 2, 2, 2))
+
+
+def test_series_monomial_cap():
+    hz.TruncatedMultiSeries((9, 9, 9, 9))
+    with pytest.raises(TooLarge):
+        hz.series_one((9, 9, 9, 10))
+
+
 def test_euler_product_truncation_monotone():
     # coefficients at cutoff N agree with cutoff N+1 up to degree-(N+1)
     # contributions; for orders below N+1 the t-coefficients agree exactly
@@ -85,17 +106,17 @@ def test_euler_product_truncation_monotone():
 
 
 def test_surface_count():
-    assert hz.surface_count(3, 1) == 28
-    assert hz.surface_count(5, 1) == 56
+    assert surface_count(3, 1) == 28
+    assert surface_count(5, 1) == 56
     # blow-up identity: #(P^1 x P^1) + 4 q^n
     for q in (2, 3, 4, 5):
         for n in (1, 2, 3):
-            assert hz.surface_count(q, n) == (q ** n + 1) ** 2 + 4 * q ** n
-            assert hz.surface_count(q, n) % q == 1
+            assert surface_count(q, n) == (q ** n + 1) ** 2 + 4 * q ** n
+            assert surface_count(q, n) % q == 1
     # consistency with the good factor
     for q, n in ((3, 1), (5, 2)):
         u = Fraction(1, q ** n)
-        assert hz.good_factor(q, n) == (1 - u) ** 6 * Fraction(hz.surface_count(q, n), q ** (2 * n))
+        assert hz.good_factor(q, n) == (1 - u) ** 6 * Fraction(surface_count(q, n), q ** (2 * n))
 
 
 def test_tamagawa_structure():
@@ -109,7 +130,7 @@ def test_tamagawa_structure():
     assert incs[4] < incs[3] < incs[2]
     assert res.enclosure_width < Fraction(1, 2 ** 100)
     # exact small-N path agrees
-    assert abs(hz.tamagawa_exact(5, 4) - hz.tamagawa(5, 4).value) < Fraction(1, 2 ** 100)
+    assert abs(tamagawa_exact(5, 4) - hz.tamagawa(5, 4).value) < Fraction(1, 2 ** 100)
 
 
 def test_expected_counts_share_one_tamagawa():
@@ -117,7 +138,7 @@ def test_expected_counts_share_one_tamagawa():
     for a, b, k in ((1, 1, (0, 0, 0, 0)), (2, 1, (1, 0, 0, 0)), (2, 2, (1, 1, 0, 0))):
         hz.expected_section_count(3, a, b, k, 6)
     assert hz.tamagawa.cache_info().misses == 1
-    assert hz.tamagawa(3, 6, bits=hz.DEFAULT_BITS) is hz.tamagawa(3, 6, bits=hz.DEFAULT_BITS)
+    assert hz.tamagawa(3, 6) is hz.tamagawa(3, 6)
 
 
 def test_tamagawa_large_q_trend():

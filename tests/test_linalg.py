@@ -3,9 +3,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import nullspace, rank
 
 from dp4sieve.field import make_field
-from dp4sieve.linalg import QQ, det, nullspace, rank, solve
+from dp4sieve.linalg import QQ, det, solve
 
 FIELDS = (make_field(2), make_field(3), make_field(2, 2), make_field(5), make_field(3, 2), QQ)
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)

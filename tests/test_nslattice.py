@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from oracles import count_nef_points
 
 from dp4sieve import nslattice as ns
 from dp4sieve.errors import NotNef
-from dp4sieve.linalg import QQ, solve
+from dp4sieve.linalg import QQ, det, solve
 
 
 def test_gram_entries():
@@ -25,7 +26,15 @@ def test_anticanonical_degree_four():
 
 
 def test_signature():
-    assert ns.gram_signature() == (1, 5)
+    # Sylvester's law of inertia: F + F', F - F', E1..E4 are a basis over QQ,
+    # pairwise orthogonal, with self-intersections 2, -2, -1, -1, -1, -1
+    basis = [ns.F.add(ns.FPRIME), ns.F.add(ns.FPRIME.scale(-1))] + list(ns.E)
+    assert det(QQ, [x.coords for x in basis]) != 0
+    gram = [[ns.intersect(x, y) for y in basis] for x in basis]
+    assert all(gram[i][j] == 0 for i in range(6) for j in range(6) if i != j)
+    diag = [gram[i][i] for i in range(6)]
+    assert diag == [2, -2, -1, -1, -1, -1]
+    assert (sum(d > 0 for d in diag), sum(d < 0 for d in diag)) == (1, 5)
 
 
 def test_minus_one_classes():
@@ -74,7 +83,7 @@ def test_enumerate_nef_points():
     assert ns.F in pts2 and ns.FPRIME in pts2
     counts = [len(ns.enumerate_nef_points(d)) for d in range(6)]
     assert counts == sorted(counts)
-    assert counts == [ns.count_nef_points(d) for d in range(6)]
+    assert counts == [count_nef_points(d) for d in range(6)]
 
 
 def test_markings():
@@ -200,7 +209,7 @@ def test_ehrhart_gap_decreases():
     vol = float(ns.nef_cone_volume_level1())
     gaps = []
     for d in (10, 20, 30):
-        c = ns.count_nef_points(d)
+        c = count_nef_points(d)
         gaps.append(abs(c / d ** 6 - vol) / vol)
     assert gaps[2] < gaps[1] < gaps[0]
 
@@ -209,5 +218,5 @@ def test_ehrhart_gap_decreases():
                    "gap is ~62% because c5/c6 ~ 19 for this cone; see decisions ledger")
 def test_ehrhart_gap_below_quarter_at_30():
     vol = float(ns.nef_cone_volume_level1())
-    c = ns.count_nef_points(30)
+    c = count_nef_points(30)
     assert abs(c / 30 ** 6 - vol) / vol < 0.25

@@ -1,6 +1,7 @@
 import itertools
 
 import numpy as np
+import oracles as orc
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,11 +13,10 @@ from dp4sieve.errors import (
     DegreeMismatch,
     FieldTooSmall,
     OnBidegreeCurve,
-    OverlappingSupports,
-    ZeroSection,
+    ZeroForm,
 )
 from dp4sieve.field import make_field
-from dp4sieve.projline import ZERO_DIVISOR, divisor, hilb_points, rational_point
+from dp4sieve.projline import ZERO_DIVISOR, divisor
 
 F3 = make_field(3)
 F4 = make_field(2, 2)
@@ -60,45 +60,51 @@ def test_default_configs():
 
 
 # ---------------------------------------------------------------------------
-# profiles
+# multiplicity profiles: the contact divisors of one section pair, from
+# the brute-force oracle
+
+def _degrees(divs):
+    return tuple(d.degree for d in divs)
+
 
 def test_multiplicity_profile_coprime_constants():
     # nonvanishing first coordinates at the centers give coprime pullbacks
-    sp = se.SectionPair(s=((1,), (1,)), t=((1,), (2,)))
-    prof = se.multiplicity_profile(sp, CFG3)
-    assert prof.k == (0, 0, 0, 0)
-    assert prof.s_ok and prof.t_ok
+    assert orc.form_gcd_degree(F3, (1,), (1,)) == orc.form_gcd_degree(F3, (1,), (2,)) == 0
+    assert _degrees(orc.contact_divisors(CFG3, ((1,), (1,)), ((1,), (2,)))) == (0, 0, 0, 0)
 
 
 def test_multiplicity_profile_forced_contact():
     # s, t of degree 1 both passing through center 1 = (0, 0) at parameter 0:
     # s = (x, 1)-ish: s1 vanishing at 0 means the image's first coordinate is
     # p_1 = 0 there; likewise t
-    sp = se.SectionPair(s=((0, 1), (1, 0)), t=((0, 1), (1, 0)))
-    prof = se.multiplicity_profile(sp, CFG3)
-    assert prof.k[0] == 1
-    assert prof.s_ok and prof.t_ok
+    s = t = ((0, 1), (1, 0))
+    assert orc.form_gcd_degree(F3, *s) == 0
+    assert _degrees(orc.contact_divisors(CFG3, s, t))[0] == 1
 
 
 def test_multiplicity_profile_common_root_flag():
-    sp = se.SectionPair(s=((0, 1), (0, 1)), t=((1,), (1,)))
-    prof = se.multiplicity_profile(sp, CFG3)
-    assert not prof.s_ok and prof.t_ok
+    # a pair with a common root, such as s = (x, x), is left out of the
+    # tally: its total is the product of the two sides' coprime pair counts
+    assert orc.form_gcd_degree(F3, (0, 1), (0, 1)) == 1
+    for a, b in ((1, 1), (2, 1)):
+        total = sum(orc.contact_tally(CFG3, a, b).values())
+        assert total == _coprime_pairs(3, a) * _coprime_pairs(3, b)
 
 
 def test_multiplicity_profile_zero_section_raises():
-    with pytest.raises(ZeroSection):
-        se.multiplicity_profile(se.SectionPair(s=((0,), (0,)), t=((1,), (1,))), CFG3)
+    with pytest.raises(ZeroForm):
+        orc.contact_divisors(CFG3, ((0,), (0,)), ((1,), (1,)))
 
 
 def test_multiplicity_profile_degenerate_constant():
     # constant section sitting at center 1 = ((0,1),(0,1)): the section pair
     # proportional to the marked lines, so both composites vanish
     # identically; contact recorded as 0 by convention
-    sp = se.SectionPair(s=((0,), (1,)), t=((0,), (1,)))
-    prof = se.multiplicity_profile(sp, CFG3)
-    assert prof.degenerate[0] and prof.k[0] == 0
-    assert prof.k == (0, 0, 0, 0)
+    s = t = ((0,), (1,))
+    assert orc._composite(F3, CFG3.lam(0), s) == orc._composite(F3, CFG3.lam2(0), t) == (0,)
+    divs = orc.contact_divisors(CFG3, s, t)
+    assert divs[0] == ZERO_DIVISOR
+    assert _degrees(divs) == (0, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +123,7 @@ def test_count_bidegree_11_avoiding_q3():
     # hitting some marked center; inclusion-exclusion over PGL_2(F_3) gives
     # 2304 - 4*576 + 6*192 - 4*96 + 96 = 864 for the matched-order config
     assert se.count_sections(CFG3, 1, 1, (0, 0, 0, 0)) == 864
-    assert se.count_sections_raw(CFG3, 1, 1, (0, 0, 0, 0)) == 864
+    assert orc.count_sections_raw(CFG3, 1, 1, (0, 0, 0, 0)) == 864
 
 
 def test_count_bidegree_11_avoiding_q4():
@@ -130,17 +136,17 @@ def test_raw_vs_join_small_grid():
     # the join strategy is guarded by full-product enumeration on the
     # smallest instances
     for k in ((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 1, 0)):
-        assert se.count_sections(CFG3, 1, 1, k) == se.count_sections_raw(CFG3, 1, 1, k)
-    assert se.count_sections(CFG3, 0, 1, (0, 0, 0, 0)) == se.count_sections_raw(CFG3, 0, 1, (0, 0, 0, 0))
-    assert se.count_sections(CFG3, 2, 1, (1, 0, 0, 0)) == se.count_sections_raw(CFG3, 2, 1, (1, 0, 0, 0))
-    assert se.count_sections(CFG4, 1, 1, (0, 0, 0, 0)) == se.count_sections_raw(CFG4, 1, 1, (0, 0, 0, 0))
+        assert se.count_sections(CFG3, 1, 1, k) == orc.count_sections_raw(CFG3, 1, 1, k)
+    assert se.count_sections(CFG3, 0, 1, (0, 0, 0, 0)) == orc.count_sections_raw(CFG3, 0, 1, (0, 0, 0, 0))
+    assert se.count_sections(CFG3, 2, 1, (1, 0, 0, 0)) == orc.count_sections_raw(CFG3, 2, 1, (1, 0, 0, 0))
+    assert se.count_sections(CFG4, 1, 1, (0, 0, 0, 0)) == orc.count_sections_raw(CFG4, 1, 1, (0, 0, 0, 0))
 
 
 def test_raw_vs_join_every_01_profile_q3():
     # all sixteen k in {0,1}^4, plus a contact above max(a, b), which the
     # join answers as 0 without building anything
     for k in list(itertools.product((0, 1), repeat=4)) + [(2, 0, 0, 0)]:
-        assert se.count_sections(CFG3, 1, 1, k) == se.count_sections_raw(CFG3, 1, 1, k), k
+        assert se.count_sections(CFG3, 1, 1, k) == orc.count_sections_raw(CFG3, 1, 1, k), k
 
 
 def _coprime_pairs(q, d):
@@ -174,14 +180,14 @@ def test_budget_guard():
 
 def test_default_budget_counts_the_q5_42_class():
     # the side enumerations 5^10 + 5^6 plus the orbit-reduced join fit the
-    # default budget; the naive charge 5^16 of the raw path does not
+    # default budget; the naive charge 5^16 of the brute-force oracle does not
     from dp4sieve import nslattice as ns
 
     (alpha,) = [x for x in ns.enumerate_nef_points(4) if (x.a, x.b) == (4, 2)]
     n = se.count_sections(CFG5, 4, 2, alpha.k)
     assert n == se.count_sections(CFG5, 4, 2, alpha.k, budget=2 ** 60) > 0
     with pytest.raises(BudgetExceeded):
-        se.count_sections_raw(CFG5, 4, 2, alpha.k)
+        orc.count_sections_raw(CFG5, 4, 2, alpha.k)
 
 
 def test_negative_k_rejected():
@@ -193,13 +199,13 @@ def test_negative_k_rejected():
 # u_k tuples and fibers
 
 def test_u_k_points_counts():
-    assert len(se.u_k_points(F3, (0, 0, 0, 0))) == 1
-    assert len(se.u_k_points(F3, (1, 0, 0, 0))) == 4   # #P^1(F_3) rational points
-    assert len(se.u_k_points(F3, (1, 1, 0, 0))) == 12  # ordered distinct pairs
+    assert len(orc.u_k_points(F3, (0, 0, 0, 0))) == 1
+    assert len(orc.u_k_points(F3, (1, 0, 0, 0))) == 4   # #P^1(F_3) rational points
+    assert len(orc.u_k_points(F3, (1, 1, 0, 0))) == 12  # ordered distinct pairs
     # degree-2 slots admit degree-2 points and doубled rational points
-    assert len(se.u_k_points(F3, (2, 0, 0, 0))) == 13  # #P^2(F_3)
+    assert len(orc.u_k_points(F3, (2, 0, 0, 0))) == 13  # #P^2(F_3)
     # disjointness: no tuple shares support
-    for w in se.u_k_points(F3, (1, 1, 1, 0)):
+    for w in orc.u_k_points(F3, (1, 1, 1, 0)):
         sup = [pt for d in w for pt in d.support]
         assert len(sup) == len(set(sup))
 
@@ -209,7 +215,7 @@ def test_u_k_count_tracks_q_power():
     # grows; here the distance to 1 must shrink along q = 3, 4, 5
     dists = []
     for K in (F3, F4, F5):
-        n = len(se.u_k_points(K, (1, 1, 0, 0)))
+        n = len(orc.u_k_points(K, (1, 1, 0, 0)))
         dists.append(abs(n / K.q ** 2 - 1))
     assert dists == sorted(dists, reverse=True)
 
@@ -217,7 +223,7 @@ def test_u_k_count_tracks_q_power():
 def test_fiber_partition_exact():
     # sum of fibers over U_k equals the profile count
     total = se.count_sections(CFG3, 2, 2, (1, 0, 0, 0))
-    parts = [se.fiber_count(CFG3, w, 2, 2) for w in se.u_k_points(F3, (1, 0, 0, 0))]
+    parts = [orc.fiber_count(CFG3, w, 2, 2) for w in orc.u_k_points(F3, (1, 0, 0, 0))]
     assert total == sum(parts) == 16704
     assert parts == [4176] * 4
 
@@ -225,24 +231,24 @@ def test_fiber_partition_exact():
 def test_large_contact_equals_its_fiber_partition_q4():
     # contact 3 at q = 4: the divisor-id join would have needed 86^4 bins
     for a, b, k, total in ((3, 1, (3, 0, 0, 0), 0), (0, 3, (3, 0, 0, 0), 138240)):
-        parts = [se.fiber_count(CFG4, w, a, b) for w in se.u_k_points(F4, k)]
+        parts = [orc.fiber_count(CFG4, w, a, b) for w in orc.u_k_points(F4, k)]
         assert se.count_sections(CFG4, a, b, k) == sum(parts) == total
 
 
 def test_fiber_single_fiber_at_k0():
     w = (ZERO_DIVISOR,) * 4
-    assert se.fiber_count(CFG3, w, 1, 1) == se.count_sections(CFG3, 1, 1, (0, 0, 0, 0))
+    assert orc.fiber_count(CFG3, w, 1, 1) == se.count_sections(CFG3, 1, 1, (0, 0, 0, 0))
 
 
 def test_fiber_raw_agreement():
-    w = (divisor([(rational_point(F3, 0), 1)]), ZERO_DIVISOR, ZERO_DIVISOR, ZERO_DIVISOR)
-    assert se.fiber_count(CFG3, w, 1, 1) == se.fiber_count_raw(CFG3, w, 1, 1)
+    w = (divisor([(orc.rational_point(F3, 0), 1)]), ZERO_DIVISOR, ZERO_DIVISOR, ZERO_DIVISOR)
+    assert orc.fiber_count(CFG3, w, 1, 1) == orc.fiber_count_raw(CFG3, w, 1, 1)
 
 
 def test_fiber_overlapping_supports_rejected():
-    pt = divisor([(rational_point(F3, 0), 1)])
-    with pytest.raises(OverlappingSupports):
-        se.fiber_count(CFG3, (pt, pt, ZERO_DIVISOR, ZERO_DIVISOR), 2, 2)
+    pt = divisor([(orc.rational_point(F3, 0), 1)])
+    with pytest.raises(ValueError, match="share support"):
+        orc.fiber_count(CFG3, (pt, pt, ZERO_DIVISOR, ZERO_DIVISOR), 2, 2)
 
 
 def test_fiber_bound_structure_theorem():
@@ -257,8 +263,8 @@ def test_fiber_bound_structure_theorem():
         q = cfg.field.q
         sk = sum(k)
         bound = (q - 1) ** 2 * npro(q, 2 * a + 1 - sk) * npro(q, 2 * b + 1 - sk)
-        for w in se.u_k_points(cfg.field, k):
-            assert se.fiber_count(cfg, w, a, b) <= bound
+        for w in orc.u_k_points(cfg.field, k):
+            assert orc.fiber_count(cfg, w, a, b) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +338,7 @@ def test_pullback_permutation_fixes_the_side_summaries(q, degree, other, data):
 @pytest.mark.parametrize("q", [4, 5])
 def test_marking_independence(q):
     cfg = se.default_config(q)
-    cfg2, newinv = se.remark_config(cfg, 2, 3)
+    cfg2, newinv = orc.remark_config(cfg, 2, 3)
     for (a, b, k) in ((1, 1, (0, 0, 0, 0)), (1, 3, (1, 1, 1, 1))):
         a2, b2, k2 = newinv(a, b, k)
         assert se.count_sections(cfg2, a2, b2, k2) == se.count_sections(cfg, a, b, k)
@@ -344,7 +350,7 @@ def test_remark_q3_degenerate_collapses():
     from dp4sieve.errors import CoincidentSecondCoords
 
     with pytest.raises(CoincidentSecondCoords):
-        se.remark_config(CFG3, 2, 3)
+        orc.remark_config(CFG3, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -421,5 +427,5 @@ def test_c_negative_zero_is_not_a_join_artifact_q3():
     # the brute-force oracle agrees that C-negative classes are empty on the
     # flagged F_3 surface (alpha.C = 2 + 1 - 4 = -1 for both)
     for a, b in ((2, 1), (1, 2)):
-        assert se.count_sections_raw(CFG3, a, b, (1, 1, 1, 1)) == 0
+        assert orc.count_sections_raw(CFG3, a, b, (1, 1, 1, 1)) == 0
         assert se.count_sections(CFG3, a, b, (1, 1, 1, 1)) == 0

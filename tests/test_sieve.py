@@ -3,13 +3,16 @@ import itertools
 import random
 from fractions import Fraction
 
+import oracles as orc
 import pytest
 
 from dp4sieve import secenum as se
 from dp4sieve import sieve as sv
-from dp4sieve.errors import NotComparable, NotSaturated
+from dp4sieve.errors import NotSaturated
 from dp4sieve.field import make_field
-from dp4sieve.projline import ZERO_DIVISOR, count_closed_points, divisor, rational_point
+from dp4sieve.heightzeta import factor_constant, factor_contact_coefficient
+from dp4sieve.projline import ZERO_DIVISOR, count_closed_points, divisor
+from oracles import rational_point
 
 K3 = make_field(3)
 K5 = make_field(5)
@@ -26,7 +29,7 @@ def _interval_mobius(lattice, lo, hi):
     if lo == hi:
         return 1
     return -sum(_interval_mobius(lattice, lo, mid)
-                for mid in sv._conditions_between(lattice, lo, hi) if mid != hi)
+                for mid in orc._conditions_between(lattice, lo, hi) if mid != hi)
 
 
 def _plane_bases(lattice):
@@ -42,9 +45,12 @@ def test_lattice_shapes():
 
 def test_meet_examples():
     # containment, transverse planes, the top element
-    assert sv.meet(L14, W[0], (0, "zero")) == (0, "zero")
-    assert sv.meet(L14, W[0], W[1]) == ("zero", "zero")
-    assert sv.meet(L14, W[0], ("full", "full")) == W[0]
+    def meet(p, q):
+        return L14.elements[L14.meet(L14.index(p), L14.index(q))]
+
+    assert meet(W[0], (0, "zero")) == (0, "zero")
+    assert meet(W[0], W[1]) == ("zero", "zero")
+    assert meet(W[0], ("full", "full")) == W[0]
 
 
 def test_meet_table_properties():
@@ -71,42 +77,42 @@ def test_local_condition_validation():
 
 
 def test_gamma_examples():
-    assert sv.gamma(sv.empty_configuration(L14)) == 0
+    assert orc.gamma(orc.empty_configuration(L14)) == 0
     # x_w has gamma = 2 sum k_i
     w = (divisor([(rational_point(K3, 0), 1)]),
          divisor([(rational_point(K3, 1), 2)]), ZERO_DIVISOR, ZERO_DIVISOR)
-    xw = sv.config_from_divisor_tuple(L14, w)
-    assert sv.gamma(xw) == 2 * 3
+    xw = orc.config_from_divisor_tuple(L14, w)
+    assert orc.gamma(xw) == 2 * 3
     # a rational point at the zero element imposes four conditions
     zero_idx = {W[i]: 1 for i in range(4)}
     zero_idx.update({(i, "zero"): 1 for i in range(4)})
     zero_idx.update({("zero", i): 1 for i in range(4)})
     zero_idx[("zero", "zero")] = 1
     cond = sv.local_condition(L14, zero_idx)
-    x = sv.configuration(L14, [(rational_point(K3, 0), cond)])
-    assert sv.gamma(x) == 4
+    x = orc.configuration(L14, [(rational_point(K3, 0), cond)])
+    assert orc.gamma(x) == 4
 
 
 def test_mobius_base_cases():
-    w = sv.empty_configuration(L14)
-    assert sv.mobius(w, w) == 1
+    w = orc.empty_configuration(L14)
+    assert orc.mobius(w, w) == 1
     # two-element interval: a covering pair has mu = -1
-    x = sv.configuration(L14, [(rational_point(K3, 0), sv.local_condition(L14, {W[0]: 1}))])
-    assert sv.mobius(w, x) == -1
-    with pytest.raises(NotComparable):
-        y = sv.configuration(L14, [(rational_point(K3, 1), sv.local_condition(L14, {W[1]: 1}))])
-        sv.mobius(x, y)
+    x = orc.configuration(L14, [(rational_point(K3, 0), sv.local_condition(L14, {W[0]: 1}))])
+    assert orc.mobius(w, x) == -1
+    with pytest.raises(ValueError, match="not below"):
+        y = orc.configuration(L14, [(rational_point(K3, 1), sv.local_condition(L14, {W[1]: 1}))])
+        orc.mobius(x, y)
 
 
 @LATTICES
 def test_covers_are_the_minimal_shapes_above_base(lattice):
     # every shape of depth <= 2 and the plane bases of depth 1-3; nothing
     # two levels deeper is minimal either
-    for base in set(sv._local_shapes(lattice, 2)) | set(_plane_bases(lattice)):
-        above = [s for s in sv._local_shapes(lattice, sv.condition_max_order(base) + 2)
-                 if s != base and sv.condition_leq(lattice, base, s)]
+    for base in set(orc._local_shapes(lattice, 2)) | set(_plane_bases(lattice)):
+        above = [s for s in orc._local_shapes(lattice, orc.condition_max_order(base) + 2)
+                 if s != base and orc.condition_leq(lattice, base, s)]
         minimal = {s for s in above
-                   if not any(t != s and sv.condition_leq(lattice, t, s) for t in above)}
+                   if not any(t != s and orc.condition_leq(lattice, t, s) for t in above)}
         chain = sv.condition_chain(lattice, base) + (lattice.top,)
         covers = sv._cover_chains(lattice, chain)
         assert {sv._chain_condition(lattice, c) for c in covers} == minimal
@@ -116,15 +122,15 @@ def test_covers_are_the_minimal_shapes_above_base(lattice):
 def test_crosscut_mobius_matches_interval_recursion(lattice):
     # mu(base, x) vanishes more than one level above the base, and the
     # crosscut values equal the recursion everywhere up to three levels
-    for base in sv._local_shapes(lattice, 1):
-        depth = sv.condition_max_order(base)
+    for base in orc._local_shapes(lattice, 1):
+        depth = orc.condition_max_order(base)
         crosscut = dict(sv._crosscut(lattice, base))
-        assert all(sv.condition_max_order(x) <= depth + 1 for x in crosscut)
-        for x in sv._local_shapes(lattice, depth + 3):
-            if sv.condition_leq(lattice, base, x):
+        assert all(orc.condition_max_order(x) <= depth + 1 for x in crosscut)
+        for x in orc._local_shapes(lattice, depth + 3):
+            if orc.condition_leq(lattice, base, x):
                 mu = _interval_mobius(lattice, base, x)
                 assert mu == crosscut.get(x, 0)
-                if sv.condition_max_order(x) > depth + 1:
+                if orc.condition_max_order(x) > depth + 1:
                     assert mu == 0
 
 
@@ -132,8 +138,8 @@ def _local_poly_by_recursion(lattice, q, deg, base, budget):
     """The definition of _local_poly: every saturated tau above base of
     excess <= budget, weighted by the recursive mu(base, tau)."""
     out = [Fraction(0)] * (budget + 1)
-    for tau in sv._local_shapes(lattice, sv.condition_max_order(base) + budget // deg):
-        if sv.condition_leq(lattice, base, tau):
+    for tau in orc._local_shapes(lattice, orc.condition_max_order(base) + budget // deg):
+        if orc.condition_leq(lattice, base, tau):
             excess = sv.condition_excess(lattice, base, tau, deg)
             if excess <= budget:
                 out[excess] += Fraction(_interval_mobius(lattice, base, tau),
@@ -156,7 +162,7 @@ def test_mobius_multiplicative_matches_recursive_seeded():
     # product of local interval values equals the generic recursion.
     rnd = random.Random(20240817)
     pts = [rational_point(K3, i) for i in range(3)] + [rational_point(K5, 0)]
-    shapes14 = [s for s in sv._local_shapes(L14, 2)]
+    shapes14 = [s for s in orc._local_shapes(L14, 2)]
     checked = 0
     while checked < 50:
         n_pts = rnd.randint(1, 3)
@@ -164,14 +170,14 @@ def test_mobius_multiplicative_matches_recursive_seeded():
         his, los = [], []
         for pt in chosen:
             hi = rnd.choice([s for s in shapes14 if any(s)])
-            lo = rnd.choice(sv._conditions_between(L14, EMPTY14, hi))
+            lo = rnd.choice(orc._conditions_between(L14, EMPTY14, hi))
             his.append((pt, hi))
             los.append((pt, lo))
-        x = sv.configuration(L14, his)
-        w = sv.configuration(L14, los)
-        if not sv.config_leq(w, x):
+        x = orc.configuration(L14, his)
+        w = orc.configuration(L14, los)
+        if not orc.config_leq(w, x):
             continue
-        assert sv.mobius(w, x) == sv.mobius(w, x, recursive=True)
+        assert orc.mobius(w, x) == orc.mobius_recursive(w, x)
         checked += 1
 
 
@@ -179,34 +185,34 @@ def test_mobius_recursion_sums_vanish():
     # sum over [w, x] of mu(w, y) = 0 for every x > w, over every interval
     # of excess <= 2 above the empty base (both lattices)
     for lat in (L14, L16):
-        w = sv.empty_configuration(lat)
-        for x in sv.enumerate_configs_above((ZERO_DIVISOR,) * 4, 2, K3, lattice=lat)[:60]:
+        w = orc.empty_configuration(lat)
+        for x in orc.enumerate_configs_above((ZERO_DIVISOR,) * 4, 2, K3, lattice=lat)[:60]:
             if not x.data:
                 continue
-            total = sum(sv.mobius(w, y) for y in sv.interval(w, x))
+            total = sum(orc.mobius(w, y) for y in orc.interval(w, x))
             assert total == 0
 
 
 def test_gamma_additive_over_disjoint_supports():
     c1 = sv.local_condition(L14, {W[0]: 1})
     c2 = sv.local_condition(L14, {W[2]: 2})
-    x1 = sv.configuration(L14, [(rational_point(K3, 0), c1)])
-    x2 = sv.configuration(L14, [(rational_point(K3, 1), c2)])
-    both = sv.configuration(L14, list(x1.data + x2.data))
-    assert sv.gamma(both) == sv.gamma(x1) + sv.gamma(x2)
+    x1 = orc.configuration(L14, [(rational_point(K3, 0), c1)])
+    x2 = orc.configuration(L14, [(rational_point(K3, 1), c2)])
+    both = orc.configuration(L14, list(x1.data + x2.data))
+    assert orc.gamma(both) == orc.gamma(x1) + orc.gamma(x2)
 
 
 def test_enumerate_configs_above():
     w0 = (ZERO_DIVISOR,) * 4
-    assert len(sv.enumerate_configs_above(w0, 0, K3)) == 1
+    assert len(orc.enumerate_configs_above(w0, 0, K3)) == 1
     w1 = (divisor([(rational_point(K3, 0), 1)]), ZERO_DIVISOR, ZERO_DIVISOR, ZERO_DIVISOR)
-    only = sv.enumerate_configs_above(w1, 0, K3)
+    only = orc.enumerate_configs_above(w1, 0, K3)
     assert len(only) == 1
-    assert only[0].data == sv.config_from_divisor_tuple(sv.subspace_q_lattice(), w1).data
+    assert only[0].data == orc.config_from_divisor_tuple(sv.subspace_q_lattice(), w1).data
     # one unit of excess: one configuration per (rational point, depth-1 shape)
-    got14 = sv.enumerate_configs_above(w0, 1, K3, lattice=L14)
+    got14 = orc.enumerate_configs_above(w0, 1, K3, lattice=L14)
     assert len(got14) == 1 + 4 * 13
-    got16 = sv.enumerate_configs_above(w0, 1, K3, lattice=L16)
+    got16 = orc.enumerate_configs_above(w0, 1, K3, lattice=L16)
     assert len(got16) == 1 + 4 * 15
 
 
@@ -232,10 +238,10 @@ def _sieve_partials_by_definition(K, k, D, lattice):
     """Partial sums over excess 0..D of mu(x_w, x) q^{-gamma(x)}, by direct
     enumeration of every w in U_k and every configuration x above x_w."""
     totals = [Fraction(0)] * (D + 1)
-    for w in se.u_k_points(K, k):
-        base = sv.config_from_divisor_tuple(lattice, w)
-        for x in sv.enumerate_configs_above(base, D, K, lattice=lattice):
-            totals[sv.config_excess(base, x)] += Fraction(sv.mobius(base, x), K.q ** sv.gamma(x))
+    for w in orc.u_k_points(K, k):
+        base = orc.config_from_divisor_tuple(lattice, w)
+        for x in orc.enumerate_configs_above(base, D, K, lattice=lattice):
+            totals[orc.config_excess(base, x)] += Fraction(orc.mobius(base, x), K.q ** orc.gamma(x))
     return list(itertools.accumulate(totals))
 
 
@@ -254,14 +260,14 @@ def test_sieve_sum_matches_definition(lattice, k, D):
 def test_deep_truncation_skips_the_shape_scan():
     # k = 0 at D = 8 on the 16-element lattice, recorded from the
     # per-interval recursion; the product path scans no local shapes
-    sv._local_shapes.cache_clear()
+    orc._local_shapes.cache_clear()
     sv._sieve_partials.cache_clear()
     partials = sv.sieve_sum(K3, (0, 0, 0, 0), 8, with_deltas=True)
     assert partials == [Fraction(v) for v in (
         "1", "-17/27", "128/729", "27136/177147", "424960/4782969",
         "35554688/387420489", "8575322368/94143178827",
         "236486874752/2541865828329", "6381765399296/68630377364883")]
-    assert sv._local_shapes.cache_info().misses == 0
+    assert orc._local_shapes.cache_info().misses == 0
 
 
 @LATTICES
@@ -293,9 +299,9 @@ def test_sieve_sum_leading_term_identity():
     for k in ((1, 0, 0, 0), (1, 1, 0, 0)):
         lhs = K5.q ** (2 * a + 2 * b + 4) * sv.sieve_sum(K5, k, 0)
         rhs = 0
-        for w in se.u_k_points(K5, k):
-            x = sv.config_from_divisor_tuple(L16, w)
-            rank = sv.gamma_rank_oracle(x, a, b, cfg5)
+        for w in orc.u_k_points(K5, k):
+            x = orc.config_from_divisor_tuple(L16, w)
+            rank = orc.gamma_rank_oracle(x, a, b, cfg5)
             rhs += K5.q ** (2 * a + 2 * b + 4 - rank)
         assert lhs == rhs
 
@@ -314,17 +320,17 @@ def test_sieve_sum_vs_euler_truncation():
 
 def test_gamma_rank_oracle_small():
     cfg5 = se.default_config(5)
-    x = sv.empty_configuration(L16)
-    assert sv.gamma_rank_oracle(x, 4, 4, cfg5) == 0
+    x = orc.empty_configuration(L16)
+    assert orc.gamma_rank_oracle(x, 4, 4, cfg5) == 0
     # one rational point at the zero element at (a, b) = (4, 4): rank 4
     zero_full = {W[i]: 1 for i in range(4)}
     zero_full.update({(i, "zero"): 1 for i in range(4)})
     zero_full.update({("zero", i): 1 for i in range(4)})
     zero_full.update({("zero", "full"): 1, ("full", "zero"): 1, ("zero", "zero"): 1})
     cond = sv.local_condition(L16, zero_full)
-    x = sv.configuration(L16, [(rational_point(K5, 2), cond)])
-    assert sv.gamma(x) == 4
-    assert sv.gamma_rank_oracle(x, 4, 4, cfg5) == 4
+    x = orc.configuration(L16, [(rational_point(K5, 2), cond)])
+    assert orc.gamma(x) == 4
+    assert orc.gamma_rank_oracle(x, 4, 4, cfg5) == 4
 
 
 def test_gamma_equals_rank_oracle_exhaustive():
@@ -333,26 +339,28 @@ def test_gamma_equals_rank_oracle_exhaustive():
     # the acceptance suite extends this to excess 3)
     cfg5 = se.default_config(5)
     for lat in (L14, L16):
-        for x in sv.enumerate_configs_above((ZERO_DIVISOR,) * 4, 2, K5, lattice=lat):
-            assert sv.gamma(x) == sv.gamma_rank_oracle(x, 6, 6, cfg5)
+        for x in orc.enumerate_configs_above((ZERO_DIVISOR,) * 4, 2, K5, lattice=lat):
+            assert orc.gamma(x) == orc.gamma_rank_oracle(x, 6, 6, cfg5)
+
+
+def _local_factor_entry(lattice, q, deg, m):
+    """The t_1^(deg m) entry of the lattice's local factor at a degree-deg
+    point, times q^(deg m): its excess polynomial at the depth-m plane base,
+    summed over an excess budget that holds every tau with mu != 0."""
+    base = sv.local_condition(lattice, {W[0]: m}) if m else tuple(0 for _ in lattice.nontop)
+    return q ** (deg * m) * sum(sv._local_poly(lattice, q, deg, base, deg * (m + 2)))
 
 
 def test_local_factor_matches_display_16():
     # the 16-element lattice reproduces the explicit Euler factor exactly
-    from dp4sieve.heightzeta import factor_constant, factor_contact_coefficient
-
     for q, deg in ((3, 1), (5, 1), (4, 1), (5, 2), (3, 2)):
-        fac = sv.lattice_local_factor(L16, q, deg, u_order=10, t_order=2)
-        assert fac[0] == factor_constant(q, deg)
-        assert fac[1] == factor_contact_coefficient(q, deg, 1)
-        assert fac[2] == factor_contact_coefficient(q, deg, 2)
+        assert _local_factor_entry(L16, q, deg, 0) == factor_constant(q, deg)
+        assert _local_factor_entry(L16, q, deg, 1) == factor_contact_coefficient(q, deg, 1)
+        assert _local_factor_entry(L16, q, deg, 2) == factor_contact_coefficient(q, deg, 2)
 
 
 def test_local_factor_survey_deviation_reported():
     # the 14-element reading has only four corank-2 atoms, so its constant
     # part deviates from the display at q = 5 (they agree at q = 3 by a
     # numerical accident)
-    from dp4sieve.heightzeta import factor_constant
-
-    fac = sv.lattice_local_factor(L14, 5, 1, u_order=10, t_order=0)
-    assert fac[0] != factor_constant(5, 1)
+    assert _local_factor_entry(L14, 5, 1, 0) != factor_constant(5, 1)
