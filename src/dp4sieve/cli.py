@@ -33,7 +33,7 @@ from .heightzeta import (
     local_factor,
     tamagawa,
 )
-from .nslattice import export_inventory
+from .nslattice import export_inventory, export_markings
 from .projline import zeta_p1_identity_check
 from .sieve import sieve_sum, stable_range_start, subspace_q_lattice, survey_q_lattice
 
@@ -96,15 +96,12 @@ def _cmd_field_check(cfg: RunConfig, args) -> int:
 
 
 def _cmd_cone(cfg: RunConfig, args) -> int:
-    inv = export_inventory()
-    out = dict(inv)
-    out.pop("markings")
-    print(json.dumps(out, indent=2))
+    print(json.dumps(export_inventory(), indent=2))
     return 0
 
 
 def _cmd_markings(cfg: RunConfig, args) -> int:
-    print(json.dumps(export_inventory()["markings"], indent=2))
+    print(json.dumps(export_markings(), indent=2))
     return 0
 
 

@@ -77,8 +77,6 @@ class TruncatedMultiSeries:
                     out[expo] = out.get(expo, Fraction(0)) + v1 * v2
         return TruncatedMultiSeries(orders, out)
 
-    __rmul__ = __mul__
-
     def power(self, e: int):
         result = series_one(self.orders)
         base = self

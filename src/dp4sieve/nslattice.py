@@ -4,6 +4,12 @@ cone of curves, ruled-surface contractions ("markings"), the piecewise
 linear functional that controls the sieve's stable range, and the exact
 nef cone volume, from one W(D5) Weyl-chamber simplex.
 
+Every lattice constant comes from the closed list of the sixteen lines:
+the ten conic classes are the sums of two lines meeting once, the 40 fiber
+pairs are the conic pairs meeting once, and each pair contracts the four
+lines orthogonal to both.  Nothing searches a box of vectors; the
+brute-force searches that certify these lists are test oracles.
+
 Basis convention: class vectors are integer 6-tuples in the ordered basis
 (F, F', E1, E2, E3, E4), where F, F' are the two ruling fibers and the E_i
 are the exceptional classes.  The pairing is F.F' = 1, F.F = F'.F' = 0,
@@ -17,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from math import factorial
 
 from .errors import LemmaViolation, NotNef
@@ -90,61 +96,35 @@ def pairing_functional(L: CurveClass) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# (-1)-classes and conic classes, with certified search boxes
-
-def _search_box_bound(selfint: int, degree: int):
-    """Certified coordinate bounds for {L : L.L = selfint, -K.L = degree}.
-
-    Write L = x F + x' F' + sum y_i E_i, u = x + x', v = x - x'.  From
-    L.L = (u^2 - v^2)/2 - sum y_i^2 and -K.L = 2u + sum y_i, Cauchy-Schwarz
-    (sum y_i)^2 <= 4 sum y_i^2 forces 2u^2 - 4*degree*u + degree^2
-    + 4*selfint <= 0, which bounds u; then sum y_i^2 = u^2/2 - selfint
-    - v^2/2 bounds |v| and each |y_i|.  Returns (y_bound, x_bound).
-    """
-    from math import isqrt
-
-    m, s = degree, selfint
-    us = [u for u in range(-2 * abs(m) - 4, 2 * abs(m) + 5)
-          if 2 * u * u - 4 * m * u + m * m + 4 * s <= 0]
-    u_hi = max(abs(u) for u in us) if us else 0
-    y_bound = isqrt(max(0, u_hi * u_hi - 2 * s) // 2)   # y_i^2 <= u^2/2 - s
-    v_bound = isqrt(max(0, u_hi * u_hi - 2 * s))        # v^2 <= u^2 - 2s
-    x_bound = (u_hi + v_bound + 1) // 2 + 1
-    return y_bound, x_bound
-
-
-def _classes_with(selfint: int, degree: int):
-    """Exhaustive certified search for {L : L.L = selfint, -K.L = degree}."""
-    y_bound, x_bound = _search_box_bound(selfint, degree)
-    out = []
-    for x in range(-x_bound, x_bound + 1):
-        for xp in range(-x_bound, x_bound + 1):
-            for ys in product(range(-y_bound, y_bound + 1), repeat=4):
-                L = CurveClass((x, xp) + ys)
-                if intersect(L, L) == selfint and intersect(ANTICANONICAL, L) == degree:
-                    out.append(L)
-    return sorted(out)
-
+# (-1)-classes, conic classes and markings, in closed form
 
 @lru_cache(maxsize=1)
 def minus_one_classes() -> tuple:
-    """The sixteen classes L with L.L = -1 and -K.L = 1."""
-    return tuple(_classes_with(-1, 1))
+    """The sixteen classes L with L.L = -1 and -K.L = 1: the exceptional
+    curves E_i, the ruling lines through the blown-up points F - E_i and
+    F' - E_i, and the (1,1)-curves through three of them, F + F' - E_j - E_k
+    - E_l (Manin, Cubic Forms, 1986)."""
+    through_three = [ANTICANONICAL.add(F.add(FPRIME).scale(-1)).add(e) for e in E]
+    return tuple(sorted(list(E) + through_three
+                        + [g.add(e.scale(-1)) for g in (F, FPRIME) for e in E]))
 
 
 @lru_cache(maxsize=1)
 def conic_classes() -> tuple:
-    """Classes C with C.C = 0 and -K.C = 2 (the ten conic fibrations)."""
-    return tuple(_classes_with(0, 2))
+    """Classes C with C.C = 0 and -K.C = 2 (the ten conic fibrations).
+
+    A conic fibration of a quartic del Pezzo surface has four reducible
+    fibres, each two lines meeting once, so C = L1 + L2 with L1.L2 = 1;
+    conversely every such sum has C.C = 0 and -K.C = 2.
+    """
+    lines = minus_one_classes()
+    return tuple(sorted({x.add(y) for x in lines for y in lines if intersect(x, y) == 1}))
 
 
 def is_nef(alpha: CurveClass) -> bool:
     """Nef against the effective cone generated by the (-1)-classes."""
     return all(intersect(alpha, L) >= 0 for L in minus_one_classes())
 
-
-# ---------------------------------------------------------------------------
-# markings
 
 @dataclass(frozen=True, order=True)
 class Marking:
@@ -155,88 +135,48 @@ class Marking:
     fp: CurveClass
     e: tuple
 
-    def slacks(self, alpha: CurveClass) -> tuple:
-        se = sum(intersect(ei, alpha) for ei in self.e)
-        return (2 * intersect(self.f, alpha) - se,
-                2 * intersect(self.fp, alpha) - se)
-
-    def invariants(self, alpha: CurveClass) -> tuple:
-        """(a, b, k) of alpha in this marking's coordinates."""
-        return (intersect(self.f, alpha), intersect(self.fp, alpha),
-                tuple(intersect(ei, alpha) for ei in self.e))
-
 
 IDENTITY_MARKING = Marking(f=F, fp=FPRIME, e=E)
 
 
 @lru_cache(maxsize=1)
-def enumerate_markings() -> tuple:
-    """All ordered tuples (f, f', e1..e4) satisfying the marking relations.
-
-    f, f' run over conic classes with f.f' = 1; the e_i over (-1)-classes,
-    pairwise orthogonal, orthogonal to f and f', with 2f + 2f' - sum e_i
-    equal to the anticanonical class.  Both component searches use the
-    certified boxes, so the enumeration is exhaustive.
-    """
-    lines = minus_one_classes()
-    out = []
-    for f in conic_classes():
-        for fp in conic_classes():
-            if intersect(f, fp) != 1:
-                continue
-            cands = [L for L in lines
-                     if intersect(f, L) == 0 and intersect(fp, L) == 0]
-            # the residual class sum e_i is pinned, so prune by it
-            target = f.scale(2).add(fp.scale(2)).add(ANTICANONICAL.scale(-1))
-            for quad in _orthogonal_quadruples(cands):
-                if _sum_classes(quad) == target:
-                    out.append(Marking(f=f, fp=fp, e=quad))
-    return tuple(sorted(out))
-
-
-def _sum_classes(classes):
-    acc = ZERO
-    for c in classes:
-        acc = acc.add(c)
-    return acc
-
-
-def _orthogonal_quadruples(cands):
-    n = len(cands)
-    for i in range(n):
-        for j in range(n):
-            if j == i or intersect(cands[i], cands[j]) != 0:
-                continue
-            for k in range(n):
-                if k in (i, j) or intersect(cands[i], cands[k]) or intersect(cands[j], cands[k]):
-                    continue
-                for l in range(n):
-                    if l in (i, j, k) or intersect(cands[i], cands[l]) \
-                            or intersect(cands[j], cands[l]) or intersect(cands[k], cands[l]):
-                        continue
-                    yield (cands[i], cands[j], cands[k], cands[l])
-
-
-@lru_cache(maxsize=1)
 def marking_fiber_pairs() -> tuple:
-    """Distinct unordered {f, f'} pairs occurring in markings.
+    """The 40 unordered conic pairs {f, f'} with f.f' = 1, as sorted tuples.
 
-    The marking slacks depend only on this pair: sum e_i = 2f + 2f' + K
-    gives min-slack(alpha) = h(alpha) - 2 max(f.alpha, f'.alpha)."""
-    seen = set()
-    for mk in enumerate_markings():
-        key = tuple(sorted((mk.f, mk.fp)))
-        seen.add(key)
-    return tuple(sorted(seen))
+    Every such pair is the fiber pair of a marking: the two conic
+    fibrations give a morphism S -> P^1 x P^1 of degree f.f' = 1, which
+    contracts exactly the four disjoint lines orthogonal to f and f', and
+    sum e_i = 2f + 2f' + K.  So the marking slacks depend only on the pair:
+    min-slack(alpha) = h(alpha) - 2 max(f.alpha, f'.alpha).
+    """
+    conics = conic_classes()
+    return tuple((f, fp) for i, f in enumerate(conics) for fp in conics[i + 1:]
+                 if intersect(f, fp) == 1)
 
 
 @lru_cache(maxsize=1)
 def _first_marking_by_pair() -> dict:
-    out = {}
-    for mk in enumerate_markings():          # already sorted
-        key = tuple(sorted((mk.f, mk.fp)))
-        out.setdefault(key, mk)
-    return out
+    """Each fiber pair -> its least marking: f < f', the lines sorted."""
+    lines = minus_one_classes()
+    return {(f, fp): Marking(f, fp, tuple(L for L in lines
+                                          if intersect(f, L) == intersect(fp, L) == 0))
+            for f, fp in marking_fiber_pairs()}
+
+
+@lru_cache(maxsize=1)
+def enumerate_markings() -> tuple:
+    """All ordered tuples (f, f', e1..e4) satisfying the marking relations,
+    sorted.
+
+    A marking is an ordered fiber pair (marking_fiber_pairs) with its four
+    contracted lines in any order: 40 x 2 x 24 = 1920 = |W(D5)|, which acts
+    simply transitively on them.  Only the markings CLI lists them; the
+    pipeline reads the fiber pairs.
+    """
+    return tuple(sorted(Marking(f, fp, e)
+                        for mk in _first_marking_by_pair().values()
+                        for f, fp in ((mk.f, mk.fp), (mk.fp, mk.f))
+                        for e in permutations(mk.e)))
 
 
 def choose_marking(alpha: CurveClass) -> Marking:
@@ -366,16 +306,18 @@ def nef_cone_volume_level1() -> Fraction:
 
 
 def export_inventory() -> dict:
-    """JSON-ready inventory of the cone and marking data."""
+    """JSON-ready inventory of the cone data."""
     return {
         "basis": ["F", "F'", "E1", "E2", "E3", "E4"],
         "anticanonical": list(ANTICANONICAL.coords),
         "minus_one_classes": [list(L.coords) for L in minus_one_classes()],
         "conic_classes": [list(C.coords) for C in conic_classes()],
-        "markings": [
-            {"f": list(m.f.coords), "fprime": list(m.fp.coords),
-             "e": [list(e.coords) for e in m.e]}
-            for m in enumerate_markings()
-        ],
         "nef_volume_level1": str(nef_cone_volume_level1()),
     }
+
+
+def export_markings() -> list:
+    """JSON-ready list of all markings."""
+    return [{"f": list(m.f.coords), "fprime": list(m.fp.coords),
+             "e": [list(e.coords) for e in m.e]}
+            for m in enumerate_markings()]

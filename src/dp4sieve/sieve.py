@@ -261,10 +261,6 @@ def _crosscut(lattice: ConditionLattice, base) -> tuple:
 
 @dataclass(frozen=True)
 class SievePrediction:
-    a: int
-    b: int
-    k: tuple
-    truncation: int
     value: Fraction
     stable_range: int
 
@@ -354,7 +350,6 @@ def prediction(K: FieldSpec, a: int, b: int, k, D: int,
                lattice: ConditionLattice | None = None) -> SievePrediction:
     """q^{2a+2b+4} times the truncated sieve sum, as a prediction record."""
     value = sieve_sum(K, k, D, lattice=lattice)
-    return SievePrediction(a=a, b=b, k=tuple(k), truncation=D,
-                           value=K.q ** (2 * a + 2 * b + 4) * value,
+    return SievePrediction(value=K.q ** (2 * a + 2 * b + 4) * value,
                            stable_range=stable_range_I(a, b, k))
 

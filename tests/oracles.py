@@ -10,6 +10,9 @@ computes, by a path that shares as little with it as possible:
 * the configuration poset behind the sieve: configurations, intervals, the
   generic Moebius recursion, enumeration above a base, and the exact rank
   of the linear system a configuration imposes;
+* the Neron-Severi lattice: the lines, conics and markings by exhaustive
+  search over certified boxes and orthogonal quadruples, and the marking
+  slacks and invariants that the pipeline folds into fiber pairs;
 * small closed forms: surface_count, tamagawa_exact, count_nef_points.
 """
 
@@ -24,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from dp4sieve import nslattice as ns
 from dp4sieve import secenum as se
 from dp4sieve import sieve as sv
 from dp4sieve.errors import DegreeMismatch, TooLarge, ZeroForm
@@ -550,6 +554,111 @@ def _vanishing_rows(K: FieldSpec, pt: ClosedPoint, mult: int, degree: int):
         for r in range(red):
             rows[r][j] = rem[r] if r < len(rem) else 0
     return tuple(tuple(r) for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# the Neron-Severi lattice by exhaustive search
+
+def _search_box_bound(selfint: int, degree: int):
+    """Certified coordinate bounds for {L : L.L = selfint, -K.L = degree}.
+
+    Write L = x F + x' F' + sum y_i E_i, u = x + x', v = x - x'.  From
+    L.L = (u^2 - v^2)/2 - sum y_i^2 and -K.L = 2u + sum y_i, Cauchy-Schwarz
+    (sum y_i)^2 <= 4 sum y_i^2 forces 2u^2 - 4*degree*u + degree^2
+    + 4*selfint <= 0, which bounds u; then sum y_i^2 = u^2/2 - selfint
+    - v^2/2 bounds |v| and each |y_i|.  Returns (y_bound, x_bound).
+    """
+    m, s = degree, selfint
+    us = [u for u in range(-2 * abs(m) - 4, 2 * abs(m) + 5)
+          if 2 * u * u - 4 * m * u + m * m + 4 * s <= 0]
+    u_hi = max(abs(u) for u in us) if us else 0
+    y_bound = math.isqrt(max(0, u_hi * u_hi - 2 * s) // 2)   # y_i^2 <= u^2/2 - s
+    v_bound = math.isqrt(max(0, u_hi * u_hi - 2 * s))        # v^2 <= u^2 - 2s
+    x_bound = (u_hi + v_bound + 1) // 2 + 1
+    return y_bound, x_bound
+
+
+def classes_with(selfint: int, degree: int) -> tuple:
+    """Exhaustive certified search for {L : L.L = selfint, -K.L = degree}."""
+    y_bound, x_bound = _search_box_bound(selfint, degree)
+    out = []
+    for x in range(-x_bound, x_bound + 1):
+        for xp in range(-x_bound, x_bound + 1):
+            for ys in itertools.product(range(-y_bound, y_bound + 1), repeat=4):
+                L = ns.CurveClass((x, xp) + ys)
+                if ns.intersect(L, L) == selfint and ns.intersect(ns.ANTICANONICAL, L) == degree:
+                    out.append(L)
+    return tuple(sorted(out))
+
+
+def sum_classes(classes):
+    acc = ns.ZERO
+    for c in classes:
+        acc = acc.add(c)
+    return acc
+
+
+def orthogonal_quadruples(cands):
+    """Ordered quadruples of pairwise orthogonal distinct classes."""
+    n = len(cands)
+    for i in range(n):
+        for j in range(n):
+            if j == i or ns.intersect(cands[i], cands[j]) != 0:
+                continue
+            for k in range(n):
+                if k in (i, j) or ns.intersect(cands[i], cands[k]) \
+                        or ns.intersect(cands[j], cands[k]):
+                    continue
+                for l in range(n):
+                    if l in (i, j, k) or ns.intersect(cands[i], cands[l]) \
+                            or ns.intersect(cands[j], cands[l]) or ns.intersect(cands[k], cands[l]):
+                        continue
+                    yield (cands[i], cands[j], cands[k], cands[l])
+
+
+@lru_cache(maxsize=1)
+def searched_markings() -> tuple:
+    """All ordered tuples (f, f', e1..e4) satisfying the marking relations.
+
+    f, f' run over the searched conic classes with f.f' = 1; the e_i over the
+    searched (-1)-classes, pairwise orthogonal, orthogonal to f and f', with
+    2f + 2f' - sum e_i equal to the anticanonical class.  Both component
+    searches use the certified boxes, so the enumeration is exhaustive.
+    """
+    lines, conics = classes_with(-1, 1), classes_with(0, 2)
+    out = []
+    for f in conics:
+        for fp in conics:
+            if ns.intersect(f, fp) != 1:
+                continue
+            cands = [L for L in lines
+                     if ns.intersect(f, L) == 0 and ns.intersect(fp, L) == 0]
+            # the residual class sum e_i is pinned, so prune by it
+            target = f.scale(2).add(fp.scale(2)).add(ns.ANTICANONICAL.scale(-1))
+            for quad in orthogonal_quadruples(cands):
+                if sum_classes(quad) == target:
+                    out.append(ns.Marking(f=f, fp=fp, e=quad))
+    return tuple(sorted(out))
+
+
+def searched_first_marking_by_pair() -> dict:
+    """Unordered fiber pair {f, f'} -> the least searched marking on it."""
+    out = {}
+    for mk in searched_markings():          # already sorted
+        out.setdefault(tuple(sorted((mk.f, mk.fp))), mk)
+    return out
+
+
+def marking_slacks(mk: ns.Marking, alpha: ns.CurveClass) -> tuple:
+    """(2 f.alpha - sum e_i.alpha, 2 f'.alpha - sum e_i.alpha)."""
+    sum_e = sum(ns.intersect(ei, alpha) for ei in mk.e)
+    return (2 * ns.intersect(mk.f, alpha) - sum_e, 2 * ns.intersect(mk.fp, alpha) - sum_e)
+
+
+def marking_invariants(mk: ns.Marking, alpha: ns.CurveClass) -> tuple:
+    """(a, b, k) of alpha in the coordinates of the marking mk."""
+    return (ns.intersect(mk.f, alpha), ns.intersect(mk.fp, alpha),
+            tuple(ns.intersect(ei, alpha) for ei in mk.e))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,15 @@
 from fractions import Fraction
 
 import pytest
-from oracles import count_nef_points
+from oracles import (
+    classes_with,
+    count_nef_points,
+    marking_invariants,
+    marking_slacks,
+    searched_first_marking_by_pair,
+    searched_markings,
+    sum_classes,
+)
 
 from dp4sieve import nslattice as ns
 from dp4sieve.errors import NotNef
@@ -71,6 +79,28 @@ def test_box_certificate_wider_box_finds_nothing_new():
     assert sorted(extra) == sorted(ns.minus_one_classes())
 
 
+def test_closed_forms_equal_the_certified_searches():
+    # the sixteen lines, the ten conics, the 40 fiber pairs, the least
+    # marking on each pair and all 1920 markings, against the box searches
+    assert ns.minus_one_classes() == classes_with(-1, 1)
+    assert ns.conic_classes() == classes_with(0, 2)
+    searched = searched_first_marking_by_pair()
+    assert ns.marking_fiber_pairs() == tuple(sorted(searched))
+    assert ns._first_marking_by_pair() == searched
+    assert ns.enumerate_markings() == searched_markings()
+
+
+def test_pipeline_never_enumerates_markings():
+    for fn in (ns.enumerate_markings, ns.marking_fiber_pairs, ns._first_marking_by_pair,
+               ns.conic_classes, ns.minus_one_classes):
+        fn.cache_clear()
+    cone = ns.ShrunkenCone(epsilon=Fraction(1, 10))
+    for alpha in ns.enumerate_nef_points(6):
+        ns.choose_marking(alpha)
+        cone.contains(alpha)
+    assert ns.enumerate_markings.cache_info().misses == 0
+
+
 def test_is_nef():
     assert ns.is_nef(ns.F)
     assert not ns.is_nef(ns.E[0])  # E1.E1 = -1
@@ -89,14 +119,15 @@ def test_enumerate_nef_points():
 def test_markings():
     mks = ns.enumerate_markings()
     assert ns.IDENTITY_MARKING in mks
-    for mk in mks[:100]:
+    assert len(mks) == 1920
+    for mk in mks:
         assert ns.intersect(mk.f, mk.fp) == 1
         assert ns.intersect(mk.f, mk.f) == 0
         for i, ei in enumerate(mk.e):
             assert ns.intersect(mk.f, ei) == 0 and ns.intersect(mk.fp, ei) == 0
             for j, ej in enumerate(mk.e):
                 assert ns.intersect(ei, ej) == (-1 if i == j else 0)
-        total = mk.f.scale(2).add(mk.fp.scale(2)).add(ns._sum_classes(mk.e).scale(-1))
+        total = mk.f.scale(2).add(mk.fp.scale(2)).add(sum_classes(mk.e).scale(-1))
         assert total == ns.ANTICANONICAL
     # stable under permuting e1..e4
     sample = mks[7]
@@ -108,12 +139,12 @@ def test_choose_marking_examples():
     # alpha = F + F': identity marking slack 2 on both sides
     alpha = ns.F.add(ns.FPRIME)
     mk = ns.choose_marking(alpha)
-    assert min(mk.slacks(alpha)) == 2
+    assert min(marking_slacks(mk, alpha)) == 2
     # alpha = -K: all markings give slack 0
     mk = ns.choose_marking(ns.ANTICANONICAL)
-    assert mk.slacks(ns.ANTICANONICAL) == (0, 0)
+    assert marking_slacks(mk, ns.ANTICANONICAL) == (0, 0)
     # alpha = 0
-    assert ns.choose_marking(ns.ZERO).slacks(ns.ZERO) == (0, 0)
+    assert marking_slacks(ns.choose_marking(ns.ZERO), ns.ZERO) == (0, 0)
     with pytest.raises(NotNef):
         ns.choose_marking(ns.E[0])
 
@@ -121,10 +152,10 @@ def test_choose_marking_examples():
 def test_lemma_marking_nonnegative_up_to_h10():
     for alpha in ns.enumerate_nef_points(10):
         mk = ns.choose_marking(alpha)
-        s1, s2 = mk.slacks(alpha)
+        s1, s2 = marking_slacks(mk, alpha)
         assert s1 >= 0 and s2 >= 0
         # h computed two ways
-        a, b, k = mk.invariants(alpha)
+        a, b, k = marking_invariants(mk, alpha)
         assert alpha.h == 2 * a + 2 * b - sum(k)
 
 
@@ -135,7 +166,7 @@ def test_ell_functional():
     for beta in ns.enumerate_nef_points(6)[::7]:
         assert ns.ell_functional(beta.scale(2)) == 2 * ns.ell_functional(beta)
         # ell is at least the identity-marking min slack
-        assert ns.ell_functional(beta) >= min(ns.IDENTITY_MARKING.slacks(beta))
+        assert ns.ell_functional(beta) >= min(marking_slacks(ns.IDENTITY_MARKING, beta))
 
 
 def test_shrunken_cone_membership_monotone_in_epsilon():
@@ -153,7 +184,7 @@ def _reflect(x, r):
 
 
 def test_simple_roots_form_a_simple_system():
-    roots = ns._classes_with(-2, 0)
+    roots = classes_with(-2, 0)
     assert len(roots) == 40
     simple = ns.SIMPLE_ROOTS
     assert all(r in roots for r in simple)
