@@ -27,14 +27,13 @@ from .harness import (
     write_outputs,
 )
 from .heightzeta import (
-    EulerFactorSpec,
     euler_product,
     limit_formula_check,
     local_factor,
     tamagawa,
+    zeta_p1_identity_check,
 )
 from .nslattice import export_inventory, export_markings
-from .projline import zeta_p1_identity_check
 from .sieve import sieve_sum, stable_range_start, subspace_q_lattice, survey_q_lattice
 
 
@@ -131,7 +130,7 @@ def _cmd_sieve(cfg: RunConfig, args) -> int:
     k = _four_degrees("--k", args.k)
     K = make_field(cfg.p, cfg.n)
     lattice = subspace_q_lattice() if args.lattice == "subspace16" else survey_q_lattice()
-    partials = sieve_sum(K, k, cfg.sieve_D, lattice=lattice, with_deltas=True)
+    partials = sieve_sum(K, k, cfg.sieve_D, lattice=lattice)
     start = stable_range_start(k)
     payload = {
         "q": K.q, "k": list(k), "lattice": args.lattice,
@@ -148,7 +147,7 @@ def _cmd_zeta(cfg: RunConfig, args) -> int:
     if args.N < 1:
         raise InvalidConfig(f"--N must be >= 1, got {args.N}")
     series = euler_product(cfg.q, args.N, orders)
-    factor = local_factor(EulerFactorSpec(degree=1, q=cfg.q, orders=orders))
+    factor = local_factor(cfg.q, 1, orders)
     payload = {
         "q": cfg.q, "N": args.N, "orders": list(orders),
         "degree1_factor": {str(e): str(v) for e, v in sorted(factor.coeffs.items())},

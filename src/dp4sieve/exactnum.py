@@ -117,21 +117,13 @@ class Interval:
         other = _coerce(other, self.bits)
         return self.nhi < other.nlo
 
-    def certainly_positive(self) -> bool:
-        return self.nlo > 0
-
     def __repr__(self):
         return f"Interval({float(self.lo):.12g}, {float(self.hi):.12g})"
 
 
 def _coerce(x, bits: int) -> Interval:
     if isinstance(x, Interval):
-        if x.bits == bits:
-            return x
-        if x.bits < bits:
-            shift = bits - x.bits
-            return Interval(x.nlo << shift, x.nhi << shift, bits)
-        shift = x.bits - bits
-        return Interval(x.nlo >> shift, _ceil_div(x.nhi, 1 << shift), bits)
+        assert x.bits == bits, "both operands carry the same precision"
+        return x
     return Interval.exact(x, bits)
 

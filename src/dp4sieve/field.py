@@ -2,10 +2,9 @@
 
 Elements are canonical small integers: the element with coefficient vector
 (c_0, ..., c_{n-1}) over Z/p (c_0 the constant term) is encoded as the
-integer sum c_i * p^i.  All public contracts speak in coefficient vectors;
-the integer encoding is an internal convenience that doubles as a table
-index.  FieldSpec instances are immutable after construction and safe to
-share between workers.
+integer sum c_i * p^i, which doubles as a table index; to_digits and
+from_digits convert between the two.  FieldSpec instances are immutable
+after construction and safe to share between workers.
 """
 
 from __future__ import annotations
@@ -58,15 +57,6 @@ class FieldSpec:
     _exp: tuple = field(repr=False, default=())    # exp[i] = g^i, length q-1
     _log: tuple = field(repr=False, default=())    # log[e] for e != 0
 
-    # -- encoding -----------------------------------------------------------
-
-    def to_vector(self, e: int) -> tuple:
-        """Canonical coefficient vector of length n, each entry in [0, p)."""
-        return to_digits(e, self.p, self.n)
-
-    def from_vector(self, vec) -> int:
-        return from_digits([c % self.p for c in vec], self.p)
-
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -105,19 +95,6 @@ class FieldSpec:
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise DivisionByZero("inverse of zero")
-            return 0
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
-
-    def frobenius(self, a: int) -> int:
-        """The p-power map; its n-fold iterate is the identity."""
-        return self.pow(a, self.p)
 
     # -- inventory ----------------------------------------------------------
 

@@ -39,6 +39,8 @@ COUNT_CODE_VERSION = 1      # bump when counting semantics change
 RHO = 6
 
 ALPHA_NORMALIZATIONS = ("volume", "volume_rho", "volume_rho_factorial")
+CONFIG_KEYS = ("field.p", "field.n", "points", "epsilon", "d_max", "sieve_D", "euler_N",
+               "limit_m_max", "budget", "cache_dir", "alpha_normalization")
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +108,10 @@ class RunConfig:
 def parse_config_file(path: str, overrides: dict | None = None) -> RunConfig:
     """Read a declarative key = value file; '#' starts a comment.
 
-    Recognized keys: field.p, field.n, points (two semicolon-separated
-    coordinate lists, e.g. "0,1,2,inf; 0,1,3,inf"), epsilon (rational
-    string), d_max, sieve_D, euler_N, limit_m_max, budget, cache_dir,
-    alpha_normalization.
+    The keys are CONFIG_KEYS: field.p, field.n, points (two
+    semicolon-separated coordinate lists, e.g. "0,1,2,inf; 0,1,3,inf"),
+    epsilon (rational string), d_max, sieve_D, euler_N, limit_m_max, budget,
+    cache_dir, alpha_normalization.  Any other key is refused.
     """
     raw: dict = {}
     try:
@@ -130,6 +132,9 @@ def parse_config_file(path: str, overrides: dict | None = None) -> RunConfig:
 
 
 def config_from_mapping(raw: dict) -> RunConfig:
+    unknown = sorted(set(raw) - set(CONFIG_KEYS))
+    if unknown:
+        raise InvalidConfig(f"unknown config key: {', '.join(map(repr, unknown))}")
     kw: dict = {}
     try:
         if "field.p" in raw:
@@ -276,6 +281,9 @@ class CountReport:
     rows: list = field(default_factory=list)
     constants: dict = field(default_factory=dict)
     flags: list = field(default_factory=list)
+    # share of the nef classes with h <= d_max inside the shrunken cone;
+    # set when the cone is counted, never emitted
+    in_cone_share: Fraction | None = None
 
 
 def counting_function(cfg: RunConfig, shrunken: bool = True,
@@ -310,7 +318,10 @@ def counting_function(cfg: RunConfig, shrunken: bool = True,
     counting_seconds = time.perf_counter() - t0
     cache.flush()
 
-    in_cone = {alpha for alpha in classes if cone is not None and cone.contains(alpha)}
+    in_cone = set()
+    if cone is not None:
+        in_cone = {alpha for alpha in classes if cone.contains(alpha)}
+        report.in_cone_share = Fraction(len(in_cone), len(classes))
     for d in range(cfg.d_max + 1):
         if partial_from is not None and d >= partial_from:
             report.rows.append({"d": d, "partial": True})
@@ -333,17 +344,6 @@ def _alpha_constant(cfg: RunConfig) -> Fraction:
     return vol * 720  # rho!
 
 
-def _lattice_shrink_fraction(cfg: RunConfig) -> Fraction:
-    """Fraction of nef lattice classes with h <= d_max inside the shrunken
-    cone; a desk-scale stand-in for vol(cone_eps)/vol(cone)."""
-    cone = ShrunkenCone(epsilon=cfg.epsilon)
-    pts = enumerate_nef_points(cfg.d_max)
-    if not pts:
-        return Fraction(1)
-    inside = sum(1 for p in pts if cone.contains(p))
-    return Fraction(inside, len(pts))
-
-
 def asymptotic_report(cfg: RunConfig, cache: CountCache | None = None) -> CountReport:
     """Counting rows augmented with the prediction
     (1 - q^{-1}) alpha tau q^d d^5 and the upper-bound constant."""
@@ -357,7 +357,7 @@ def asymptotic_report(cfg: RunConfig, cache: CountCache | None = None) -> CountR
     # not a convex-polytope computation, so the report carries a lattice
     # estimate alpha * (#shrunken lattice points / #nef lattice points at
     # d_max), clearly flagged
-    alpha_eps = alpha * _lattice_shrink_fraction(cfg)
+    alpha_eps = alpha * report.in_cone_share
     report.flags.append("alpha_eps_estimated_from_lattice_counts")
     report.constants.update({
         "tamagawa_N": cfg.euler_N,
@@ -431,22 +431,14 @@ def emit_json(report: CountReport) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def emit(report: CountReport, fmt: str) -> str:
-    if fmt == "csv":
-        return emit_csv(report)
-    if fmt == "json":
-        return emit_json(report)
-    raise InvalidConfig(f"unknown format {fmt!r}")
-
-
 def write_outputs(report: CountReport, out_dir: str, stem: str) -> list:
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for fmt in ("csv", "json"):
+    for fmt, emit in (("csv", emit_csv), ("json", emit_json)):
         path = os.path.join(out_dir, f"{stem}.{fmt}")
         try:
             with open(path, "w") as fh:
-                fh.write(emit(report, fmt))
+                fh.write(emit(report))
         except OSError as exc:
             raise IoError(f"cannot write {path}: {exc}") from exc
         paths.append(path)

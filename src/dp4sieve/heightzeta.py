@@ -1,5 +1,6 @@
-"""The explicit analytic layer: the virtual height zeta function's Euler
-factors, the Tamagawa constant, the Abel-limit consistency check, and
+"""The explicit analytic layer: the package's one truncated-series kernel,
+the virtual height zeta function's Euler factors, the zeta identity of
+P^1, the Tamagawa constant, the Abel-limit consistency check, and
 per-class expected counts.
 
 Everything is exact.  Small truncations use Fractions end to end; deep
@@ -19,7 +20,8 @@ from functools import lru_cache
 
 from .errors import TooLarge
 from .exactnum import DEFAULT_BITS, Interval
-from .projline import count_closed_points_for
+from .field import FieldSpec
+from .projline import count_closed_points, count_closed_points_for
 
 NVARS = 4
 # Most monomials a truncated series may carry, the product of its orders
@@ -28,6 +30,12 @@ NVARS = 4
 # most 200,000 tuples at q in {3, 4, 5} has at most 108 t-monomials, so
 # runs through D = 91.
 MONOMIAL_CAP = 10_000
+# Deepest local factor the Abel-limit check may take.  Its cutoffs at
+# m = 5, 6, 7 are 203, 448 and 977, and each step of m roughly doubles
+# the cutoff and costs eight to thirteen times the time: on a 2-core machine
+# limit_m_max = 6 takes 3.3 s at q = 3, 7.5 s at q = 5 and 23 s at q = 13,
+# while m = 7 takes 42 s at q = 3.  So m <= 6 runs and m = 7 is refused.
+CUTOFF_CAP = 500
 
 
 # ---------------------------------------------------------------------------
@@ -35,9 +43,10 @@ MONOMIAL_CAP = 10_000
 
 class TruncatedMultiSeries:
     """Power series with exact rational coefficients in one variable per
-    entry of orders (t_1..t_4 here; the sieve adds its excess variable T),
-    truncated per variable.  Raises TooLarge when the orders admit more
-    than MONOMIAL_CAP monomials."""
+    entry of orders (t_1..t_4 here; the sieve adds its excess variable T,
+    and the zeta identity of P^1 uses one variable), truncated per
+    variable.  Raises TooLarge when the orders admit more than MONOMIAL_CAP
+    monomials."""
 
     __slots__ = ("orders", "coeffs")
 
@@ -60,14 +69,7 @@ class TruncatedMultiSeries:
     def coefficient(self, expo) -> Fraction:
         return self.coeffs.get(tuple(expo), Fraction(0))
 
-    @property
-    def constant(self) -> Fraction:
-        return self.coefficient((0,) * len(self.orders))
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncatedMultiSeries(self.orders,
-                                        {e: v * other for e, v in self.coeffs.items()})
         orders = tuple(min(a, b) for a, b in zip(self.orders, other.orders))
         out = {}
         for e1, v1 in self.coeffs.items():
@@ -97,18 +99,28 @@ def series_one(orders) -> TruncatedMultiSeries:
     return TruncatedMultiSeries(orders, {(0,) * len(orders): Fraction(1)})
 
 
+def zeta_p1_identity_check(K: FieldSpec, N: int):
+    """Check prod_{deg c <= N} (1 - t^{deg c})^{-1} = 1/((1-t)(1-qt)) mod t^{N+1}.
+
+    The left side multiplies out the closed-point counts of the necklace
+    formula, one series power per degree; the right side has coefficient
+    #P^n(F_q) at t^n.  Returns True on full agreement, otherwise the first
+    mismatching order.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    series = series_one((N,))
+    for n in range(1, N + 1):
+        geometric = TruncatedMultiSeries((N,), {(n * j,): 1 for j in range(N // n + 1)})
+        series = series * geometric.power(count_closed_points(K, n))
+    for n in range(N + 1):
+        if series.coefficient((n,)) != (K.q ** (n + 1) - 1) // (K.q - 1):
+            return n
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Euler factors
-
-@dataclass(frozen=True)
-class EulerFactorSpec:
-    degree: int          # |c|, degree of the closed point
-    q: int
-    orders: tuple        # per-variable t-orders
-
-    def __post_init__(self):
-        assert self.degree >= 1
-
 
 def factor_constant(q: int, degree: int) -> Fraction:
     """Constant part 1 - 6 q^{-2|c|} + 8 q^{-3|c|} - 3 q^{-4|c|}."""
@@ -125,29 +137,31 @@ def factor_contact_coefficient(q: int, degree: int, depth: int) -> Fraction:
     return q ** (degree * d) * inner
 
 
-def local_factor(spec: EulerFactorSpec) -> TruncatedMultiSeries:
-    """One Euler factor of the virtual height zeta function, truncated.
+def local_factor(q: int, degree: int, orders) -> TruncatedMultiSeries:
+    """One Euler factor of the virtual height zeta function at a closed
+    point of the given degree, truncated at the per-variable t-orders.
 
     The t_i-exponents are multiples of the point degree, one contact depth
     per marked index; no cross terms occur because a single parameter point
     cannot sit over two distinct centers.
     """
-    coeffs = {(0,) * NVARS: factor_constant(spec.q, spec.degree)}
+    assert degree >= 1
+    coeffs = {(0,) * NVARS: factor_constant(q, degree)}
     for i in range(NVARS):
         depth = 1
-        while spec.degree * depth <= spec.orders[i]:
+        while degree * depth <= orders[i]:
             expo = [0] * NVARS
-            expo[i] = spec.degree * depth
-            coeffs[tuple(expo)] = factor_contact_coefficient(spec.q, spec.degree, depth)
+            expo[i] = degree * depth
+            coeffs[tuple(expo)] = factor_contact_coefficient(q, degree, depth)
             depth += 1
-    return TruncatedMultiSeries(spec.orders, coeffs)
+    return TruncatedMultiSeries(orders, coeffs)
 
 
 def euler_product(q: int, N: int, orders) -> TruncatedMultiSeries:
     """Product of local factors over closed points of degree <= N, exact.
 
     Factors of equal degree coincide, so the product groups by degree and
-    exponentiates; degrees above every t-order contribute scalar constants.
+    exponentiates; a degree above every t-order has a constant factor.
     Exact Fractions throughout, so N is expected small (the deep-cutoff
     evaluations live in the interval-based routines below).
 
@@ -165,12 +179,7 @@ def euler_product(q: int, N: int, orders) -> TruncatedMultiSeries:
     if digits and _constant_too_long(q, N, digits):
         raise TooLarge(f"the constant coefficient at N = {N} has more than {digits} digits")
     for n in range(1, N + 1):
-        count = count_closed_points_for(q, n)
-        base = local_factor(EulerFactorSpec(degree=n, q=q, orders=orders))
-        if n > max(orders):
-            out = out * (factor_constant(q, n) ** count)
-        else:
-            out = out * base.power(count)
+        out = out * local_factor(q, n, orders).power(count_closed_points_for(q, n))
     if digits and any(max(abs(v.numerator), v.denominator) >= 10 ** digits
                       for v in out.coeffs.values()):
         raise TooLarge(f"a coefficient at N = {N} has more than {digits} digits")
@@ -204,8 +213,6 @@ def good_factor(q: int, n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class TamagawaResult:
-    q: int
-    N: int
     value: Fraction              # midpoint of the certified enclosure
     last_increment: Fraction     # |partial(N) - partial(N-1)|, midpoint
     enclosure_width: Fraction
@@ -233,7 +240,7 @@ def tamagawa(q: int, N: int) -> TamagawaResult:
     value = partials[-1]
     prev = partials[-2] if N >= 2 else pref
     increment = (value - prev).abs()
-    return TamagawaResult(q=q, N=N, value=value.mid,
+    return TamagawaResult(value=value.mid,
                           last_increment=increment.mid,
                           enclosure_width=value.width,
                           partials=tuple(p.mid for p in partials))
@@ -261,28 +268,27 @@ def _lhs_depth_needed(q: int, tau: Fraction, tol: Fraction) -> int:
 
     Uses count_n <= q^n / n, log L <= 8 v_n for v_n <= 1/2, and
     |log const_n| <= 12 u_n^2 for u_n <= 1/4; the geometric sums bound the
-    two tails by 8 tau^{M+1} / ((M+1)(1-tau)) and 24 q^{-(M+1)}.
+    two tails by 8 tau^{M+1} / ((M+1)(1-tau)) and 24 q^{-(M+1)}.  The
+    powers are carried from one M to the next.  Raises TooLarge when the
+    cutoff would exceed CUTOFF_CAP.
     """
     assert 0 < tau < 1
-    M = 2
-    while True:
-        t1 = 8 * tau ** (M + 1) / ((M + 1) * (1 - tau))
-        t2 = 24 * Fraction(1, q) ** (M + 1)
-        if t1 + t2 <= tol:
-            return M
-        M += 1
+    M, tau_pow, q_pow = 2, tau ** 3, q ** 3
+    while 8 * tau_pow / ((M + 1) * (1 - tau)) + Fraction(24, q_pow) > tol:
+        if M == CUTOFF_CAP:
+            raise TooLarge(f"the limit check at tau = {tau} needs local factors past "
+                           f"degree {CUTOFF_CAP}, the cap")
+        M, tau_pow, q_pow = M + 1, tau_pow * tau, q_pow * q
+    return M
 
 
 @dataclass(frozen=True)
 class LimitCheckResult:
-    q: int
-    N: int
     taus: tuple
     lhs: tuple                   # midpoints
     rhs: Fraction                # midpoint
     gaps: tuple                  # |lhs/rhs - 1| midpoints
     gaps_decreasing_certified: bool
-    final_gap: Fraction
     lhs_cutoffs: tuple
 
 
@@ -328,12 +334,11 @@ def limit_formula_check(q: int, N: int, m_max: int) -> LimitCheckResult:
     gaps = [((lv / rhs) - 1).abs() for lv in lhs_vals]
     decreasing = all(gaps[i + 1].certainly_less(gaps[i]) for i in range(len(gaps) - 1))
     return LimitCheckResult(
-        q=q, N=N, taus=tuple(taus),
+        taus=tuple(taus),
         lhs=tuple(v.mid for v in lhs_vals),
         rhs=rhs.mid,
         gaps=tuple(g.mid for g in gaps),
         gaps_decreasing_certified=decreasing,
-        final_gap=gaps[-1].mid,
         lhs_cutoffs=tuple(cutoffs),
     )
 

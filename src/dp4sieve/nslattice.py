@@ -80,7 +80,6 @@ class CurveClass:
 F = CurveClass((1, 0, 0, 0, 0, 0))
 FPRIME = CurveClass((0, 1, 0, 0, 0, 0))
 E = tuple(CurveClass(tuple(1 if i == 2 + j else 0 for i in range(RANK))) for j in range(4))
-ZERO = CurveClass((0,) * RANK)
 ANTICANONICAL = CurveClass((2, 2, -1, -1, -1, -1))
 
 def intersect(x: CurveClass, y: CurveClass) -> int:
@@ -134,9 +133,6 @@ class Marking:
     f: CurveClass
     fp: CurveClass
     e: tuple
-
-
-IDENTITY_MARKING = Marking(f=F, fp=FPRIME, e=E)
 
 
 @lru_cache(maxsize=1)
@@ -233,9 +229,8 @@ class ShrunkenCone:
 # ---------------------------------------------------------------------------
 # lattice point enumeration
 
-def enumerate_nef_points(d: int, cone: ShrunkenCone | None = None):
-    """All nef lattice classes with 0 <= h <= d (optionally inside the
-    shrunken cone), in deterministic order.
+def enumerate_nef_points(d: int):
+    """All nef lattice classes with 0 <= h <= d, in deterministic order.
 
     In marking invariants the nef conditions read k_i >= 0, k_i <= min(a, b),
     and a + b >= any three of the k_i; they force max(a, b) <= h, which
@@ -255,10 +250,7 @@ def enumerate_nef_points(d: int, cone: ShrunkenCone | None = None):
                 ks = sorted(k, reverse=True)
                 if ks[0] + ks[1] + ks[2] > a + b:
                     continue
-                alpha = CurveClass.from_invariants(a, b, k)
-                if cone is not None and not cone.contains(alpha):
-                    continue
-                out.append(alpha)
+                out.append(CurveClass.from_invariants(a, b, k))
     assert all(is_nef(x) for x in out[: min(len(out), 50)])
     return sorted(out)
 

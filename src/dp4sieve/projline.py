@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import TooLarge, ZeroForm
@@ -150,30 +149,6 @@ class EffectiveDivisor:
     def degree(self) -> int:
         return sum(pt.degree * m for pt, m in self.entries)
 
-    @property
-    def support(self):
-        return tuple(pt for pt, _ in self.entries)
-
-    def mult(self, pt: ClosedPoint) -> int:
-        for p, m in self.entries:
-            if p == pt:
-                return m
-        return 0
-
-    def add(self, other: "EffectiveDivisor") -> "EffectiveDivisor":
-        out = dict(self.entries)
-        for pt, m in other.entries:
-            out[pt] = out.get(pt, 0) + m
-        return divisor(out.items())
-
-    def min(self, other: "EffectiveDivisor") -> "EffectiveDivisor":
-        out = []
-        for pt, m in self.entries:
-            m2 = other.mult(pt)
-            if m2:
-                out.append((pt, min(m, m2)))
-        return divisor(out)
-
     def __str__(self):
         if not self.entries:
             return "0"
@@ -246,7 +221,7 @@ def divisor_of_form(K: FieldSpec, coeffs) -> EffectiveDivisor:
 
 
 # ---------------------------------------------------------------------------
-# Hilbert scheme slices and the zeta identity
+# Hilbert scheme slices
 
 def hilb_points(K: FieldSpec, n: int):
     """All effective divisors of degree n; their number is #P^n(F_q)."""
@@ -267,31 +242,3 @@ def hilb_points(K: FieldSpec, n: int):
     assert len(out) == expected
     return sorted(out, key=lambda d: d.entries)
 
-
-def zeta_p1_identity_check(K: FieldSpec, N: int):
-    """Check prod_{deg c <= N} (1 - t^{deg c})^{-1} = 1/((1-t)(1-qt)) mod t^{N+1}.
-
-    The left side multiplies out the closed-point counts of the necklace
-    formula; the right side has coefficient #P^n(F_q) at t^n.  Returns True
-    on full agreement, otherwise the first mismatching order.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    series = [Fraction(0)] * (N + 1)
-    series[0] = Fraction(1)
-    for n in range(1, N + 1):
-        # multiply by (1 - t^n)^{-count} = sum_j C(count+j-1, j) t^{nj}
-        c = count_closed_points(K, n)
-        new = [Fraction(0)] * (N + 1)
-        j, binom = 0, 1
-        while n * j <= N:
-            for i in range(0, N + 1 - n * j):
-                if series[i]:
-                    new[i + n * j] += binom * series[i]
-            j += 1
-            binom = binom * (c + j - 1) // j
-        series = new
-    for n in range(N + 1):
-        if series[n] != (K.q ** (n + 1) - 1) // (K.q - 1):
-            return n
-    return True

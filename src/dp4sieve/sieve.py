@@ -80,9 +80,6 @@ class ConditionLattice:
     def leq(self, i: int, j: int) -> bool:
         return self.meet_idx[i][j] == i
 
-    def meet(self, i: int, j: int) -> int:
-        return self.meet_idx[i][j]
-
     def meet_many(self, idxs, start=None) -> int:
         acc = self.top if start is None else start
         for i in idxs:
@@ -296,18 +293,15 @@ def _local_poly(lattice: ConditionLattice, q: int, deg: int, base, budget: int):
     return tuple(out)
 
 
-def sieve_sum(K: FieldSpec, k, D: int,
-              lattice: ConditionLattice | None = None,
-              with_deltas: bool = False):
-    """Exact truncated sieve sum: mu(x_w, x) q^{-gamma(x)} summed over w in
-    U_k(F_q) and saturated x above x_w with excess <= D.
+def sieve_sum(K: FieldSpec, k, D: int, lattice: ConditionLattice | None = None) -> list:
+    """Exact truncated sieve sums at truncations 0..D: mu(x_w, x) q^{-gamma(x)}
+    summed over w in U_k(F_q) and saturated x above x_w with excess <= D.
 
     Moebius multiplicativity over closed points makes this the coefficient
     of t^k in one Euler-type product (_sieve_partials).  Raises TooLarge
     before multiplying when the product's orders k and D admit more than
     heightzeta.MONOMIAL_CAP monomials.
-    The D = 0 value is the bare sum_w q^{-gamma(x_w)}; with_deltas returns
-    the partial values at truncations 0..D.
+    The D = 0 value is the bare sum_w q^{-gamma(x_w)}.
     """
     lattice = lattice or subspace_q_lattice()
     k = tuple(k)
@@ -315,8 +309,7 @@ def sieve_sum(K: FieldSpec, k, D: int,
         raise DegreeMismatch("a contact pattern is four non-negative degrees")
     if D < 0:
         raise ValueError("D must be >= 0")
-    partials = _sieve_partials(lattice, K.q, tuple(sorted(k)), D)
-    return list(partials) if with_deltas else partials[D]
+    return list(_sieve_partials(lattice, K.q, tuple(sorted(k)), D))
 
 
 @lru_cache(maxsize=256)
@@ -349,7 +342,7 @@ def _sieve_partials(lattice: ConditionLattice, q: int, k: tuple, D: int) -> tupl
 def prediction(K: FieldSpec, a: int, b: int, k, D: int,
                lattice: ConditionLattice | None = None) -> SievePrediction:
     """q^{2a+2b+4} times the truncated sieve sum, as a prediction record."""
-    value = sieve_sum(K, k, D, lattice=lattice)
+    value = sieve_sum(K, k, D, lattice=lattice)[D]
     return SievePrediction(value=K.q ** (2 * a + 2 * b + 4) * value,
                            stable_range=stable_range_I(a, b, k))
 

@@ -13,7 +13,9 @@ computes, by a path that shares as little with it as possible:
 * the Neron-Severi lattice: the lines, conics and markings by exhaustive
   search over certified boxes and orthogonal quadruples, and the marking
   slacks and invariants that the pipeline folds into fiber pairs;
-* small closed forms: surface_count, tamagawa_exact, count_nef_points.
+* small closed forms: surface_count, tamagawa_exact, count_nef_points;
+* element vectors, the Frobenius map and pointwise divisor arithmetic,
+  which the pipeline never needs.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dp4sieve import nslattice as ns
 from dp4sieve import secenum as se
 from dp4sieve import sieve as sv
 from dp4sieve.errors import DegreeMismatch, TooLarge, ZeroForm
-from dp4sieve.field import FieldSpec, poly_divmod, poly_mul, poly_trim
+from dp4sieve.field import FieldSpec, from_digits, poly_divmod, poly_mul, poly_trim, to_digits
 from dp4sieve.heightzeta import good_factor
 from dp4sieve.linalg import row_reduce
 from dp4sieve.projline import (
@@ -51,6 +53,43 @@ from dp4sieve.projline import (
 )
 from dp4sieve.secenum import DEFAULT_BUDGET, SurfaceConfig
 from dp4sieve.sieve import ConditionLattice
+
+
+# ---------------------------------------------------------------------------
+# field elements as vectors, and effective divisors pointwise
+
+def to_vector(K: FieldSpec, e: int) -> tuple:
+    """Coefficient vector of length n over Z/p, constant term first."""
+    return to_digits(e, K.p, K.n)
+
+
+def from_vector(K: FieldSpec, vec) -> int:
+    return from_digits([c % K.p for c in vec], K.p)
+
+
+def frobenius(K: FieldSpec, a: int) -> int:
+    """The p-power map, as p - 1 table multiplications."""
+    out = a
+    for _ in range(K.p - 1):
+        out = K.mul(out, a)
+    return out
+
+
+def divisor_mult(d: EffectiveDivisor, pt: ClosedPoint) -> int:
+    return dict(d.entries).get(pt, 0)
+
+
+def divisor_support(d: EffectiveDivisor) -> tuple:
+    return tuple(pt for pt, _ in d.entries)
+
+
+def divisor_min(x: EffectiveDivisor, y: EffectiveDivisor) -> EffectiveDivisor:
+    """Pointwise minimum of the multiplicities."""
+    return divisor((pt, min(m, divisor_mult(y, pt))) for pt, m in x.entries)
+
+
+def divisor_sum(x: EffectiveDivisor, y: EffectiveDivisor) -> EffectiveDivisor:
+    return divisor((Counter(dict(x.entries)) + Counter(dict(y.entries))).items())
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +230,7 @@ def fiber_count_raw(cfg: SurfaceConfig, w, a: int, b: int) -> int:
 
 
 def _disjoint(divisors) -> bool:
-    support = [pt for d in divisors for pt in d.support]
+    support = [pt for d in divisors for pt in divisor_support(d)]
     return len(support) == len(set(support))
 
 
@@ -238,7 +277,7 @@ def _fiber_table(K: FieldSpec, deg_s: int, deg_t: int, w: EffectiveDivisor):
     def meet(x, y):
         if x is None:
             return ZERO_DIVISOR if y is None else y
-        return x if y is None else x.min(y)
+        return x if y is None else divisor_min(x, y)
 
     return np.array([[meet(x, y) == w for y in T] for x in S], dtype=np.int64)
 
@@ -591,8 +630,12 @@ def classes_with(selfint: int, degree: int) -> tuple:
     return tuple(sorted(out))
 
 
+ZERO_CLASS = ns.CurveClass((0,) * ns.RANK)
+IDENTITY_MARKING = ns.Marking(f=ns.F, fp=ns.FPRIME, e=ns.E)
+
+
 def sum_classes(classes):
-    acc = ns.ZERO
+    acc = ZERO_CLASS
     for c in classes:
         acc = acc.add(c)
     return acc

@@ -8,9 +8,11 @@ from dp4sieve import cli
 from dp4sieve.cli import main
 from dp4sieve.errors import TooLarge
 from dp4sieve.harness import parse_config_file
+from dp4sieve.nslattice import ShrunkenCone
 from dp4sieve.sieve import stable_range_I
 
 CONFIGS = sorted((pathlib.Path(__file__).parent.parent / "configs").glob("*.cfg"))
+Q3 = next(path for path in CONFIGS if path.name == "q3.cfg")
 
 
 def test_field_check(capsys):
@@ -76,6 +78,18 @@ def test_invalid_config_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("epsilon = 0\n")
     assert main(["--config", str(bad), "field-check"]) == 2
+
+
+def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
+    # a typo must not fall back to the default: d_max = 4 rows are wrong here
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("field.p = 3\ndmax = 2\n")
+    code = main(["--config", str(cfg), "--out-dir", str(tmp_path / "o"), "count"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: ") and err.count("\n") == 1
+    assert "'dmax'" in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("p", ["17", "4", "2"])
@@ -169,6 +183,36 @@ def test_zeta_resource_limit_exit_code(argv, capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("resource limit exceeded: ") and err.count("\n") == 1
+
+
+def test_limit_check_cutoff_cap_exit_code(tmp_path, capsys):
+    # m = 12 would need local factors to degree ~40,000; refused before any
+    # product, while the shipped limit_m_max = 5 runs
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text(Q3.read_text() + "limit_m_max = 12\n")
+    start = time.perf_counter()
+    assert main(["--config", str(cfg), "limit-check"]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit exceeded: ") and err.count("\n") == 1
+    assert main(["--config", str(Q3), "limit-check"]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 6
+
+
+def test_manin_tests_each_class_against_the_cone_once(monkeypatch, tmp_path, capsys):
+    # the 78 nef classes with h <= 4: N_eps and the alpha_eps estimate share
+    # one membership pass
+    calls = []
+    contains = ShrunkenCone.contains
+
+    def counted(self, alpha):
+        calls.append(alpha)
+        return contains(self, alpha)
+
+    monkeypatch.delenv("DP4SIEVE_CACHE", raising=False)
+    monkeypatch.setattr(ShrunkenCone, "contains", counted)
+    assert main(["--config", str(Q3), "--out-dir", str(tmp_path), "manin"]) == 0
+    assert len(calls) == len(set(calls)) == 78
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)

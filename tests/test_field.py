@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from oracles import frobenius, from_vector, to_vector
 
 from dp4sieve.errors import DivisionByZero, NonPrime, ReducibleModulus, UnsupportedSize
 from dp4sieve.field import lex_least_irreducible, make_field
@@ -20,9 +21,9 @@ def test_f4_modulus_is_lex_least():
     assert lex_least_irreducible(2, 2) == (1, 1, 1)
     f4 = make_field(2, 2)
     assert f4.q == 4
-    x = f4.from_vector((0, 1))
+    x = from_vector(f4, (0, 1))
     # x*x reduces to x+1 under x^2+x+1
-    assert f4.to_vector(f4.mul(x, x)) == (1, 1)
+    assert to_vector(f4, f4.mul(x, x)) == (1, 1)
 
 
 def test_construction_errors():
@@ -100,26 +101,28 @@ def test_frobenius_automorphism(p, n):
     spec = make_field(p, n)
     for a in spec.elements():
         for b in spec.elements():
-            assert spec.frobenius(spec.add(a, b)) == spec.add(spec.frobenius(a), spec.frobenius(b))
-            assert spec.frobenius(spec.mul(a, b)) == spec.mul(spec.frobenius(a), spec.frobenius(b))
+            assert frobenius(spec, spec.add(a, b)) == \
+                spec.add(frobenius(spec, a), frobenius(spec, b))
+            assert frobenius(spec, spec.mul(a, b)) == \
+                spec.mul(frobenius(spec, a), frobenius(spec, b))
     # n-fold iterate is the identity; fixed points are exactly the prime subfield
     fixed = []
     for a in spec.elements():
         e = a
         for _ in range(n):
-            e = spec.frobenius(e)
+            e = frobenius(spec, e)
         assert e == a
-        if spec.frobenius(a) == a:
+        if frobenius(spec, a) == a:
             fixed.append(a)
     assert len(fixed) == p
 
 
 def test_frobenius_on_prime_field_is_identity():
     f5 = make_field(5)
-    assert all(f5.frobenius(a) == a for a in f5.elements())
+    assert all(frobenius(f5, a) == a for a in f5.elements())
 
 
 def test_f4_frobenius_example():
     f4 = make_field(2, 2)
-    x = f4.from_vector((0, 1))
-    assert f4.to_vector(f4.frobenius(x)) == (1, 1)  # x^2 = x+1
+    x = from_vector(f4, (0, 1))
+    assert to_vector(f4, frobenius(f4, x)) == (1, 1)  # x^2 = x+1

@@ -15,7 +15,8 @@ from dp4sieve.harness import (
     asymptotic_report,
     config_from_mapping,
     counting_function,
-    emit,
+    emit_csv,
+    emit_json,
     parse_config_file,
 )
 
@@ -143,10 +144,10 @@ def test_shrunken_monotonicity_in_epsilon(tmp_path):
 def test_emit_deterministic_and_exact(tmp_path):
     cfg = RunConfig(p=3, d_max=2, cache_dir=str(tmp_path))
     report = asymptotic_report(cfg)
-    csv1, json1 = emit(report, "csv"), emit(report, "json")
+    csv1, json1 = emit_csv(report), emit_json(report)
     report2 = asymptotic_report(cfg)
-    assert emit(report2, "csv") == csv1
-    assert emit(report2, "json") == json1
+    assert emit_csv(report2) == csv1
+    assert emit_json(report2) == json1
     assert "4/9" not in csv1 or "0.44" not in csv1  # rationals stay exact
     payload = json.loads(json1)
     assert payload["config"]["epsilon"] == "1/8"
@@ -159,7 +160,7 @@ def test_emit_empty_report():
     from dp4sieve.harness import CountReport
 
     empty = CountReport(config={})
-    assert emit(empty, "csv") == "d,N,N_eps,prediction,ratio,upper_bound,flags\n"
+    assert emit_csv(empty) == "d,N,N_eps,prediction,ratio,upper_bound,flags\n"
 
 
 def test_asymptotic_report_constants(tmp_path):

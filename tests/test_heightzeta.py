@@ -16,7 +16,7 @@ def test_interval_arithmetic():
     assert c.lo <= Fraction(1, 3) * Fraction(2, 7) + Fraction(1, 3) <= c.hi
     assert c.width < Fraction(1, 2 ** 180)
     big = Interval.exact(Fraction(3, 2), bits=256).power(10 ** 6)
-    assert big.certainly_positive()
+    assert big.lo > 0
     d = a / b
     assert d.lo <= Fraction(7, 6) <= d.hi
 
@@ -25,10 +25,9 @@ def test_local_factor_coefficients():
     # the displayed factor, orders <= 3, |c| in {1, 2, 3}
     for q in (2, 3, 5):
         for deg in (1, 2, 3):
-            spec = hz.EulerFactorSpec(degree=deg, q=q, orders=(3, 3, 3, 3))
-            fac = hz.local_factor(spec)
+            fac = hz.local_factor(q, deg, (3, 3, 3, 3))
             u = Fraction(1, q ** deg)
-            assert fac.constant == 1 - 6 * u ** 2 + 8 * u ** 3 - 3 * u ** 4
+            assert fac.coefficient((0, 0, 0, 0)) == 1 - 6 * u ** 2 + 8 * u ** 3 - 3 * u ** 4
             for i in range(4):
                 e = [0] * 4
                 e[i] = deg
@@ -44,7 +43,7 @@ def test_local_factor_coefficients():
 def test_local_factor_coefficient_example_q_generic():
     # |c| = 1: coefficient of t_i is q^{-1} - 2 q^{-2} + 2 q^{-4} - q^{-5}
     for q in (2, 3, 5, 7):
-        fac = hz.local_factor(hz.EulerFactorSpec(degree=1, q=q, orders=(1, 1, 1, 1)))
+        fac = hz.local_factor(q, 1, (1, 1, 1, 1))
         u = Fraction(1, q)
         assert fac.coefficient((1, 0, 0, 0)) == u - 2 * u ** 2 + 2 * u ** 4 - u ** 5
 
@@ -53,7 +52,7 @@ def test_euler_product_constant():
     # N = 1, orders 0: the constant is the degree-1 factor to the (q+1)-st
     for q in (2, 3):
         prod = hz.euler_product(q, 1, (0, 0, 0, 0))
-        assert prod.constant == hz.factor_constant(q, 1) ** (q + 1)
+        assert prod.coefficient((0, 0, 0, 0)) == hz.factor_constant(q, 1) ** (q + 1)
 
 
 def test_euler_product_log_derivative():
@@ -64,12 +63,12 @@ def test_euler_product_log_derivative():
         direct = prod.coefficient((1, 0, 0, 0))
         # only degree-1 factors carry t^1; the rest contribute constants
         c1 = count_closed_points_for(q, 1)
-        fac1 = hz.local_factor(hz.EulerFactorSpec(degree=1, q=q, orders=orders))
+        fac1 = hz.local_factor(q, 1, orders)
         rest = Fraction(1)
         for n in range(2, N + 1):
             rest *= hz.factor_constant(q, n) ** count_closed_points_for(q, n)
         expected = c1 * fac1.coefficient((1, 0, 0, 0)) \
-            * fac1.constant ** (c1 - 1) * rest
+            * fac1.coefficient((0, 0, 0, 0)) ** (c1 - 1) * rest
         assert direct == expected
 
 

@@ -86,12 +86,24 @@ def test_sieve_has_no_series_kernel_of_its_own():
     assert not defs
 
 
-def _reference_graph() -> dict:
-    """(module, name) of every top-level definition or assignment in src ->
-    the (module, name) pairs that its source mentions, through the module's
-    own names and its relative imports.  A name that the definition binds
-    itself (an argument or an assignment target) is local, not a mention."""
-    graph = {}
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _attributes_read(node) -> set:
+    return {n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def _reference_graph():
+    """Nodes are (module, name) for every top-level definition or assignment
+    in src and (module, class, member) for every method or property.  Each
+    node maps to the (module, name) pairs its source mentions, through the
+    module's own names and its relative imports, and to the attribute names
+    it reads.  A class node covers its body without its methods.  A name
+    that the node binds itself (an argument or an assignment target) is
+    local, not a mention."""
+    graph, members = {}, []
     for path in MODULES:
         mod, tree = path.stem, _tree(path)
         names = {alias.asname or alias.name: (node.module, alias.name)
@@ -105,31 +117,53 @@ def _reference_graph() -> dict:
                 for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                     local.update((n.id, node) for n in ast.walk(target) if isinstance(n, ast.Name))
         names.update((name, (mod, name)) for name in local)
+        parts = {}
         for name, node in local.items():
-            bound = {n.arg if isinstance(n, ast.arg) else n.id for n in ast.walk(node)
+            if isinstance(node, ast.ClassDef):
+                methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
+                parts.update(((mod, name, m.name), [m]) for m in methods)
+                members.extend((mod, name, m.name) for m in methods)
+                parts[(mod, name)] = node.decorator_list + node.bases + node.keywords + [
+                    b for b in node.body if b not in methods]
+            else:
+                parts[(mod, name)] = [node]
+        for key, trees in parts.items():
+            walked = [n for tree in trees for n in ast.walk(tree)]
+            bound = {n.arg if isinstance(n, ast.arg) else n.id for n in walked
                      if isinstance(n, ast.arg)
                      or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
             free = names.keys() - bound
-            graph[(mod, name)] = {names[n.id] for n in ast.walk(node)
-                                  if isinstance(n, ast.Name) and n.id in free}
-    return graph
+            graph[key] = ({names[n.id] for n in walked if isinstance(n, ast.Name) and n.id in free},
+                          set().union(*map(_attributes_read, trees)))
+    return graph, members
 
 
 def test_every_definition_is_reached_from_the_cli_or_the_ledger():
-    # brute-force references live in tests/oracles.py, not in the package
+    # brute-force references live in tests/oracles.py, not in the package.
+    # A definition is reached through a name, a method or property through
+    # an attribute read of its name by reached code or by the ledger, once
+    # its class is reached; dunders are exempt
+    ledger = _tree(ROOT / "bench" / "ledger.py")
     roots = {("cli", "main")} | {
         (node.module.split(".")[1], alias.name)
-        for node in ast.walk(_tree(ROOT / "bench" / "ledger.py"))
+        for node in ast.walk(ledger)
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dp4sieve.")
         for alias in node.names}
-    graph = _reference_graph()
-    reached, todo = set(), list(roots)
+    graph, members = _reference_graph()
+    reached, read, todo = set(), _attributes_read(ledger), list(roots)
     while todo:
-        key = todo.pop()
-        if key not in reached:
-            reached.add(key)
-            todo.extend(graph.get(key, ()))
-    unreached = sorted(f"{path.stem}.{node.name}" for path in MODULES for node in _tree(path).body
-                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                       and (path.stem, node.name) not in reached)
-    assert not unreached, f"{len(unreached)} definitions only tests reach: {', '.join(unreached)}"
+        while todo:
+            key = todo.pop()
+            if key not in reached:
+                reached.add(key)
+                mentions, attrs = graph.get(key, ((), ()))
+                todo.extend(mentions)
+                read |= attrs
+        todo = [(mod, cls, name) for mod, cls, name in members
+                if (mod, cls) in reached and (mod, cls, name) not in reached
+                and (_is_dunder(name) or name in read)]
+    unreached = [".".join(key) for key in graph
+                 if key not in reached and not _is_dunder(key[-1])
+                 and (len(key) == 2 or key[:2] in reached)]
+    assert not unreached, \
+        f"{len(unreached)} definitions only tests reach: {', '.join(sorted(unreached))}"

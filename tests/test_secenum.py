@@ -202,11 +202,11 @@ def test_u_k_points_counts():
     assert len(orc.u_k_points(F3, (0, 0, 0, 0))) == 1
     assert len(orc.u_k_points(F3, (1, 0, 0, 0))) == 4   # #P^1(F_3) rational points
     assert len(orc.u_k_points(F3, (1, 1, 0, 0))) == 12  # ordered distinct pairs
-    # degree-2 slots admit degree-2 points and doубled rational points
+    # degree-2 slots admit degree-2 points and doubled rational points
     assert len(orc.u_k_points(F3, (2, 0, 0, 0))) == 13  # #P^2(F_3)
     # disjointness: no tuple shares support
     for w in orc.u_k_points(F3, (1, 1, 1, 0)):
-        sup = [pt for d in w for pt in d.support]
+        sup = [pt for d in w for pt in orc.divisor_support(d)]
         assert len(sup) == len(set(sup))
 
 
@@ -285,7 +285,8 @@ def test_degree_table_is_the_degree_of_the_meet():
         for ds, dt in itertools.product(range(3), repeat=2):
             S, T = se._inventory(K, ds)[0], se._inventory(K, dt)[0]
             tab = se._degree_table(K, ds, dt)
-            assert tab[:-1, :-1].tolist() == [[x.min(y).degree for y in T] for x in S]
+            assert tab[:-1, :-1].tolist() == [[orc.divisor_min(x, y).degree for y in T]
+                                               for x in S]
             # a zero form passes the other side through; two meet in 0
             assert (tab[:-1, -1] == ds).all() and (tab[-1, :-1] == dt).all()
             assert tab[-1, -1] == 0

@@ -46,7 +46,7 @@ def test_lattice_shapes():
 def test_meet_examples():
     # containment, transverse planes, the top element
     def meet(p, q):
-        return L14.elements[L14.meet(L14.index(p), L14.index(q))]
+        return L14.elements[L14.meet_idx[L14.index(p)][L14.index(q)]]
 
     assert meet(W[0], (0, "zero")) == (0, "zero")
     assert meet(W[0], W[1]) == ("zero", "zero")
@@ -55,14 +55,14 @@ def test_meet_examples():
 
 def test_meet_table_properties():
     for lat in (L14, L16):
-        n = len(lat.elements)
+        n, meet = len(lat.elements), lat.meet_idx
         for i in range(n):
-            assert lat.meet(i, i) == i
+            assert meet[i][i] == i
             for j in range(n):
-                assert lat.meet(i, j) == lat.meet(j, i)
-                assert lat.coranks[lat.meet(i, j)] >= max(lat.coranks[i], lat.coranks[j])
+                assert meet[i][j] == meet[j][i]
+                assert lat.coranks[meet[i][j]] >= max(lat.coranks[i], lat.coranks[j])
                 for k in range(n):
-                    assert lat.meet(lat.meet(i, j), k) == lat.meet(i, lat.meet(j, k))
+                    assert meet[meet[i][j]][k] == meet[i][meet[j][k]]
 
 
 def test_local_condition_validation():
@@ -225,10 +225,10 @@ def test_stable_range_formula():
 
 
 def test_sieve_sum_base_cases():
-    assert sv.sieve_sum(K3, (0, 0, 0, 0), 0) == 1
-    assert sv.sieve_sum(K3, (1, 0, 0, 0), 0) == Fraction(4, 9)
+    assert sv.sieve_sum(K3, (0, 0, 0, 0), 0) == [1]
+    assert sv.sieve_sum(K3, (1, 0, 0, 0), 0) == [Fraction(4, 9)]
     # partials are reported so stabilization is observable
-    partials = sv.sieve_sum(K5, (0, 0, 0, 0), 3, with_deltas=True)
+    partials = sv.sieve_sum(K5, (0, 0, 0, 0), 3)
     assert len(partials) == 4
     deltas = [abs(b - a) for a, b in zip(partials, partials[1:])]
     assert deltas[-1] < deltas[0]
@@ -253,7 +253,7 @@ def _sieve_partials_by_definition(K, k, D, lattice):
 def test_sieve_sum_matches_definition(lattice, k, D):
     # (2,0,0,0) reaches depth 2 and a degree-2 contact point; (0,0,1,1)
     # puts contact on the last two components
-    assert sv.sieve_sum(K3, k, D, lattice=lattice, with_deltas=True) == \
+    assert sv.sieve_sum(K3, k, D, lattice=lattice) == \
         _sieve_partials_by_definition(K3, k, D, lattice)
 
 
@@ -262,7 +262,7 @@ def test_deep_truncation_skips_the_shape_scan():
     # per-interval recursion; the product path scans no local shapes
     orc._local_shapes.cache_clear()
     sv._sieve_partials.cache_clear()
-    partials = sv.sieve_sum(K3, (0, 0, 0, 0), 8, with_deltas=True)
+    partials = sv.sieve_sum(K3, (0, 0, 0, 0), 8)
     assert partials == [Fraction(v) for v in (
         "1", "-17/27", "128/729", "27136/177147", "424960/4782969",
         "35554688/387420489", "8575322368/94143178827",
@@ -277,7 +277,7 @@ def test_sieve_product_symmetric_in_contact_pattern(lattice, k, D):
     memo = sv._sieve_partials(lattice, 3, tuple(sorted(k)), D)
     for perm in set(itertools.permutations(k)):
         assert sv._sieve_partials.__wrapped__(lattice, 3, perm, D) == memo
-        assert sv.sieve_sum(K3, perm, D, lattice=lattice, with_deltas=True) == list(memo)
+        assert sv.sieve_sum(K3, perm, D, lattice=lattice) == list(memo)
 
 
 def test_sieve_sum_rejects_negative_truncation():
@@ -287,7 +287,7 @@ def test_sieve_sum_rejects_negative_truncation():
 
 def test_sieve_sum_beyond_tuple_enumeration():
     # 40^4 candidate tuples, yet a product of 4^4 * 2 monomials
-    partials = sv.sieve_sum(K3, (3, 3, 3, 3), 1, with_deltas=True)
+    partials = sv.sieve_sum(K3, (3, 3, 3, 3), 1)
     assert len(partials) == 2 and partials[0] > 0
 
 
@@ -297,7 +297,7 @@ def test_sieve_sum_leading_term_identity():
     cfg5 = se.default_config(5)
     a = b = 6
     for k in ((1, 0, 0, 0), (1, 1, 0, 0)):
-        lhs = K5.q ** (2 * a + 2 * b + 4) * sv.sieve_sum(K5, k, 0)
+        lhs = K5.q ** (2 * a + 2 * b + 4) * sv.sieve_sum(K5, k, 0)[0]
         rhs = 0
         for w in orc.u_k_points(K5, k):
             x = orc.config_from_divisor_tuple(L16, w)
@@ -310,7 +310,7 @@ def test_sieve_sum_vs_euler_truncation():
     # k = 0, D = 4 at q = 5: within 10% of the finite product of the
     # explicit factor over points of degree <= 4 (16-element lattice; the
     # 14-element survey reading misses at ~24%, reported not asserted)
-    s = sv.sieve_sum(K5, (0, 0, 0, 0), 4, lattice=L16)
+    s = sv.sieve_sum(K5, (0, 0, 0, 0), 4, lattice=L16)[4]
     prod = Fraction(1)
     for d in (1, 2, 3, 4):
         u = Fraction(1, 5 ** d)
