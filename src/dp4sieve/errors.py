@@ -41,7 +41,9 @@ class NotNef(Dp4Error):
 
 
 class LemmaViolation(Dp4Error):
-    """No admissible contraction with non-negative slack exists; indicates a lattice bug."""
+    """A proven fact fails: no admissible contraction with non-negative
+    slack, or a series coefficient that its scaling leaves fractional.
+    Indicates a bug."""
 
 
 # surface configurations and section counting

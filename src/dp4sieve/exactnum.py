@@ -7,7 +7,9 @@ outward after every operation.  Everything is integer arithmetic: no binary
 floats appear anywhere, and every reported comparison is certified by the
 enclosure.  The precision must comfortably exceed the bit length of the
 largest integer exponent used, or the rounding slack itself would blow up
-under exponentiation; callers size it accordingly.
+under exponentiation; callers size it accordingly.  Powers, taken only of
+nonnegative intervals (positive local factors), run on the endpoint
+integers.
 """
 
 from __future__ import annotations
@@ -94,17 +96,25 @@ class Interval:
         return Interval(min(cands_lo), max(cands_hi), self.bits)
 
     def power(self, e: int) -> "Interval":
-        """Integer power by squaring; exponent may be astronomically large."""
-        assert e >= 0
-        result = Interval(1 << self.bits, 1 << self.bits, self.bits)
-        base = self
+        """Integer power by squaring; exponent may be astronomically large.
+
+        Only for nonnegative intervals, which every caller multiplies: then
+        each product's smallest candidate is nlo * nlo' and its largest
+        nhi * nhi', so the loop runs on the endpoint integers with the same
+        floor and ceiling roundings as __mul__, and gives the same endpoints.
+        """
+        if e < 0 or self.nlo < 0:
+            raise ValueError("power needs e >= 0 and a nonnegative interval")
+        bits = self.bits
+        rlo = rhi = 1 << bits
+        blo, bhi = self.nlo, self.nhi
         while e:
             if e & 1:
-                result = result * base
+                rlo, rhi = (rlo * blo) >> bits, -((-rhi * bhi) >> bits)
             e >>= 1
             if e:
-                base = base * base
-        return result
+                blo, bhi = (blo * blo) >> bits, -((-bhi * bhi) >> bits)
+        return Interval(rlo, rhi, bits)
 
     def abs(self) -> "Interval":
         if self.nlo >= 0:

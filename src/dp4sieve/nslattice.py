@@ -221,9 +221,10 @@ class ShrunkenCone:
         assert self.epsilon > 0
 
     def contains(self, alpha: CurveClass) -> bool:
-        if not is_nef(alpha):
+        try:                        # ell_functional makes the one nef check
+            return ell_functional(alpha) >= self.epsilon * alpha.h
+        except NotNef:
             return False
-        return ell_functional(alpha) >= self.epsilon * alpha.h
 
 
 # ---------------------------------------------------------------------------

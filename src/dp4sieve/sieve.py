@@ -4,7 +4,9 @@ values, and truncated sieve sums.
 
 A sieve sum is one Euler-type product of local excess polynomials over
 closed points, a truncated series in t_1..t_4 and the excess variable T on
-heightzeta's series kernel (see sieve_sum); no tuple is enumerated.
+heightzeta's series kernel (see sieve_sum); no tuple is enumerated.  Under
+t_i -> q^2 t_i and T -> q^4 T every local factor has integer
+coefficients, so the product runs on integers.
 
 The local condition lattice is pluggable.  Its elements are product
 subspaces A + B of the four-dimensional fiber V_1 + V_2, each factor being
@@ -54,6 +56,10 @@ from .errors import DegreeMismatch, NotSaturated
 from .field import FieldSpec
 from .heightzeta import TruncatedMultiSeries, series_one
 from .projline import count_closed_points_for
+
+# the scaling t_i -> q^2 t_i, T -> q^4 T that makes every sieve factor
+# coefficient an integer
+SIEVE_WEIGHTS = (2, 2, 2, 2, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +328,13 @@ def _sieve_partials(lattice: ConditionLattice, q: int, k: tuple, D: int) -> tupl
     N_d counts degree-d closed points.  Each point picks one term, so the
     supports of w are disjoint for free and nothing is divided.  The product
     is symmetric in t_1..t_4, so sieve_sum asks only for sorted k.
+
+    The factors carry SIEVE_WEIGHTS, which make them integral; the series
+    constructor refuses a fractional coefficient with LemmaViolation.
     """
     orders = k + (D,)
     empty = tuple(0 for _ in lattice.nontop)
-    product = series_one(orders)
+    product = series_one(orders, q, SIEVE_WEIGHTS)
     for d in range(1, max(orders) + 1):
         den = _local_poly(lattice, q, d, empty, D)
         coeffs = {(0, 0, 0, 0, e): c for e, c in enumerate(den)}
@@ -333,7 +342,7 @@ def _sieve_partials(lattice: ConditionLattice, q: int, k: tuple, D: int) -> tupl
             num = _local_poly(lattice, q, d, local_condition(lattice, {(0, 0): m}), D)
             for i, e in itertools.product(range(4), range(D + 1)):
                 coeffs[(0,) * i + (m * d,) + (0,) * (3 - i) + (e,)] = num[e]
-        factor = TruncatedMultiSeries(orders, coeffs)
+        factor = TruncatedMultiSeries(orders, coeffs, q, SIEVE_WEIGHTS)
         product = product * factor.power(count_closed_points_for(q, d))
     return tuple(itertools.accumulate(
         product.coefficient(k + (e,)) for e in range(D + 1)))

@@ -14,6 +14,9 @@ computes, by a path that shares as little with it as possible:
   search over certified boxes and orthogonal quadruples, and the marking
   slacks and invariants that the pipeline folds into fiber pairs;
 * small closed forms: surface_count, tamagawa_exact, count_nef_points;
+* exact arithmetic: the truncated series product as a double loop over
+  two dicts of Fractions, and interval powers by repeated interval
+  products;
 * element vectors, the Frobenius map and pointwise divisor arithmetic,
   which the pipeline never needs.
 """
@@ -33,6 +36,7 @@ from dp4sieve import nslattice as ns
 from dp4sieve import secenum as se
 from dp4sieve import sieve as sv
 from dp4sieve.errors import DegreeMismatch, TooLarge, ZeroForm
+from dp4sieve.exactnum import Interval
 from dp4sieve.field import FieldSpec, from_digits, poly_divmod, poly_mul, poly_trim, to_digits
 from dp4sieve.heightzeta import good_factor
 from dp4sieve.linalg import row_reduce
@@ -742,3 +746,31 @@ def count_nef_points(d: int) -> int:
             ok = (2 * a + 2 * b - s <= d) & (s - m <= a + b)
             total += int(ok.sum())
     return total
+
+
+# ---------------------------------------------------------------------------
+# exact arithmetic
+
+def series_product(orders, a: dict, b: dict) -> dict:
+    """Truncated product of two series given as {exponent: Fraction}: every
+    pair of terms, kept when the summed exponent is within the orders."""
+    out = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            expo = tuple(x + y for x, y in zip(e1, e2))
+            if all(e <= o for e, o in zip(expo, orders)):
+                out[expo] = out.get(expo, Fraction(0)) + v1 * v2
+    return {expo: v for expo, v in out.items() if v}
+
+
+def interval_power(x: Interval, e: int) -> Interval:
+    """x^e by squaring, each step one outward-rounded Interval product."""
+    result = Interval(1 << x.bits, 1 << x.bits, x.bits)
+    base = x
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result

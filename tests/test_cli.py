@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from dp4sieve import cli
+from dp4sieve import cli, sieve
 from dp4sieve.cli import main
 from dp4sieve.errors import TooLarge
 from dp4sieve.harness import parse_config_file
@@ -225,6 +225,17 @@ def test_shipped_config_runs(path, tmp_path, capsys):
     points = parse_config_file(str(path)).points
     assert report["config"]["points"] == (None if points is None
                                           else [list(pair) for pair in points])
+
+
+def test_fractional_scaled_sieve_coefficient_is_an_invariant_violation(monkeypatch, capsys):
+    # without the q-power scaling the sieve factors are not integral: the
+    # kernel refuses with exit 4 and a message, not a traceback
+    sieve._sieve_partials.cache_clear()
+    monkeypatch.setattr(sieve, "SIEVE_WEIGHTS", (0,) * 5)
+    assert main(["--field-p", "3", "sieve", "--k", "1,0,0,0"]) == 4
+    sieve._sieve_partials.cache_clear()
+    err = capsys.readouterr().err
+    assert err.startswith("internal invariant violation: coefficient ") and err.count("\n") == 1
 
 
 def test_resource_limit_exit_code(monkeypatch, capsys):

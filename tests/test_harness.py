@@ -198,11 +198,10 @@ _config_value = st.one_of(
     st.text(max_size=8), st.integers(-10 ** 6, 10 ** 6).map(str),
     st.fractions(max_denominator=10).map(str),
     st.sampled_from(["1", "2", "3", "4", "5", "13", "17", "volume", "volume_rho"]))
-_config_mapping = st.builds(
-    lambda known, extra: {**extra, **known},
-    st.fixed_dictionaries({}, optional={"points": _points_text,
-                                        **{key: _config_value for key in CONFIG_KEYS}}),
-    st.dictionaries(st.text(max_size=5), _config_value, max_size=2))
+_config_mapping = st.fixed_dictionaries(
+    {}, optional={"points": _points_text, **{key: _config_value for key in CONFIG_KEYS}})
+_unknown_keys = st.dictionaries(st.text(max_size=5).filter(lambda key: key not in CONFIG_KEYS),
+                                _config_value, min_size=1, max_size=2)
 
 
 @PROPERTY
@@ -214,6 +213,15 @@ def test_config_from_mapping_returns_a_config_or_refuses(raw):
         return
     # a config that is accepted describes a surface the engine can build
     assert cfg.surface().field.q == cfg.q
+
+
+@PROPERTY
+@given(_config_mapping, _unknown_keys)
+def test_config_from_mapping_refuses_unknown_keys(raw, extra):
+    # drawn apart from the property above, which would otherwise see few
+    # accepted configurations
+    with pytest.raises(InvalidConfig, match="unknown config key"):
+        config_from_mapping({**extra, **raw})
 
 
 _cache_entries = st.dictionaries(st.text(), st.integers(), max_size=6)

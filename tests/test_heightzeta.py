@@ -1,11 +1,14 @@
 from fractions import Fraction
 
+import oracles as orc
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import surface_count, tamagawa_exact
 
 from dp4sieve import heightzeta as hz
-from dp4sieve.errors import TooLarge
-from dp4sieve.exactnum import Interval
+from dp4sieve.errors import LemmaViolation, TooLarge
+from dp4sieve.exactnum import DEFAULT_BITS, Interval
 from dp4sieve.projline import count_closed_points_for
 
 
@@ -19,6 +22,90 @@ def test_interval_arithmetic():
     assert big.lo > 0
     d = a / b
     assert d.lo <= Fraction(7, 6) <= d.hi
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _series(draw, nvars, q, weights):
+    """A sparse series whose coefficients the weights make integral."""
+    orders = tuple(draw(st.integers(0, 4)) for _ in range(nvars))
+    scale = draw(st.integers(0, 6))
+    terms = draw(st.dictionaries(st.tuples(*(st.integers(0, o) for o in orders)),
+                                 st.integers(-50, 50), max_size=6))
+    coeffs = {e: Fraction(c, q ** (scale + sum(w * x for w, x in zip(weights, e))))
+              for e, c in terms.items()}
+    return hz.TruncatedMultiSeries(orders, coeffs, q, weights, scale), coeffs
+
+
+@st.composite
+def _series_pair(draw):
+    nvars = draw(st.integers(1, 3))
+    q = draw(st.sampled_from([1, 2, 3, 5]))
+    weights = tuple(draw(st.integers(0, 4)) for _ in range(nvars))
+    return draw(_series(nvars, q, weights)), draw(_series(nvars, q, weights))
+
+
+@PROPERTY
+@given(_series_pair(), st.integers(0, 5))
+def test_series_kernel_matches_the_dict_oracle(pair, e):
+    (a, a_coeffs), (b, b_coeffs) = pair
+    assert a.coeffs == {expo: v for expo, v in a_coeffs.items() if v}
+    orders = tuple(map(min, a.orders, b.orders))
+    assert (a * b).orders == orders
+    assert (a * b).coeffs == orc.series_product(orders, a_coeffs, b_coeffs)
+    power = {(0,) * len(a.orders): Fraction(1)}
+    for _ in range(e):
+        power = orc.series_product(a.orders, power, a_coeffs)
+    assert a.power(e).coeffs == power
+
+
+def test_series_refuses_a_coefficient_its_scaling_leaves_fractional():
+    hz.TruncatedMultiSeries((2,), {(1,): Fraction(1, 9)}, 3, (2,))
+    with pytest.raises(LemmaViolation, match="not integral"):
+        hz.TruncatedMultiSeries((2,), {(1,): Fraction(1, 9)}, 3, (1,))
+
+
+def test_euler_factors_are_integral_after_scaling():
+    # q^{4d} F_d(q t): (Q - 1)^3 (Q + 3) and Q^4 - 2 Q^3 + 2 Q - 1, Q = q^d
+    for q in (3, 4, 5):
+        for d in range(1, 5):
+            Q = q ** d
+            assert hz.factor_constant(q, d) * Q ** 4 == (Q - 1) ** 3 * (Q + 3)
+            for m in range(1, 8 // d + 1):
+                assert hz.factor_contact_coefficient(q, d, m) * Q ** (4 + m) \
+                    == Q ** 4 - 2 * Q ** 3 + 2 * Q - 1
+            hz.local_factor(q, d, (8, 8, 8, 8))    # refuses a fractional one
+
+
+def test_constant_denominator_valuation():
+    # the p-adic valuation _constant_too_long charges per degree-n point
+    for q, p, r in ((2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (7, 7, 1), (8, 2, 3),
+                    (9, 3, 2), (25, 5, 2), (27, 3, 3)):
+        for n in range(1, 6):
+            den, v = hz.factor_constant(q, n).denominator, 0
+            while den % p == 0:
+                den, v = den // p, v + 1
+            assert den == 1 and v == 4 * r * n - (p == 3)
+
+
+@PROPERTY
+@given(st.sampled_from([8, 32, 192]), st.integers(0, 4), st.integers(0, 2 ** 10),
+       st.integers(0, 5000), st.data())
+def test_interval_power_matches_repeated_products(bits, whole, spread, e, data):
+    nlo = (whole << bits) + data.draw(st.integers(0, (1 << bits) - 1))
+    x = Interval(nlo, nlo + spread, bits)
+    power = x.power(e)
+    oracle = orc.interval_power(x, e)
+    assert (power.nlo, power.nhi) == (oracle.nlo, oracle.nhi)
+
+
+def test_interval_power_refuses_a_negative_lower_endpoint():
+    with pytest.raises(ValueError, match="nonnegative"):
+        Interval(-1, 1 << DEFAULT_BITS).power(3)
+    with pytest.raises(ValueError):
+        Interval(0, 1).power(-1)
 
 
 def test_local_factor_coefficients():

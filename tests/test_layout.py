@@ -80,10 +80,21 @@ def test_sieve_imports_nothing_from_secenum():
 
 
 def test_sieve_has_no_series_kernel_of_its_own():
-    # truncated series arithmetic lives in heightzeta.TruncatedMultiSeries
-    defs = [node.name for node in ast.walk(_tree(SRC / "sieve.py"))
-            if isinstance(node, ast.FunctionDef) and node.name.startswith("_series")]
-    assert not defs
+    # truncated series arithmetic lives in heightzeta.TruncatedMultiSeries:
+    # besides exactnum's interval numbers no other class multiplies, and no
+    # other module defines a series helper
+    products, helpers = set(), []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(m, ast.FunctionDef) and m.name in ("__mul__", "__rmul__")
+                    for m in node.body):
+                products.add((path.stem, node.name))
+            elif (isinstance(node, ast.FunctionDef) and "series" in node.name
+                  and path.stem != "heightzeta"):
+                helpers.append(f"{path.name}:{node.name}")
+    assert products == {("exactnum", "Interval"), ("heightzeta", "TruncatedMultiSeries")}
+    assert not helpers
 
 
 def _is_dunder(name: str) -> bool:

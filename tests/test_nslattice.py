@@ -171,6 +171,18 @@ def test_ell_functional():
         assert ns.ell_functional(beta) >= min(marking_slacks(IDENTITY_MARKING, beta))
 
 
+def test_shrunken_cone_checks_nefness_once(monkeypatch):
+    calls = []
+    is_nef = ns.is_nef
+    monkeypatch.setattr(ns, "is_nef", lambda alpha: calls.append(alpha) or is_nef(alpha))
+    cone, alpha = ns.ShrunkenCone(epsilon=Fraction(1, 8)), ns.F.add(ns.FPRIME)
+    assert cone.contains(alpha)
+    assert not cone.contains(ns.E[0])
+    assert calls == [alpha, ns.E[0]]
+    with pytest.raises(NotNef):
+        ns.ell_functional(ns.E[0])
+
+
 def test_shrunken_cone_membership_monotone_in_epsilon():
     big = ns.ShrunkenCone(epsilon=Fraction(1, 10))
     small = ns.ShrunkenCone(epsilon=Fraction(1, 2))

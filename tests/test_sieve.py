@@ -359,6 +359,20 @@ def test_local_factor_matches_display_16():
         assert _local_factor_entry(L16, q, deg, 2) == factor_contact_coefficient(q, deg, 2)
 
 
+@LATTICES
+def test_sieve_factors_are_integral_after_scaling(lattice):
+    # t_i -> q^2 t_i and T -> q^4 T clear every denominator: for depth
+    # m <= 4 at points of degree d <= 4 and excess e <= 8, the T^e
+    # coefficient of the excess polynomial times q^(2 m d + 4 e) is an integer
+    empty = tuple(0 for _ in lattice.nontop)
+    for q in (3, 4, 5):
+        for d in range(1, 5):
+            for m in range(5):
+                base = sv.local_condition(lattice, {W[0]: m}) if m else empty
+                for e, c in enumerate(sv._local_poly(lattice, q, d, base, 8)):
+                    assert (c * q ** (2 * m * d + 4 * e)).denominator == 1, (q, d, m, e)
+
+
 def test_local_factor_survey_deviation_reported():
     # the 14-element reading has only four corank-2 atoms, so its constant
     # part deviates from the display at q = 5 (they agree at q = 3 by a
