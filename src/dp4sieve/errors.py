@@ -26,11 +26,7 @@ class DivisionByZero(Dp4Error):
     pass
 
 
-# binary forms and divisors
-class ZeroForm(Dp4Error):
-    pass
-
-
+# divisor inventories and counting tables
 class TooLarge(Dp4Error):
     pass
 

@@ -8,8 +8,8 @@ irreducible polynomial in x.  Working with forms rather than polynomials
 keeps the place at infinity on the same footing as every other point: a
 "common root" of two forms includes common vanishing at infinity.
 
-Everything here is immutable and pure; factorization is by exhaustive
-trial division over the closed-point inventory, which is transparent and
+Everything here is immutable and pure.  Closed points of degree >= 2 are
+found by trial division by the lower-degree ones, which is transparent and
 plenty fast at the degrees this package ever touches.
 """
 
@@ -19,13 +19,12 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import TooLarge, ZeroForm
+from .errors import TooLarge
 from .field import (
     FieldSpec,
     field_of_order,
     from_digits,
     poly_divmod,
-    poly_trim,
     to_digits,
 )
 
@@ -165,59 +164,6 @@ def divisor(pairs) -> EffectiveDivisor:
 
 
 ZERO_DIVISOR = EffectiveDivisor(entries=())
-
-
-# ---------------------------------------------------------------------------
-# forms: divisor extraction
-
-def form_is_zero(coeffs) -> bool:
-    return not any(coeffs)
-
-
-def _affine_part(coeffs):
-    """Split a form into (affine polynomial, order of vanishing at infinity)."""
-    aff = poly_trim(coeffs)
-    return aff, len(coeffs) - len(aff)
-
-
-def factor_poly(K: FieldSpec, poly) -> list:
-    """Factor a nonzero polynomial into (ClosedPoint, multiplicity) pairs."""
-    poly = poly_trim(poly)
-    out = []
-    deg = len(poly) - 1
-    n = 1
-    while len(poly) - 1 > 0:
-        if n > (len(poly) - 1) // 2:
-            # remaining cofactor is irreducible
-            inv = K.inv(poly[-1])
-            monic = tuple(K.mul(c, inv) for c in poly)
-            out.append((_affine_point(K, monic), 1))
-            break
-        for pt in _irreducibles_of_degree(K, n):
-            mult = 0
-            while True:
-                quot, rem = poly_divmod(K, poly, pt.poly)
-                if rem:
-                    break
-                poly, mult = quot, mult + 1
-            if mult:
-                out.append((pt, mult))
-        n += 1
-    assert sum(pt.degree * m for pt, m in out) == deg
-    return out
-
-
-def divisor_of_form(K: FieldSpec, coeffs) -> EffectiveDivisor:
-    """Full factorization of a nonzero form, including the place at infinity."""
-    if form_is_zero(coeffs):
-        raise ZeroForm("the zero form has no divisor")
-    aff, inf_mult = _affine_part(coeffs)
-    pairs = factor_poly(K, aff) if len(aff) > 1 else []
-    if inf_mult:
-        pairs.append((point_at_infinity(), inf_mult))
-    div = divisor(pairs)
-    assert div.degree == len(coeffs) - 1
-    return div
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,25 @@ coprime pairs to coprime pairs and pulls every composite divisor back
 along g, on both sides at once; degrees, and so every contact degree, are
 unchanged, and each side's multiset is carried onto itself with equal
 weights.  Hence the sum over x in S, y in T of w(x) w(y) [key(gx, y)]
-equals that of [key(x, g^-1 y)], and the larger side may be replaced by
-one representative per orbit, weighted by the orbit's total weight.
+equals that of [key(x, g^-1 y)], and one side may be replaced by one
+representative per orbit, weighted by the orbit's total weight.
+
+That side is enumerated from the orbits directly.  Since p_0 != p_1, the
+composites g_1 = lambda_0(s) and g_2 = lambda_1(s) are coordinates of s,
+and lambda_2(s), lambda_3(s) are fixed combinations of them.  For each
+orbit G.D_1 of first divisors, one form g_1 with divisor D_1 (the orbit's
+least id) is paired with every form g_2 coprime to it; each such pair
+stands for |G.D_1| (q-1) pairs of the side, the q-1 being the common
+scalar that makes g_1 that form.  At degree 0 the zero form is a first
+divisor too, and the common scalar normalises g_2 instead.  So the
+enumeration costs one q^(d+1) sweep per orbit, not q^(2d+2).
+
+The reduced side is the one of larger degree (s on a tie).  For d >= 1 the
+divisors of g_1 and g_2 fix s up to the ratio of two scalars, and that of
+lambda_2(s) fixes the ratio, because coprime forms are not proportional; so
+a side of degree d has exactly q^(2d-1) (q^2 - 1) distinct quadruples, each
+of weight q-1, and min(q+1, 5) at degree 0.  Reducing the side with more
+quadruples, which the join compares, is reducing the side of larger degree.
 """
 
 from __future__ import annotations
@@ -46,9 +63,9 @@ from .errors import (
     OnBidegreeCurve,
     TooLarge,
 )
-from .field import FieldSpec, field_of_order, poly_mul, to_digits
-from .linalg import det
-from .projline import closed_points_up_to, divisor_of_form, hilb_points
+from .field import FieldSpec, field_of_order, poly_mul
+from .linalg import det, solve
+from .projline import closed_points_up_to, hilb_points
 
 DEFAULT_BUDGET = 2 ** 34
 INF = "inf"
@@ -203,62 +220,82 @@ def _projective_codes(q: int, length: int):
 
 @lru_cache(maxsize=None)
 def _inventory(K: FieldSpec, degree: int):
-    """Divisors of exact degree, with id map; id order is deterministic."""
-    divs = hilb_points(K, degree)
-    ids = {d.entries: i for i, d in enumerate(divs)}
-    return tuple(divs), ids
+    """Divisors of exact degree; a divisor's id is its index."""
+    return tuple(hilb_points(K, degree))
 
 
 @lru_cache(maxsize=None)
 def _form_divisor_ids(K: FieldSpec, degree: int):
     """Map form code -> divisor id in the exact-degree inventory.
 
-    The zero form gets the sentinel id m (one past the inventory), acting
-    as the neutral element for divisor minima.
+    Each divisor's form with leading affine coefficient 1 is the product of
+    its affine closed points; the multiplicity at infinity is the missing
+    top degree.  The form's q-1 scalar multiples share its divisor.  The
+    zero form gets the sentinel id m (one past the inventory), acting as
+    the neutral element for divisor minima.
     """
-    divs, ids = _inventory(K, degree)
+    divs = _inventory(K, degree)
     q = K.q
     mul, _ = _np_tables(K)
-    digits = _form_digits(q, degree)
+    forms = np.zeros((len(divs), degree + 1), dtype=np.int64)
+    for i, d in enumerate(divs):
+        f = (1,)
+        for pt, e in d.entries:
+            for _ in range(e if pt.poly else 0):
+                f = poly_mul(K, f, pt.poly)
+        forms[i, :len(f)] = f
     powers = q ** np.arange(degree + 1, dtype=np.int64)
     out = np.full(q ** (degree + 1), len(divs), dtype=np.int64)
-    # factor one form per line through the origin; its multiples share it
-    for codes in _projective_codes(q, degree + 1):
-        found = [ids[divisor_of_form(K, to_digits(c, q, degree + 1)).entries]
-                 for c in codes.tolist()]
-        for scalar in range(1, q):
-            out[mul[scalar][digits[codes]] @ powers] = found
+    for scalar in range(1, q):
+        out[mul[scalar][forms] @ powers] = np.arange(len(divs))
     return out
 
 
 @lru_cache(maxsize=None)
-def _degree_table(K: FieldSpec, deg_s: int, deg_t: int):
-    """Contact degrees deg min(D, D') between the two inventories.
-
-    Rows are the degree-deg_s divisor ids plus the zero sentinel, columns
-    the degree-deg_t ones.  A zero form passes the other side's degree
-    through, and two zero forms give 0.  Two nonzero forms can only share
-    closed points of degree <= min(deg_s, deg_t), so those points suffice.
-    """
-    top = min(deg_s, deg_t)
+def _multiplicities(K: FieldSpec, degree: int, top: int):
+    """Multiplicities of the degree-`degree` divisors (rows, by id) at the
+    closed points of degree <= top (columns), and those points' degrees."""
     pts = closed_points_up_to(K, top) if top else []
     col = {pt: j for j, pt in enumerate(pts)}
-    mult = []
-    for degree in (deg_s, deg_t):
-        divs, _ = _inventory(K, degree)
-        m = np.zeros((len(divs), len(pts)), dtype=np.int64)
-        for i, d in enumerate(divs):
-            for pt, e in d.entries:
-                if pt in col:
-                    m[i, col[pt]] = e
-        mult.append(m)
-    mS, mT = mult[0].shape[0], mult[1].shape[0]
-    tab = np.zeros((mS + 1, mT + 1), dtype=np.int64)
-    for j, pt in enumerate(pts):
-        tab[:mS, :mT] += pt.degree * np.minimum(mult[0][:, j, None], mult[1][None, :, j])
-    tab[:mS, mT] = deg_s
-    tab[mS, :mT] = deg_t
+    divs = _inventory(K, degree)
+    m = np.zeros((len(divs), len(pts)), dtype=np.int64)
+    for i, d in enumerate(divs):
+        for pt, e in d.entries:
+            if pt in col:
+                m[i, col[pt]] = e
+    return m, np.array([pt.degree for pt in pts], dtype=np.int64)
+
+
+def _meet_degrees(K: FieldSpec, deg_s: int, rows, deg_t: int):
+    """Contact degrees deg min(D, D') of the degree-deg_s divisor ids `rows`
+    against every degree-deg_t id.
+
+    Ids one past an inventory are the zero sentinel, which comes last among
+    the columns.  A zero form passes the other side's degree through, and
+    two zero forms give 0.  Two nonzero forms can only share closed points
+    of degree <= min(deg_s, deg_t), so those points suffice, and only the
+    points some row passes through are visited.
+    """
+    top = min(deg_s, deg_t)
+    mS, pdeg = _multiplicities(K, deg_s, top)
+    mT, _ = _multiplicities(K, deg_t, top)
+    zero = rows == mS.shape[0]
+    tab = np.zeros((rows.size, mT.shape[0] + 1), dtype=np.int64)
+    tab[zero, :-1] = deg_t
+    tab[~zero, -1] = deg_s
+    mR = mS[rows[~zero]]
+    meet = np.zeros((mR.shape[0], mT.shape[0]), dtype=np.int64)
+    for j in np.flatnonzero(mR.any(axis=0)):
+        meet += pdeg[j] * np.minimum(mR[:, j, None], mT[None, :, j])
+    tab[~zero, :-1] = meet
     return tab
+
+
+@lru_cache(maxsize=None)
+def _degree_table(K: FieldSpec, deg_s: int, deg_t: int):
+    """_meet_degrees for every degree-deg_s id, the zero sentinel last."""
+    ids = np.arange(len(_inventory(K, deg_s)) + 1, dtype=np.int64)
+    return _meet_degrees(K, deg_s, ids, deg_t)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +324,7 @@ def _pullback_perm(K: FieldSpec, degree: int, g):
             acc = sub[acc, mul[digits[:, j], K.neg(basis[j][k])]]
         image += acc * K.q ** k
     div_id = _form_divisor_ids(K, degree)
-    perm = np.empty(len(_inventory(K, degree)[0]) + 1, dtype=np.int64)
+    perm = np.empty(len(_inventory(K, degree)) + 1, dtype=np.int64)
     perm[div_id] = div_id[image]
     return perm
 
@@ -331,6 +368,15 @@ def _decode(keys, base: int):
     return comp
 
 
+def _key_base(K: FieldSpec, degree: int) -> int:
+    """The divisor ids of a degree plus the zero sentinel, refused if a
+    quadruple of them overflows an int64 key."""
+    base = len(_inventory(K, degree)) + 1
+    if base ** 4 >= 2 ** 63:
+        raise TooLarge(f"degree-{degree} divisor quadruples overflow int64 keys")
+    return base
+
+
 def _tally(keys, weights):
     """Distinct keys with their summed int64 weights."""
     uniq, inverse = np.unique(keys, return_inverse=True)
@@ -355,9 +401,7 @@ def _side_summary(cfg: SurfaceConfig, side: str, degree: int):
     digits = _form_digits(q, degree)
     div_id = _form_divisor_ids(K, degree)
     coprime = _degree_table(K, degree, degree) == 0
-    base = len(_inventory(K, degree)[0]) + 1
-    if base ** 4 >= 2 ** 63:
-        raise TooLarge(f"degree-{degree} divisor quadruples overflow int64 keys")
+    base = _key_base(K, degree)
     lam = cfg.lam if side == "s" else cfg.lam2
     scaled = []
     for i in range(4):
@@ -379,29 +423,69 @@ def _side_summary(cfg: SurfaceConfig, side: str, degree: int):
     return _decode(keys, base), n * (q - 1)
 
 
+@lru_cache(maxsize=None)
+def _first_divisors(K: FieldSpec, degree: int):
+    """The least id of each PGL_2(F_q) orbit of degree-`degree` divisor
+    ids, ascending, with the orbits' sizes.
+
+    The zero sentinel, an orbit of its own, is kept at degree 0 only: at
+    degree >= 1 a zero first composite has no coprime second composite.
+    """
+    perms = _pgl2_perms(K, degree)
+    firsts = np.flatnonzero(perms.min(axis=0) == np.arange(perms.shape[1]))
+    if degree:
+        firsts = firsts[:-1]
+    return firsts, len(perms) // (perms[:, firsts] == firsts).sum(axis=0)
+
+
 @lru_cache(maxsize=8)
 def _side_orbits(cfg: SurfaceConfig, side: str, degree: int):
-    """The side summary with one representative quadruple per PGL_2(F_q)
-    orbit, weighted by the orbit's total weight.
+    """One side with one representative quadruple per PGL_2(F_q) orbit,
+    weighted by the orbit's total weight.
 
-    The representative is the orbit's least key.  Its first component is
-    the least id in the orbit of the first component, and the group
-    elements reaching that id form a coset of the id's stabilizer; so each
-    quadruple is moved there once, and only the stabilizer is searched.
+    Enumerated from the first divisors' orbits, in the coordinates
+    g1 = lambda_0, g2 = lambda_1 of the module docstring.  The
+    representative is the orbit's least key: its first component is the
+    least id in its orbit, already D_1, and the group elements fixing D_1
+    are searched for the rest.
     """
-    comp, weights = _side_summary(cfg, side, degree)
-    perms = _pgl2_perms(cfg.field, degree)
-    base = perms.shape[1]
-    moved = perms[perms.argmin(axis=0)[comp[0]], comp]
-    canon = np.empty(comp.shape[1], dtype=np.int64)
-    for first in np.unique(moved[0]):
-        sel = np.flatnonzero(moved[0] == first)
-        quads = moved[:, sel]
-        best = _encode(quads, base)
-        for perm in perms[np.flatnonzero(perms[:, first] == first)]:
-            np.minimum(best, _encode(perm[quads], base), out=best)
-        canon[sel] = best
-    keys, total = _tally(canon, weights)
+    K = cfg.field
+    q = K.q
+    mul, sub = _np_tables(K)
+    base = _key_base(K, degree)
+    perms = _pgl2_perms(K, degree)
+    div_id = _form_divisor_ids(K, degree)
+    digits = _form_digits(q, degree)
+    powers = q ** np.arange(degree + 1, dtype=np.int64)
+    codes = np.arange(div_id.size, dtype=np.int64)
+    form = np.empty(base, dtype=np.int64)     # a form of each divisor id
+    form[div_id] = codes
+    firsts, sizes = _first_divisors(K, degree)
+    coprime = _meet_degrees(K, degree, firsts, degree) == 0
+    lam = cfg.lam if side == "s" else cfg.lam2
+    l0, l1 = lam(0), lam(1)
+    # lambda_i = alpha lambda_0 + beta lambda_1 = alpha g1 - (-beta) g2
+    combos = []
+    for i in (2, 3):
+        alpha, beta = solve(K, [[l0[0], l1[0]], [l0[1], l1[1]]], lam(i))
+        combos.append((mul[alpha], mul[K.neg(beta)]))
+    keys, weights = [], []
+    for first, size, ok in zip(firsts, sizes, coprime):
+        if first == base - 1:       # degree 0, g1 = 0: the pairs (0, c) are one line
+            g2 = np.ones(1, dtype=np.int64)
+        else:
+            g2 = codes[ok[div_id]]
+        g1 = digits[form[first]]
+        quad = np.empty((4, g2.size), dtype=np.int64)
+        quad[0], quad[1] = first, div_id[g2]
+        for i, (ag1, bg2) in enumerate(combos, 2):
+            quad[i] = div_id[sub[ag1[g1], bg2[digits[g2]]] @ powers]
+        best = _encode(quad, base)
+        for perm in perms[perms[:, first] == first]:
+            np.minimum(best, _encode(perm[quad], base), out=best)
+        keys.append(best)
+        weights.append(np.full(g2.size, size * (q - 1), dtype=np.int64))
+    keys, total = _tally(np.concatenate(keys), np.concatenate(weights))
     return _decode(keys, base), total
 
 
@@ -431,13 +515,13 @@ def _join(rows, row_w, cols, col_w, tables, base: int):
 
 def _join_sides(cfg: SurfaceConfig, a: int, b: int):
     """(rows, row weights, columns, column weights, degree table) of the
-    degree join: the side with more quadruples, reduced to PGL_2 orbit
-    representatives, against the other side in full."""
-    S = _side_summary(cfg, "s", a)
-    T = _side_summary(cfg, "t", b)
-    if S[0].shape[1] >= T[0].shape[1]:
-        return (*_side_orbits(cfg, "s", a), *T, _degree_table(cfg.field, a, b))
-    return (*_side_orbits(cfg, "t", b), *S, _degree_table(cfg.field, b, a))
+    degree join: the side of larger degree (s on a tie), reduced to PGL_2
+    orbit representatives, against the other side in full."""
+    if a >= b:
+        return (*_side_orbits(cfg, "s", a), *_side_summary(cfg, "t", b),
+                _degree_table(cfg.field, a, b))
+    return (*_side_orbits(cfg, "t", b), *_side_summary(cfg, "s", a),
+            _degree_table(cfg.field, b, a))
 
 
 @lru_cache(maxsize=256)
@@ -458,9 +542,22 @@ def _charge(cost: int, budget: int, what: str):
 
 
 def _charge_sides(cfg: SurfaceConfig, a: int, b: int, budget: int) -> int:
-    q = cfg.field.q
-    cost = q ** (2 * a + 2) + q ** (2 * b + 2)
-    _charge(cost, budget, f"side enumerations {q}^{2 * a + 2} + {q}^{2 * b + 2}")
+    """Charge the side enumerations of the degree join: q^(2d+2) coefficient
+    pairs on the full side of degree d = min(a, b), and q^(D+1) second
+    composites for each first-divisor orbit on the reduced side of degree
+    D = max(a, b).  At least #divisors / |PGL_2(F_q)| orbits are charged
+    before the orbits are found, so that a refused count builds no table."""
+    K = cfg.field
+    q = K.q
+    low, high = min(a, b), max(a, b)
+    full = q ** (2 * low + 2)
+    divisors = (q ** (high + 1) - 1) // (q - 1)
+    least = -(-divisors // (q ** 3 - q))    # no orbit outgrows PGL_2(F_q)
+    _charge(full + least * q ** (high + 1), budget,
+            f"side enumerations {q}^{2 * low + 2} + (at least {least}) orbits * {q}^{high + 1}")
+    orbits = len(_first_divisors(K, high)[0])
+    cost = full + orbits * q ** (high + 1)
+    _charge(cost, budget, f"side enumerations {q}^{2 * low + 2} + {orbits} orbits * {q}^{high + 1}")
     return cost
 
 
@@ -471,8 +568,8 @@ def count_sections(cfg: SurfaceConfig, a: int, b: int, k,
     Counts pairs (s, t) of coefficient tuples of bidegree (a, b), each side
     without common roots, whose contact order at the i-th marked pair is
     exactly k_i.  The result is divisible by (q-1)^2 (independent scaling
-    of the two sides).  The budget is charged the side enumerations
-    q^(2a+2) + q^(2b+2) plus the pairs of the degree join.
+    of the two sides).  The budget is charged the side enumerations (see
+    _charge_sides) plus the pairs of the degree join.
     """
     k = tuple(k)
     if a < 0 or b < 0 or len(k) != 4 or any(x < 0 for x in k):

@@ -5,8 +5,11 @@ computes, by a path that shares as little with it as possible:
 
 * section counting: one pass over every coprime section pair of a bidegree,
   tallied by the four contact divisors that polynomial gcds give, against
-  secenum's contact-degree join; the join-based fiber count; u_k_points;
-  the elementary transform remark_config;
+  secenum's contact-degree join; the divisor of a form by trial division,
+  against secenum's product table; the orbit-reduced side as the full side
+  summary moved to least keys over all of PGL_2(F_q), against secenum's
+  enumeration from first-divisor orbits; the join-based fiber count;
+  u_k_points; the elementary transform remark_config;
 * the configuration poset behind the sieve: configurations, intervals, the
   generic Moebius recursion, enumeration above a base, and the exact rank
   of the linear system a configuration imposes;
@@ -35,7 +38,7 @@ import numpy as np
 from dp4sieve import nslattice as ns
 from dp4sieve import secenum as se
 from dp4sieve import sieve as sv
-from dp4sieve.errors import DegreeMismatch, TooLarge, ZeroForm
+from dp4sieve.errors import DegreeMismatch, Dp4Error, TooLarge
 from dp4sieve.exactnum import Interval
 from dp4sieve.field import FieldSpec, from_digits, poly_divmod, poly_mul, poly_trim, to_digits
 from dp4sieve.heightzeta import good_factor
@@ -44,14 +47,11 @@ from dp4sieve.projline import (
     ZERO_DIVISOR,
     ClosedPoint,
     EffectiveDivisor,
-    _affine_part,
     _affine_point,
+    _irreducibles_of_degree,
     closed_points_up_to,
     count_closed_points_for,
     divisor,
-    divisor_of_form,
-    factor_poly,
-    form_is_zero,
     hilb_points,
     point_at_infinity,
 )
@@ -94,6 +94,64 @@ def divisor_min(x: EffectiveDivisor, y: EffectiveDivisor) -> EffectiveDivisor:
 
 def divisor_sum(x: EffectiveDivisor, y: EffectiveDivisor) -> EffectiveDivisor:
     return divisor((Counter(dict(x.entries)) + Counter(dict(y.entries))).items())
+
+
+# ---------------------------------------------------------------------------
+# forms: divisors by trial division
+
+class ZeroForm(Dp4Error):
+    """The zero form has no divisor, and two zero forms no gcd."""
+
+
+def form_is_zero(coeffs) -> bool:
+    return not any(coeffs)
+
+
+def _affine_part(coeffs):
+    """Split a form into (affine polynomial, order of vanishing at infinity)."""
+    aff = poly_trim(coeffs)
+    return aff, len(coeffs) - len(aff)
+
+
+def factor_poly(K: FieldSpec, poly) -> list:
+    """Factor a nonzero polynomial into (ClosedPoint, multiplicity) pairs."""
+    poly = poly_trim(poly)
+    out = []
+    deg = len(poly) - 1
+    n = 1
+    while len(poly) - 1 > 0:
+        if n > (len(poly) - 1) // 2:
+            # remaining cofactor is irreducible
+            inv = K.inv(poly[-1])
+            monic = tuple(K.mul(c, inv) for c in poly)
+            out.append((_affine_point(K, monic), 1))
+            break
+        for pt in _irreducibles_of_degree(K, n):
+            mult = 0
+            while True:
+                quot, rem = poly_divmod(K, poly, pt.poly)
+                if rem:
+                    break
+                poly, mult = quot, mult + 1
+            if mult:
+                out.append((pt, mult))
+        n += 1
+    assert sum(pt.degree * m for pt, m in out) == deg
+    return out
+
+
+def divisor_of_form(K: FieldSpec, coeffs) -> EffectiveDivisor:
+    """Full factorization of a nonzero form, including the place at infinity;
+    reference for secenum._form_divisor_ids."""
+    if form_is_zero(coeffs):
+        raise ZeroForm("the zero form has no divisor")
+    aff, inf_mult = _affine_part(coeffs)
+    pairs = factor_poly(K, aff) if len(aff) > 1 else []
+    if inf_mult:
+        pairs.append((point_at_infinity(), inf_mult))
+    div = divisor(pairs)
+    assert div.degree == len(coeffs) - 1
+    return div
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +321,9 @@ def fiber_count(cfg: SurfaceConfig, w, a: int, b: int,
         raise DegreeMismatch("w must have four components")
     if not _disjoint(w):
         raise ValueError("components of w share support")
-    spent = se._charge_sides(cfg, a, b, budget)
+    q = cfg.field.q
+    spent = q ** (2 * a + 2) + q ** (2 * b + 2)
+    se._charge(spent, budget, f"side enumerations {q}^{2 * a + 2} + {q}^{2 * b + 2}")
     S = se._side_summary(cfg, "s", a)
     T = se._side_summary(cfg, "t", b)
     se._charge(spent + S[0].shape[1] * T[0].shape[1], budget,
@@ -275,8 +335,8 @@ def fiber_count(cfg: SurfaceConfig, w, a: int, b: int,
 def _fiber_table(K: FieldSpec, deg_s: int, deg_t: int, w: EffectiveDivisor):
     """0/1 table [min(D, D') = w] over the same rows and columns as
     _degree_table, with the same zero rules (two zero forms meet in 0)."""
-    S = list(se._inventory(K, deg_s)[0]) + [None]
-    T = list(se._inventory(K, deg_t)[0]) + [None]
+    S = list(se._inventory(K, deg_s)) + [None]
+    T = list(se._inventory(K, deg_t)) + [None]
 
     def meet(x, y):
         if x is None:
@@ -284,6 +344,20 @@ def _fiber_table(K: FieldSpec, deg_s: int, deg_t: int, w: EffectiveDivisor):
         return x if y is None else divisor_min(x, y)
 
     return np.array([[meet(x, y) == w for y in T] for x in S], dtype=np.int64)
+
+
+def side_orbits(cfg: SurfaceConfig, side: str, degree: int):
+    """Reference for secenum._side_orbits: the full side summary, each
+    quadruple moved to the least key over the whole of PGL_2(F_q), equal
+    keys tallied."""
+    comp, weights = se._side_summary(cfg, side, degree)
+    perms = se._pgl2_perms(cfg.field, degree)
+    base = perms.shape[1]
+    canon = se._encode(comp, base)
+    for perm in perms:
+        np.minimum(canon, se._encode(perm[comp], base), out=canon)
+    keys, total = se._tally(canon, weights)
+    return se._decode(keys, base), total
 
 
 def remark_config(cfg: SurfaceConfig, i: int, j: int):
@@ -353,8 +427,9 @@ def _projective_points(K: FieldSpec):
 def clear_caches():
     """Drop all of secenum's in-memory caches (histograms, summaries,
     tables), so that a second run recomputes or reads the on-disk cache."""
-    for cached in (se._contact_histogram, se._side_orbits, se._side_summary, se._pgl2_perms,
-                   se._degree_table, se._form_divisor_ids, se._inventory, se._np_tables):
+    for cached in (se._contact_histogram, se._side_orbits, se._side_summary,
+                   se._first_divisors, se._pgl2_perms, se._degree_table, se._multiplicities,
+                   se._form_divisor_ids, se._inventory, se._np_tables):
         cached.cache_clear()
 
 

@@ -10,6 +10,7 @@ from oracles import clear_caches
 
 from dp4sieve.errors import CorruptCache, InvalidConfig, IoError, VersionMismatch
 from dp4sieve.harness import (
+    ALPHA_NORMALIZATIONS,
     CountCache,
     RunConfig,
     asymptotic_report,
@@ -198,8 +199,31 @@ _config_value = st.one_of(
     st.text(max_size=8), st.integers(-10 ** 6, 10 ** 6).map(str),
     st.fractions(max_denominator=10).map(str),
     st.sampled_from(["1", "2", "3", "4", "5", "13", "17", "volume", "volume_rho"]))
+_marked = st.permutations(["0", "1", "2", "inf"]).map(",".join)
+_valid_values = {
+    "points": st.builds(lambda us, vs: f"{us}; {vs}", _marked, _marked),
+    "field.p": st.sampled_from(["2", "3", "5"]),
+    "field.n": st.sampled_from(["1", "2"]),
+    "epsilon": st.fractions(min_value=Fraction(1, 100), max_value=1, max_denominator=100).map(str),
+    "d_max": st.integers(0, 8).map(str),
+    "sieve_D": st.integers(0, 8).map(str),
+    "euler_N": st.integers(1, 20).map(str),
+    "limit_m_max": st.integers(1, 10).map(str),
+    "budget": st.integers(1, 2 ** 40).map(str),
+    "cache_dir": st.text(max_size=8),
+    "alpha_normalization": st.sampled_from(ALPHA_NORMALIZATIONS),
+}
+_junk_values = {"points": _points_text, **{key: _config_value for key in CONFIG_KEYS}}
+
+
+def _mostly_valid(key):
+    # a valid value for the key nine times in ten, so that accepted
+    # configurations are exercised, else anything
+    return st.integers(0, 9).flatmap(lambda i: _junk_values[key] if i == 0 else _valid_values[key])
+
+
 _config_mapping = st.fixed_dictionaries(
-    {}, optional={"points": _points_text, **{key: _config_value for key in CONFIG_KEYS}})
+    {}, optional={key: _mostly_valid(key) for key in ("points",) + CONFIG_KEYS})
 _unknown_keys = st.dictionaries(st.text(max_size=5).filter(lambda key: key not in CONFIG_KEYS),
                                 _config_value, min_size=1, max_size=2)
 

@@ -2,8 +2,10 @@ import itertools
 
 import pytest
 from oracles import (
+    ZeroForm,
     divisor_min,
     divisor_mult,
+    divisor_of_form,
     divisor_sum,
     form_gcd,
     form_gcd_degree,
@@ -13,13 +15,11 @@ from oracles import (
 )
 
 from dp4sieve import heightzeta as hz
-from dp4sieve.errors import ZeroForm
 from dp4sieve.field import make_field
 from dp4sieve.projline import (
     ZERO_DIVISOR,
     closed_points_up_to,
     count_closed_points,
-    divisor_of_form,
     hilb_points,
     point_at_infinity,
 )

@@ -13,7 +13,6 @@ from dp4sieve.errors import (
     DegreeMismatch,
     FieldTooSmall,
     OnBidegreeCurve,
-    ZeroForm,
 )
 from dp4sieve.field import make_field
 from dp4sieve.projline import ZERO_DIVISOR, divisor
@@ -92,7 +91,7 @@ def test_multiplicity_profile_common_root_flag():
 
 
 def test_multiplicity_profile_zero_section_raises():
-    with pytest.raises(ZeroForm):
+    with pytest.raises(orc.ZeroForm):
         orc.contact_divisors(CFG3, ((0,), (0,)), ((1,), (1,)))
 
 
@@ -179,8 +178,10 @@ def test_budget_guard():
 
 
 def test_default_budget_counts_the_q5_42_class():
-    # the side enumerations 5^10 + 5^6 plus the orbit-reduced join fit the
-    # default budget; the naive charge 5^16 of the brute-force oracle does not
+    # the reduced degree-4 side (17 first-divisor orbits times 5^5 second
+    # composites), the full degree-2 side (5^6 pairs) and the orbit-reduced
+    # join fit the default budget; the naive charge 5^16 of the brute-force
+    # oracle does not
     from dp4sieve import nslattice as ns
 
     (alpha,) = [x for x in ns.enumerate_nef_points(4) if (x.a, x.b) == (4, 2)]
@@ -188,6 +189,29 @@ def test_default_budget_counts_the_q5_42_class():
     assert n == se.count_sections(CFG5, 4, 2, alpha.k, budget=2 ** 60) > 0
     with pytest.raises(BudgetExceeded):
         orc.count_sections_raw(CFG5, 4, 2, alpha.k)
+
+
+def test_budget_charges_the_orbit_enumeration():
+    # (2, 1) at q = 4: the reduced degree-2 side sweeps 4^3 second
+    # composites for each of the 3 PGL_2(F_4) orbits of degree-2 divisors
+    # (2P, P + P', a degree-2 point), the full degree-1 side 4^4 pairs, and
+    # the join 31 orbit rows by 60 columns
+    charge = 3 * 4 ** 3 + 4 ** 4 + 31 * 60
+    k = (1, 0, 0, 0)
+    n = se.count_sections(CFG4, 2, 1, k, budget=charge)
+    assert n == se.count_sections(CFG4, 2, 1, k, budget=2 ** 60) > 0
+    with pytest.raises(BudgetExceeded):
+        se.count_sections(CFG4, 2, 1, k, budget=charge - 1)
+
+
+def test_refused_count_builds_no_table():
+    # (9, 0) at q = 5: 2,441,406 divisors of degree 9 make at least 20,346
+    # orbits of PGL_2(F_5), each charged 5^10, which exceeds the default
+    # budget before the orbits or the degree-9 inventory are built
+    built = se._pgl2_perms.cache_info().misses, se._inventory.cache_info().misses
+    with pytest.raises(BudgetExceeded):
+        se.count_sections(CFG5, 9, 0, (0, 0, 0, 0))
+    assert (se._pgl2_perms.cache_info().misses, se._inventory.cache_info().misses) == built
 
 
 def test_negative_k_rejected():
@@ -283,13 +307,53 @@ def _shape(d):
 def test_degree_table_is_the_degree_of_the_meet():
     for K in (F3, F4):
         for ds, dt in itertools.product(range(3), repeat=2):
-            S, T = se._inventory(K, ds)[0], se._inventory(K, dt)[0]
+            S, T = se._inventory(K, ds), se._inventory(K, dt)
             tab = se._degree_table(K, ds, dt)
             assert tab[:-1, :-1].tolist() == [[orc.divisor_min(x, y).degree for y in T]
                                                for x in S]
             # a zero form passes the other side through; two meet in 0
             assert (tab[:-1, -1] == ds).all() and (tab[-1, :-1] == dt).all()
             assert tab[-1, -1] == 0
+
+
+def test_form_divisor_table_is_the_factoring_oracle():
+    for q, degree in [(q, d) for q in (3, 4, 5) for d in range(4)] + [(4, 4)]:
+        K = se.field_of_order(q)
+        ids = {d: i for i, d in enumerate(se._inventory(K, degree))}
+        forms = itertools.product(range(q), repeat=degree + 1)
+        # codes are little-endian digits: the first coefficient varies fastest
+        expected = [ids[orc.divisor_of_form(K, f[::-1])] if any(f) else len(ids)
+                    for f in forms]
+        assert se._form_divisor_ids(K, degree).tolist() == expected, (q, degree)
+
+
+def test_side_has_one_quadruple_per_projective_pair():
+    # for degree d >= 1, the divisors of lambda_0(s), lambda_1(s) and
+    # lambda_2(s) fix s up to a scalar: q^(2d-1) (q^2 - 1) quadruples, each
+    # of weight q-1.  At degree 0 a quadruple only records which marked
+    # point s is, if any.  So the quadruple count grows with the degree,
+    # and the join's reduced side is the one of larger degree
+    for cfg in (CFG3, CFG4, CFG5):
+        q = cfg.field.q
+        for degree, side in itertools.product(range(4), "st"):
+            comp, weights = se._side_summary(cfg, side, degree)
+            if degree:
+                assert comp.shape[1] == q ** (2 * degree - 1) * (q * q - 1)
+                assert (weights == q - 1).all()
+            else:
+                assert comp.shape[1] == min(q + 1, 5)
+                assert int(weights.sum()) == q * q - 1
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_side_orbits_equal_the_canonicalised_full_summary(q):
+    cfg = se.default_config(q)
+    cases = list(itertools.product(range(4), "st")) + ([(4, "s"), (4, "t")] if q == 4 else [])
+    for degree, side in cases:
+        reps, totals = se._side_orbits(cfg, side, degree)
+        keys, weights = orc.side_orbits(cfg, side, degree)
+        assert reps.tolist() == keys.tolist(), (degree, side)
+        assert totals.tolist() == weights.tolist(), (degree, side)
 
 
 def test_orbit_reduction_q4():
@@ -309,7 +373,7 @@ def test_pullback_permutation_fixes_the_side_summaries(q, degree, other, data):
     K = cfg.field
     g = data.draw(_invertible(q))
     perm = se._pullback_perm(K, degree, g)
-    divs, _ = se._inventory(K, degree)
+    divs = se._inventory(K, degree)
     m = len(divs)
     # a bijection of the divisor ids that fixes the zero sentinel and keeps
     # each divisor's shape, hence its degree
