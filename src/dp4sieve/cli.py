@@ -34,7 +34,7 @@ from .heightzeta import (
     zeta_p1_identity_check,
 )
 from .nslattice import export_inventory, export_markings
-from .sieve import sieve_sum, stable_range_start, subspace_q_lattice, survey_q_lattice
+from .sieve import sieve_sum, stable_range_start
 
 
 def _build_parser():
@@ -55,11 +55,9 @@ def _build_parser():
     sub.add_parser("field-check", help="validate the field and its arithmetic tables")
     sub.add_parser("cone", help="export the cone inventory as JSON")
     sub.add_parser("markings", help="export the marking inventory as JSON")
-    p = sub.add_parser("count", help="counting function N(d), CSV/JSON")
-    p.add_argument("--no-shrunken", action="store_true")
+    sub.add_parser("count", help="counting function N(d), CSV/JSON")
     p = sub.add_parser("sieve", help="truncated sieve sums, one Euler-type product per contact pattern")
     p.add_argument("--k", default="0,0,0,0")
-    p.add_argument("--lattice", choices=("subspace16", "survey14"), default="subspace16")
     p = sub.add_parser("zeta", help="Euler product coefficients at small truncation")
     p.add_argument("--orders", default="2,2,2,2")
     p.add_argument("--N", type=int, default=3)
@@ -109,7 +107,7 @@ def _partial(report) -> bool:
 
 
 def _cmd_count(cfg: RunConfig, args) -> int:
-    report = counting_function(cfg, shrunken=not args.no_shrunken)
+    report = counting_function(cfg)
     paths = write_outputs(report, args.out_dir, f"count_q{cfg.q}_d{cfg.d_max}")
     print("\n".join(paths))
     return 3 if _partial(report) else 0
@@ -129,11 +127,10 @@ def _four_degrees(flag: str, text: str) -> tuple:
 def _cmd_sieve(cfg: RunConfig, args) -> int:
     k = _four_degrees("--k", args.k)
     K = make_field(cfg.p, cfg.n)
-    lattice = subspace_q_lattice() if args.lattice == "subspace16" else survey_q_lattice()
-    partials = sieve_sum(K, k, cfg.sieve_D, lattice=lattice)
+    partials = sieve_sum(K, k, cfg.sieve_D)
     start = stable_range_start(k)
     payload = {
-        "q": K.q, "k": list(k), "lattice": args.lattice,
+        "q": K.q, "k": list(k), "lattice": "subspace16",
         "stable_range_hint": {"a": start, "b": start},
         "partials": [str(p) for p in partials],
         "deltas": [str(b - a) for a, b in zip(partials, partials[1:])],

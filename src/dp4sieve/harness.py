@@ -282,17 +282,16 @@ class CountReport:
     constants: dict = field(default_factory=dict)
     flags: list = field(default_factory=list)
     # share of the nef classes with h <= d_max inside the shrunken cone;
-    # set when the cone is counted, never emitted
-    in_cone_share: Fraction | None = None
+    # never emitted
+    in_cone_share: Fraction = Fraction(0)
 
 
-def counting_function(cfg: RunConfig, shrunken: bool = True,
-                      cache: CountCache | None = None) -> CountReport:
-    """Cumulative morphism counts N(d) (and the shrunken-cone restriction)
-    for d = 0..d_max, exact integers, cached per class."""
+def counting_function(cfg: RunConfig, cache: CountCache | None = None) -> CountReport:
+    """Cumulative morphism counts N(d) and their shrunken-cone restriction
+    N_eps(d) for d = 0..d_max, exact integers, cached per class."""
     surface = cfg.surface()
     cache = cache if cache is not None else CountCache(cfg.cache_dir)
-    cone = ShrunkenCone(epsilon=cfg.epsilon) if shrunken else None
+    cone = ShrunkenCone(epsilon=cfg.epsilon)
     report = CountReport(config=cfg.as_dict())
     report.constants["q"] = cfg.q
     if surface.on_bidegree_curve:
@@ -318,10 +317,8 @@ def counting_function(cfg: RunConfig, shrunken: bool = True,
     counting_seconds = time.perf_counter() - t0
     cache.flush()
 
-    in_cone = set()
-    if cone is not None:
-        in_cone = {alpha for alpha in classes if cone.contains(alpha)}
-        report.in_cone_share = Fraction(len(in_cone), len(classes))
+    in_cone = {alpha for alpha in classes if cone.contains(alpha)}
+    report.in_cone_share = Fraction(len(in_cone), len(classes))
     for d in range(cfg.d_max + 1):
         if partial_from is not None and d >= partial_from:
             report.rows.append({"d": d, "partial": True})
@@ -347,7 +344,7 @@ def _alpha_constant(cfg: RunConfig) -> Fraction:
 def asymptotic_report(cfg: RunConfig, cache: CountCache | None = None) -> CountReport:
     """Counting rows augmented with the prediction
     (1 - q^{-1}) alpha tau q^d d^5 and the upper-bound constant."""
-    report = counting_function(cfg, shrunken=True, cache=cache)
+    report = counting_function(cfg, cache=cache)
     q = cfg.q
     tam = tamagawa(q, cfg.euler_N)
     alpha = _alpha_constant(cfg)

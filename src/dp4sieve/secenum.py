@@ -12,13 +12,12 @@ When both composites vanish identically the pair is a constant section
 sitting at the marked point; the artifact counts it with contact 0, which
 makes the degree-0 count equal the number of constant maps to P^1 x P^1.
 
-The engine enumerates the two sides separately (q^{2a+2} and q^{2b+2}
-tuples, up to a common scalar), compresses each side to the multiset of
-its four composite divisors, and joins the two multisets through a table
-of contact degrees deg min(D, D').  Every contact is at most max(a, b), so
-one int64 histogram of (max(a, b) + 1)^4 bins per (a, b) answers every k.
-Its brute-force oracle, which enumerates all q^{2a+2b+4} coefficient
-tuples with direct gcd computations, lives in tests/oracles.py.
+The engine compresses each side to the multiset of its four composite
+divisors and joins the two multisets through a table of contact degrees
+deg min(D, D').  Every contact is at most max(a, b), so one int64
+histogram of (max(a, b) + 1)^4 bins per (a, b) answers every k.  Its
+brute-force oracle, which enumerates all q^{2a+2b+4} coefficient tuples
+with direct gcd computations, lives in tests/oracles.py.
 
 Orbit reduction.  Reparametrising the source P^1 by g in PGL_2(F_q) maps
 coprime pairs to coprime pairs and pulls every composite divisor back
@@ -28,22 +27,25 @@ weights.  Hence the sum over x in S, y in T of w(x) w(y) [key(gx, y)]
 equals that of [key(x, g^-1 y)], and one side may be replaced by one
 representative per orbit, weighted by the orbit's total weight.
 
-That side is enumerated from the orbits directly.  Since p_0 != p_1, the
-composites g_1 = lambda_0(s) and g_2 = lambda_1(s) are coordinates of s,
-and lambda_2(s), lambda_3(s) are fixed combinations of them.  For each
-orbit G.D_1 of first divisors, one form g_1 with divisor D_1 (the orbit's
-least id) is paired with every form g_2 coprime to it; each such pair
-stands for |G.D_1| (q-1) pairs of the side, the q-1 being the common
-scalar that makes g_1 that form.  At degree 0 the zero form is a first
-divisor too, and the common scalar normalises g_2 instead.  So the
-enumeration costs one q^(d+1) sweep per orbit, not q^(2d+2).
+Both sides are enumerated by one sweep over the composites themselves.
+Since p_0 != p_1, g_1 = lambda_0(s) and g_2 = lambda_1(s) are coordinates
+of s, and lambda_2(s), lambda_3(s) are fixed combinations of them.  For
+each orbit G.D_1 of first divisors under a group G, one form g_1 with
+divisor D_1 (the orbit's least id) is paired with every form g_2 coprime
+to it; each such pair stands for |G.D_1| (q-1) pairs of the side, the q-1
+being the common scalar that makes g_1 that form.  At degree 0 the zero
+form is a first divisor too, and the common scalar normalises g_2 instead.
+So a side costs one q^(d+1) sweep per orbit.  The side of larger degree
+(s on a tie) is swept under G = PGL_2(F_q), which reduces it to orbit
+representatives; the other side under the trivial group, which keeps it
+in full.
 
-The reduced side is the one of larger degree (s on a tie).  For d >= 1 the
-divisors of g_1 and g_2 fix s up to the ratio of two scalars, and that of
-lambda_2(s) fixes the ratio, because coprime forms are not proportional; so
-a side of degree d has exactly q^(2d-1) (q^2 - 1) distinct quadruples, each
-of weight q-1, and min(q+1, 5) at degree 0.  Reducing the side with more
-quadruples, which the join compares, is reducing the side of larger degree.
+For d >= 1 the divisors of g_1 and g_2 fix s up to the ratio of two
+scalars, and that of lambda_2(s) fixes the ratio, because coprime forms
+are not proportional; so a full side of degree d has exactly
+q^(2d-1) (q^2 - 1) distinct quadruples, each of weight q-1, and
+min(q+1, 5) at degree 0.  Reducing the side with more quadruples, which
+the join compares, is reducing the side of larger degree.
 """
 
 from __future__ import annotations
@@ -205,17 +207,6 @@ def _form_digits(q: int, degree: int):
     """(q^(degree+1), degree+1) coefficient table of every form, row = code."""
     codes = np.arange(q ** (degree + 1), dtype=np.int64)
     return (codes[:, None] // q ** np.arange(degree + 1, dtype=np.int64)) % q
-
-
-_CHUNK = 1 << 17
-
-
-def _projective_codes(q: int, length: int):
-    """Codes of the nonzero length-digit vectors whose top nonzero digit is
-    1 (one per line through the origin), in chunks."""
-    for j in range(length):
-        for start in range(q ** j, 2 * q ** j, _CHUNK):
-            yield np.arange(start, min(start + _CHUNK, 2 * q ** j), dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -385,82 +376,54 @@ def _tally(keys, weights):
     return uniq, total
 
 
-@lru_cache(maxsize=8)
-def _side_summary(cfg: SurfaceConfig, side: str, degree: int):
-    """Compress one side to (divisor-id quadruples, multiplicities).
-
-    Enumerates the coefficient pairs of one side up to a common scalar
-    (every pair's four contact divisors are those of its q-1 multiples),
-    keeps those with no common root, computes the four composite forms by
-    vectorized table arithmetic, and aggregates equal divisor-id quadruples.
-    """
-    K = cfg.field
-    q = K.q
-    mul, sub = _np_tables(K)
-    nforms = q ** (degree + 1)
-    digits = _form_digits(q, degree)
-    div_id = _form_divisor_ids(K, degree)
-    coprime = _degree_table(K, degree, degree) == 0
-    base = _key_base(K, degree)
-    lam = cfg.lam if side == "s" else cfg.lam2
-    scaled = []
-    for i in range(4):
-        d, negc = lam(i)
-        scaled.append((mul[d][digits], mul[K.neg(negc)][digits]))
-    powers = q ** np.arange(degree + 1, dtype=np.int64)
-    parts, counts = [], []
-    for codes in _projective_codes(q, 2 * degree + 2):
-        f1, f2 = np.divmod(codes, nforms)
-        ok = coprime[div_id[f1], div_id[f2]]
-        f1, f2 = f1[ok], f2[ok]
-        quad = np.empty((4, f1.size), dtype=np.int64)
-        for i, (ds1, cs2) in enumerate(scaled):
-            quad[i] = div_id[sub[ds1[f1], cs2[f2]] @ powers]   # d*s1 - c*s2
-        keys, n = np.unique(_encode(quad, base), return_counts=True)
-        parts.append(keys)
-        counts.append(n)
-    keys, n = _tally(np.concatenate(parts), np.concatenate(counts))
-    return _decode(keys, base), n * (q - 1)
+def _group(K: FieldSpec, degree: int, reduced: bool):
+    """Divisor-id permutations of PGL_2(F_q) if reduced, else the identity
+    alone (the trivial group); the identity is the first row."""
+    if reduced:
+        return _pgl2_perms(K, degree)
+    return np.arange(len(_inventory(K, degree)) + 1, dtype=np.int64)[None]
 
 
 @lru_cache(maxsize=None)
-def _first_divisors(K: FieldSpec, degree: int):
-    """The least id of each PGL_2(F_q) orbit of degree-`degree` divisor
-    ids, ascending, with the orbits' sizes.
+def _first_divisors(K: FieldSpec, degree: int, reduced: bool):
+    """The least id of each orbit of degree-`degree` divisor ids under
+    PGL_2(F_q) (reduced) or the trivial group, ascending, with the orbits'
+    sizes.
 
     The zero sentinel, an orbit of its own, is kept at degree 0 only: at
     degree >= 1 a zero first composite has no coprime second composite.
     """
-    perms = _pgl2_perms(K, degree)
+    perms = _group(K, degree, reduced)
     firsts = np.flatnonzero(perms.min(axis=0) == np.arange(perms.shape[1]))
     if degree:
         firsts = firsts[:-1]
     return firsts, len(perms) // (perms[:, firsts] == firsts).sum(axis=0)
 
 
-@lru_cache(maxsize=8)
-def _side_orbits(cfg: SurfaceConfig, side: str, degree: int):
-    """One side with one representative quadruple per PGL_2(F_q) orbit,
-    weighted by the orbit's total weight.
+@lru_cache(maxsize=16)
+def _side_orbits(cfg: SurfaceConfig, side: str, degree: int, reduced: bool):
+    """One side with one representative quadruple per orbit of PGL_2(F_q)
+    (reduced) or of the trivial group (the full side), weighted by the
+    orbit's total weight.
 
     Enumerated from the first divisors' orbits, in the coordinates
     g1 = lambda_0, g2 = lambda_1 of the module docstring.  The
     representative is the orbit's least key: its first component is the
-    least id in its orbit, already D_1, and the group elements fixing D_1
-    are searched for the rest.
+    least id in its orbit, already D_1, and the group elements other than
+    the identity that fix D_1 are searched for the rest.
     """
     K = cfg.field
     q = K.q
     mul, sub = _np_tables(K)
     base = _key_base(K, degree)
-    perms = _pgl2_perms(K, degree)
+    perms = _group(K, degree, reduced)
     div_id = _form_divisor_ids(K, degree)
     digits = _form_digits(q, degree)
     powers = q ** np.arange(degree + 1, dtype=np.int64)
     codes = np.arange(div_id.size, dtype=np.int64)
     form = np.empty(base, dtype=np.int64)     # a form of each divisor id
     form[div_id] = codes
-    firsts, sizes = _first_divisors(K, degree)
+    firsts, sizes = _first_divisors(K, degree, reduced)
     coprime = _meet_degrees(K, degree, firsts, degree) == 0
     lam = cfg.lam if side == "s" else cfg.lam2
     l0, l1 = lam(0), lam(1)
@@ -481,7 +444,7 @@ def _side_orbits(cfg: SurfaceConfig, side: str, degree: int):
         for i, (ag1, bg2) in enumerate(combos, 2):
             quad[i] = div_id[sub[ag1[g1], bg2[digits[g2]]] @ powers]
         best = _encode(quad, base)
-        for perm in perms[perms[:, first] == first]:
+        for perm in perms[1:][perms[1:, first] == first]:
             np.minimum(best, _encode(perm[quad], base), out=best)
         keys.append(best)
         weights.append(np.full(g2.size, size * (q - 1), dtype=np.int64))
@@ -518,9 +481,9 @@ def _join_sides(cfg: SurfaceConfig, a: int, b: int):
     degree join: the side of larger degree (s on a tie), reduced to PGL_2
     orbit representatives, against the other side in full."""
     if a >= b:
-        return (*_side_orbits(cfg, "s", a), *_side_summary(cfg, "t", b),
+        return (*_side_orbits(cfg, "s", a, True), *_side_orbits(cfg, "t", b, False),
                 _degree_table(cfg.field, a, b))
-    return (*_side_orbits(cfg, "t", b), *_side_summary(cfg, "s", a),
+    return (*_side_orbits(cfg, "t", b, True), *_side_orbits(cfg, "s", a, False),
             _degree_table(cfg.field, b, a))
 
 
@@ -542,8 +505,9 @@ def _charge(cost: int, budget: int, what: str):
 
 
 def _charge_sides(cfg: SurfaceConfig, a: int, b: int, budget: int) -> int:
-    """Charge the side enumerations of the degree join: q^(2d+2) coefficient
-    pairs on the full side of degree d = min(a, b), and q^(D+1) second
+    """Charge the side enumerations of the degree join: q^(2d+2), the
+    coefficient pairs, on the full side of degree d = min(a, b), whose sweep
+    of q^(d+1) second composites per divisor costs less; and q^(D+1) second
     composites for each first-divisor orbit on the reduced side of degree
     D = max(a, b).  At least #divisors / |PGL_2(F_q)| orbits are charged
     before the orbits are found, so that a refused count builds no table."""
@@ -555,7 +519,7 @@ def _charge_sides(cfg: SurfaceConfig, a: int, b: int, budget: int) -> int:
     least = -(-divisors // (q ** 3 - q))    # no orbit outgrows PGL_2(F_q)
     _charge(full + least * q ** (high + 1), budget,
             f"side enumerations {q}^{2 * low + 2} + (at least {least}) orbits * {q}^{high + 1}")
-    orbits = len(_first_divisors(K, high)[0])
+    orbits = len(_first_divisors(K, high, True)[0])
     cost = full + orbits * q ** (high + 1)
     _charge(cost, budget, f"side enumerations {q}^{2 * low + 2} + {orbits} orbits * {q}^{high + 1}")
     return cost

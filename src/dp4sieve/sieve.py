@@ -1,6 +1,6 @@
-"""Inclusion-exclusion over configuration posets: local condition lattices
-at closed points of P^1, saturation, expected codimension, local Moebius
-values, and truncated sieve sums.
+"""Inclusion-exclusion over configuration posets: the local condition
+lattice at closed points of P^1, saturation, expected codimension, local
+Moebius values, and truncated sieve sums.
 
 A sieve sum is one Euler-type product of local excess polynomials over
 closed points, a truncated series in t_1..t_4 and the excess variable T on
@@ -8,22 +8,20 @@ heightzeta's series kernel (see sieve_sum); no tuple is enumerated.  Under
 t_i -> q^2 t_i and T -> q^4 T every local factor has integer
 coefficients, so the product runs on integers.
 
-The local condition lattice is pluggable.  Its elements are product
+The local condition lattice (LATTICE) has as elements the product
 subspaces A + B of the four-dimensional fiber V_1 + V_2, each factor being
 the full plane, one of four marked lines, or zero; the order is inclusion
-and the meet is intersection.  Two instances ship:
-
-* the 14-element lattice {V; the four planes W_i = l_i + l'_i; the eight
-  lines l_i + 0 and 0 + l'_i; 0}, the literal reading of the survey data;
-* the 16-element subspace closure that also contains 0 + V_2 and V_1 + 0
-  (one whole side vanishes).  Only this one has the six corank-2 elements
-  that the explicit Euler factor's -6 q^{-2|c|} term counts, and only its
-  local factors match heightzeta's display coefficient by coefficient.
+and the meet is intersection.  These are sixteen: V, 0 + V_2 and V_1 + 0
+(one whole side vanishes), the four planes W_i = l_i + l'_i, the eight
+lines l_i + 0 and 0 + l'_i, and 0.  The two one-side elements are needed:
+without them only four corank-2 elements remain, but the explicit Euler
+factor's -6 q^{-2|c|} term counts six, and only with them do the local
+factors match heightzeta's display coefficient by coefficient.
 
 A local condition at a closed point is a multiplicity assignment m on the
 lattice with m(V) treated as infinity; it is saturated when every level set
-{m >= j} is meet-closed, equivalently m(p ^ q) = min(m(p), m(q)).  In these
-lattices every meet-closed up-set is principal, so a saturated condition is
+{m >= j} is meet-closed, equivalently m(p ^ q) = min(m(p), m(q)).  In this
+lattice every meet-closed up-set is principal, so a saturated condition is
 the same thing as a weakly shrinking chain of subspaces (the level meets),
 and its expected codimension is the sum of their coranks.  Non-saturated
 input is rejected, never repaired.
@@ -35,8 +33,7 @@ finite lattice ordered levelwise in reverse, and the join is the levelwise
 meet.  Every interval [w, x] is therefore a finite lattice, and
 mu(w, x) = sum of (-1)^|S| over the sets S of covers of w whose join is x.
 A cover lowers one level one lattice step, so mu(w, .) vanishes beyond one
-level above w: 16 conditions above the empty base of the 16-element
-lattice, 8 above a plane base.
+level above w: 16 conditions above the empty base, 8 above a plane base.
 
 Truncation bookkeeping: the excess of x over a base w counts, per closed
 point and weighted by its degree, the growth in multiplicity depth plus the
@@ -63,9 +60,9 @@ SIEVE_WEIGHTS = (2, 2, 2, 2, 4)
 
 
 # ---------------------------------------------------------------------------
-# condition lattices
+# the condition lattice
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ConditionLattice:
     """A finite meet-semilattice of fiber subspaces with coranks.
 
@@ -74,7 +71,6 @@ class ConditionLattice:
     and never carries a finite multiplicity.
     """
 
-    name: str
     elements: tuple
     coranks: tuple
     meet_idx: tuple
@@ -86,8 +82,8 @@ class ConditionLattice:
     def leq(self, i: int, j: int) -> bool:
         return self.meet_idx[i][j] == i
 
-    def meet_many(self, idxs, start=None) -> int:
-        acc = self.top if start is None else start
+    def meet_many(self, idxs) -> int:
+        acc = self.top
         for i in idxs:
             acc = self.meet_idx[acc][i]
         return acc
@@ -111,49 +107,30 @@ def _factor_corank(x):
     return 0 if x == "full" else (1 if x != "zero" else 2)
 
 
-def _build_lattice(name, elems):
+def _build_lattice(elems):
     elems = tuple(elems)
     idx = {e: i for i, e in enumerate(elems)}
-    meets = []
-    for (a1, b1) in elems:
-        row = []
-        for (a2, b2) in elems:
-            m = (_factor_meet(a1, a2), _factor_meet(b1, b2))
-            if m not in idx:
-                raise ValueError(f"lattice {name} not meet-closed at {m}")
-            row.append(idx[m])
-        meets.append(tuple(row))
+    meets = tuple(tuple(idx[_factor_meet(a1, a2), _factor_meet(b1, b2)] for a2, b2 in elems)
+                  for a1, b1 in elems)
     coranks = tuple(_factor_corank(a) + _factor_corank(b) for a, b in elems)
-    return ConditionLattice(name=name, elements=elems, coranks=coranks,
-                            meet_idx=tuple(meets), top=idx[("full", "full")])
+    return ConditionLattice(elements=elems, coranks=coranks, meet_idx=meets,
+                            top=idx[("full", "full")])
 
 
-@lru_cache(maxsize=1)
-def survey_q_lattice() -> ConditionLattice:
-    """The 14-element lattice: V, the four W_i, the eight marked lines, 0."""
-    elems = [("full", "full")]
-    elems += [(i, i) for i in range(4)]                       # W_i
-    elems += [(i, "zero") for i in range(4)]                  # l_{i,1} + 0
-    elems += [("zero", i) for i in range(4)]                  # 0 + l_{i,2}
-    elems += [("zero", "zero")]
-    return _build_lattice("survey14", elems)
-
-
-@lru_cache(maxsize=1)
-def subspace_q_lattice() -> ConditionLattice:
-    """The 16-element subspace closure, adding 0 + V_2 and V_1 + 0."""
-    elems = [("full", "full"), ("zero", "full"), ("full", "zero")]
-    elems += [(i, i) for i in range(4)]
-    elems += [(i, "zero") for i in range(4)]
-    elems += [("zero", i) for i in range(4)]
-    elems += [("zero", "zero")]
-    return _build_lattice("subspace16", elems)
+# V, the two one-side elements, the four W_i, the eight marked lines, 0
+LATTICE = _build_lattice(
+    [("full", "full"), ("zero", "full"), ("full", "zero")]
+    + [(i, i) for i in range(4)]
+    + [(i, "zero") for i in range(4)]
+    + [("zero", i) for i in range(4)]
+    + [("zero", "zero")])
+EMPTY = tuple(0 for _ in LATTICE.nontop)
 
 
 # ---------------------------------------------------------------------------
 # local conditions
 
-def local_condition(lattice: ConditionLattice, mults: dict) -> tuple:
+def local_condition(mults: dict) -> tuple:
     """Validated multiplicity tuple over the non-top elements.
 
     mults maps element index (or (A, B) pair) to multiplicity; omitted
@@ -161,60 +138,60 @@ def local_condition(lattice: ConditionLattice, mults: dict) -> tuple:
     some smaller element pushes them up, in which case validation fails:
     this constructor never repairs input.
     """
-    m = [0] * len(lattice.elements)
+    m = [0] * len(LATTICE.elements)
     for key, val in mults.items():
-        i = key if isinstance(key, int) else lattice.index(key)
-        if i == lattice.top:
+        i = key if isinstance(key, int) else LATTICE.index(key)
+        if i == LATTICE.top:
             raise NotSaturated("the top element carries infinite multiplicity")
         if val < 0:
             raise ValueError("multiplicities must be >= 0")
         m[i] = val
-    cond = tuple(m[i] for i in lattice.nontop)
-    validate_condition(lattice, cond)
+    cond = tuple(m[i] for i in LATTICE.nontop)
+    validate_condition(cond)
     return cond
 
 
-def validate_condition(lattice: ConditionLattice, cond):
+def validate_condition(cond):
     """Reject non-monotone or non-saturated multiplicity data."""
-    full = [0.0] * len(lattice.elements)
-    for pos, i in enumerate(lattice.nontop):
+    full = [0.0] * len(LATTICE.elements)
+    for pos, i in enumerate(LATTICE.nontop):
         full[i] = cond[pos]
-    full[lattice.top] = float("inf")
-    n = len(lattice.elements)
+    full[LATTICE.top] = float("inf")
+    n = len(LATTICE.elements)
     for i in range(n):
         for j in range(n):
-            if lattice.leq(i, j) and full[i] > full[j]:
+            if LATTICE.leq(i, j) and full[i] > full[j]:
                 raise NotSaturated("multiplicities not monotone along the order")
-            if full[lattice.meet_idx[i][j]] != min(full[i], full[j]):
+            if full[LATTICE.meet_idx[i][j]] != min(full[i], full[j]):
                 raise NotSaturated("level sets are not meet-closed")
 
 
-def condition_chain(lattice: ConditionLattice, cond) -> tuple:
+def condition_chain(cond) -> tuple:
     """Level meets: chain[j-1] = meet of {e : m(e) >= j}, j = 1..maxorder.
 
-    Every meet-closed up-set of these lattices is principal, so the chain
+    Every meet-closed up-set of the lattice is principal, so the chain
     determines the condition and vice versa.
     """
     out = []
     j = 1
     while True:
-        level = [i for pos, i in enumerate(lattice.nontop) if cond[pos] >= j]
+        level = [i for pos, i in enumerate(LATTICE.nontop) if cond[pos] >= j]
         if not level:
             break
-        out.append(lattice.meet_many(level))
+        out.append(LATTICE.meet_many(level))
         j += 1
     return tuple(out)
 
 
-def condition_gamma(lattice: ConditionLattice, cond) -> int:
+def condition_gamma(cond) -> int:
     """Sum of the coranks of the level meets."""
-    return sum(lattice.coranks[m] for m in condition_chain(lattice, cond))
+    return sum(LATTICE.coranks[m] for m in condition_chain(cond))
 
 
-def condition_excess(lattice: ConditionLattice, base, cond, degree: int) -> int:
+def condition_excess(base, cond, degree: int) -> int:
     """Degree-weighted truncation excess of cond over base (see module doc)."""
-    cb = condition_chain(lattice, base)
-    cc = condition_chain(lattice, cond)
+    cb = condition_chain(base)
+    cc = condition_chain(cond)
     refined = sum(1 for j in range(len(cb)) if cc[j] != cb[j])
     return degree * ((len(cc) - len(cb)) + refined)
 
@@ -222,26 +199,26 @@ def condition_excess(lattice: ConditionLattice, base, cond, degree: int) -> int:
 # ---------------------------------------------------------------------------
 # local Moebius values
 
-def _chain_condition(lattice: ConditionLattice, chain) -> tuple:
+def _chain_condition(chain) -> tuple:
     """Inverse of condition_chain: m(e) counts the levels whose meet is <= e
     (a top level counts nowhere)."""
-    return tuple(sum(1 for c in chain if lattice.leq(c, i)) for i in lattice.nontop)
+    return tuple(sum(1 for c in chain if LATTICE.leq(c, i)) for i in LATTICE.nontop)
 
 
-def _cover_chains(lattice: ConditionLattice, chain) -> list:
+def _cover_chains(chain) -> list:
     """Chains of the covers of the condition with this chain, which ends in
     one empty level (the top): one level drops one lattice cover step and
     the chain stays monotone."""
     def below(f, e):
-        return f != e and lattice.leq(f, e)
+        return f != e and LATTICE.leq(f, e)
     return [chain[:j] + (f,) + chain[j + 1:]
-            for j, cur in enumerate(chain) for f in lattice.nontop
-            if below(f, cur) and (j == 0 or lattice.leq(chain[j - 1], f))
-            and not any(below(f, g) and below(g, cur) for g in lattice.nontop)]
+            for j, cur in enumerate(chain) for f in LATTICE.nontop
+            if below(f, cur) and (j == 0 or LATTICE.leq(chain[j - 1], f))
+            and not any(below(f, g) and below(g, cur) for g in LATTICE.nontop)]
 
 
 @lru_cache(maxsize=None)
-def _crosscut(lattice: ConditionLattice, base) -> tuple:
+def _crosscut(base) -> tuple:
     """((tau, mu(base, tau)), ...) over every tau with mu(base, tau) != 0.
 
     Rota's crosscut theorem on the finite lattice [base, tau]:
@@ -249,14 +226,14 @@ def _crosscut(lattice: ConditionLattice, base) -> tuple:
     join, the levelwise meet, is tau.  Every such join lies within one level
     of base.
     """
-    chain = condition_chain(lattice, base) + (lattice.top,)
-    covers = _cover_chains(lattice, chain)
+    chain = condition_chain(base) + (LATTICE.top,)
+    covers = _cover_chains(chain)
     mu: dict = {}
     for size in range(len(covers) + 1):
         for subset in itertools.combinations(covers, size):
-            tau = tuple(map(lattice.meet_many, zip(chain, *subset)))
+            tau = tuple(map(LATTICE.meet_many, zip(chain, *subset)))
             mu[tau] = mu.get(tau, 0) + (-1) ** size
-    return tuple((_chain_condition(lattice, tau), m) for tau, m in mu.items() if m)
+    return tuple((_chain_condition(tau), m) for tau, m in mu.items() if m)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +259,7 @@ def stable_range_start(k) -> int:
 
 
 @lru_cache(maxsize=None)
-def _local_poly(lattice: ConditionLattice, q: int, deg: int, base, budget: int):
+def _local_poly(q: int, deg: int, base, budget: int):
     """Excess generating polynomial at one closed point.
 
     Coefficient of T^e sums mu(base, tau) q^{-deg * gamma(tau)} over
@@ -292,14 +269,14 @@ def _local_poly(lattice: ConditionLattice, q: int, deg: int, base, budget: int):
     not grow with the budget.
     """
     out = [Fraction(0)] * (budget + 1)
-    for tau, mu in _crosscut(lattice, base):
-        excess = condition_excess(lattice, base, tau, deg)
+    for tau, mu in _crosscut(base):
+        excess = condition_excess(base, tau, deg)
         if excess <= budget:
-            out[excess] += mu * Fraction(1, q ** (deg * condition_gamma(lattice, tau)))
+            out[excess] += mu * Fraction(1, q ** (deg * condition_gamma(tau)))
     return tuple(out)
 
 
-def sieve_sum(K: FieldSpec, k, D: int, lattice: ConditionLattice | None = None) -> list:
+def sieve_sum(K: FieldSpec, k, D: int) -> list:
     """Exact truncated sieve sums at truncations 0..D: mu(x_w, x) q^{-gamma(x)}
     summed over w in U_k(F_q) and saturated x above x_w with excess <= D.
 
@@ -309,17 +286,16 @@ def sieve_sum(K: FieldSpec, k, D: int, lattice: ConditionLattice | None = None) 
     heightzeta.MONOMIAL_CAP monomials.
     The D = 0 value is the bare sum_w q^{-gamma(x_w)}.
     """
-    lattice = lattice or subspace_q_lattice()
     k = tuple(k)
     if len(k) != 4 or min(k) < 0:
         raise DegreeMismatch("a contact pattern is four non-negative degrees")
     if D < 0:
         raise ValueError("D must be >= 0")
-    return list(_sieve_partials(lattice, K.q, tuple(sorted(k)), D))
+    return list(_sieve_partials(K.q, tuple(sorted(k)), D))
 
 
 @lru_cache(maxsize=256)
-def _sieve_partials(lattice: ConditionLattice, q: int, k: tuple, D: int) -> tuple:
+def _sieve_partials(q: int, k: tuple, D: int) -> tuple:
     """Coefficients of t^k T^{<=D}, accumulated, in the product over degrees
     d <= max(D, max k) of (den_d(T) + sum_{i, m>=1} t_i^{md} num_{d,m}(T))^{N_d}.
 
@@ -333,13 +309,12 @@ def _sieve_partials(lattice: ConditionLattice, q: int, k: tuple, D: int) -> tupl
     constructor refuses a fractional coefficient with LemmaViolation.
     """
     orders = k + (D,)
-    empty = tuple(0 for _ in lattice.nontop)
     product = series_one(orders, q, SIEVE_WEIGHTS)
     for d in range(1, max(orders) + 1):
-        den = _local_poly(lattice, q, d, empty, D)
+        den = _local_poly(q, d, EMPTY, D)
         coeffs = {(0, 0, 0, 0, e): c for e, c in enumerate(den)}
         for m in range(1, max(k) // d + 1):
-            num = _local_poly(lattice, q, d, local_condition(lattice, {(0, 0): m}), D)
+            num = _local_poly(q, d, local_condition({(0, 0): m}), D)
             for i, e in itertools.product(range(4), range(D + 1)):
                 coeffs[(0,) * i + (m * d,) + (0,) * (3 - i) + (e,)] = num[e]
         factor = TruncatedMultiSeries(orders, coeffs, q, SIEVE_WEIGHTS)
@@ -348,10 +323,8 @@ def _sieve_partials(lattice: ConditionLattice, q: int, k: tuple, D: int) -> tupl
         product.coefficient(k + (e,)) for e in range(D + 1)))
 
 
-def prediction(K: FieldSpec, a: int, b: int, k, D: int,
-               lattice: ConditionLattice | None = None) -> SievePrediction:
+def prediction(K: FieldSpec, a: int, b: int, k, D: int) -> SievePrediction:
     """q^{2a+2b+4} times the truncated sieve sum, as a prediction record."""
-    value = sieve_sum(K, k, D, lattice=lattice)[D]
+    value = sieve_sum(K, k, D)[D]
     return SievePrediction(value=K.q ** (2 * a + 2 * b + 4) * value,
                            stable_range=stable_range_I(a, b, k))
-

@@ -8,8 +8,10 @@ computes, by a path that shares as little with it as possible:
   secenum's contact-degree join; the divisor of a form by trial division,
   against secenum's product table; the orbit-reduced side as the full side
   summary moved to least keys over all of PGL_2(F_q), against secenum's
-  enumeration from first-divisor orbits; the join-based fiber count;
-  u_k_points; the elementary transform remark_config;
+  enumeration from first-divisor orbits; the full side summary by
+  coefficient pairs, against secenum's sweep under the trivial group; the
+  join-based fiber count; u_k_points; the elementary transform
+  remark_config;
 * the configuration poset behind the sieve: configurations, intervals, the
   generic Moebius recursion, enumeration above a base, and the exact rank
   of the linear system a configuration imposes;
@@ -56,7 +58,7 @@ from dp4sieve.projline import (
     point_at_infinity,
 )
 from dp4sieve.secenum import DEFAULT_BUDGET, SurfaceConfig
-from dp4sieve.sieve import ConditionLattice
+from dp4sieve.sieve import EMPTY, LATTICE
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +326,8 @@ def fiber_count(cfg: SurfaceConfig, w, a: int, b: int,
     q = cfg.field.q
     spent = q ** (2 * a + 2) + q ** (2 * b + 2)
     se._charge(spent, budget, f"side enumerations {q}^{2 * a + 2} + {q}^{2 * b + 2}")
-    S = se._side_summary(cfg, "s", a)
-    T = se._side_summary(cfg, "t", b)
+    S = side_summary(cfg, "s", a)
+    T = side_summary(cfg, "t", b)
     se._charge(spent + S[0].shape[1] * T[0].shape[1], budget,
                "side enumerations plus join pairs")
     tables = [_fiber_table(cfg.field, a, b, d) for d in w]
@@ -346,11 +348,61 @@ def _fiber_table(K: FieldSpec, deg_s: int, deg_t: int, w: EffectiveDivisor):
     return np.array([[meet(x, y) == w for y in T] for x in S], dtype=np.int64)
 
 
+_CHUNK = 1 << 17
+
+
+def _projective_codes(q: int, length: int):
+    """Codes of the nonzero length-digit vectors whose top nonzero digit is
+    1 (one per line through the origin), in chunks."""
+    for j in range(length):
+        for start in range(q ** j, 2 * q ** j, _CHUNK):
+            yield np.arange(start, min(start + _CHUNK, 2 * q ** j), dtype=np.int64)
+
+
+@lru_cache(maxsize=8)
+def side_summary(cfg: SurfaceConfig, side: str, degree: int):
+    """Reference for secenum's full side: one side compressed to
+    (divisor-id quadruples, multiplicities).
+
+    Enumerates the coefficient pairs of one side up to a common scalar
+    (every pair's four contact divisors are those of its q-1 multiples),
+    keeps those with no common root, computes the four composite forms by
+    vectorized table arithmetic, and aggregates equal divisor-id quadruples.
+    """
+    K = cfg.field
+    q = K.q
+    mul, sub = se._np_tables(K)
+    nforms = q ** (degree + 1)
+    digits = se._form_digits(q, degree)
+    div_id = se._form_divisor_ids(K, degree)
+    coprime = se._degree_table(K, degree, degree) == 0
+    base = se._key_base(K, degree)
+    lam = cfg.lam if side == "s" else cfg.lam2
+    scaled = []
+    for i in range(4):
+        d, negc = lam(i)
+        scaled.append((mul[d][digits], mul[K.neg(negc)][digits]))
+    powers = q ** np.arange(degree + 1, dtype=np.int64)
+    parts, counts = [], []
+    for codes in _projective_codes(q, 2 * degree + 2):
+        f1, f2 = np.divmod(codes, nforms)
+        ok = coprime[div_id[f1], div_id[f2]]
+        f1, f2 = f1[ok], f2[ok]
+        quad = np.empty((4, f1.size), dtype=np.int64)
+        for i, (ds1, cs2) in enumerate(scaled):
+            quad[i] = div_id[sub[ds1[f1], cs2[f2]] @ powers]   # d*s1 - c*s2
+        keys, n = np.unique(se._encode(quad, base), return_counts=True)
+        parts.append(keys)
+        counts.append(n)
+    keys, n = se._tally(np.concatenate(parts), np.concatenate(counts))
+    return se._decode(keys, base), n * (q - 1)
+
+
 def side_orbits(cfg: SurfaceConfig, side: str, degree: int):
     """Reference for secenum._side_orbits: the full side summary, each
     quadruple moved to the least key over the whole of PGL_2(F_q), equal
     keys tallied."""
-    comp, weights = se._side_summary(cfg, side, degree)
+    comp, weights = side_summary(cfg, side, degree)
     perms = se._pgl2_perms(cfg.field, degree)
     base = perms.shape[1]
     canon = se._encode(comp, base)
@@ -425,9 +477,10 @@ def _projective_points(K: FieldSpec):
 
 
 def clear_caches():
-    """Drop all of secenum's in-memory caches (histograms, summaries,
-    tables), so that a second run recomputes or reads the on-disk cache."""
-    for cached in (se._contact_histogram, se._side_orbits, se._side_summary,
+    """Drop all of secenum's in-memory caches (histograms, sides, tables)
+    and the side summary here, so that a second run recomputes or reads the
+    on-disk cache."""
+    for cached in (se._contact_histogram, se._side_orbits, side_summary,
                    se._first_divisors, se._pgl2_perms, se._degree_table, se._multiplicities,
                    se._form_divisor_ids, se._inventory, se._np_tables):
         cached.cache_clear()
@@ -436,7 +489,7 @@ def clear_caches():
 # ---------------------------------------------------------------------------
 # the configuration poset behind the sieve
 
-def condition_leq(lattice: ConditionLattice, lo, hi) -> bool:
+def condition_leq(lo, hi) -> bool:
     return all(a <= b for a, b in zip(lo, hi))
 
 
@@ -445,7 +498,7 @@ def condition_max_order(cond) -> int:
 
 
 @lru_cache(maxsize=None)
-def _local_shapes(lattice: ConditionLattice, max_order: int) -> tuple:
+def _local_shapes(max_order: int) -> tuple:
     """All saturated conditions with multiplicity depth <= max_order.
 
     Level sets of a saturated condition are principal filters up(e_j) with
@@ -455,51 +508,49 @@ def _local_shapes(lattice: ConditionLattice, max_order: int) -> tuple:
     """
     chains, level = [()], [()]
     for _ in range(max_order):
-        level = [ch + (e,) for ch in level for e in lattice.nontop
-                 if not ch or lattice.leq(ch[-1], e)]
+        level = [ch + (e,) for ch in level for e in LATTICE.nontop
+                 if not ch or LATTICE.leq(ch[-1], e)]
         chains += level
-    return tuple(sorted({sv._chain_condition(lattice, ch) for ch in chains}))
+    return tuple(sorted({sv._chain_condition(ch) for ch in chains}))
 
 
 @dataclass(frozen=True)
 class Configuration:
     """Finitely supported assignment of saturated local conditions."""
 
-    lattice: ConditionLattice
     data: tuple          # sorted ((ClosedPoint, cond), ...), conds nonzero
 
     def condition_at(self, pt: ClosedPoint):
         for p, c in self.data:
             if p == pt:
                 return c
-        return tuple(0 for _ in self.lattice.nontop)
+        return EMPTY
 
     @property
     def support(self):
         return tuple(pt for pt, _ in self.data)
 
 
-def configuration(lattice: ConditionLattice, assignments) -> Configuration:
+def configuration(assignments) -> Configuration:
     data = []
     for pt, cond in assignments:
-        sv.validate_condition(lattice, cond)
+        sv.validate_condition(cond)
         if any(cond):
             data.append((pt, tuple(cond)))
     data.sort(key=lambda e: (e[0], e[1]))
-    return Configuration(lattice=lattice, data=tuple(data))
+    return Configuration(data=tuple(data))
 
 
-def empty_configuration(lattice: ConditionLattice) -> Configuration:
-    return Configuration(lattice=lattice, data=())
+def empty_configuration() -> Configuration:
+    return Configuration(data=())
 
 
 def config_leq(w: Configuration, x: Configuration) -> bool:
     """Pointwise divisor containment at every lattice element."""
-    assert w.lattice is x.lattice
-    return all(condition_leq(w.lattice, cond, x.condition_at(pt)) for pt, cond in w.data)
+    return all(condition_leq(cond, x.condition_at(pt)) for pt, cond in w.data)
 
 
-def config_from_divisor_tuple(lattice: ConditionLattice, w) -> Configuration:
+def config_from_divisor_tuple(w) -> Configuration:
     """The configuration induced by a disjoint divisor tuple: component i
     places its multiplicities at the plane W_i."""
     by_point: dict = {}
@@ -507,35 +558,33 @@ def config_from_divisor_tuple(lattice: ConditionLattice, w) -> Configuration:
         for pt, mult in div.entries:
             cond = by_point.setdefault(pt, {})
             cond[(i, i)] = cond.get((i, i), 0) + mult
-    return configuration(lattice, [(pt, sv.local_condition(lattice, m))
-                                   for pt, m in by_point.items()])
+    return configuration([(pt, sv.local_condition(m)) for pt, m in by_point.items()])
 
 
 def gamma(x: Configuration) -> int:
     """Expected codimension: degree-weighted sum of local level coranks."""
-    return sum(pt.degree * sv.condition_gamma(x.lattice, cond) for pt, cond in x.data)
+    return sum(pt.degree * sv.condition_gamma(cond) for pt, cond in x.data)
 
 
 def config_excess(w: Configuration, x: Configuration) -> int:
     assert config_leq(w, x)
-    return sum(sv.condition_excess(x.lattice, w.condition_at(pt), cond, pt.degree)
+    return sum(sv.condition_excess(w.condition_at(pt), cond, pt.degree)
                for pt, cond in x.data)
 
 
 @lru_cache(maxsize=None)
-def _conditions_between(lattice: ConditionLattice, lo, hi) -> tuple:
-    return tuple(cand for cand in _local_shapes(lattice, condition_max_order(hi))
-                 if condition_leq(lattice, lo, cand) and condition_leq(lattice, cand, hi))
+def _conditions_between(lo, hi) -> tuple:
+    return tuple(cand for cand in _local_shapes(condition_max_order(hi))
+                 if condition_leq(lo, cand) and condition_leq(cand, hi))
 
 
 def interval(w: Configuration, x: Configuration):
     """All configurations between w and x (product of local intervals)."""
     if not config_leq(w, x):
         raise ValueError("w is not below x")
-    lattice = w.lattice
-    locals_ = [[(pt, c) for c in _conditions_between(lattice, w.condition_at(pt), x.condition_at(pt))]
+    locals_ = [[(pt, c) for c in _conditions_between(w.condition_at(pt), x.condition_at(pt))]
                for pt in x.support]
-    return [configuration(lattice, list(combo)) for combo in itertools.product(*locals_)]
+    return [configuration(list(combo)) for combo in itertools.product(*locals_)]
 
 
 def mobius(w: Configuration, x: Configuration) -> int:
@@ -545,7 +594,7 @@ def mobius(w: Configuration, x: Configuration) -> int:
         raise ValueError("w is not below x")
     out = 1
     for pt in x.support:
-        out *= dict(sv._crosscut(w.lattice, w.condition_at(pt))).get(x.condition_at(pt), 0)
+        out *= dict(sv._crosscut(w.condition_at(pt))).get(x.condition_at(pt), 0)
     return out
 
 
@@ -566,9 +615,7 @@ def mobius_recursive(w: Configuration, x: Configuration) -> int:
     return mu[x.data]
 
 
-def enumerate_configs_above(w, D: int, K: FieldSpec,
-                            lattice: ConditionLattice | None = None,
-                            limit: int = 500_000):
+def enumerate_configs_above(w, D: int, K: FieldSpec, limit: int = 500_000):
     """All saturated configurations dominating the w-induced configuration
     with excess at most D, in deterministic order.
 
@@ -579,8 +626,7 @@ def enumerate_configs_above(w, D: int, K: FieldSpec,
     """
     if D < 0:
         raise ValueError("D must be >= 0")
-    lattice = lattice or sv.subspace_q_lattice()
-    base = w if isinstance(w, Configuration) else config_from_divisor_tuple(lattice, w)
+    base = w if isinstance(w, Configuration) else config_from_divisor_tuple(w)
     base_pts = list(base.support)
     new_pts = [pt for pt in closed_points_up_to(K, max(1, D))
                if pt.degree <= D and pt not in base_pts] if D >= 1 else []
@@ -591,9 +637,9 @@ def enumerate_configs_above(w, D: int, K: FieldSpec,
         lo = base.condition_at(pt)
         lo_ord = condition_max_order(lo)
         cands = []
-        for cand in _local_shapes(lattice, lo_ord + D // pt.degree):
-            if condition_leq(lattice, lo, cand):
-                excess = sv.condition_excess(lattice, lo, cand, pt.degree)
+        for cand in _local_shapes(lo_ord + D // pt.degree):
+            if condition_leq(lo, cand):
+                excess = sv.condition_excess(lo, cand, pt.degree)
                 if excess <= D:
                     cands.append((cand, excess))
         per_point.append(cands)
@@ -604,7 +650,7 @@ def enumerate_configs_above(w, D: int, K: FieldSpec,
         if len(out) > limit:
             raise TooLarge("configuration inventory exceeds limit")
         if idx == len(all_pts):
-            out.append(configuration(lattice, acc))
+            out.append(configuration(acc))
             return
         pt = all_pts[idx]
         for cand, excess in per_point[idx]:
@@ -628,9 +674,9 @@ def gamma_rank_oracle(x: Configuration, a: int, b: int, cfg: SurfaceConfig) -> i
     K = cfg.field
     rows = []
     for pt, cond in x.data:
-        for mult, idx in zip(cond, x.lattice.nontop):
+        for mult, idx in zip(cond, LATTICE.nontop):
             if mult:
-                A, B = x.lattice.elements[idx]
+                A, B = LATTICE.elements[idx]
                 rows += [r + [0] * (2 * b + 2) for r in _subspace_rows(K, cfg.lam, pt, mult, A, a)]
                 rows += [[0] * (2 * a + 2) + r for r in _subspace_rows(K, cfg.lam2, pt, mult, B, b)]
     return rank(K, rows) if rows else 0

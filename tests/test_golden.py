@@ -1,6 +1,7 @@
 """The golden reports, byte for byte: the manin pair under reports/ and the
 count and ledger references under bench/reference/, each regenerated in
-process into a temporary directory."""
+process into a temporary directory, and the stdout of `sieve` against
+tests/golden/."""
 
 import importlib.util
 import pathlib
@@ -12,6 +13,7 @@ from dp4sieve.harness import parse_config_file
 
 ROOT = pathlib.Path(__file__).parent.parent
 Q3 = ROOT / "configs" / "q3.cfg"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def _ledger_module():
@@ -47,3 +49,13 @@ def test_ledger_matches_the_reference_bytes(tmp_path):
                                str(tmp_path), "ledger_q3_d4")
     assert pathlib.Path(path).read_bytes() == \
         (ROOT / "bench" / "reference" / "ledger_q3_d4.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["--field-p", "3", "sieve", "--k", "1,0,0,0"], "sieve_q3_k1000"),
+    (["--field-p", "2", "--field-n", "2", "sieve", "--k", "2,1,0,0"], "sieve_q4_k2100"),
+    (["--field-p", "5", "sieve", "--k", "2,1,0,0"], "sieve_q5_k2100"),
+], ids=["q3-k1000", "q4-k2100", "q5-k2100"])
+def test_sieve_stdout_matches_the_golden_bytes(argv, golden, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{golden}.json").read_text()

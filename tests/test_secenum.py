@@ -336,7 +336,7 @@ def test_side_has_one_quadruple_per_projective_pair():
     for cfg in (CFG3, CFG4, CFG5):
         q = cfg.field.q
         for degree, side in itertools.product(range(4), "st"):
-            comp, weights = se._side_summary(cfg, side, degree)
+            comp, weights = se._side_orbits(cfg, side, degree, False)
             if degree:
                 assert comp.shape[1] == q ** (2 * degree - 1) * (q * q - 1)
                 assert (weights == q - 1).all()
@@ -347,20 +347,26 @@ def test_side_has_one_quadruple_per_projective_pair():
 
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_side_orbits_equal_the_canonicalised_full_summary(q):
+    # the reduced side against the summary canonicalised over PGL_2, and
+    # the full side (trivial group) against the summary itself
     cfg = se.default_config(q)
     cases = list(itertools.product(range(4), "st")) + ([(4, "s"), (4, "t")] if q == 4 else [])
     for degree, side in cases:
-        reps, totals = se._side_orbits(cfg, side, degree)
+        reps, totals = se._side_orbits(cfg, side, degree, True)
         keys, weights = orc.side_orbits(cfg, side, degree)
         assert reps.tolist() == keys.tolist(), (degree, side)
         assert totals.tolist() == weights.tolist(), (degree, side)
+        comp, weights = se._side_orbits(cfg, side, degree, False)
+        ref, ref_weights = orc.side_summary(cfg, side, degree)
+        assert comp.tolist() == ref.tolist(), (degree, side)
+        assert weights.tolist() == ref_weights.tolist(), (degree, side)
 
 
 def test_orbit_reduction_q4():
     # the 245,760 divisor quadruples of degree-4 pairs over F_4 fall into
     # 4,336 orbits of PGL_2(F_4), a group of order 60
-    comp, weights = se._side_summary(CFG4, "s", 4)
-    reps, totals = se._side_orbits(CFG4, "s", 4)
+    comp, weights = se._side_orbits(CFG4, "s", 4, False)
+    reps, totals = se._side_orbits(CFG4, "s", 4, True)
     assert (comp.shape[1], reps.shape[1]) == (245760, 4336)
     assert int(totals.sum()) == int(weights.sum()) == _coprime_pairs(4, 4)
 
@@ -389,7 +395,7 @@ def test_pullback_permutation_fixes_the_side_summaries(q, degree, other, data):
     assert (tab[perm][:, other_perm] == tab).all()
     # and carries each side summary onto itself with equal weights
     for side in "st":
-        comp, weights = se._side_summary(cfg, side, degree)
+        comp, weights = orc.side_summary(cfg, side, degree)
         keys = se._encode(comp, m + 1)       # ascending: the summary is sorted
         moved = se._encode(perm[comp], m + 1)
         order = np.argsort(moved)

@@ -16,37 +16,34 @@ from oracles import rational_point
 
 K3 = make_field(3)
 K5 = make_field(5)
-L14 = sv.survey_q_lattice()
-L16 = sv.subspace_q_lattice()
-EMPTY14 = tuple(0 for _ in L14.nontop)
+L16 = sv.LATTICE
 W = [(i, i) for i in range(4)]
-LATTICES = pytest.mark.parametrize("lattice", [L16, L14], ids=["L16", "L14"])
+# the condition lattice as a parameter, so that the tests over it keep the id L16
+LATTICES = pytest.mark.parametrize("lattice", [L16], ids=["L16"])
 
 
 @functools.lru_cache(maxsize=None)
-def _interval_mobius(lattice, lo, hi):
+def _interval_mobius(lo, hi):
     """mu(lo, hi) by the generic recursion over the local interval [lo, hi]."""
     if lo == hi:
         return 1
-    return -sum(_interval_mobius(lattice, lo, mid)
-                for mid in orc._conditions_between(lattice, lo, hi) if mid != hi)
+    return -sum(_interval_mobius(lo, mid)
+                for mid in orc._conditions_between(lo, hi) if mid != hi)
 
 
-def _plane_bases(lattice):
-    return [sv.local_condition(lattice, {W[0]: m}) for m in (1, 2, 3)]
+def _plane_bases():
+    return [sv.local_condition({W[0]: m}) for m in (1, 2, 3)]
 
 
 def test_lattice_shapes():
-    assert len(L14.elements) == 14
     assert len(L16.elements) == 16
-    assert sorted(L14.coranks) == [0] + [2] * 4 + [3] * 8 + [4]
     assert sorted(L16.coranks) == [0] + [2] * 6 + [3] * 8 + [4]
 
 
 def test_meet_examples():
     # containment, transverse planes, the top element
     def meet(p, q):
-        return L14.elements[L14.meet_idx[L14.index(p)][L14.index(q)]]
+        return L16.elements[L16.meet_idx[L16.index(p)][L16.index(q)]]
 
     assert meet(W[0], (0, "zero")) == (0, "zero")
     assert meet(W[0], W[1]) == ("zero", "zero")
@@ -54,53 +51,52 @@ def test_meet_examples():
 
 
 def test_meet_table_properties():
-    for lat in (L14, L16):
-        n, meet = len(lat.elements), lat.meet_idx
-        for i in range(n):
-            assert meet[i][i] == i
-            for j in range(n):
-                assert meet[i][j] == meet[j][i]
-                assert lat.coranks[meet[i][j]] >= max(lat.coranks[i], lat.coranks[j])
-                for k in range(n):
-                    assert meet[meet[i][j]][k] == meet[i][meet[j][k]]
+    n, meet = len(L16.elements), L16.meet_idx
+    for i in range(n):
+        assert meet[i][i] == i
+        for j in range(n):
+            assert meet[i][j] == meet[j][i]
+            assert L16.coranks[meet[i][j]] >= max(L16.coranks[i], L16.coranks[j])
+            for k in range(n):
+                assert meet[meet[i][j]][k] == meet[i][meet[j][k]]
 
 
 def test_local_condition_validation():
-    cond = sv.local_condition(L14, {W[0]: 2})
-    assert sv.condition_gamma(L14, cond) == 4  # two levels of corank 2
+    cond = sv.local_condition({W[0]: 2})
+    assert sv.condition_gamma(cond) == 4  # two levels of corank 2
     with pytest.raises(NotSaturated):
         # two transverse planes positive without their meet: not saturated
-        sv.local_condition(L14, {W[0]: 1, W[1]: 1})
+        sv.local_condition({W[0]: 1, W[1]: 1})
     with pytest.raises(NotSaturated):
         # a line deeper than its plane violates monotonicity
-        sv.local_condition(L14, {(0, "zero"): 1})
+        sv.local_condition({(0, "zero"): 1})
 
 
 def test_gamma_examples():
-    assert orc.gamma(orc.empty_configuration(L14)) == 0
+    assert orc.gamma(orc.empty_configuration()) == 0
     # x_w has gamma = 2 sum k_i
     w = (divisor([(rational_point(K3, 0), 1)]),
          divisor([(rational_point(K3, 1), 2)]), ZERO_DIVISOR, ZERO_DIVISOR)
-    xw = orc.config_from_divisor_tuple(L14, w)
+    xw = orc.config_from_divisor_tuple(w)
     assert orc.gamma(xw) == 2 * 3
     # a rational point at the zero element imposes four conditions
     zero_idx = {W[i]: 1 for i in range(4)}
     zero_idx.update({(i, "zero"): 1 for i in range(4)})
     zero_idx.update({("zero", i): 1 for i in range(4)})
-    zero_idx[("zero", "zero")] = 1
-    cond = sv.local_condition(L14, zero_idx)
-    x = orc.configuration(L14, [(rational_point(K3, 0), cond)])
+    zero_idx.update({("zero", "full"): 1, ("full", "zero"): 1, ("zero", "zero"): 1})
+    cond = sv.local_condition(zero_idx)
+    x = orc.configuration([(rational_point(K3, 0), cond)])
     assert orc.gamma(x) == 4
 
 
 def test_mobius_base_cases():
-    w = orc.empty_configuration(L14)
+    w = orc.empty_configuration()
     assert orc.mobius(w, w) == 1
     # two-element interval: a covering pair has mu = -1
-    x = orc.configuration(L14, [(rational_point(K3, 0), sv.local_condition(L14, {W[0]: 1}))])
+    x = orc.configuration([(rational_point(K3, 0), sv.local_condition({W[0]: 1}))])
     assert orc.mobius(w, x) == -1
     with pytest.raises(ValueError, match="not below"):
-        y = orc.configuration(L14, [(rational_point(K3, 1), sv.local_condition(L14, {W[1]: 1}))])
+        y = orc.configuration([(rational_point(K3, 1), sv.local_condition({W[1]: 1}))])
         orc.mobius(x, y)
 
 
@@ -108,42 +104,42 @@ def test_mobius_base_cases():
 def test_covers_are_the_minimal_shapes_above_base(lattice):
     # every shape of depth <= 2 and the plane bases of depth 1-3; nothing
     # two levels deeper is minimal either
-    for base in set(orc._local_shapes(lattice, 2)) | set(_plane_bases(lattice)):
-        above = [s for s in orc._local_shapes(lattice, orc.condition_max_order(base) + 2)
-                 if s != base and orc.condition_leq(lattice, base, s)]
+    for base in set(orc._local_shapes(2)) | set(_plane_bases()):
+        above = [s for s in orc._local_shapes(orc.condition_max_order(base) + 2)
+                 if s != base and orc.condition_leq(base, s)]
         minimal = {s for s in above
-                   if not any(t != s and orc.condition_leq(lattice, t, s) for t in above)}
-        chain = sv.condition_chain(lattice, base) + (lattice.top,)
-        covers = sv._cover_chains(lattice, chain)
-        assert {sv._chain_condition(lattice, c) for c in covers} == minimal
+                   if not any(t != s and orc.condition_leq(t, s) for t in above)}
+        chain = sv.condition_chain(base) + (lattice.top,)
+        covers = sv._cover_chains(chain)
+        assert {sv._chain_condition(c) for c in covers} == minimal
 
 
 @LATTICES
 def test_crosscut_mobius_matches_interval_recursion(lattice):
     # mu(base, x) vanishes more than one level above the base, and the
     # crosscut values equal the recursion everywhere up to three levels
-    for base in orc._local_shapes(lattice, 1):
+    for base in orc._local_shapes(1):
         depth = orc.condition_max_order(base)
-        crosscut = dict(sv._crosscut(lattice, base))
+        crosscut = dict(sv._crosscut(base))
         assert all(orc.condition_max_order(x) <= depth + 1 for x in crosscut)
-        for x in orc._local_shapes(lattice, depth + 3):
-            if orc.condition_leq(lattice, base, x):
-                mu = _interval_mobius(lattice, base, x)
+        for x in orc._local_shapes(depth + 3):
+            if orc.condition_leq(base, x):
+                mu = _interval_mobius(base, x)
                 assert mu == crosscut.get(x, 0)
                 if orc.condition_max_order(x) > depth + 1:
                     assert mu == 0
 
 
-def _local_poly_by_recursion(lattice, q, deg, base, budget):
+def _local_poly_by_recursion(q, deg, base, budget):
     """The definition of _local_poly: every saturated tau above base of
     excess <= budget, weighted by the recursive mu(base, tau)."""
     out = [Fraction(0)] * (budget + 1)
-    for tau in orc._local_shapes(lattice, orc.condition_max_order(base) + budget // deg):
-        if orc.condition_leq(lattice, base, tau):
-            excess = sv.condition_excess(lattice, base, tau, deg)
+    for tau in orc._local_shapes(orc.condition_max_order(base) + budget // deg):
+        if orc.condition_leq(base, tau):
+            excess = sv.condition_excess(base, tau, deg)
             if excess <= budget:
-                out[excess] += Fraction(_interval_mobius(lattice, base, tau),
-                                        q ** (deg * sv.condition_gamma(lattice, tau)))
+                out[excess] += Fraction(_interval_mobius(base, tau),
+                                        q ** (deg * sv.condition_gamma(tau)))
     return tuple(out)
 
 
@@ -151,10 +147,10 @@ def _local_poly_by_recursion(lattice, q, deg, base, budget):
 @pytest.mark.parametrize("deg", [1, 2, 3])
 def test_crosscut_local_poly_matches_definition(lattice, deg):
     empty = tuple(0 for _ in lattice.nontop)
-    for base in [empty] + _plane_bases(lattice):
-        full = _local_poly_by_recursion(lattice, 3, deg, base, 6)
+    for base in [empty] + _plane_bases():
+        full = _local_poly_by_recursion(3, deg, base, 6)
         for D in range(7):
-            assert sv._local_poly(lattice, 3, deg, base, D) == full[:D + 1]
+            assert sv._local_poly(3, deg, base, D) == full[:D + 1]
 
 
 def test_mobius_multiplicative_matches_recursive_seeded():
@@ -162,19 +158,19 @@ def test_mobius_multiplicative_matches_recursive_seeded():
     # product of local interval values equals the generic recursion.
     rnd = random.Random(20240817)
     pts = [rational_point(K3, i) for i in range(3)] + [rational_point(K5, 0)]
-    shapes14 = [s for s in orc._local_shapes(L14, 2)]
+    shapes = orc._local_shapes(2)
     checked = 0
     while checked < 50:
         n_pts = rnd.randint(1, 3)
         chosen = rnd.sample(pts[:3], n_pts)
         his, los = [], []
         for pt in chosen:
-            hi = rnd.choice([s for s in shapes14 if any(s)])
-            lo = rnd.choice(orc._conditions_between(L14, EMPTY14, hi))
+            hi = rnd.choice([s for s in shapes if any(s)])
+            lo = rnd.choice(orc._conditions_between(sv.EMPTY, hi))
             his.append((pt, hi))
             los.append((pt, lo))
-        x = orc.configuration(L14, his)
-        w = orc.configuration(L14, los)
+        x = orc.configuration(his)
+        w = orc.configuration(los)
         if not orc.config_leq(w, x):
             continue
         assert orc.mobius(w, x) == orc.mobius_recursive(w, x)
@@ -183,22 +179,21 @@ def test_mobius_multiplicative_matches_recursive_seeded():
 
 def test_mobius_recursion_sums_vanish():
     # sum over [w, x] of mu(w, y) = 0 for every x > w, over every interval
-    # of excess <= 2 above the empty base (both lattices)
-    for lat in (L14, L16):
-        w = orc.empty_configuration(lat)
-        for x in orc.enumerate_configs_above((ZERO_DIVISOR,) * 4, 2, K3, lattice=lat)[:60]:
-            if not x.data:
-                continue
-            total = sum(orc.mobius(w, y) for y in orc.interval(w, x))
-            assert total == 0
+    # of excess <= 2 above the empty base
+    w = orc.empty_configuration()
+    for x in orc.enumerate_configs_above((ZERO_DIVISOR,) * 4, 2, K3)[:60]:
+        if not x.data:
+            continue
+        total = sum(orc.mobius(w, y) for y in orc.interval(w, x))
+        assert total == 0
 
 
 def test_gamma_additive_over_disjoint_supports():
-    c1 = sv.local_condition(L14, {W[0]: 1})
-    c2 = sv.local_condition(L14, {W[2]: 2})
-    x1 = orc.configuration(L14, [(rational_point(K3, 0), c1)])
-    x2 = orc.configuration(L14, [(rational_point(K3, 1), c2)])
-    both = orc.configuration(L14, list(x1.data + x2.data))
+    c1 = sv.local_condition({W[0]: 1})
+    c2 = sv.local_condition({W[2]: 2})
+    x1 = orc.configuration([(rational_point(K3, 0), c1)])
+    x2 = orc.configuration([(rational_point(K3, 1), c2)])
+    both = orc.configuration(list(x1.data + x2.data))
     assert orc.gamma(both) == orc.gamma(x1) + orc.gamma(x2)
 
 
@@ -208,11 +203,9 @@ def test_enumerate_configs_above():
     w1 = (divisor([(rational_point(K3, 0), 1)]), ZERO_DIVISOR, ZERO_DIVISOR, ZERO_DIVISOR)
     only = orc.enumerate_configs_above(w1, 0, K3)
     assert len(only) == 1
-    assert only[0].data == orc.config_from_divisor_tuple(sv.subspace_q_lattice(), w1).data
+    assert only[0].data == orc.config_from_divisor_tuple(w1).data
     # one unit of excess: one configuration per (rational point, depth-1 shape)
-    got14 = orc.enumerate_configs_above(w0, 1, K3, lattice=L14)
-    assert len(got14) == 1 + 4 * 13
-    got16 = orc.enumerate_configs_above(w0, 1, K3, lattice=L16)
+    got16 = orc.enumerate_configs_above(w0, 1, K3)
     assert len(got16) == 1 + 4 * 15
 
 
@@ -234,13 +227,13 @@ def test_sieve_sum_base_cases():
     assert deltas[-1] < deltas[0]
 
 
-def _sieve_partials_by_definition(K, k, D, lattice):
+def _sieve_partials_by_definition(K, k, D):
     """Partial sums over excess 0..D of mu(x_w, x) q^{-gamma(x)}, by direct
     enumeration of every w in U_k and every configuration x above x_w."""
     totals = [Fraction(0)] * (D + 1)
     for w in orc.u_k_points(K, k):
-        base = orc.config_from_divisor_tuple(lattice, w)
-        for x in orc.enumerate_configs_above(base, D, K, lattice=lattice):
+        base = orc.config_from_divisor_tuple(w)
+        for x in orc.enumerate_configs_above(base, D, K):
             totals[orc.config_excess(base, x)] += Fraction(orc.mobius(base, x), K.q ** orc.gamma(x))
     return list(itertools.accumulate(totals))
 
@@ -253,12 +246,11 @@ def _sieve_partials_by_definition(K, k, D, lattice):
 def test_sieve_sum_matches_definition(lattice, k, D):
     # (2,0,0,0) reaches depth 2 and a degree-2 contact point; (0,0,1,1)
     # puts contact on the last two components
-    assert sv.sieve_sum(K3, k, D, lattice=lattice) == \
-        _sieve_partials_by_definition(K3, k, D, lattice)
+    assert sv.sieve_sum(K3, k, D) == _sieve_partials_by_definition(K3, k, D)
 
 
 def test_deep_truncation_skips_the_shape_scan():
-    # k = 0 at D = 8 on the 16-element lattice, recorded from the
+    # k = 0 at D = 8, recorded from the
     # per-interval recursion; the product path scans no local shapes
     orc._local_shapes.cache_clear()
     sv._sieve_partials.cache_clear()
@@ -274,10 +266,10 @@ def test_deep_truncation_skips_the_shape_scan():
 @pytest.mark.parametrize("k, D", [((2, 1, 1, 0), 2), ((0, 1, 2, 3), 1)])
 def test_sieve_product_symmetric_in_contact_pattern(lattice, k, D):
     # the premise of the memo keyed on sorted k
-    memo = sv._sieve_partials(lattice, 3, tuple(sorted(k)), D)
+    memo = sv._sieve_partials(3, tuple(sorted(k)), D)
     for perm in set(itertools.permutations(k)):
-        assert sv._sieve_partials.__wrapped__(lattice, 3, perm, D) == memo
-        assert sv.sieve_sum(K3, perm, D, lattice=lattice) == list(memo)
+        assert sv._sieve_partials.__wrapped__(3, perm, D) == memo
+        assert sv.sieve_sum(K3, perm, D) == list(memo)
 
 
 def test_sieve_sum_rejects_negative_truncation():
@@ -300,7 +292,7 @@ def test_sieve_sum_leading_term_identity():
         lhs = K5.q ** (2 * a + 2 * b + 4) * sv.sieve_sum(K5, k, 0)[0]
         rhs = 0
         for w in orc.u_k_points(K5, k):
-            x = orc.config_from_divisor_tuple(L16, w)
+            x = orc.config_from_divisor_tuple(w)
             rank = orc.gamma_rank_oracle(x, a, b, cfg5)
             rhs += K5.q ** (2 * a + 2 * b + 4 - rank)
         assert lhs == rhs
@@ -308,9 +300,8 @@ def test_sieve_sum_leading_term_identity():
 
 def test_sieve_sum_vs_euler_truncation():
     # k = 0, D = 4 at q = 5: within 10% of the finite product of the
-    # explicit factor over points of degree <= 4 (16-element lattice; the
-    # 14-element survey reading misses at ~24%, reported not asserted)
-    s = sv.sieve_sum(K5, (0, 0, 0, 0), 4, lattice=L16)[4]
+    # explicit factor over points of degree <= 4
+    s = sv.sieve_sum(K5, (0, 0, 0, 0), 4)[4]
     prod = Fraction(1)
     for d in (1, 2, 3, 4):
         u = Fraction(1, 5 ** d)
@@ -320,43 +311,42 @@ def test_sieve_sum_vs_euler_truncation():
 
 def test_gamma_rank_oracle_small():
     cfg5 = se.default_config(5)
-    x = orc.empty_configuration(L16)
+    x = orc.empty_configuration()
     assert orc.gamma_rank_oracle(x, 4, 4, cfg5) == 0
     # one rational point at the zero element at (a, b) = (4, 4): rank 4
     zero_full = {W[i]: 1 for i in range(4)}
     zero_full.update({(i, "zero"): 1 for i in range(4)})
     zero_full.update({("zero", i): 1 for i in range(4)})
     zero_full.update({("zero", "full"): 1, ("full", "zero"): 1, ("zero", "zero"): 1})
-    cond = sv.local_condition(L16, zero_full)
-    x = orc.configuration(L16, [(rational_point(K5, 2), cond)])
+    cond = sv.local_condition(zero_full)
+    x = orc.configuration([(rational_point(K5, 2), cond)])
     assert orc.gamma(x) == 4
     assert orc.gamma_rank_oracle(x, 4, 4, cfg5) == 4
 
 
 def test_gamma_equals_rank_oracle_exhaustive():
     # all saturated configurations of excess <= 2 over F_5 at (6, 6): the
-    # jet formula agrees with the exact linear-algebra rank (both lattices;
-    # the acceptance suite extends this to excess 3)
+    # jet formula agrees with the exact linear-algebra rank (the acceptance
+    # suite extends this to excess 3)
     cfg5 = se.default_config(5)
-    for lat in (L14, L16):
-        for x in orc.enumerate_configs_above((ZERO_DIVISOR,) * 4, 2, K5, lattice=lat):
-            assert orc.gamma(x) == orc.gamma_rank_oracle(x, 6, 6, cfg5)
+    for x in orc.enumerate_configs_above((ZERO_DIVISOR,) * 4, 2, K5):
+        assert orc.gamma(x) == orc.gamma_rank_oracle(x, 6, 6, cfg5)
 
 
-def _local_factor_entry(lattice, q, deg, m):
-    """The t_1^(deg m) entry of the lattice's local factor at a degree-deg
-    point, times q^(deg m): its excess polynomial at the depth-m plane base,
-    summed over an excess budget that holds every tau with mu != 0."""
-    base = sv.local_condition(lattice, {W[0]: m}) if m else tuple(0 for _ in lattice.nontop)
-    return q ** (deg * m) * sum(sv._local_poly(lattice, q, deg, base, deg * (m + 2)))
+def _local_factor_entry(q, deg, m):
+    """The t_1^(deg m) entry of the local factor at a degree-deg point,
+    times q^(deg m): its excess polynomial at the depth-m plane base, summed
+    over an excess budget that holds every tau with mu != 0."""
+    base = sv.local_condition({W[0]: m}) if m else sv.EMPTY
+    return q ** (deg * m) * sum(sv._local_poly(q, deg, base, deg * (m + 2)))
 
 
 def test_local_factor_matches_display_16():
     # the 16-element lattice reproduces the explicit Euler factor exactly
     for q, deg in ((3, 1), (5, 1), (4, 1), (5, 2), (3, 2)):
-        assert _local_factor_entry(L16, q, deg, 0) == factor_constant(q, deg)
-        assert _local_factor_entry(L16, q, deg, 1) == factor_contact_coefficient(q, deg, 1)
-        assert _local_factor_entry(L16, q, deg, 2) == factor_contact_coefficient(q, deg, 2)
+        assert _local_factor_entry(q, deg, 0) == factor_constant(q, deg)
+        assert _local_factor_entry(q, deg, 1) == factor_contact_coefficient(q, deg, 1)
+        assert _local_factor_entry(q, deg, 2) == factor_contact_coefficient(q, deg, 2)
 
 
 @LATTICES
@@ -368,13 +358,7 @@ def test_sieve_factors_are_integral_after_scaling(lattice):
     for q in (3, 4, 5):
         for d in range(1, 5):
             for m in range(5):
-                base = sv.local_condition(lattice, {W[0]: m}) if m else empty
-                for e, c in enumerate(sv._local_poly(lattice, q, d, base, 8)):
+                base = sv.local_condition({W[0]: m}) if m else empty
+                for e, c in enumerate(sv._local_poly(q, d, base, 8)):
                     assert (c * q ** (2 * m * d + 4 * e)).denominator == 1, (q, d, m, e)
 
-
-def test_local_factor_survey_deviation_reported():
-    # the 14-element reading has only four corank-2 atoms, so its constant
-    # part deviates from the display at q = 5 (they agree at q = 3 by a
-    # numerical accident)
-    assert _local_factor_entry(L14, 5, 1, 0) != factor_constant(5, 1)
