@@ -40,11 +40,14 @@ class Interval:
         assert self.nlo <= self.nhi
 
     @staticmethod
-    def exact(x, bits: int = DEFAULT_BITS) -> "Interval":
+    def exact(x, bits: int = DEFAULT_BITS, den: int = 1) -> "Interval":
+        """The rational x / den, for a positive integer den.  The quotient
+        is not reduced: floor(N 2^bits / D) and its ceiling do not change
+        when N and D share a factor."""
         x = Fraction(x)
         scaled_num = x.numerator << bits
-        return Interval(_floor_div(scaled_num, x.denominator),
-                        _ceil_div(scaled_num, x.denominator), bits)
+        den *= x.denominator
+        return Interval(_floor_div(scaled_num, den), _ceil_div(scaled_num, den), bits)
 
     @staticmethod
     def from_bounds(lo, hi, bits: int = DEFAULT_BITS) -> "Interval":

@@ -292,17 +292,20 @@ def tamagawa(q: int, N: int) -> TamagawaResult:
 # ---------------------------------------------------------------------------
 # the Abel limit of the height zeta function
 
-def _diag_local_value(q: int, n: int, tau: Fraction) -> Fraction:
-    """L_n(tau,...,tau): the degree-n factor with all four variables at tau.
+def _diag_local_value(q: int, n: int, tau: Fraction) -> tuple:
+    """L_n(tau,...,tau), the degree-n factor with all four variables at tau,
+    as an unreduced integer numerator and denominator.
 
     The contact sums are geometric: with u = q^{-n} and v = (tau/q)^n,
-    L = const(n) + 4 (1 - 2u + 2u^3 - u^4) v / (1 - v), exact for tau < q.
+    L = factor_constant(q, n) + 4 (1 - 2u + 2u^3 - u^4) v / (1 - v), exact
+    for tau < q.  With Q = q^n and v = A / B, and the factorisations
+    Q^4 const = (Q-1)^3 (Q+3) and Q^4 bracket = (Q-1)^3 (Q+1), this is
+    (Q-1)^3 ((Q+3) B + (3Q+1) A) / (Q^4 (B - A)).
     """
-    u = Fraction(1, q ** n)
-    v = (Fraction(tau) / q) ** n
-    assert v < 1
-    bracket = 1 - 2 * u + 2 * u ** 3 - u ** 4
-    return factor_constant(q, n) + 4 * bracket * v / (1 - v)
+    Q = q ** n
+    A, B = tau.numerator ** n, (tau.denominator * q) ** n
+    assert A < B
+    return (Q - 1) ** 3 * ((Q + 3) * B + (3 * Q + 1) * A), Q ** 4 * (B - A)
 
 
 def _lhs_depth_needed(q: int, tau: Fraction, tol: Fraction) -> int:
@@ -311,17 +314,21 @@ def _lhs_depth_needed(q: int, tau: Fraction, tol: Fraction) -> int:
 
     Uses count_n <= q^n / n, log L <= 8 v_n for v_n <= 1/2, and
     |log const_n| <= 12 u_n^2 for u_n <= 1/4; the geometric sums bound the
-    two tails by 8 tau^{M+1} / ((M+1)(1-tau)) and 24 q^{-(M+1)}.  The
-    powers are carried from one M to the next.  Raises TooLarge when the
-    cutoff would exceed CUTOFF_CAP.
+    two tails by 8 tau^{M+1} / ((M+1)(1-tau)) and 24 q^{-(M+1)}.  With
+    tau = a / b the comparison is cross-multiplied into integers, and the
+    powers a^{M+1}, b^{M+1}, q^{M+1} are carried from one M to the next.
+    Raises TooLarge when the cutoff would exceed CUTOFF_CAP.
     """
     assert 0 < tau < 1
-    M, tau_pow, q_pow = 2, tau ** 3, q ** 3
-    while 8 * tau_pow / ((M + 1) * (1 - tau)) + Fraction(24, q_pow) > tol:
+    a, b = tau.numerator, tau.denominator
+    M, a_pow, b_pow, q_pow = 2, a ** 3, b ** 3, q ** 3
+    # tail = (8 a^{M+1} b q^{M+1} + 24 b^{M+1} (M+1)(b-a)) / (b^{M+1} (M+1)(b-a) q^{M+1})
+    while (tol.denominator * (8 * a_pow * b * q_pow + 24 * b_pow * (M + 1) * (b - a))
+           > tol.numerator * b_pow * (M + 1) * (b - a) * q_pow):
         if M == CUTOFF_CAP:
             raise TooLarge(f"the limit check at tau = {tau} needs local factors past "
                            f"degree {CUTOFF_CAP}, the cap")
-        M, tau_pow, q_pow = M + 1, tau_pow * tau, q_pow * q
+        M, a_pow, b_pow, q_pow = M + 1, a_pow * a, b_pow * b, q_pow * q
     return M
 
 
@@ -366,7 +373,8 @@ def limit_formula_check(q: int, N: int, m_max: int) -> LimitCheckResult:
         M = _lhs_depth_needed(q, tau, tol)
         acc = Interval.exact((1 - tau) ** 4, bits)
         for n in range(1, M + 1):
-            fac = Interval.exact(_diag_local_value(q, n, tau), bits)
+            num, den = _diag_local_value(q, n, tau)
+            fac = Interval.exact(num, bits, den)
             acc = acc * fac.power(count_closed_points_for(q, n))
         # neglected factor exp(+-tail) enclosed by [1 - 2 tol, 1 + 2 tol]
         acc = acc * Interval.from_bounds(1 - 2 * tol, 1 + 2 * tol, bits)

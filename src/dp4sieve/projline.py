@@ -9,8 +9,8 @@ keeps the place at infinity on the same footing as every other point: a
 "common root" of two forms includes common vanishing at infinity.
 
 Everything here is immutable and pure.  Closed points of degree >= 2 are
-found by trial division by the lower-degree ones, which is transparent and
-plenty fast at the degrees this package ever touches.
+what remains of the monic polynomials once every product of a lower-degree
+closed point with a monic cofactor is struck out.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .field import (
     FieldSpec,
     field_of_order,
     from_digits,
-    poly_divmod,
+    poly_mul,
     to_digits,
 )
 
@@ -66,18 +66,23 @@ def _affine_point(K: FieldSpec, poly) -> ClosedPoint:
 
 @lru_cache(maxsize=None)
 def _irreducibles_of_degree(K: FieldSpec, n: int):
-    """All monic irreducible polynomials of degree n, ascending code order."""
+    """All monic irreducible polynomials of degree n, ascending code order.
+
+    A monic polynomial of degree n is reducible exactly when it has a monic
+    irreducible factor f of degree d <= n/2; every product f g, g monic of
+    degree n - d, is marked, and the unmarked codes remain.
+    """
     if n == 1:
         return tuple(_affine_point(K, (c, 1)) for c in K.elements())
-    lower = []
+    q = K.q
+    reducible = bytearray(q ** n)
     for d in range(1, n // 2 + 1):
-        lower.extend(pt.poly for pt in _irreducibles_of_degree(K, d))
-    out = []
-    for code in range(K.q ** n):
-        poly = to_digits(code, K.q, n) + (1,)
-        if all(poly_divmod(K, poly, div)[1] for div in lower):
-            out.append(_affine_point(K, poly))
-    return tuple(out)
+        for f in _irreducibles_of_degree(K, d):
+            for code in range(q ** (n - d)):
+                product = poly_mul(K, f.poly, to_digits(code, q, n - d) + (1,))
+                reducible[from_digits(product[:-1], q)] = 1
+    return tuple(_affine_point(K, to_digits(code, q, n) + (1,))
+                 for code in range(q ** n) if not reducible[code])
 
 
 def closed_points_up_to(K: FieldSpec, N: int):

@@ -46,6 +46,24 @@ are not proportional; so a full side of degree d has exactly
 q^(2d-1) (q^2 - 1) distinct quadruples, each of weight q-1, and
 min(q+1, 5) at degree 0.  Reducing the side with more quadruples, which
 the join compares, is reducing the side of larger degree.
+
+Surface symmetries.  Let H be the permutations sigma of the four centres
+that a Moebius map g on each factor of P^1 x P^1 realises, g(p_i) =
+p_sigma(i).  Three distinct points go to any three by one Moebius map, so
+sigma is in H exactly when it keeps the cross ratio of p_0..p_3 and of
+p'_0..p'_3; H always contains the Klein four-group V_4 (on the default
+surfaces it is S_4 at q = 3, A_4 at q = 4).  Composing a section with g
+gives D_i(g s) = D_{sigma^-1(i)}(s), a bijection of the coprime pairs, so
+each side's weighted multiset is H-invariant, key(sigma x, sigma y) =
+sigma key(x, y), and the histogram is H-invariant.  H acts on the PGL_2
+orbits, as the two act on source and target.  The orbit-type tuple
+phi(x), the least id in the PGL_2 orbit of each component, is PGL_2-
+invariant with phi(sigma x) = sigma phi(x); a row is kept when phi is least
+among its H-images, weighted by |H| / #{sigma : sigma phi = phi}.  The
+histogram summed over the axis permutations sigma in H then counts each
+orbit o through the kept orbits sigma^-1 o: #{sigma : sigma phi = phi}
+of the sigma take phi(o) to its least image, each with that weight, so o
+counts |H| times, and one exact integer division by |H| ends the join.
 """
 
 from __future__ import annotations
@@ -346,6 +364,36 @@ def _pgl2_perms(K: FieldSpec, degree: int):
 
 
 # ---------------------------------------------------------------------------
+# permuting the centres
+
+def _cross_ratio(K: FieldSpec, pts):
+    """(p_0, p_1; p_2, p_3) = [p_0, p_2][p_1, p_3] / ([p_0, p_3][p_1, p_2]),
+    with the bracket [u, v] = u_0 v_1 - u_1 v_0 of projective points."""
+    def bracket(u, v):
+        return K.sub(K.mul(u[0], v[1]), K.mul(u[1], v[0]))
+
+    p0, p1, p2, p3 = pts
+    return K.div(K.mul(bracket(p0, p2), bracket(p1, p3)),
+                 K.mul(bracket(p0, p3), bracket(p1, p2)))
+
+
+@lru_cache(maxsize=16)
+def _centre_symmetries(cfg: SurfaceConfig):
+    """The permutations sigma of the four centres that a Moebius map on each
+    factor of P^1 x P^1 realises, as a (|H|, 4) array, the identity first.
+
+    Three distinct points go to any three by a unique Moebius map, which
+    takes the fourth to the right place exactly when it keeps the cross
+    ratio; so sigma is kept when it keeps the cross ratio of the first
+    coordinates and of the second.
+    """
+    K = cfg.field
+    return np.array([sigma for sigma in itertools.permutations(range(4))
+                     if all(_cross_ratio(K, [pts[i] for i in sigma]) == _cross_ratio(K, pts)
+                            for pts in (cfg.first, cfg.second))])
+
+
+# ---------------------------------------------------------------------------
 # side summaries and the join
 
 def _encode(comp, base: int):
@@ -452,38 +500,82 @@ def _side_orbits(cfg: SurfaceConfig, side: str, degree: int, reduced: bool):
     return _decode(keys, base), total
 
 
-def _join(rows, row_w, cols, col_w, tables, base: int):
-    """Weighted histogram over base^4 keys of all row x column pairs.
+@lru_cache(maxsize=16)
+def _fundamental_rows(cfg: SurfaceConfig, side: str, degree: int):
+    """The rows of _side_orbits(cfg, side, degree, True) on a fundamental
+    domain of the centre permutations H, reweighted.
 
-    The key of a pair has digit tables[i][row_i, col_i] at component i
-    (most significant first); each pair adds row weight * column weight.
+    A row x is kept when its orbit-type tuple phi(x), the least id in the
+    PGL_2 orbit of each component, is least among its H-images, and its
+    weight is multiplied by |H| / #{sigma in H : sigma phi(x) = phi(x)}.
+    """
+    rows, weights = _side_orbits(cfg, side, degree, True)
+    group = _centre_symmetries(cfg)
+    base = _key_base(cfg.field, degree)
+    phi = _pgl2_perms(cfg.field, degree).min(axis=0)[rows]
+    own = _encode(phi, base)        # the identity's image
+    least = own.copy()
+    for sigma in group[1:]:
+        np.minimum(least, _encode(phi[sigma], base), out=least)
+    keep = own == least
+    phi, own = phi[:, keep], own[keep]
+    fixed = sum(_encode(phi[sigma], base) == own for sigma in group)
+    return rows[:, keep], weights[keep] * len(group) // fixed
+
+
+def _join(rows, row_w, cols, col_w, tables, base: int, group):
+    """Histogram of shape (base,) * 4 over the contact keys of all row x
+    column pairs, averaged over the axis permutations in `group`.
+
+    The key of a pair has digit tables[i][row_i, col_i] at component i;
+    each pair adds row weight * column weight.  The weights take few
+    values, so each column chunk is tallied by one unweighted bincount of
+    the key prefixed with the pair's weight class, and the classes are
+    weighted once at the end.  Rows weighted to a fundamental domain of
+    `group` (_fundamental_rows) average to the full join exactly.
     """
     total = int(row_w.sum()) * int(col_w.sum())
-    if total >= 2 ** 63:
-        raise TooLarge(f"{total} section pairs overflow the int64 histogram")
-    dtype = np.min_scalar_type(base ** 4 - 1)
-    hist = np.zeros(base ** 4, dtype=np.int64)
+    if total * len(group) >= 2 ** 63:
+        raise TooLarge(f"{total} section pairs times {len(group)} symmetries "
+                       "overflow the int64 histogram")
+    span = base ** 4
+    rw, rclass = np.unique(row_w, return_inverse=True)
+    cw, cclass = np.unique(col_w, return_inverse=True)
+    bins = rw.size * cw.size * span
+    dtype = np.min_scalar_type(bins - 1)
+    # component i's table on the rows, one contiguous line per column id,
+    # as key digits in the narrowest dtype that holds a key; component 0
+    # carries the weight classes: the row's as an offset, the column's as
+    # a shifted copy of the table
+    lines = [np.ascontiguousarray((tab[rows[i]].T * base ** (3 - i)).astype(dtype))
+             for i, tab in enumerate(tables)]
+    lines[0] = np.concatenate([lines[0] + ((rclass * cw.size + c) * span).astype(dtype)
+                               for c in range(cw.size)])
+    ids = [cols[0] + cclass * tables[0].shape[1], *cols[1:]]
+    counts = np.zeros(bins, dtype=np.int64)
     step = max(1, (1 << 20) // max(1, rows.shape[1]))     # columns per pass
     for first in range(0, cols.shape[1], step):
-        cs = slice(first, first + step)
-        keys = 0
-        for i, tab in enumerate(tables):
-            # component i's table on these columns, in the narrowest dtype
-            # that holds a key, so that each row gathers one short line
-            keys = keys + (tab[:, cols[i, cs]] * base ** (3 - i)).astype(dtype)[rows[i]]
-        np.add.at(hist, keys.ravel(), (row_w[:, None] * col_w[cs]).ravel())
+        keys = lines[0][ids[0][first:first + step]]
+        for line, col in zip(lines[1:], ids[1:]):
+            keys += line[col[first:first + step]]
+        counts += np.bincount(keys.ravel(), minlength=bins)
+    weights = (rw[:, None] * cw[None, :]).reshape(-1, 1)
+    hist = (counts.reshape(-1, span) * weights).sum(axis=0).reshape((base,) * 4)
     assert int(hist.sum()) == total
-    return hist
+    hist = sum(hist.transpose(sigma) for sigma in group)
+    assert not (hist % len(group)).any()
+    return hist // len(group)
 
 
 def _join_sides(cfg: SurfaceConfig, a: int, b: int):
     """(rows, row weights, columns, column weights, degree table) of the
     degree join: the side of larger degree (s on a tie), reduced to PGL_2
-    orbit representatives, against the other side in full."""
+    orbit representatives on a fundamental domain of the centre
+    permutations, against the other side in full."""
     if a >= b:
-        return (*_side_orbits(cfg, "s", a, True), *_side_orbits(cfg, "t", b, False),
+        return (*_fundamental_rows(cfg, "s", a), *_side_orbits(cfg, "t", b, False),
                 _degree_table(cfg.field, a, b))
-    return (*_side_orbits(cfg, "t", b, True), *_side_orbits(cfg, "s", a, False),
+    return (*_fundamental_rows(cfg, "t", b), *_side_orbits(cfg, "s", a, False),
             _degree_table(cfg.field, b, a))
 
 
@@ -492,8 +584,8 @@ def _contact_histogram(cfg: SurfaceConfig, a: int, b: int):
     """Section pairs of bidegree (a, b) by contact-degree quadruple, as an
     int64 array of shape (max(a, b) + 1,) * 4."""
     rows, row_w, cols, col_w, tab = _join_sides(cfg, a, b)
-    base = max(a, b) + 1
-    return _join(rows, row_w, cols, col_w, [tab] * 4, base).reshape((base,) * 4)
+    return _join(rows, row_w, cols, col_w, [tab] * 4, max(a, b) + 1,
+                 _centre_symmetries(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +635,7 @@ def count_sections(cfg: SurfaceConfig, a: int, b: int, k,
     spent = _charge_sides(cfg, a, b, budget)
     rows, _, cols, _, _ = _join_sides(cfg, a, b)
     _charge(spent + rows.shape[1] * cols.shape[1], budget,
-            "side enumerations plus orbit-reduced join pairs")
+            "side enumerations plus fundamental-domain join pairs")
     return int(_contact_histogram(cfg, a, b)[k])
 
 

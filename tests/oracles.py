@@ -6,10 +6,13 @@ computes, by a path that shares as little with it as possible:
 * section counting: one pass over every coprime section pair of a bidegree,
   tallied by the four contact divisors that polynomial gcds give, against
   secenum's contact-degree join; the divisor of a form by trial division,
-  against secenum's product table; the orbit-reduced side as the full side
-  summary moved to least keys over all of PGL_2(F_q), against secenum's
-  enumeration from first-divisor orbits; the full side summary by
+  against secenum's product table; the closed points of a degree by trial
+  division, against projline's marking of products; the orbit-reduced side
+  as the full side summary moved to least keys over all of PGL_2(F_q),
+  against secenum's enumeration from first-divisor orbits; the full side summary by
   coefficient pairs, against secenum's sweep under the trivial group; the
+  centre permutations by trying every Moebius map, and the join over every
+  orbit representative, against secenum's fundamental-domain join; the
   join-based fiber count; u_k_points; the elementary transform
   remark_config;
 * the configuration poset behind the sieve: configurations, intervals, the
@@ -20,8 +23,8 @@ computes, by a path that shares as little with it as possible:
   slacks and invariants that the pipeline folds into fiber pairs;
 * small closed forms: surface_count, tamagawa_exact, count_nef_points;
 * exact arithmetic: the truncated series product as a double loop over
-  two dicts of Fractions, and interval powers by repeated interval
-  products;
+  two dicts of Fractions, interval powers by repeated interval products,
+  and the limit check's local values and cutoffs in Fractions;
 * element vectors, the Frobenius map and pointwise divisor arithmetic,
   which the pipeline never needs.
 """
@@ -43,7 +46,7 @@ from dp4sieve import sieve as sv
 from dp4sieve.errors import DegreeMismatch, Dp4Error, TooLarge
 from dp4sieve.exactnum import Interval
 from dp4sieve.field import FieldSpec, from_digits, poly_divmod, poly_mul, poly_trim, to_digits
-from dp4sieve.heightzeta import good_factor
+from dp4sieve.heightzeta import factor_constant, good_factor
 from dp4sieve.linalg import row_reduce
 from dp4sieve.projline import (
     ZERO_DIVISOR,
@@ -113,6 +116,20 @@ def _affine_part(coeffs):
     """Split a form into (affine polynomial, order of vanishing at infinity)."""
     aff = poly_trim(coeffs)
     return aff, len(coeffs) - len(aff)
+
+
+def irreducibles_by_trial_division(K: FieldSpec, n: int) -> tuple:
+    """Reference for projline._irreducibles_of_degree: the monic polynomials
+    of degree n, ascending by code, that no lower-degree monic irreducible
+    divides."""
+    lower = [pt.poly for d in range(1, n // 2 + 1)
+             for pt in irreducibles_by_trial_division(K, d)]
+    out = []
+    for code in range(K.q ** n):
+        poly = to_digits(code, K.q, n) + (1,)
+        if all(poly_divmod(K, poly, div)[1] for div in lower):
+            out.append(_affine_point(K, poly))
+    return tuple(out)
 
 
 def factor_poly(K: FieldSpec, poly) -> list:
@@ -331,7 +348,7 @@ def fiber_count(cfg: SurfaceConfig, w, a: int, b: int,
     se._charge(spent + S[0].shape[1] * T[0].shape[1], budget,
                "side enumerations plus join pairs")
     tables = [_fiber_table(cfg.field, a, b, d) for d in w]
-    return int(se._join(*S, *T, tables, 2)[-1])
+    return int(se._join(*S, *T, tables, 2, np.arange(4)[None])[1, 1, 1, 1])
 
 
 def _fiber_table(K: FieldSpec, deg_s: int, deg_t: int, w: EffectiveDivisor):
@@ -412,6 +429,41 @@ def side_orbits(cfg: SurfaceConfig, side: str, degree: int):
     return se._decode(keys, base), total
 
 
+def centre_symmetries(cfg: SurfaceConfig) -> set:
+    """Reference for secenum._centre_symmetries: the permutations sigma with
+    g(p_i) = p_sigma(i) for some invertible 2x2 matrix g on the first
+    coordinates and some on the second, found by trying every matrix."""
+    K = cfg.field
+
+    def realised(pts):
+        found = set()
+        for a, b, c, d in itertools.product(range(K.q), repeat=4):
+            if K.sub(K.mul(a, d), K.mul(b, c)):
+                image = [se._normalize_point(K, (K.add(K.mul(a, u), K.mul(b, v)),
+                                                 K.add(K.mul(c, u), K.mul(d, v))))
+                         for u, v in pts]
+                if set(image) == set(pts):
+                    found.add(tuple(pts.index(x) for x in image))
+        return found
+
+    return realised(list(cfg.first)) & realised(list(cfg.second))
+
+
+def join_histogram(rows, row_w, cols, col_w, tab, base: int):
+    """Reference for secenum._join on one degree table: every row x column
+    pair adds its weight product at its contact key, a chunk of rows at a
+    time, with no symmetry."""
+    hist = np.zeros(base ** 4, dtype=np.int64)
+    step = max(1, _CHUNK // max(1, cols.shape[1]))
+    for first in range(0, rows.shape[1], step):
+        rs = slice(first, first + step)
+        keys = 0
+        for i in range(4):
+            keys = keys * base + tab[rows[i, rs]][:, cols[i]]
+        np.add.at(hist, keys.ravel(), (row_w[rs, None] * col_w[None, :]).ravel())
+    return hist.reshape((base,) * 4)
+
+
 def remark_config(cfg: SurfaceConfig, i: int, j: int):
     """Re-coordinatize through the contraction keeping the first ruling and
     replacing the second by the pencil of (1,1)-curves through centers i, j.
@@ -480,9 +532,9 @@ def clear_caches():
     """Drop all of secenum's in-memory caches (histograms, sides, tables)
     and the side summary here, so that a second run recomputes or reads the
     on-disk cache."""
-    for cached in (se._contact_histogram, se._side_orbits, side_summary,
-                   se._first_divisors, se._pgl2_perms, se._degree_table, se._multiplicities,
-                   se._form_divisor_ids, se._inventory, se._np_tables):
+    for cached in (se._contact_histogram, se._fundamental_rows, se._side_orbits, side_summary,
+                   se._centre_symmetries, se._first_divisors, se._pgl2_perms, se._degree_table,
+                   se._multiplicities, se._form_divisor_ids, se._inventory, se._np_tables):
         cached.cache_clear()
 
 
@@ -895,3 +947,21 @@ def interval_power(x: Interval, e: int) -> Interval:
         if e:
             base = base * base
     return result
+
+
+def diag_local_value(q: int, n: int, tau: Fraction) -> Fraction:
+    """Reference for heightzeta._diag_local_value: L_n(tau,...,tau) as a
+    reduced Fraction, const(n) + 4 (1 - 2u + 2u^3 - u^4) v / (1 - v) with
+    u = q^{-n} and v = (tau/q)^n."""
+    u = Fraction(1, q ** n)
+    v = (tau / q) ** n
+    return factor_constant(q, n) + 4 * (1 - 2 * u + 2 * u ** 3 - u ** 4) * v / (1 - v)
+
+
+def lhs_depth_needed(q: int, tau: Fraction, tol: Fraction) -> int:
+    """Reference for heightzeta._lhs_depth_needed: the least M >= 2 with
+    8 tau^{M+1} / ((M+1)(1-tau)) + 24 q^{-(M+1)} <= tol, in Fractions."""
+    M = 2
+    while 8 * tau ** (M + 1) / ((M + 1) * (1 - tau)) + Fraction(24, q ** (M + 1)) > tol:
+        M += 1
+    return M

@@ -250,6 +250,23 @@ def test_limit_formula_gaps_decrease():
     assert all(l > 0 for l in res.lhs) and res.rhs > 0
 
 
+@pytest.mark.parametrize("q", [3, 5])
+def test_limit_check_integers_match_the_fraction_path(q):
+    # the unreduced integer quotient gives the same endpoints as the reduced
+    # Fraction, at every degree each tau of limit_formula_check(q, ., 5)
+    # reaches, and the cross-multiplied cutoff is the Fraction one
+    for m in range(1, 6):
+        tau, tol = 1 - Fraction(1, 2 ** m), Fraction(1, 2 ** (m + 4))
+        M = hz._lhs_depth_needed(q, tau, tol)
+        assert M == orc.lhs_depth_needed(q, tau, tol)
+        for n in range(1, M + 1):
+            num, den = hz._diag_local_value(q, n, tau)
+            assert Fraction(num, den) == orc.diag_local_value(q, n, tau)
+            for bits in (DEFAULT_BITS, 300):
+                exact = Interval.exact(orc.diag_local_value(q, n, tau), bits)
+                assert Interval.exact(num, bits, den) == exact, (m, n, bits)
+
+
 def test_expected_section_count_scalings():
     q = 3
     e1 = hz.expected_section_count(q, 1, 1, (0, 0, 0, 0), 6)

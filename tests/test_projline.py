@@ -11,6 +11,7 @@ from oracles import (
     form_gcd_degree,
     frobenius,
     from_vector,
+    irreducibles_by_trial_division,
     rational_point,
 )
 
@@ -18,6 +19,7 @@ from dp4sieve import heightzeta as hz
 from dp4sieve.field import make_field
 from dp4sieve.projline import (
     ZERO_DIVISOR,
+    _irreducibles_of_degree,
     closed_points_up_to,
     count_closed_points,
     hilb_points,
@@ -114,6 +116,15 @@ def test_closed_points_degree_two_f2():
     deg2 = [p for p in pts if p.degree == 2]
     assert len(deg2) == 1
     assert deg2[0].poly == (1, 1, 1)  # x^2 + x + 1
+
+
+def test_irreducibles_by_marking_equal_trial_division():
+    # the same points in the same order, and as many as the necklace formula
+    for K in (F2, F3, F4, F5):
+        for n in range(1, 5):
+            marked = _irreducibles_of_degree(K, n)
+            assert marked == irreducibles_by_trial_division(K, n), (K.q, n)
+            assert len(marked) == count_closed_points(K, n) - (n == 1)
 
 
 def test_count_closed_points_formula():

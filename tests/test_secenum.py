@@ -195,8 +195,9 @@ def test_budget_charges_the_orbit_enumeration():
     # (2, 1) at q = 4: the reduced degree-2 side sweeps 4^3 second
     # composites for each of the 3 PGL_2(F_4) orbits of degree-2 divisors
     # (2P, P + P', a degree-2 point), the full degree-1 side 4^4 pairs, and
-    # the join 31 orbit rows by 60 columns
-    charge = 3 * 4 ** 3 + 4 ** 4 + 31 * 60
+    # the join 60 columns by the 4 of the 31 orbit rows that lie on a
+    # fundamental domain of the centre permutations (A_4 on this surface)
+    charge = 3 * 4 ** 3 + 4 ** 4 + 4 * 60
     k = (1, 0, 0, 0)
     n = se.count_sections(CFG4, 2, 1, k, budget=charge)
     assert n == se.count_sections(CFG4, 2, 1, k, budget=2 ** 60) > 0
@@ -401,6 +402,100 @@ def test_pullback_permutation_fixes_the_side_summaries(q, degree, other, data):
         order = np.argsort(moved)
         assert (moved[order] == keys).all()
         assert (weights[order] == weights).all()
+
+
+# ---------------------------------------------------------------------------
+# the centre permutations behind the fundamental-domain join
+
+V4 = {(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)}
+
+
+def _custom_config():
+    # the first certified q = 7 surface, by search, whose centre permutations
+    # are neither V_4 nor those of the default q = 7 surface
+    K = se.field_of_order(7)
+    points = [(c, 1) for c in range(7)] + [(1, 0)]
+    usual = {4, len(se._centre_symmetries(se.default_config(7)))}
+    for first in itertools.combinations(points, 4):
+        for second in itertools.permutations(points, 4):
+            try:
+                cfg = se.validate_points(K, list(zip(first, second)))
+            except OnBidegreeCurve:
+                continue
+            if len(se._centre_symmetries(cfg)) not in usual:
+                return cfg
+    raise AssertionError("no such surface")  # pragma: no cover
+
+
+CUSTOM = _custom_config()
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13])
+def test_centre_symmetries_form_a_group_containing_v4(q):
+    group = {tuple(sigma) for sigma in se._centre_symmetries(se.default_config(q)).tolist()}
+    assert V4 <= group
+    assert all(tuple(x[i] for i in y) in group for x in group for y in group)
+    assert len(group) == {3: 24, 4: 12, 5: 4}.get(q, len(group))
+
+
+@pytest.mark.parametrize("cfg", [CFG3, CFG4, CFG5, se.default_config(7), CUSTOM])
+def test_centre_symmetries_are_the_moebius_realisable_permutations(cfg):
+    group = se._centre_symmetries(cfg)
+    assert group[0].tolist() == [0, 1, 2, 3]
+    assert {tuple(sigma) for sigma in group.tolist()} == orc.centre_symmetries(cfg)
+
+
+@pytest.mark.parametrize("cfg", [CFG3, CFG4, CFG5, CUSTOM])
+def test_centre_symmetries_fix_the_side_summaries(cfg):
+    # composing a section with the Moebius map that realises sigma permutes
+    # its four composite divisors, so each side summary is carried onto
+    # itself with equal weights
+    for degree, side in itertools.product(range(3 if cfg is CUSTOM else 4), "st"):
+        comp, weights = orc.side_summary(cfg, side, degree)
+        base = se._key_base(cfg.field, degree)
+        keys = se._encode(comp, base)       # ascending: the summary is sorted
+        for sigma in se._centre_symmetries(cfg):
+            moved = se._encode(comp[sigma], base)
+            order = np.argsort(moved)
+            assert (moved[order] == keys).all(), (degree, side, sigma)
+            assert (weights[order] == weights).all()
+
+
+def _unfiltered_join(cfg, a, b):
+    # every PGL_2 orbit representative of the larger side against the
+    # other side in full, with no centre symmetry
+    big, small = ("s", "t") if a >= b else ("t", "s")
+    high, low = max(a, b), min(a, b)
+    return orc.join_histogram(*se._side_orbits(cfg, big, high, True),
+                              *se._side_orbits(cfg, small, low, False),
+                              se._degree_table(cfg.field, high, low), high + 1)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_fundamental_domain_join_equals_the_unfiltered_join(q):
+    cfg = se.default_config(q)
+    for a, b in itertools.product(range(4), repeat=2):
+        assert (se._contact_histogram(cfg, a, b) == _unfiltered_join(cfg, a, b)).all(), (a, b)
+
+
+def test_fundamental_domain_join_on_a_custom_surface():
+    # A_4, where the default q = 7 surface has V_4
+    assert len(se._centre_symmetries(CUSTOM)) == 12
+    for a, b in itertools.product(range(4), repeat=2):
+        if a + b <= 4:
+            assert (se._contact_histogram(CUSTOM, a, b) == _unfiltered_join(CUSTOM, a, b)).all(), (a, b)
+
+
+def test_fundamental_domain_keeps_the_orbit_weight():
+    # the kept rows' weights still sum to the side's coprime pairs, and the
+    # degree-4 side at q = 4 keeps 407 of its 4,336 orbit rows under A_4
+    for cfg in (CFG3, CFG4, CFG5, CUSTOM):
+        q = cfg.field.q
+        for degree, side in itertools.product(range(1, 4), "st"):
+            rows, weights = se._fundamental_rows(cfg, side, degree)
+            assert int(weights.sum()) == _coprime_pairs(q, degree)
+    sizes = [se._fundamental_rows(CFG4, "s", d)[0].shape[1] for d in (2, 3, 4)]
+    assert sizes == [4, 35, 407]
 
 
 # ---------------------------------------------------------------------------
