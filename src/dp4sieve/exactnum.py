@@ -109,14 +109,15 @@ class Interval:
         if e < 0 or self.nlo < 0:
             raise ValueError("power needs e >= 0 and a nonnegative interval")
         bits = self.bits
+        mask = (1 << bits) - 1      # ceil(x / 2^bits) = (x + mask) >> bits for x >= 0
         rlo = rhi = 1 << bits
         blo, bhi = self.nlo, self.nhi
         while e:
             if e & 1:
-                rlo, rhi = (rlo * blo) >> bits, -((-rhi * bhi) >> bits)
+                rlo, rhi = (rlo * blo) >> bits, (rhi * bhi + mask) >> bits
             e >>= 1
             if e:
-                blo, bhi = (blo * blo) >> bits, -((-bhi * bhi) >> bits)
+                blo, bhi = (blo * blo) >> bits, (bhi * bhi + mask) >> bits
         return Interval(rlo, rhi, bits)
 
     def abs(self) -> "Interval":

@@ -9,7 +9,6 @@ stderr only.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -201,6 +200,7 @@ class CountCache:
 
     @staticmethod
     def _line_sha(key: str, count: int) -> str:
+        import hashlib      # here, not at the top: hashlib loads OpenSSL, a few MB
         return hashlib.sha256(f"{key}|{count}".encode()).hexdigest()[:16]
 
     def _load(self):

@@ -64,6 +64,22 @@ histogram summed over the axis permutations sigma in H then counts each
 orbit o through the kept orbits sigma^-1 o: #{sigma : sigma phi = phi}
 of the sigma take phi(o) to its least image, each with that weight, so o
 counts |H| times, and one exact integer division by |H| ends the join.
+
+Memory.  _key_base refuses any base of 2^16 or more, which also keeps
+every degree below 16, so side quadruples are held as uint16 divisor ids
+and contact degrees as uint8 tables.  NumPy 2 keeps uint16 times a Python
+int in uint16, where it wraps, so ids are widened to int64 before every
+key product; the join's line tables are cast first to the key dtype,
+which holds every digit times its place value.  The join takes its
+columns in passes of at most JOIN_PASS row x column keys (one column when
+the rows alone exceed it), so the keys, their gathers and the intp copy
+that np.bincount makes of its input stay cache-sized: the q = 4 (3, 3)
+join, 35 rows x 15,360 columns, peaks at 0.7 MB of traced memory in
+passes of 2^16 against 5.4 MB in one pass.  Of the powers of two from
+2^12 to 2^20, 2^16 was the fastest on the q = 4 (4, 4) join, and on the
+q = 3 (6, 6) join within 2% of 2^17 (2-core x86-64 Xeon).  A full
+side of degree >= 1 has the one weight q - 1, so only a degree-0 column
+side is sorted into weight classes.
 """
 
 from __future__ import annotations
@@ -89,6 +105,7 @@ from .projline import closed_points_up_to, hilb_points
 
 DEFAULT_BUDGET = 2 ** 34
 INF = "inf"
+JOIN_PASS = 2 ** 16         # row x column keys per join pass (module docstring, Memory)
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +284,12 @@ def _multiplicities(K: FieldSpec, degree: int, top: int):
     pts = closed_points_up_to(K, top) if top else []
     col = {pt: j for j, pt in enumerate(pts)}
     divs = _inventory(K, degree)
-    m = np.zeros((len(divs), len(pts)), dtype=np.int64)
+    m = np.zeros((len(divs), len(pts)), dtype=np.uint8)
     for i, d in enumerate(divs):
         for pt, e in d.entries:
             if pt in col:
                 m[i, col[pt]] = e
-    return m, np.array([pt.degree for pt in pts], dtype=np.int64)
+    return m, np.array([pt.degree for pt in pts], dtype=np.uint8)
 
 
 def _meet_degrees(K: FieldSpec, deg_s: int, rows, deg_t: int):
@@ -289,11 +306,11 @@ def _meet_degrees(K: FieldSpec, deg_s: int, rows, deg_t: int):
     mS, pdeg = _multiplicities(K, deg_s, top)
     mT, _ = _multiplicities(K, deg_t, top)
     zero = rows == mS.shape[0]
-    tab = np.zeros((rows.size, mT.shape[0] + 1), dtype=np.int64)
+    tab = np.zeros((rows.size, mT.shape[0] + 1), dtype=np.uint8)
     tab[zero, :-1] = deg_t
     tab[~zero, -1] = deg_s
     mR = mS[rows[~zero]]
-    meet = np.zeros((mR.shape[0], mT.shape[0]), dtype=np.int64)
+    meet = np.zeros((mR.shape[0], mT.shape[0]), dtype=np.uint8)
     for j in np.flatnonzero(mR.any(axis=0)):
         meet += pdeg[j] * np.minimum(mR[:, j, None], mT[None, :, j])
     tab[~zero, :-1] = meet
@@ -397,11 +414,12 @@ def _centre_symmetries(cfg: SurfaceConfig):
 # side summaries and the join
 
 def _encode(comp, base: int):
+    comp = comp.astype(np.int64, copy=False)    # uint16 ids times base^3 would wrap
     return ((comp[0] * base + comp[1]) * base + comp[2]) * base + comp[3]
 
 
 def _decode(keys, base: int):
-    comp = np.empty((4, keys.size), dtype=np.int64)
+    comp = np.empty((4, keys.size), dtype=np.uint16)
     for i in range(3, -1, -1):
         keys, comp[i] = np.divmod(keys, base)
     return comp
@@ -409,7 +427,7 @@ def _decode(keys, base: int):
 
 def _key_base(K: FieldSpec, degree: int) -> int:
     """The divisor ids of a degree plus the zero sentinel, refused if a
-    quadruple of them overflows an int64 key."""
+    quadruple of them overflows an int64 key; so every id fits a uint16."""
     base = len(_inventory(K, degree)) + 1
     if base ** 4 >= 2 ** 63:
         raise TooLarge(f"degree-{degree} divisor quadruples overflow int64 keys")
@@ -472,7 +490,9 @@ def _side_orbits(cfg: SurfaceConfig, side: str, degree: int, reduced: bool):
     form = np.empty(base, dtype=np.int64)     # a form of each divisor id
     form[div_id] = codes
     firsts, sizes = _first_divisors(K, degree, reduced)
-    coprime = _meet_degrees(K, degree, firsts, degree) == 0
+    # a full side's first divisors are every id, so its test is the table
+    coprime = (_meet_degrees(K, degree, firsts, degree) if reduced
+               else _degree_table(K, degree, degree)[firsts]) == 0
     lam = cfg.lam if side == "s" else cfg.lam2
     l0, l1 = lam(0), lam(1)
     # lambda_i = alpha lambda_0 + beta lambda_1 = alpha g1 - (-beta) g2
@@ -529,8 +549,8 @@ def _join(rows, row_w, cols, col_w, tables, base: int, group):
 
     The key of a pair has digit tables[i][row_i, col_i] at component i;
     each pair adds row weight * column weight.  The weights take few
-    values, so each column chunk is tallied by one unweighted bincount of
-    the key prefixed with the pair's weight class, and the classes are
+    values, so each pass of columns is tallied by one unweighted bincount
+    of the key prefixed with the pair's weight class, and the classes are
     weighted once at the end.  Rows weighted to a fundamental domain of
     `group` (_fundamental_rows) average to the full join exactly.
     """
@@ -540,23 +560,28 @@ def _join(rows, row_w, cols, col_w, tables, base: int, group):
                        "overflow the int64 histogram")
     span = base ** 4
     rw, rclass = np.unique(row_w, return_inverse=True)
-    cw, cclass = np.unique(col_w, return_inverse=True)
+    # a full side of degree >= 1 has the one weight q - 1, so only a
+    # degree-0 side, of at most five columns, is sorted into classes
+    if col_w.min() == col_w.max():
+        cw, first_ids = col_w[:1], cols[0]
+    else:
+        cw, cclass = np.unique(col_w, return_inverse=True)
+        first_ids = cols[0] + cclass * tables[0].shape[1]
     bins = rw.size * cw.size * span
     dtype = np.min_scalar_type(bins - 1)
     # component i's table on the rows, one contiguous line per column id,
-    # as key digits in the narrowest dtype that holds a key; component 0
-    # carries the weight classes: the row's as an offset, the column's as
-    # a shifted copy of the table
-    lines = [np.ascontiguousarray((tab[rows[i]].T * base ** (3 - i)).astype(dtype))
+    # as key digits in the narrowest dtype that holds a key (and so every
+    # digit times its place value); component 0 carries the weight classes:
+    # the row's as an offset, the column's as a shifted copy of the table
+    lines = [np.ascontiguousarray(tab[rows[i]].T, dtype=dtype) * dtype.type(base ** (3 - i))
              for i, tab in enumerate(tables)]
     lines[0] = np.concatenate([lines[0] + ((rclass * cw.size + c) * span).astype(dtype)
                                for c in range(cw.size)])
-    ids = [cols[0] + cclass * tables[0].shape[1], *cols[1:]]
     counts = np.zeros(bins, dtype=np.int64)
-    step = max(1, (1 << 20) // max(1, rows.shape[1]))     # columns per pass
+    step = max(1, JOIN_PASS // max(1, rows.shape[1]))     # columns per pass
     for first in range(0, cols.shape[1], step):
-        keys = lines[0][ids[0][first:first + step]]
-        for line, col in zip(lines[1:], ids[1:]):
+        keys = lines[0][first_ids[first:first + step]]
+        for line, col in zip(lines[1:], cols[1:]):
             keys += line[col[first:first + step]]
         counts += np.bincount(keys.ravel(), minlength=bins)
     weights = (rw[:, None] * cw[None, :]).reshape(-1, 1)

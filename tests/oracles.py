@@ -459,7 +459,7 @@ def join_histogram(rows, row_w, cols, col_w, tab, base: int):
         rs = slice(first, first + step)
         keys = 0
         for i in range(4):
-            keys = keys * base + tab[rows[i, rs]][:, cols[i]]
+            keys = keys * base + tab[rows[i, rs]][:, cols[i]].astype(np.int64)
         np.add.at(hist, keys.ravel(), (row_w[rs, None] * col_w[None, :]).ravel())
     return hist.reshape((base,) * 4)
 

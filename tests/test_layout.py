@@ -3,7 +3,10 @@ accumulator, no definition that only tests reach, and the module layering
 that keeps the arithmetic kernels at the bottom."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -61,6 +64,17 @@ def test_no_float_accumulator():
             if isinstance(node, ast.Attribute) and node.attr == "float64":
                 found.append(f"{path.name}:{node.lineno} float64")
     assert not found, ", ".join(found)
+
+
+def test_importing_the_cli_loads_no_hashlib():
+    # hashlib loads OpenSSL's libcrypto, about 3.6 MB of peak RSS that only
+    # a count cache needs: CountCache imports it where it checksums a line
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, dp4sieve.cli; print('hashlib' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_field_sits_below_everything_but_errors():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import oracles as orc
@@ -484,6 +485,47 @@ def test_fundamental_domain_join_on_a_custom_surface():
     for a, b in itertools.product(range(4), repeat=2):
         if a + b <= 4:
             assert (se._contact_histogram(CUSTOM, a, b) == _unfiltered_join(CUSTOM, a, b)).all(), (a, b)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("columns_per_pass", ["one", "all"])
+def test_join_is_the_reference_at_any_pass_size(q, columns_per_pass, monkeypatch):
+    # the pass cap bounds memory only: one column per pass, or every column
+    # in one pass, gives the reference histogram
+    cfg = se.default_config(q)
+    for a, b in itertools.product(range(4), repeat=2):
+        big, small = ("s", "t") if a >= b else ("t", "s")
+        high, low = max(a, b), min(a, b)
+        rows, row_w = se._side_orbits(cfg, big, high, True)
+        cols, col_w = se._side_orbits(cfg, small, low, False)
+        cap = 1 if columns_per_pass == "one" else rows.shape[1] * cols.shape[1] + 1
+        monkeypatch.setattr(se, "JOIN_PASS", cap)
+        hist = se._join(rows, row_w, cols, col_w, [se._degree_table(cfg.field, high, low)] * 4,
+                        high + 1, np.arange(4)[None])
+        assert (hist == _unfiltered_join(cfg, a, b)).all(), (a, b)
+
+
+def test_encode_widens_uint16_ids():
+    # at q = 4, degree 4 the base is 342 and base^2 > 2^16: under NumPy 2 a
+    # uint16 array times a Python int stays uint16 and would wrap
+    base = se._key_base(CFG4.field, 4)
+    rows, _ = se._side_orbits(CFG4, "s", 4, True)
+    assert base == 342 and rows.dtype == np.uint16
+    assert (se._encode(rows, base) == se._encode(rows.astype(np.int64), base)).all()
+
+
+def test_join_holds_one_small_pass_at_a_time():
+    # with the sides prebuilt, the (3, 3) join at q = 4 (35 rows x 15,360
+    # columns) holds its keys a capped pass at a time, not all at once
+    se._join_sides(CFG4, 3, 3)
+    se._centre_symmetries(CFG4)
+    tracemalloc.start()
+    try:
+        se._contact_histogram.__wrapped__(CFG4, 3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_fundamental_domain_keeps_the_orbit_weight():
