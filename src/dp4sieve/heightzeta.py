@@ -26,7 +26,7 @@ import numpy as np
 from .errors import LemmaViolation, TooLarge
 from .exactnum import DEFAULT_BITS, Interval
 from .field import FieldSpec
-from .projline import count_closed_points, count_closed_points_for
+from .projline import count_closed_points
 
 NVARS = 4
 # Most monomials a truncated series may carry, the product of its orders
@@ -145,7 +145,7 @@ def zeta_p1_identity_check(K: FieldSpec, N: int):
     series = series_one((N,))
     for n in range(1, N + 1):
         geometric = TruncatedMultiSeries((N,), {(n * j,): 1 for j in range(N // n + 1)})
-        series = series * geometric.power(count_closed_points(K, n))
+        series = series * geometric.power(count_closed_points(K.q, n))
     for n in range(N + 1):
         if series.coefficient((n,)) != (K.q ** (n + 1) - 1) // (K.q - 1):
             return n
@@ -217,7 +217,7 @@ def euler_product(q: int, N: int, orders) -> TruncatedMultiSeries:
         raise TooLarge(f"the constant coefficient at N = {N} has more than {digits} digits")
     out = series_one(orders, q, (1,) * NVARS)
     for n in range(1, N + 1):
-        out = out * local_factor(q, n, orders).power(count_closed_points_for(q, n))
+        out = out * local_factor(q, n, orders).power(count_closed_points(q, n))
     if digits and any(max(abs(v.numerator), v.denominator) >= 10 ** digits
                       for v in out.coeffs.values()):
         raise TooLarge(f"a coefficient at N = {N} has more than {digits} digits")
@@ -238,7 +238,7 @@ def _constant_too_long(q: int, N: int, digits: int) -> bool:
     r = next(r for r in range(1, q) if p ** r == q)
     e = 0
     for n in range(1, N + 1):
-        e += count_closed_points_for(q, n) * (4 * r * n - (p == 3))
+        e += count_closed_points(q, n) * (4 * r * n - (p == 3))
         if e >= 4 * digits:         # p^e >= 2^e >= 10^digits, as log2(10) < 4
             return True
     return p ** e >= 10 ** digits
@@ -278,7 +278,7 @@ def tamagawa(q: int, N: int) -> TamagawaResult:
     acc = pref
     for n in range(1, N + 1):
         fac = Interval.exact(good_factor(q, n))
-        acc = acc * fac.power(count_closed_points_for(q, n))
+        acc = acc * fac.power(count_closed_points(q, n))
         partials.append(acc)
     value = partials[-1]
     prev = partials[-2] if N >= 2 else pref
@@ -359,12 +359,12 @@ def limit_formula_check(q: int, N: int, m_max: int) -> LimitCheckResult:
     # rounding slack (1 + 2^-bits)^count explodes during exponentiation
     deepest = _lhs_depth_needed(q, 1 - Fraction(1, 2 ** m_max),
                                 Fraction(1, 2 ** (m_max + 4)))
-    need = count_closed_points_for(q, deepest).bit_length() + 96
+    need = count_closed_points(q, deepest).bit_length() + 96
     bits = max(DEFAULT_BITS, need)
     rhs = Interval.exact((1 - Fraction(1, q)) ** -4, bits)
     for n in range(1, N + 1):
         rhs = rhs * Interval.exact(good_factor(q, n), bits).power(
-            count_closed_points_for(q, n))
+            count_closed_points(q, n))
 
     taus, lhs_vals, cutoffs = [], [], []
     for m in range(1, m_max + 1):
@@ -375,7 +375,7 @@ def limit_formula_check(q: int, N: int, m_max: int) -> LimitCheckResult:
         for n in range(1, M + 1):
             num, den = _diag_local_value(q, n, tau)
             fac = Interval.exact(num, bits, den)
-            acc = acc * fac.power(count_closed_points_for(q, n))
+            acc = acc * fac.power(count_closed_points(q, n))
         # neglected factor exp(+-tail) enclosed by [1 - 2 tol, 1 + 2 tol]
         acc = acc * Interval.from_bounds(1 - 2 * tol, 1 + 2 * tol, bits)
         taus.append(tau)

@@ -22,7 +22,6 @@ from functools import lru_cache
 from .errors import TooLarge
 from .field import (
     FieldSpec,
-    field_of_order,
     from_digits,
     poly_mul,
     to_digits,
@@ -113,8 +112,9 @@ def _int_mobius(n: int) -> int:
     return out
 
 
-def count_closed_points(K: FieldSpec, n: int) -> int:
-    """Number of closed points of degree n, by the necklace formula.
+@lru_cache(maxsize=None)
+def count_closed_points(q: int, n: int) -> int:
+    """Number of closed points of degree n over F_q, by the necklace formula.
 
     Degree 1 counts q + 1 (the affine line plus infinity); for n >= 2 the
     count is (1/n) * sum_{d | n} mu(d) q^{n/d}.
@@ -122,19 +122,13 @@ def count_closed_points(K: FieldSpec, n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
-        return K.q + 1
+        return q + 1
     total = 0
     for d in range(1, n + 1):
         if n % d == 0:
-            total += _int_mobius(d) * K.q ** (n // d)
+            total += _int_mobius(d) * q ** (n // d)
     assert total % n == 0
     return total // n
-
-
-@lru_cache(maxsize=None)
-def count_closed_points_for(q: int, n: int) -> int:
-    """count_closed_points over F_q, for a supported prime power q."""
-    return count_closed_points(field_of_order(q), n)
 
 
 # ---------------------------------------------------------------------------

@@ -27,25 +27,27 @@ weights.  Hence the sum over x in S, y in T of w(x) w(y) [key(gx, y)]
 equals that of [key(x, g^-1 y)], and one side may be replaced by one
 representative per orbit, weighted by the orbit's total weight.
 
-Both sides are enumerated by one sweep over the composites themselves.
+Both sides are built by one sweep over the composites themselves.
 Since p_0 != p_1, g_1 = lambda_0(s) and g_2 = lambda_1(s) are coordinates
 of s, and lambda_2(s), lambda_3(s) are fixed combinations of them.  For
-each orbit G.D_1 of first divisors under a group G, one form g_1 with
-divisor D_1 (the orbit's least id) is paired with every form g_2 coprime
-to it; each such pair stands for |G.D_1| (q-1) pairs of the side, the q-1
-being the common scalar that makes g_1 that form.  At degree 0 the zero
-form is a first divisor too, and the common scalar normalises g_2 instead.
-So a side costs one q^(d+1) sweep per orbit.  The side of larger degree
-(s on a tie) is swept under G = PGL_2(F_q), which reduces it to orbit
-representatives; the other side under the trivial group, which keeps it
-in full.
+each first divisor D_1, one form g_1 with divisor D_1 is paired with every
+form g_2 coprime to it; each such pair stands for the q-1 pairs of its
+line, the common scalar making g_1 that form.  At degree 0 the zero form
+is a first divisor too, and the common scalar normalises g_2 instead.  So
+a side costs one q^(d+1) sweep per first divisor.  The full side sweeps
+every id and keeps each pair's quadruple as it comes, with no tally.  The
+reduced side, the side of larger degree (s on a tie), sweeps the least id
+of each PGL_2(F_q) orbit of first divisors, each pair standing for
+|G.D_1| (q-1) pairs, and tallies representatives.
 
 For d >= 1 the divisors of g_1 and g_2 fix s up to the ratio of two
 scalars, and that of lambda_2(s) fixes the ratio, because coprime forms
-are not proportional; so a full side of degree d has exactly
-q^(2d-1) (q^2 - 1) distinct quadruples, each of weight q-1, and
-min(q+1, 5) at degree 0.  Reducing the side with more quadruples, which
-the join compares, is reducing the side of larger degree.
+are not proportional; so the full side of degree d has q^(2d-1) (q^2 - 1)
+columns, all distinct.  At degree 0 it has q + 1 columns, one per point of
+P^1(F_q); the points off the four centres share one quadruple.  Either way every column stands for q - 1
+pairs, so the join weighs only rows and the histogram is multiplied by
+q - 1 once.  Reducing the side with more quadruples, which the join
+compares, is reducing the side of larger degree.
 
 Surface symmetries.  Let H be the permutations sigma of the four centres
 that a Moebius map g on each factor of P^1 x P^1 realises, g(p_i) =
@@ -70,16 +72,17 @@ every degree below 16, so side quadruples are held as uint16 divisor ids
 and contact degrees as uint8 tables.  NumPy 2 keeps uint16 times a Python
 int in uint16, where it wraps, so ids are widened to int64 before every
 key product; the join's line tables are cast first to the key dtype,
-which holds every digit times its place value.  The join takes its
-columns in passes of at most JOIN_PASS row x column keys (one column when
-the rows alone exceed it), so the keys, their gathers and the intp copy
-that np.bincount makes of its input stay cache-sized: the q = 4 (3, 3)
-join, 35 rows x 15,360 columns, peaks at 0.7 MB of traced memory in
-passes of 2^16 against 5.4 MB in one pass.  Of the powers of two from
-2^12 to 2^20, 2^16 was the fastest on the q = 4 (4, 4) join, and on the
-q = 3 (6, 6) join within 2% of 2^17 (2-core x86-64 Xeon).  A full
-side of degree >= 1 has the one weight q - 1, so only a degree-0 column
-side is sorted into weight classes.
+which holds every digit times its place value.  The reduced side filters
+each first divisor's block to the fundamental domain before it
+canonicalises and tallies, so it never holds the rows the filter drops.
+The join takes its columns in passes of at most JOIN_PASS row x column
+keys (one column when the rows alone exceed it), so the keys, their
+gathers and the intp copy that np.bincount makes of its input stay
+cache-sized: the q = 4 (3, 3) join, 35 rows x 15,360 columns, peaks at
+0.7 MB of traced memory in passes of 2^16 against 5.4 MB in one pass.  Of
+the powers of two from 2^12 to 2^20, 2^16 was the fastest on the q = 4
+(4, 4) join, and on the q = 3 (6, 6) join within 2% of 2^17 (2-core
+x86-64 Xeon).
 """
 
 from __future__ import annotations
@@ -442,57 +445,37 @@ def _tally(keys, weights):
     return uniq, total
 
 
-def _group(K: FieldSpec, degree: int, reduced: bool):
-    """Divisor-id permutations of PGL_2(F_q) if reduced, else the identity
-    alone (the trivial group); the identity is the first row."""
-    if reduced:
-        return _pgl2_perms(K, degree)
-    return np.arange(len(_inventory(K, degree)) + 1, dtype=np.int64)[None]
-
-
 @lru_cache(maxsize=None)
-def _first_divisors(K: FieldSpec, degree: int, reduced: bool):
+def _first_divisors(K: FieldSpec, degree: int):
     """The least id of each orbit of degree-`degree` divisor ids under
-    PGL_2(F_q) (reduced) or the trivial group, ascending, with the orbits'
-    sizes.
+    PGL_2(F_q), ascending, with the orbits' sizes.
 
     The zero sentinel, an orbit of its own, is kept at degree 0 only: at
     degree >= 1 a zero first composite has no coprime second composite.
     """
-    perms = _group(K, degree, reduced)
+    perms = _pgl2_perms(K, degree)
     firsts = np.flatnonzero(perms.min(axis=0) == np.arange(perms.shape[1]))
     if degree:
         firsts = firsts[:-1]
     return firsts, len(perms) // (perms[:, firsts] == firsts).sum(axis=0)
 
 
-@lru_cache(maxsize=16)
-def _side_orbits(cfg: SurfaceConfig, side: str, degree: int, reduced: bool):
-    """One side with one representative quadruple per orbit of PGL_2(F_q)
-    (reduced) or of the trivial group (the full side), weighted by the
-    orbit's total weight.
-
-    Enumerated from the first divisors' orbits, in the coordinates
-    g1 = lambda_0, g2 = lambda_1 of the module docstring.  The
-    representative is the orbit's least key: its first component is the
-    least id in its orbit, already D_1, and the group elements other than
-    the identity that fix D_1 are searched for the rest.
+def _sweep(cfg: SurfaceConfig, side: str, degree: int, firsts, coprime):
+    """Yield, for each first divisor id, the (4, n) uint16 quadruples of
+    its pairs (g1, g2) in the coordinates g1 = lambda_0, g2 = lambda_1 of
+    the module docstring: one form g1 with that divisor against every form
+    g2 whose divisor is coprime to it by the matching row of `coprime`.
     """
     K = cfg.field
     q = K.q
     mul, sub = _np_tables(K)
-    base = _key_base(K, degree)
-    perms = _group(K, degree, reduced)
     div_id = _form_divisor_ids(K, degree)
     digits = _form_digits(q, degree)
     powers = q ** np.arange(degree + 1, dtype=np.int64)
     codes = np.arange(div_id.size, dtype=np.int64)
-    form = np.empty(base, dtype=np.int64)     # a form of each divisor id
+    zero = len(_inventory(K, degree))
+    form = np.empty(zero + 1, dtype=np.int64)     # a form of each divisor id
     form[div_id] = codes
-    firsts, sizes = _first_divisors(K, degree, reduced)
-    # a full side's first divisors are every id, so its test is the table
-    coprime = (_meet_degrees(K, degree, firsts, degree) if reduced
-               else _degree_table(K, degree, degree)[firsts]) == 0
     lam = cfg.lam if side == "s" else cfg.lam2
     l0, l1 = lam(0), lam(1)
     # lambda_i = alpha lambda_0 + beta lambda_1 = alpha g1 - (-beta) g2
@@ -500,92 +483,98 @@ def _side_orbits(cfg: SurfaceConfig, side: str, degree: int, reduced: bool):
     for i in (2, 3):
         alpha, beta = solve(K, [[l0[0], l1[0]], [l0[1], l1[1]]], lam(i))
         combos.append((mul[alpha], mul[K.neg(beta)]))
-    keys, weights = [], []
-    for first, size, ok in zip(firsts, sizes, coprime):
-        if first == base - 1:       # degree 0, g1 = 0: the pairs (0, c) are one line
+    for first, ok in zip(firsts, coprime):
+        if first == zero:           # degree 0, g1 = 0: the pairs (0, c) are one line
             g2 = np.ones(1, dtype=np.int64)
         else:
             g2 = codes[ok[div_id]]
         g1 = digits[form[first]]
-        quad = np.empty((4, g2.size), dtype=np.int64)
+        quad = np.empty((4, g2.size), dtype=np.uint16)
         quad[0], quad[1] = first, div_id[g2]
         for i, (ag1, bg2) in enumerate(combos, 2):
             quad[i] = div_id[sub[ag1[g1], bg2[digits[g2]]] @ powers]
-        best = _encode(quad, base)
-        for perm in perms[1:][perms[1:, first] == first]:
-            np.minimum(best, _encode(perm[quad], base), out=best)
-        keys.append(best)
-        weights.append(np.full(g2.size, size * (q - 1), dtype=np.int64))
-    keys, total = _tally(np.concatenate(keys), np.concatenate(weights))
-    return _decode(keys, base), total
+        yield quad
+
+
+@lru_cache(maxsize=16)
+def _full_side(cfg: SurfaceConfig, side: str, degree: int):
+    """Every coprime pair of one side up to its q - 1 scalar multiples, as a
+    (4, n) uint16 array of divisor-id quadruples, one column per line of
+    pairs: distinct at degree >= 1, one per point of P^1(F_q) at degree 0.
+    """
+    coprime = _degree_table(cfg.field, degree, degree) == 0
+    firsts = np.arange(coprime.shape[0] - (degree > 0))   # every id, no zero g1 past degree 0
+    return np.concatenate(list(_sweep(cfg, side, degree, firsts, coprime)), axis=1)
 
 
 @lru_cache(maxsize=16)
 def _fundamental_rows(cfg: SurfaceConfig, side: str, degree: int):
-    """The rows of _side_orbits(cfg, side, degree, True) on a fundamental
-    domain of the centre permutations H, reweighted.
+    """One side reduced to one representative quadruple per PGL_2(F_q)
+    orbit, kept on a fundamental domain of the centre permutations H and
+    weighted by the orbit's total weight times |H| / #{sigma in H : sigma
+    phi = phi}.
 
-    A row x is kept when its orbit-type tuple phi(x), the least id in the
-    PGL_2 orbit of each component, is least among its H-images, and its
-    weight is multiplied by |H| / #{sigma in H : sigma phi(x) = phi(x)}.
+    Each first divisor's block is filtered before it is canonicalised: a
+    pair is kept when its orbit-type tuple phi, the least id in the PGL_2
+    orbit of each component, is least among its H-images.  phi is PGL_2-
+    invariant, so the filter and the weight are the same on a whole orbit.
+    The representative is the orbit's least key: its first component is
+    the least id in its orbit, already D_1, and the group elements other
+    than the identity that fix D_1 are searched for the rest.
     """
-    rows, weights = _side_orbits(cfg, side, degree, True)
+    K = cfg.field
+    base = _key_base(K, degree)
+    perms = _pgl2_perms(K, degree)
+    orbit_min = perms.min(axis=0)
     group = _centre_symmetries(cfg)
-    base = _key_base(cfg.field, degree)
-    phi = _pgl2_perms(cfg.field, degree).min(axis=0)[rows]
-    own = _encode(phi, base)        # the identity's image
-    least = own.copy()
-    for sigma in group[1:]:
-        np.minimum(least, _encode(phi[sigma], base), out=least)
-    keep = own == least
-    phi, own = phi[:, keep], own[keep]
-    fixed = sum(_encode(phi[sigma], base) == own for sigma in group)
-    return rows[:, keep], weights[keep] * len(group) // fixed
+    firsts, sizes = _first_divisors(K, degree)
+    coprime = _meet_degrees(K, degree, firsts, degree) == 0
+    keys, weights = [], []
+    for first, size, quad in zip(firsts, sizes, _sweep(cfg, side, degree, firsts, coprime)):
+        images = _encode(orbit_min[quad][group.T], base)    # phi under each sigma, identity first
+        keep = images[0] == images.min(axis=0)
+        quad, images = quad[:, keep], images[:, keep]
+        best = _encode(quad, base)
+        for perm in perms[1:][perms[1:, first] == first]:
+            np.minimum(best, _encode(perm[quad], base), out=best)
+        keys.append(best)
+        weights.append(size * (K.q - 1) * (len(group) // (images == images[0]).sum(axis=0)))
+    keys, total = _tally(np.concatenate(keys), np.concatenate(weights))
+    return _decode(keys, base), total
 
 
-def _join(rows, row_w, cols, col_w, tables, base: int, group):
+def _join(rows, row_w, cols, tables, base: int, group):
     """Histogram of shape (base,) * 4 over the contact keys of all row x
     column pairs, averaged over the axis permutations in `group`.
 
     The key of a pair has digit tables[i][row_i, col_i] at component i;
-    each pair adds row weight * column weight.  The weights take few
-    values, so each pass of columns is tallied by one unweighted bincount
-    of the key prefixed with the pair's weight class, and the classes are
-    weighted once at the end.  Rows weighted to a fundamental domain of
-    `group` (_fundamental_rows) average to the full join exactly.
+    each pair adds its row's weight, every column standing for the same
+    number of pairs.  The row weights take few values, so each pass of
+    columns is tallied by one unweighted bincount of the key prefixed with
+    the row's weight class, and the classes are weighted once at the end.
+    Rows weighted to a fundamental domain of `group` (_fundamental_rows)
+    average to the full join exactly.
     """
-    total = int(row_w.sum()) * int(col_w.sum())
-    if total * len(group) >= 2 ** 63:
-        raise TooLarge(f"{total} section pairs times {len(group)} symmetries "
-                       "overflow the int64 histogram")
+    total = int(row_w.sum()) * cols.shape[1]
     span = base ** 4
     rw, rclass = np.unique(row_w, return_inverse=True)
-    # a full side of degree >= 1 has the one weight q - 1, so only a
-    # degree-0 side, of at most five columns, is sorted into classes
-    if col_w.min() == col_w.max():
-        cw, first_ids = col_w[:1], cols[0]
-    else:
-        cw, cclass = np.unique(col_w, return_inverse=True)
-        first_ids = cols[0] + cclass * tables[0].shape[1]
-    bins = rw.size * cw.size * span
+    bins = rw.size * span
     dtype = np.min_scalar_type(bins - 1)
     # component i's table on the rows, one contiguous line per column id,
     # as key digits in the narrowest dtype that holds a key (and so every
-    # digit times its place value); component 0 carries the weight classes:
-    # the row's as an offset, the column's as a shifted copy of the table
+    # digit times its place value); component 0 carries the row's weight
+    # class as an offset
     lines = [np.ascontiguousarray(tab[rows[i]].T, dtype=dtype) * dtype.type(base ** (3 - i))
              for i, tab in enumerate(tables)]
-    lines[0] = np.concatenate([lines[0] + ((rclass * cw.size + c) * span).astype(dtype)
-                               for c in range(cw.size)])
+    lines[0] += (rclass * span).astype(dtype)
     counts = np.zeros(bins, dtype=np.int64)
     step = max(1, JOIN_PASS // max(1, rows.shape[1]))     # columns per pass
     for first in range(0, cols.shape[1], step):
-        keys = lines[0][first_ids[first:first + step]]
+        keys = lines[0][cols[0][first:first + step]]
         for line, col in zip(lines[1:], cols[1:]):
             keys += line[col[first:first + step]]
         counts += np.bincount(keys.ravel(), minlength=bins)
-    weights = (rw[:, None] * cw[None, :]).reshape(-1, 1)
-    hist = (counts.reshape(-1, span) * weights).sum(axis=0).reshape((base,) * 4)
+    hist = (counts.reshape(-1, span) * rw[:, None]).sum(axis=0).reshape((base,) * 4)
     assert int(hist.sum()) == total
     hist = sum(hist.transpose(sigma) for sigma in group)
     assert not (hist % len(group)).any()
@@ -593,14 +582,14 @@ def _join(rows, row_w, cols, col_w, tables, base: int, group):
 
 
 def _join_sides(cfg: SurfaceConfig, a: int, b: int):
-    """(rows, row weights, columns, column weights, degree table) of the
-    degree join: the side of larger degree (s on a tie), reduced to PGL_2
-    orbit representatives on a fundamental domain of the centre
-    permutations, against the other side in full."""
+    """(rows, row weights, columns, degree table) of the degree join: the
+    side of larger degree (s on a tie), reduced to PGL_2 orbit
+    representatives on a fundamental domain of the centre permutations,
+    against the other side in full, a column per q - 1 pairs."""
     if a >= b:
-        return (*_fundamental_rows(cfg, "s", a), *_side_orbits(cfg, "t", b, False),
+        return (*_fundamental_rows(cfg, "s", a), _full_side(cfg, "t", b),
                 _degree_table(cfg.field, a, b))
-    return (*_fundamental_rows(cfg, "t", b), *_side_orbits(cfg, "s", a, False),
+    return (*_fundamental_rows(cfg, "t", b), _full_side(cfg, "s", a),
             _degree_table(cfg.field, b, a))
 
 
@@ -608,9 +597,13 @@ def _join_sides(cfg: SurfaceConfig, a: int, b: int):
 def _contact_histogram(cfg: SurfaceConfig, a: int, b: int):
     """Section pairs of bidegree (a, b) by contact-degree quadruple, as an
     int64 array of shape (max(a, b) + 1,) * 4."""
-    rows, row_w, cols, col_w, tab = _join_sides(cfg, a, b)
-    return _join(rows, row_w, cols, col_w, [tab] * 4, max(a, b) + 1,
-                 _centre_symmetries(cfg))
+    rows, row_w, cols, tab = _join_sides(cfg, a, b)
+    group = _centre_symmetries(cfg)
+    pairs = int(row_w.sum()) * cols.shape[1] * (cfg.field.q - 1)
+    if pairs * len(group) >= 2 ** 63:
+        raise TooLarge(f"{pairs} section pairs times {len(group)} symmetries "
+                       "overflow the int64 histogram")
+    return _join(rows, row_w, cols, [tab] * 4, max(a, b) + 1, group) * (cfg.field.q - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +629,7 @@ def _charge_sides(cfg: SurfaceConfig, a: int, b: int, budget: int) -> int:
     least = -(-divisors // (q ** 3 - q))    # no orbit outgrows PGL_2(F_q)
     _charge(full + least * q ** (high + 1), budget,
             f"side enumerations {q}^{2 * low + 2} + (at least {least}) orbits * {q}^{high + 1}")
-    orbits = len(_first_divisors(K, high, True)[0])
+    orbits = len(_first_divisors(K, high)[0])
     cost = full + orbits * q ** (high + 1)
     _charge(cost, budget, f"side enumerations {q}^{2 * low + 2} + {orbits} orbits * {q}^{high + 1}")
     return cost
@@ -658,7 +651,7 @@ def count_sections(cfg: SurfaceConfig, a: int, b: int, k,
     if max(k) > max(a, b):
         return 0        # no contact exceeds the larger side's degree
     spent = _charge_sides(cfg, a, b, budget)
-    rows, _, cols, _, _ = _join_sides(cfg, a, b)
+    rows, _, cols, _ = _join_sides(cfg, a, b)
     _charge(spent + rows.shape[1] * cols.shape[1], budget,
             "side enumerations plus fundamental-domain join pairs")
     return int(_contact_histogram(cfg, a, b)[k])

@@ -52,7 +52,7 @@ from functools import lru_cache
 from .errors import DegreeMismatch, NotSaturated
 from .field import FieldSpec
 from .heightzeta import TruncatedMultiSeries, series_one
-from .projline import count_closed_points_for
+from .projline import count_closed_points
 
 # the scaling t_i -> q^2 t_i, T -> q^4 T that makes every sieve factor
 # coefficient an integer
@@ -318,7 +318,7 @@ def _sieve_partials(q: int, k: tuple, D: int) -> tuple:
             for i, e in itertools.product(range(4), range(D + 1)):
                 coeffs[(0,) * i + (m * d,) + (0,) * (3 - i) + (e,)] = num[e]
         factor = TruncatedMultiSeries(orders, coeffs, q, SIEVE_WEIGHTS)
-        product = product * factor.power(count_closed_points_for(q, d))
+        product = product * factor.power(count_closed_points(q, d))
     return tuple(itertools.accumulate(
         product.coefficient(k + (e,)) for e in range(D + 1)))
 

@@ -55,7 +55,7 @@ from dp4sieve.projline import (
     _affine_point,
     _irreducibles_of_degree,
     closed_points_up_to,
-    count_closed_points_for,
+    count_closed_points,
     divisor,
     hilb_points,
     point_at_infinity,
@@ -348,7 +348,8 @@ def fiber_count(cfg: SurfaceConfig, w, a: int, b: int,
     se._charge(spent + S[0].shape[1] * T[0].shape[1], budget,
                "side enumerations plus join pairs")
     tables = [_fiber_table(cfg.field, a, b, d) for d in w]
-    return int(se._join(*S, *T, tables, 2, np.arange(4)[None])[1, 1, 1, 1])
+    cols = np.repeat(T[0], T[1] // (q - 1), axis=1)     # one column per q-1 pairs
+    return int(se._join(*S, cols, tables, 2, np.arange(4)[None])[1, 1, 1, 1]) * (q - 1)
 
 
 def _fiber_table(K: FieldSpec, deg_s: int, deg_t: int, w: EffectiveDivisor):
@@ -416,9 +417,9 @@ def side_summary(cfg: SurfaceConfig, side: str, degree: int):
 
 
 def side_orbits(cfg: SurfaceConfig, side: str, degree: int):
-    """Reference for secenum._side_orbits: the full side summary, each
-    quadruple moved to the least key over the whole of PGL_2(F_q), equal
-    keys tallied."""
+    """Reference for secenum._fundamental_rows under the trivial group of
+    centre permutations: the full side summary, each quadruple moved to the
+    least key over the whole of PGL_2(F_q), equal keys tallied."""
     comp, weights = side_summary(cfg, side, degree)
     perms = se._pgl2_perms(cfg.field, degree)
     base = perms.shape[1]
@@ -532,10 +533,10 @@ def clear_caches():
     """Drop all of secenum's in-memory caches (histograms, sides, tables)
     and the side summary here, so that a second run recomputes or reads the
     on-disk cache."""
-    for cached in (se._contact_histogram, se._fundamental_rows, se._side_orbits, side_summary,
-                   se._centre_symmetries, se._first_divisors, se._pgl2_perms, se._degree_table,
-                   se._multiplicities, se._form_divisor_ids, se._inventory, se._np_tables):
-        cached.cache_clear()
+    side_summary.cache_clear()
+    for cached in vars(se).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +901,7 @@ def tamagawa_exact(q: int, N: int) -> Fraction:
     """Plain-Fraction Tamagawa partial product; small N only."""
     out = Fraction(q ** 2) * (1 - Fraction(1, q)) ** -6
     for n in range(1, N + 1):
-        out *= good_factor(q, n) ** count_closed_points_for(q, n)
+        out *= good_factor(q, n) ** count_closed_points(q, n)
     return out
 
 

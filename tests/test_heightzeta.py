@@ -9,7 +9,7 @@ from oracles import surface_count, tamagawa_exact
 from dp4sieve import heightzeta as hz
 from dp4sieve.errors import LemmaViolation, TooLarge
 from dp4sieve.exactnum import DEFAULT_BITS, Interval
-from dp4sieve.projline import count_closed_points_for
+from dp4sieve.projline import count_closed_points
 
 
 def test_interval_arithmetic():
@@ -149,11 +149,11 @@ def test_euler_product_log_derivative():
         prod = hz.euler_product(q, N, orders)
         direct = prod.coefficient((1, 0, 0, 0))
         # only degree-1 factors carry t^1; the rest contribute constants
-        c1 = count_closed_points_for(q, 1)
+        c1 = count_closed_points(q, 1)
         fac1 = hz.local_factor(q, 1, orders)
         rest = Fraction(1)
         for n in range(2, N + 1):
-            rest *= hz.factor_constant(q, n) ** count_closed_points_for(q, n)
+            rest *= hz.factor_constant(q, n) ** count_closed_points(q, n)
         expected = c1 * fac1.coefficient((1, 0, 0, 0)) \
             * fac1.coefficient((0, 0, 0, 0)) ** (c1 - 1) * rest
         assert direct == expected
@@ -186,7 +186,7 @@ def test_euler_product_truncation_monotone():
     orders = (2, 2, 2, 2)
     p2 = hz.euler_product(q, 2, orders)
     p3 = hz.euler_product(q, 3, orders)
-    scale = hz.factor_constant(q, 3) ** count_closed_points_for(q, 3)
+    scale = hz.factor_constant(q, 3) ** count_closed_points(q, 3)
     for expo, val in p2.coeffs.items():
         assert p3.coefficient(expo) == val * scale
 

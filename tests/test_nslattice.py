@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -259,9 +260,11 @@ def test_ehrhart_gap_decreases():
     assert gaps[2] < gaps[1] < gaps[0]
 
 
-@pytest.mark.xfail(strict=True, reason="stated tolerance unattainable: the true d=30 "
-                   "gap is ~62% because c5/c6 ~ 19 for this cone; see decisions ledger")
-def test_ehrhart_gap_below_quarter_at_30():
-    vol = float(ns.nef_cone_volume_level1())
-    c = count_nef_points(30)
-    assert abs(c / 30 ** 6 - vol) / vol < 0.25
+def test_ehrhart_sixth_difference_is_the_volume():
+    # c(d) = #{nef classes with h <= d} is a quasi-polynomial of period 6
+    # with constant leading coefficient vol d^6, so j -> c(6j) is a
+    # polynomial of degree 6 in j with leading coefficient 6^6 vol, and its
+    # sixth difference is 6! 6^6 vol = 31104.  (The lower coefficients are
+    # large, so c(d) / d^6 is still ~62% from vol at d = 30.)
+    diff = sum((-1) ** (6 - j) * math.comb(6, j) * count_nef_points(6 * j) for j in range(7))
+    assert diff == math.factorial(6) * 6 ** 6 * ns.nef_cone_volume_level1() == 31104

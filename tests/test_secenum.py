@@ -331,34 +331,50 @@ def test_form_divisor_table_is_the_factoring_oracle():
 
 def test_side_has_one_quadruple_per_projective_pair():
     # for degree d >= 1, the divisors of lambda_0(s), lambda_1(s) and
-    # lambda_2(s) fix s up to a scalar: q^(2d-1) (q^2 - 1) quadruples, each
-    # of weight q-1.  At degree 0 a quadruple only records which marked
-    # point s is, if any.  So the quadruple count grows with the degree,
-    # and the join's reduced side is the one of larger degree
+    # lambda_2(s) fix s up to a scalar: the full side's q^(2d-1) (q^2 - 1)
+    # columns, each standing for q-1 pairs, are distinct.  At degree 0 it
+    # has one column per point of P^1(F_q).  So the quadruple count grows
+    # with the degree, and the join's reduced side is the one of larger
+    # degree
     for cfg in (CFG3, CFG4, CFG5):
         q = cfg.field.q
         for degree, side in itertools.product(range(4), "st"):
-            comp, weights = se._side_orbits(cfg, side, degree, False)
+            cols = se._full_side(cfg, side, degree)
+            assert cols.dtype == np.uint16
             if degree:
-                assert comp.shape[1] == q ** (2 * degree - 1) * (q * q - 1)
-                assert (weights == q - 1).all()
+                assert cols.shape[1] == q ** (2 * degree - 1) * (q * q - 1)
+                assert np.unique(cols, axis=1).shape[1] == cols.shape[1]
             else:
-                assert comp.shape[1] == min(q + 1, 5)
-                assert int(weights.sum()) == q * q - 1
+                assert cols.shape[1] == q + 1
+
+
+def _tallied_full_side(cfg, side, degree):
+    # the full side's columns tallied as a side summary, q-1 pairs each
+    base = se._key_base(cfg.field, degree)
+    keys, n = np.unique(se._encode(se._full_side(cfg, side, degree), base), return_counts=True)
+    return se._decode(keys, base), n * (cfg.field.q - 1)
+
+
+def _unfiltered_rows(cfg, side, degree):
+    # _fundamental_rows, uncached, under the trivial group of centre
+    # permutations: every PGL_2 orbit representative with its orbit weight
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(se, "_centre_symmetries", lambda cfg: np.arange(4)[None])
+        return se._fundamental_rows.__wrapped__(cfg, side, degree)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_side_orbits_equal_the_canonicalised_full_summary(q):
-    # the reduced side against the summary canonicalised over PGL_2, and
-    # the full side (trivial group) against the summary itself
+    # the reduced side, unfiltered, against the summary canonicalised over
+    # PGL_2, and the full side's columns, tallied, against the summary
     cfg = se.default_config(q)
     cases = list(itertools.product(range(4), "st")) + ([(4, "s"), (4, "t")] if q == 4 else [])
     for degree, side in cases:
-        reps, totals = se._side_orbits(cfg, side, degree, True)
+        reps, totals = _unfiltered_rows(cfg, side, degree)
         keys, weights = orc.side_orbits(cfg, side, degree)
         assert reps.tolist() == keys.tolist(), (degree, side)
         assert totals.tolist() == weights.tolist(), (degree, side)
-        comp, weights = se._side_orbits(cfg, side, degree, False)
+        comp, weights = _tallied_full_side(cfg, side, degree)
         ref, ref_weights = orc.side_summary(cfg, side, degree)
         assert comp.tolist() == ref.tolist(), (degree, side)
         assert weights.tolist() == ref_weights.tolist(), (degree, side)
@@ -367,10 +383,10 @@ def test_side_orbits_equal_the_canonicalised_full_summary(q):
 def test_orbit_reduction_q4():
     # the 245,760 divisor quadruples of degree-4 pairs over F_4 fall into
     # 4,336 orbits of PGL_2(F_4), a group of order 60
-    comp, weights = se._side_orbits(CFG4, "s", 4, False)
-    reps, totals = se._side_orbits(CFG4, "s", 4, True)
-    assert (comp.shape[1], reps.shape[1]) == (245760, 4336)
-    assert int(totals.sum()) == int(weights.sum()) == _coprime_pairs(4, 4)
+    cols = se._full_side(CFG4, "s", 4)
+    reps, totals = _unfiltered_rows(CFG4, "s", 4)
+    assert (cols.shape[1], reps.shape[1]) == (245760, 4336)
+    assert int(totals.sum()) == cols.shape[1] * 3 == _coprime_pairs(4, 4)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -462,14 +478,19 @@ def test_centre_symmetries_fix_the_side_summaries(cfg):
             assert (weights[order] == weights).all()
 
 
-def _unfiltered_join(cfg, a, b):
-    # every PGL_2 orbit representative of the larger side against the
-    # other side in full, with no centre symmetry
+def _unfiltered_sides(cfg, a, b):
+    # every PGL_2 orbit representative of the larger side, with no centre
+    # symmetry, and the other side's columns, q-1 pairs each
     big, small = ("s", "t") if a >= b else ("t", "s")
     high, low = max(a, b), min(a, b)
-    return orc.join_histogram(*se._side_orbits(cfg, big, high, True),
-                              *se._side_orbits(cfg, small, low, False),
-                              se._degree_table(cfg.field, high, low), high + 1)
+    return (*_unfiltered_rows(cfg, big, high), se._full_side(cfg, small, low),
+            se._degree_table(cfg.field, high, low), high + 1)
+
+
+def _unfiltered_join(cfg, a, b):
+    rows, row_w, cols, tab, base = _unfiltered_sides(cfg, a, b)
+    col_w = np.full(cols.shape[1], cfg.field.q - 1)
+    return orc.join_histogram(rows, row_w, cols, col_w, tab, base)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
@@ -494,22 +515,18 @@ def test_join_is_the_reference_at_any_pass_size(q, columns_per_pass, monkeypatch
     # in one pass, gives the reference histogram
     cfg = se.default_config(q)
     for a, b in itertools.product(range(4), repeat=2):
-        big, small = ("s", "t") if a >= b else ("t", "s")
-        high, low = max(a, b), min(a, b)
-        rows, row_w = se._side_orbits(cfg, big, high, True)
-        cols, col_w = se._side_orbits(cfg, small, low, False)
+        rows, row_w, cols, tab, base = _unfiltered_sides(cfg, a, b)
         cap = 1 if columns_per_pass == "one" else rows.shape[1] * cols.shape[1] + 1
         monkeypatch.setattr(se, "JOIN_PASS", cap)
-        hist = se._join(rows, row_w, cols, col_w, [se._degree_table(cfg.field, high, low)] * 4,
-                        high + 1, np.arange(4)[None])
-        assert (hist == _unfiltered_join(cfg, a, b)).all(), (a, b)
+        hist = se._join(rows, row_w, cols, [tab] * 4, base, np.arange(4)[None])
+        assert (hist * (q - 1) == _unfiltered_join(cfg, a, b)).all(), (a, b)
 
 
 def test_encode_widens_uint16_ids():
     # at q = 4, degree 4 the base is 342 and base^2 > 2^16: under NumPy 2 a
     # uint16 array times a Python int stays uint16 and would wrap
     base = se._key_base(CFG4.field, 4)
-    rows, _ = se._side_orbits(CFG4, "s", 4, True)
+    rows, _ = _unfiltered_rows(CFG4, "s", 4)
     assert base == 342 and rows.dtype == np.uint16
     assert (se._encode(rows, base) == se._encode(rows.astype(np.int64), base)).all()
 
@@ -526,6 +543,23 @@ def test_join_holds_one_small_pass_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def test_fundamental_rows_never_hold_the_unfiltered_side():
+    # with the PGL_2 tables prebuilt, the degree-7 side at q = 3 is filtered
+    # to the fundamental domain a first divisor's block at a time (9.7 MB
+    # traced); tallying the whole unfiltered side before filtering it
+    # peaked at 57 MB
+    cfg = se.default_config(3)
+    se._first_divisors(cfg.field, 7)
+    se._centre_symmetries(cfg)
+    tracemalloc.start()
+    try:
+        se._fundamental_rows.__wrapped__(cfg, "s", 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
 
 
 def test_fundamental_domain_keeps_the_orbit_weight():

@@ -305,7 +305,7 @@ def test_sieve_sum_vs_euler_truncation():
     prod = Fraction(1)
     for d in (1, 2, 3, 4):
         u = Fraction(1, 5 ** d)
-        prod *= (1 - 6 * u ** 2 + 8 * u ** 3 - 3 * u ** 4) ** count_closed_points(K5, d)
+        prod *= (1 - 6 * u ** 2 + 8 * u ** 3 - 3 * u ** 4) ** count_closed_points(5, d)
     assert abs(s - prod) / prod < Fraction(1, 10)
 
 
