@@ -18,7 +18,6 @@ import sys
 from .errors import BudgetExceeded, Dp4Error, InvalidConfig, TooLarge
 from .field import make_field
 from .harness import (
-    CountCache,
     RunConfig,
     asymptotic_report,
     config_from_mapping,
@@ -183,8 +182,7 @@ def _cmd_limit_check(cfg: RunConfig, args) -> int:
 
 
 def _cmd_manin(cfg: RunConfig, args) -> int:
-    cache = CountCache(cfg.cache_dir)
-    report = asymptotic_report(cfg, cache=cache)
+    report = asymptotic_report(cfg)
     paths = write_outputs(report, args.out_dir, f"manin_q{cfg.q}_d{cfg.d_max}")
     print("\n".join(paths))
     return 3 if _partial(report) else 0

@@ -67,11 +67,6 @@ class DegreeMismatch(Dp4Error):
     pass
 
 
-# configuration posets
-class NotSaturated(Dp4Error):
-    pass
-
-
 # harness
 class InvalidConfig(Dp4Error):
     pass

@@ -4,7 +4,7 @@ Elements are canonical small integers: the element with coefficient vector
 (c_0, ..., c_{n-1}) over Z/p (c_0 the constant term) is encoded as the
 integer sum c_i * p^i, which doubles as a table index; to_digits and
 from_digits convert between the two.  FieldSpec instances are immutable
-after construction and safe to share between workers.
+after construction.
 """
 
 from __future__ import annotations
@@ -161,9 +161,7 @@ def _monic_polys(degree: int, p: int):
 def _is_irreducible(poly, p: int) -> bool:
     """Trial division against every monic polynomial of degree <= deg/2."""
     deg = len(poly) - 1
-    if deg <= 0:
-        return False
-    P = _make_field_cached(p, 1, ())
+    P = _make_field_cached(p, 1)
     for d in range(1, deg // 2 + 1):
         for div in _monic_polys(d, p):
             if not poly_divmod(P, poly, div)[1]:
@@ -174,7 +172,7 @@ def _is_irreducible(poly, p: int) -> bool:
 def _raw_mul(a: int, b: int, p: int, n: int, modulus) -> int:
     if n == 1:
         return (a * b) % p
-    P = _make_field_cached(p, 1, ())
+    P = _make_field_cached(p, 1)
     prod = poly_mul(P, to_digits(a, p, n), to_digits(b, p, n))
     return from_digits(poly_divmod(P, prod, modulus)[1], p)
 
@@ -199,7 +197,8 @@ def _build_log_tables(p: int, n: int, modulus, q: int):
 
 
 @lru_cache(maxsize=None)
-def _make_field_cached(p: int, n: int, modulus) -> FieldSpec:
+def _make_field_cached(p: int, n: int) -> FieldSpec:
+    modulus = lex_least_irreducible(p, n) if n > 1 else ()
     q = p ** n
     exp, log = _build_log_tables(p, n, modulus, q)
     return FieldSpec(p=p, n=n, modulus=modulus, q=q, _exp=exp, _log=log)
@@ -218,11 +217,11 @@ def lex_least_irreducible(p: int, n: int) -> tuple:
     raise ReducibleModulus(f"no irreducible of degree {n} over F_{p}")  # pragma: no cover
 
 
-def make_field(p: int, n: int = 1, modulus=None) -> FieldSpec:
+def make_field(p: int, n: int = 1) -> FieldSpec:
     """Construct a validated FieldSpec for F_{p^n}.
 
-    If the modulus is omitted for n > 1, the lexicographically least monic
-    irreducible of degree n is chosen, deterministically.
+    For n > 1 the modulus is the lexicographically least monic irreducible
+    of degree n, chosen deterministically.
     """
     if p not in _SUPPORTED_PRIMES:
         # every prime up to 13 is supported, so a smaller p is not prime
@@ -231,19 +230,7 @@ def make_field(p: int, n: int = 1, modulus=None) -> FieldSpec:
         raise UnsupportedSize(f"characteristic {p} outside supported range 2..13")
     if not 1 <= n < _MAX_Q.bit_length() or p ** n > _MAX_Q:
         raise UnsupportedSize(f"q = {p}^{n} outside supported range")
-    if n == 1:
-        if modulus not in (None, ()):
-            raise ReducibleModulus("prime fields take no modulus")
-        return _make_field_cached(p, 1, ())
-    if modulus is None:
-        modulus = lex_least_irreducible(p, n)
-    else:
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != n + 1 or modulus[-1] != 1:
-            raise ReducibleModulus(f"modulus must be monic of degree {n}")
-        if not _is_irreducible(modulus, p):
-            raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
-    return _make_field_cached(p, n, modulus)
+    return _make_field_cached(p, n)
 
 
 def field_of_order(q: int) -> FieldSpec:

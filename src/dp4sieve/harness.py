@@ -286,11 +286,12 @@ class CountReport:
     in_cone_share: Fraction = Fraction(0)
 
 
-def counting_function(cfg: RunConfig, cache: CountCache | None = None) -> CountReport:
+def counting_function(cfg: RunConfig) -> CountReport:
     """Cumulative morphism counts N(d) and their shrunken-cone restriction
-    N_eps(d) for d = 0..d_max, exact integers, cached per class."""
+    N_eps(d) for d = 0..d_max, exact integers, cached per class in
+    cfg.cache_dir."""
     surface = cfg.surface()
-    cache = cache if cache is not None else CountCache(cfg.cache_dir)
+    cache = CountCache(cfg.cache_dir)
     cone = ShrunkenCone(epsilon=cfg.epsilon)
     report = CountReport(config=cfg.as_dict())
     report.constants["q"] = cfg.q
@@ -341,10 +342,10 @@ def _alpha_constant(cfg: RunConfig) -> Fraction:
     return vol * 720  # rho!
 
 
-def asymptotic_report(cfg: RunConfig, cache: CountCache | None = None) -> CountReport:
+def asymptotic_report(cfg: RunConfig) -> CountReport:
     """Counting rows augmented with the prediction
     (1 - q^{-1}) alpha tau q^d d^5 and the upper-bound constant."""
-    report = counting_function(cfg, cache=cache)
+    report = counting_function(cfg)
     q = cfg.q
     tam = tamagawa(q, cfg.euler_N)
     alpha = _alpha_constant(cfg)
@@ -396,9 +397,6 @@ def asymptotic_report(cfg: RunConfig, cache: CountCache | None = None) -> CountR
 # emission
 
 def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}" if value.denominator != 1 \
-            else str(value.numerator)
     return "" if value is None else str(value)
 
 
@@ -421,7 +419,7 @@ def emit_json(report: CountReport) -> str:
         "constants": report.constants,
         "flags": report.flags,
         "rows": [
-            {k: (_fmt(v) if isinstance(v, Fraction) else v) for k, v in row.items()}
+            {k: (str(v) if isinstance(v, Fraction) else v) for k, v in row.items()}
             for row in report.rows
         ],
     }

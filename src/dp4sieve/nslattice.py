@@ -175,6 +175,16 @@ def enumerate_markings() -> tuple:
                         for e in permutations(mk.e)))
 
 
+def _slacks(alpha: CurveClass) -> dict:
+    """Each fiber pair -> the smaller of its two slacks at the nef class
+    alpha, h - 2 max(f.alpha, f'.alpha), in fiber-pair order."""
+    if not is_nef(alpha):
+        raise NotNef(f"{alpha} is not nef")
+    h = alpha.h
+    return {(f, fp): h - 2 * max(intersect(f, alpha), intersect(fp, alpha))
+            for f, fp in marking_fiber_pairs()}
+
+
 def choose_marking(alpha: CurveClass) -> Marking:
     """A marking maximizing the smaller of the two slack values.
 
@@ -183,32 +193,18 @@ def choose_marking(alpha: CurveClass) -> Marking:
     class the maximum is non-negative; if the exhaustive search ever fails
     to reach 0 the lattice data is wrong, and we refuse to continue.
     """
-    if not is_nef(alpha):
-        raise NotNef(f"{alpha} is not nef")
-    h = alpha.h
-    best_val = None
-    winners = []
-    for pair in marking_fiber_pairs():
-        f, fp = pair
-        val = h - 2 * max(intersect(f, alpha), intersect(fp, alpha))
-        if best_val is None or val > best_val:
-            best_val, winners = val, [pair]
-        elif val == best_val:
-            winners.append(pair)
-    if best_val < 0:
+    slacks = _slacks(alpha)
+    best = max(slacks.values())
+    if best < 0:
         raise LemmaViolation(f"no admissible marking for nef class {alpha}")
     reps = _first_marking_by_pair()
-    return min(reps[pair] for pair in winners)
+    return min(reps[pair] for pair, val in slacks.items() if val == best)
 
 
 def ell_functional(alpha: CurveClass) -> int:
     """Max over markings of the min slack; non-negative on the nef cone,
     positively homogeneous of degree one."""
-    if not is_nef(alpha):
-        raise NotNef(f"{alpha} is not nef")
-    h = alpha.h
-    return max(h - 2 * max(intersect(f, alpha), intersect(fp, alpha))
-               for f, fp in marking_fiber_pairs())
+    return max(_slacks(alpha).values())
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,12 @@ A local condition at a closed point is a multiplicity assignment m on the
 lattice with m(V) treated as infinity; it is saturated when every level set
 {m >= j} is meet-closed, equivalently m(p ^ q) = min(m(p), m(q)).  In this
 lattice every meet-closed up-set is principal, so a saturated condition is
-the same thing as a weakly shrinking chain of subspaces (the level meets),
-and its expected codimension is the sum of their coranks.  Non-saturated
-input is rejected, never repaired.
+the same thing as its chain of level meets, chain[j-1] = meet {m >= j} for
+j = 1..max m, and m(e) counts the levels at or below e.  Level sets shrink
+as j grows, so their meets rise: chain[j-1] <= chain[j].  The sieve stores
+every condition as this chain of non-top elements (the trivial condition is
+the empty chain), so each one is saturated by construction.  Its expected
+codimension is the sum of the coranks of its levels.
 
 Moebius values come from Rota's crosscut theorem.  Pad each chain with the
 top for its empty levels; then x <= y exactly when every level of y lies
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DegreeMismatch, NotSaturated
+from .errors import DegreeMismatch
 from .field import FieldSpec
 from .heightzeta import TruncatedMultiSeries, series_one
 from .projline import count_closed_points
@@ -68,7 +71,7 @@ class ConditionLattice:
 
     Elements are encoded as pairs (A, B); each factor is 'full', 'zero', or
     a line index 0..3.  The top element (full, full) is the ambient space
-    and never carries a finite multiplicity.
+    and never a level of a condition's chain.
     """
 
     elements: tuple
@@ -124,86 +127,25 @@ LATTICE = _build_lattice(
     + [(i, "zero") for i in range(4)]
     + [("zero", i) for i in range(4)]
     + [("zero", "zero")])
-EMPTY = tuple(0 for _ in LATTICE.nontop)
+PLANE = LATTICE.index((0, 0))     # W_1, where the first contact component sits
 
 
 # ---------------------------------------------------------------------------
-# local conditions
+# local conditions, as chains of level meets
 
-def local_condition(mults: dict) -> tuple:
-    """Validated multiplicity tuple over the non-top elements.
-
-    mults maps element index (or (A, B) pair) to multiplicity; omitted
-    elements get the largest value monotonicity forces, namely zero unless
-    some smaller element pushes them up, in which case validation fails:
-    this constructor never repairs input.
-    """
-    m = [0] * len(LATTICE.elements)
-    for key, val in mults.items():
-        i = key if isinstance(key, int) else LATTICE.index(key)
-        if i == LATTICE.top:
-            raise NotSaturated("the top element carries infinite multiplicity")
-        if val < 0:
-            raise ValueError("multiplicities must be >= 0")
-        m[i] = val
-    cond = tuple(m[i] for i in LATTICE.nontop)
-    validate_condition(cond)
-    return cond
-
-
-def validate_condition(cond):
-    """Reject non-monotone or non-saturated multiplicity data."""
-    full = [0.0] * len(LATTICE.elements)
-    for pos, i in enumerate(LATTICE.nontop):
-        full[i] = cond[pos]
-    full[LATTICE.top] = float("inf")
-    n = len(LATTICE.elements)
-    for i in range(n):
-        for j in range(n):
-            if LATTICE.leq(i, j) and full[i] > full[j]:
-                raise NotSaturated("multiplicities not monotone along the order")
-            if full[LATTICE.meet_idx[i][j]] != min(full[i], full[j]):
-                raise NotSaturated("level sets are not meet-closed")
-
-
-def condition_chain(cond) -> tuple:
-    """Level meets: chain[j-1] = meet of {e : m(e) >= j}, j = 1..maxorder.
-
-    Every meet-closed up-set of the lattice is principal, so the chain
-    determines the condition and vice versa.
-    """
-    out = []
-    j = 1
-    while True:
-        level = [i for pos, i in enumerate(LATTICE.nontop) if cond[pos] >= j]
-        if not level:
-            break
-        out.append(LATTICE.meet_many(level))
-        j += 1
-    return tuple(out)
-
-
-def condition_gamma(cond) -> int:
+def condition_gamma(chain) -> int:
     """Sum of the coranks of the level meets."""
-    return sum(LATTICE.coranks[m] for m in condition_chain(cond))
+    return sum(LATTICE.coranks[m] for m in chain)
 
 
-def condition_excess(base, cond, degree: int) -> int:
-    """Degree-weighted truncation excess of cond over base (see module doc)."""
-    cb = condition_chain(base)
-    cc = condition_chain(cond)
-    refined = sum(1 for j in range(len(cb)) if cc[j] != cb[j])
-    return degree * ((len(cc) - len(cb)) + refined)
+def condition_excess(base, chain, degree: int) -> int:
+    """Degree-weighted truncation excess of chain over base (see module doc)."""
+    refined = sum(1 for b, c in zip(base, chain) if b != c)
+    return degree * ((len(chain) - len(base)) + refined)
 
 
 # ---------------------------------------------------------------------------
 # local Moebius values
-
-def _chain_condition(chain) -> tuple:
-    """Inverse of condition_chain: m(e) counts the levels whose meet is <= e
-    (a top level counts nowhere)."""
-    return tuple(sum(1 for c in chain if LATTICE.leq(c, i)) for i in LATTICE.nontop)
-
 
 def _cover_chains(chain) -> list:
     """Chains of the covers of the condition with this chain, which ends in
@@ -219,21 +161,22 @@ def _cover_chains(chain) -> list:
 
 @lru_cache(maxsize=None)
 def _crosscut(base) -> tuple:
-    """((tau, mu(base, tau)), ...) over every tau with mu(base, tau) != 0.
+    """((tau, mu(base, tau)), ...) over every chain tau with mu(base, tau) != 0.
 
     Rota's crosscut theorem on the finite lattice [base, tau]:
     mu(base, tau) = sum of (-1)^|S| over the sets S of covers of base whose
     join, the levelwise meet, is tau.  Every such join lies within one level
-    of base.
+    of base, so only the padding level can stay at the top; it is dropped.
     """
-    chain = condition_chain(base) + (LATTICE.top,)
-    covers = _cover_chains(chain)
+    padded = base + (LATTICE.top,)
+    covers = _cover_chains(padded)
     mu: dict = {}
     for size in range(len(covers) + 1):
         for subset in itertools.combinations(covers, size):
-            tau = tuple(map(LATTICE.meet_many, zip(chain, *subset)))
+            tau = tuple(map(LATTICE.meet_many, zip(padded, *subset)))
+            tau = tau[:-1] if tau[-1] == LATTICE.top else tau
             mu[tau] = mu.get(tau, 0) + (-1) ** size
-    return tuple((_chain_condition(tau), m) for tau, m in mu.items() if m)
+    return tuple((tau, m) for tau, m in mu.items() if m)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +203,7 @@ def stable_range_start(k) -> int:
 
 @lru_cache(maxsize=None)
 def _local_poly(q: int, deg: int, base, budget: int):
-    """Excess generating polynomial at one closed point.
+    """Excess generating polynomial at one closed point, base a chain.
 
     Coefficient of T^e sums mu(base, tau) q^{-deg * gamma(tau)} over
     saturated tau >= base of excess e <= budget.  By the crosscut
@@ -311,10 +254,10 @@ def _sieve_partials(q: int, k: tuple, D: int) -> tuple:
     orders = k + (D,)
     product = series_one(orders, q, SIEVE_WEIGHTS)
     for d in range(1, max(orders) + 1):
-        den = _local_poly(q, d, EMPTY, D)
+        den = _local_poly(q, d, (), D)
         coeffs = {(0, 0, 0, 0, e): c for e, c in enumerate(den)}
         for m in range(1, max(k) // d + 1):
-            num = _local_poly(q, d, local_condition({(0, 0): m}), D)
+            num = _local_poly(q, d, (PLANE,) * m, D)
             for i, e in itertools.product(range(4), range(D + 1)):
                 coeffs[(0,) * i + (m * d,) + (0,) * (3 - i) + (e,)] = num[e]
         factor = TruncatedMultiSeries(orders, coeffs, q, SIEVE_WEIGHTS)

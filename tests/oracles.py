@@ -61,7 +61,7 @@ from dp4sieve.projline import (
     point_at_infinity,
 )
 from dp4sieve.secenum import DEFAULT_BUDGET, SurfaceConfig
-from dp4sieve.sieve import EMPTY, LATTICE
+from dp4sieve.sieve import LATTICE
 
 
 # ---------------------------------------------------------------------------
@@ -543,41 +543,42 @@ def clear_caches():
 # the configuration poset behind the sieve
 
 def condition_leq(lo, hi) -> bool:
-    return all(a <= b for a, b in zip(lo, hi))
+    """The levelwise order on chains: hi is at least as deep as lo, and each
+    of hi's levels lies below lo's level of the same index."""
+    return len(lo) <= len(hi) and all(LATTICE.leq(h, l) for l, h in zip(lo, hi))
 
 
-def condition_max_order(cond) -> int:
-    return max(cond) if cond else 0
+def chain_condition(chain) -> tuple:
+    """The multiplicity tuple over LATTICE.nontop: m(e) = levels at or below e."""
+    return tuple(sum(1 for c in chain if LATTICE.leq(c, e)) for e in LATTICE.nontop)
 
 
 @lru_cache(maxsize=None)
 def _local_shapes(max_order: int) -> tuple:
-    """All saturated conditions with multiplicity depth <= max_order.
-
-    Level sets of a saturated condition are principal filters up(e_j) with
-    e_1 <= e_2 <= ... in the lattice order, so conditions are enumerated as
-    weakly increasing chains of non-top elements; the empty chain is the
-    trivial condition.
-    """
+    """All saturated conditions with multiplicity depth <= max_order, as
+    chains of level meets: chains e_1 <= e_2 <= ... of non-top elements,
+    the empty chain being the trivial condition.  They are listed in the
+    order of their multiplicity tuples, which seeded draws from the list
+    depend on."""
     chains, level = [()], [()]
     for _ in range(max_order):
         level = [ch + (e,) for ch in level for e in LATTICE.nontop
                  if not ch or LATTICE.leq(ch[-1], e)]
         chains += level
-    return tuple(sorted({sv._chain_condition(ch) for ch in chains}))
+    return tuple(sorted(chains, key=chain_condition))
 
 
 @dataclass(frozen=True)
 class Configuration:
     """Finitely supported assignment of saturated local conditions."""
 
-    data: tuple          # sorted ((ClosedPoint, cond), ...), conds nonzero
+    data: tuple          # sorted ((ClosedPoint, chain), ...), chains nonempty
 
     def condition_at(self, pt: ClosedPoint):
         for p, c in self.data:
             if p == pt:
                 return c
-        return EMPTY
+        return ()
 
     @property
     def support(self):
@@ -586,11 +587,13 @@ class Configuration:
 
 def configuration(assignments) -> Configuration:
     data = []
-    for pt, cond in assignments:
-        sv.validate_condition(cond)
-        if any(cond):
-            data.append((pt, tuple(cond)))
+    for pt, chain in assignments:
+        assert all(LATTICE.leq(lo, hi) for lo, hi in zip(chain, chain[1:]))
+        assert LATTICE.top not in chain
+        if chain:
+            data.append((pt, tuple(chain)))
     data.sort(key=lambda e: (e[0], e[1]))
+    assert len({pt for pt, _ in data}) == len(data), "one condition per point"
     return Configuration(data=tuple(data))
 
 
@@ -605,13 +608,9 @@ def config_leq(w: Configuration, x: Configuration) -> bool:
 
 def config_from_divisor_tuple(w) -> Configuration:
     """The configuration induced by a disjoint divisor tuple: component i
-    places its multiplicities at the plane W_i."""
-    by_point: dict = {}
-    for i, div in enumerate(w):
-        for pt, mult in div.entries:
-            cond = by_point.setdefault(pt, {})
-            cond[(i, i)] = cond.get((i, i), 0) + mult
-    return configuration([(pt, sv.local_condition(m)) for pt, m in by_point.items()])
+    places its multiplicity m at the plane W_i, the chain (W_i,) * m."""
+    return configuration([(pt, (LATTICE.index((i, i)),) * mult)
+                          for i, div in enumerate(w) for pt, mult in div.entries])
 
 
 def gamma(x: Configuration) -> int:
@@ -627,7 +626,7 @@ def config_excess(w: Configuration, x: Configuration) -> int:
 
 @lru_cache(maxsize=None)
 def _conditions_between(lo, hi) -> tuple:
-    return tuple(cand for cand in _local_shapes(condition_max_order(hi))
+    return tuple(cand for cand in _local_shapes(len(hi))
                  if condition_leq(lo, cand) and condition_leq(cand, hi))
 
 
@@ -688,9 +687,8 @@ def enumerate_configs_above(w, D: int, K: FieldSpec, limit: int = 500_000):
     per_point = []
     for pt in all_pts:
         lo = base.condition_at(pt)
-        lo_ord = condition_max_order(lo)
         cands = []
-        for cand in _local_shapes(lo_ord + D // pt.degree):
+        for cand in _local_shapes(len(lo) + D // pt.degree):
             if condition_leq(lo, cand):
                 excess = sv.condition_excess(lo, cand, pt.degree)
                 if excess <= D:
@@ -727,7 +725,7 @@ def gamma_rank_oracle(x: Configuration, a: int, b: int, cfg: SurfaceConfig) -> i
     K = cfg.field
     rows = []
     for pt, cond in x.data:
-        for mult, idx in zip(cond, LATTICE.nontop):
+        for mult, idx in zip(chain_condition(cond), LATTICE.nontop):
             if mult:
                 A, B = LATTICE.elements[idx]
                 rows += [r + [0] * (2 * b + 2) for r in _subspace_rows(K, cfg.lam, pt, mult, A, a)]

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from oracles import frobenius, from_vector, to_vector
 
-from dp4sieve.errors import DivisionByZero, NonPrime, ReducibleModulus, UnsupportedSize
+from dp4sieve.errors import DivisionByZero, NonPrime, UnsupportedSize
 from dp4sieve.field import lex_least_irreducible, make_field
 
 
@@ -37,10 +37,6 @@ def test_construction_errors():
         make_field(13, 4)
     with pytest.raises(UnsupportedSize):
         make_field(2, 10 ** 9)      # refused before 2^n is computed
-    with pytest.raises(ReducibleModulus):
-        make_field(2, 2, modulus=(0, 0, 1))  # x^2 is reducible
-    with pytest.raises(ReducibleModulus):
-        make_field(2, 2, modulus=(1, 1))  # wrong degree
 
 
 def test_enumerate_elements_contract():

@@ -1,6 +1,6 @@
 """Static checks on the package source: no unused imports, no float
-accumulator, no definition that only tests reach, and the module layering
-that keeps the arithmetic kernels at the bottom."""
+accumulator, no definition and no parameter default that only tests reach,
+and the module layering that keeps the arithmetic kernels at the bottom."""
 
 import ast
 import os
@@ -192,3 +192,52 @@ def test_every_definition_is_reached_from_the_cli_or_the_ledger():
                  and (len(key) == 2 or key[:2] in reached)]
     assert not unreached, \
         f"{len(unreached)} definitions only tests reach: {', '.join(sorted(unreached))}"
+
+
+def _defaulted_parameters(func, bound: bool):
+    """(name, position) of each parameter with a default; position is the
+    index a call's positional arguments reach it at, None if keyword-only.
+    A bound method's calls skip its first parameter."""
+    args = func.args
+    positional = (args.posonlyargs + args.args)[1 if bound else 0:]
+    out = [(a.arg, i) for i, a in enumerate(positional)
+           if i >= len(positional) - len(args.defaults)]
+    return out + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+
+
+def _passes(call, name: str, position) -> bool:
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_parameter_default_is_overridden_somewhere():
+    # a default that no call in src, the ledger or the tracer ever overrides
+    # is a knob only tests turn.  Calls match definitions by name; a call of
+    # a class counts for its __init__
+    defaulted = []
+    for path in MODULES:
+        tree = _tree(path)
+        methods = {id(m): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for m in cls.body if isinstance(m, ast.FunctionDef)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in node.decorator_list)
+                bound = id(node) in methods and not static
+                callee = methods[id(node)] if node.name == "__init__" else node.name
+                defaulted += [(path.stem, node.name, callee, name, pos)
+                              for name, pos in _defaulted_parameters(node, bound)]
+    calls = {}
+    for path in MODULES + [ROOT / "bench" / "ledger.py", ROOT / "bench" / "traced.py"]:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    never = [f"{mod}.{func}({name})" for mod, func, callee, name, pos in defaulted
+             if not any(_passes(call, name, pos) for call in calls.get(callee, ()))]
+    assert not never, f"defaults no call overrides: {', '.join(never)}"

@@ -3,12 +3,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import oracles as orc
 import pytest
 
 from dp4sieve import secenum as se
 from dp4sieve import sieve as sv
-from dp4sieve.errors import NotSaturated
 from dp4sieve.field import make_field
 from dp4sieve.heightzeta import factor_constant, factor_contact_coefficient
 from dp4sieve.projline import ZERO_DIVISOR, count_closed_points, divisor
@@ -18,8 +18,7 @@ K3 = make_field(3)
 K5 = make_field(5)
 L16 = sv.LATTICE
 W = [(i, i) for i in range(4)]
-# the condition lattice as a parameter, so that the tests over it keep the id L16
-LATTICES = pytest.mark.parametrize("lattice", [L16], ids=["L16"])
+ZERO = L16.index(("zero", "zero"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -32,7 +31,7 @@ def _interval_mobius(lo, hi):
 
 
 def _plane_bases():
-    return [sv.local_condition({W[0]: m}) for m in (1, 2, 3)]
+    return [(sv.PLANE,) * m for m in (1, 2, 3)]
 
 
 def test_lattice_shapes():
@@ -61,15 +60,37 @@ def test_meet_table_properties():
                 assert meet[meet[i][j]][k] == meet[i][meet[j][k]]
 
 
-def test_local_condition_validation():
-    cond = sv.local_condition({W[0]: 2})
-    assert sv.condition_gamma(cond) == 4  # two levels of corank 2
-    with pytest.raises(NotSaturated):
-        # two transverse planes positive without their meet: not saturated
-        sv.local_condition({W[0]: 1, W[1]: 1})
-    with pytest.raises(NotSaturated):
-        # a line deeper than its plane violates monotonicity
-        sv.local_condition({(0, "zero"): 1})
+def test_saturated_conditions_of_depth_one_are_the_short_chains():
+    # every 0/1 multiplicity assignment on the non-top elements (the top
+    # carries infinity, here 1): the monotone, meet-closed ones are exactly
+    # the images of the 16 chains of depth <= 1
+    n, top = len(L16.elements), L16.top
+    bits = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1)) & 1
+    m = np.insert(bits, top, 1, axis=1).astype(np.int8)
+    meet = np.array(L16.meet_idx)
+    leq = meet == np.arange(n)[:, None]
+    monotone = ~((m[:, :, None] > m[:, None, :]) & leq).any(axis=(1, 2))
+    meet_closed = (m[:, meet] == np.minimum(m[:, :, None], m[:, None, :])).all(axis=(1, 2))
+    kept = {tuple(row) for row in np.delete(m[monotone & meet_closed], top, axis=1).tolist()}
+    chains = [()] + [(e,) for e in L16.nontop]
+    assert kept == {orc.chain_condition(ch) for ch in chains} and len(kept) == 16
+
+    def ones(*elems):
+        return tuple(int(L16.elements[e] in elems) for e in L16.nontop)
+
+    # two transverse planes without their meet, and a line without its plane
+    assert ones(W[0], W[1]) not in kept and ones((0, "zero")) not in kept
+    assert ones(W[0]) in kept
+    assert sv.condition_gamma((sv.PLANE, sv.PLANE)) == 4  # two levels of corank 2
+
+
+def test_levelwise_order_is_the_pointwise_multiplicity_order():
+    shapes = orc._local_shapes(3)
+    assert len(shapes) == 152
+    mults = {s: orc.chain_condition(s) for s in shapes}
+    assert len(set(mults.values())) == len(shapes)
+    for lo, hi in itertools.product(shapes, shapes):
+        assert orc.condition_leq(lo, hi) == all(a <= b for a, b in zip(mults[lo], mults[hi]))
 
 
 def test_gamma_examples():
@@ -80,12 +101,7 @@ def test_gamma_examples():
     xw = orc.config_from_divisor_tuple(w)
     assert orc.gamma(xw) == 2 * 3
     # a rational point at the zero element imposes four conditions
-    zero_idx = {W[i]: 1 for i in range(4)}
-    zero_idx.update({(i, "zero"): 1 for i in range(4)})
-    zero_idx.update({("zero", i): 1 for i in range(4)})
-    zero_idx.update({("zero", "full"): 1, ("full", "zero"): 1, ("zero", "zero"): 1})
-    cond = sv.local_condition(zero_idx)
-    x = orc.configuration([(rational_point(K3, 0), cond)])
+    x = orc.configuration([(rational_point(K3, 0), (ZERO,))])
     assert orc.gamma(x) == 4
 
 
@@ -93,40 +109,37 @@ def test_mobius_base_cases():
     w = orc.empty_configuration()
     assert orc.mobius(w, w) == 1
     # two-element interval: a covering pair has mu = -1
-    x = orc.configuration([(rational_point(K3, 0), sv.local_condition({W[0]: 1}))])
+    x = orc.configuration([(rational_point(K3, 0), (sv.PLANE,))])
     assert orc.mobius(w, x) == -1
     with pytest.raises(ValueError, match="not below"):
-        y = orc.configuration([(rational_point(K3, 1), sv.local_condition({W[1]: 1}))])
+        y = orc.configuration([(rational_point(K3, 1), (L16.index(W[1]),))])
         orc.mobius(x, y)
 
 
-@LATTICES
-def test_covers_are_the_minimal_shapes_above_base(lattice):
+def test_covers_are_the_minimal_shapes_above_base():
     # every shape of depth <= 2 and the plane bases of depth 1-3; nothing
     # two levels deeper is minimal either
     for base in set(orc._local_shapes(2)) | set(_plane_bases()):
-        above = [s for s in orc._local_shapes(orc.condition_max_order(base) + 2)
+        above = [s for s in orc._local_shapes(len(base) + 2)
                  if s != base and orc.condition_leq(base, s)]
         minimal = {s for s in above
                    if not any(t != s and orc.condition_leq(t, s) for t in above)}
-        chain = sv.condition_chain(base) + (lattice.top,)
-        covers = sv._cover_chains(chain)
-        assert {sv._chain_condition(c) for c in covers} == minimal
+        covers = sv._cover_chains(base + (L16.top,))
+        assert {c[:-1] if c[-1] == L16.top else c for c in covers} == minimal
 
 
-@LATTICES
-def test_crosscut_mobius_matches_interval_recursion(lattice):
+def test_crosscut_mobius_matches_interval_recursion():
     # mu(base, x) vanishes more than one level above the base, and the
     # crosscut values equal the recursion everywhere up to three levels
     for base in orc._local_shapes(1):
-        depth = orc.condition_max_order(base)
+        depth = len(base)
         crosscut = dict(sv._crosscut(base))
-        assert all(orc.condition_max_order(x) <= depth + 1 for x in crosscut)
+        assert all(len(x) <= depth + 1 for x in crosscut)
         for x in orc._local_shapes(depth + 3):
             if orc.condition_leq(base, x):
                 mu = _interval_mobius(base, x)
                 assert mu == crosscut.get(x, 0)
-                if orc.condition_max_order(x) > depth + 1:
+                if len(x) > depth + 1:
                     assert mu == 0
 
 
@@ -134,7 +147,7 @@ def _local_poly_by_recursion(q, deg, base, budget):
     """The definition of _local_poly: every saturated tau above base of
     excess <= budget, weighted by the recursive mu(base, tau)."""
     out = [Fraction(0)] * (budget + 1)
-    for tau in orc._local_shapes(orc.condition_max_order(base) + budget // deg):
+    for tau in orc._local_shapes(len(base) + budget // deg):
         if orc.condition_leq(base, tau):
             excess = sv.condition_excess(base, tau, deg)
             if excess <= budget:
@@ -143,11 +156,9 @@ def _local_poly_by_recursion(q, deg, base, budget):
     return tuple(out)
 
 
-@LATTICES
 @pytest.mark.parametrize("deg", [1, 2, 3])
-def test_crosscut_local_poly_matches_definition(lattice, deg):
-    empty = tuple(0 for _ in lattice.nontop)
-    for base in [empty] + _plane_bases():
+def test_crosscut_local_poly_matches_definition(deg):
+    for base in [()] + _plane_bases():
         full = _local_poly_by_recursion(3, deg, base, 6)
         for D in range(7):
             assert sv._local_poly(3, deg, base, D) == full[:D + 1]
@@ -165,8 +176,8 @@ def test_mobius_multiplicative_matches_recursive_seeded():
         chosen = rnd.sample(pts[:3], n_pts)
         his, los = [], []
         for pt in chosen:
-            hi = rnd.choice([s for s in shapes if any(s)])
-            lo = rnd.choice(orc._conditions_between(sv.EMPTY, hi))
+            hi = rnd.choice([s for s in shapes if s])
+            lo = rnd.choice(orc._conditions_between((), hi))
             his.append((pt, hi))
             los.append((pt, lo))
         x = orc.configuration(his)
@@ -189,8 +200,8 @@ def test_mobius_recursion_sums_vanish():
 
 
 def test_gamma_additive_over_disjoint_supports():
-    c1 = sv.local_condition({W[0]: 1})
-    c2 = sv.local_condition({W[2]: 2})
+    c1 = (sv.PLANE,)
+    c2 = (L16.index(W[2]),) * 2
     x1 = orc.configuration([(rational_point(K3, 0), c1)])
     x2 = orc.configuration([(rational_point(K3, 1), c2)])
     both = orc.configuration(list(x1.data + x2.data))
@@ -238,12 +249,11 @@ def _sieve_partials_by_definition(K, k, D):
     return list(itertools.accumulate(totals))
 
 
-@LATTICES
 @pytest.mark.parametrize("k, D", [
     ((0, 0, 0, 0), 1), ((1, 0, 0, 0), 1), ((1, 1, 0, 0), 1), ((2, 0, 0, 0), 1),
     ((0, 0, 1, 1), 1), ((0, 0, 0, 0), 2),
 ], ids=["k0-D1", "k1000-D1", "k1100-D1", "k2000-D1", "k0011-D1", "k0-D2"])
-def test_sieve_sum_matches_definition(lattice, k, D):
+def test_sieve_sum_matches_definition(k, D):
     # (2,0,0,0) reaches depth 2 and a degree-2 contact point; (0,0,1,1)
     # puts contact on the last two components
     assert sv.sieve_sum(K3, k, D) == _sieve_partials_by_definition(K3, k, D)
@@ -262,9 +272,8 @@ def test_deep_truncation_skips_the_shape_scan():
     assert orc._local_shapes.cache_info().misses == 0
 
 
-@LATTICES
 @pytest.mark.parametrize("k, D", [((2, 1, 1, 0), 2), ((0, 1, 2, 3), 1)])
-def test_sieve_product_symmetric_in_contact_pattern(lattice, k, D):
+def test_sieve_product_symmetric_in_contact_pattern(k, D):
     # the premise of the memo keyed on sorted k
     memo = sv._sieve_partials(3, tuple(sorted(k)), D)
     for perm in set(itertools.permutations(k)):
@@ -314,12 +323,7 @@ def test_gamma_rank_oracle_small():
     x = orc.empty_configuration()
     assert orc.gamma_rank_oracle(x, 4, 4, cfg5) == 0
     # one rational point at the zero element at (a, b) = (4, 4): rank 4
-    zero_full = {W[i]: 1 for i in range(4)}
-    zero_full.update({(i, "zero"): 1 for i in range(4)})
-    zero_full.update({("zero", i): 1 for i in range(4)})
-    zero_full.update({("zero", "full"): 1, ("full", "zero"): 1, ("zero", "zero"): 1})
-    cond = sv.local_condition(zero_full)
-    x = orc.configuration([(rational_point(K5, 2), cond)])
+    x = orc.configuration([(rational_point(K5, 2), (ZERO,))])
     assert orc.gamma(x) == 4
     assert orc.gamma_rank_oracle(x, 4, 4, cfg5) == 4
 
@@ -337,7 +341,7 @@ def _local_factor_entry(q, deg, m):
     """The t_1^(deg m) entry of the local factor at a degree-deg point,
     times q^(deg m): its excess polynomial at the depth-m plane base, summed
     over an excess budget that holds every tau with mu != 0."""
-    base = sv.local_condition({W[0]: m}) if m else sv.EMPTY
+    base = (sv.PLANE,) * m
     return q ** (deg * m) * sum(sv._local_poly(q, deg, base, deg * (m + 2)))
 
 
@@ -349,16 +353,13 @@ def test_local_factor_matches_display_16():
         assert _local_factor_entry(q, deg, 2) == factor_contact_coefficient(q, deg, 2)
 
 
-@LATTICES
-def test_sieve_factors_are_integral_after_scaling(lattice):
+def test_sieve_factors_are_integral_after_scaling():
     # t_i -> q^2 t_i and T -> q^4 T clear every denominator: for depth
     # m <= 4 at points of degree d <= 4 and excess e <= 8, the T^e
     # coefficient of the excess polynomial times q^(2 m d + 4 e) is an integer
-    empty = tuple(0 for _ in lattice.nontop)
     for q in (3, 4, 5):
         for d in range(1, 5):
             for m in range(5):
-                base = sv.local_condition({W[0]: m}) if m else empty
-                for e, c in enumerate(sv._local_poly(q, d, base, 8)):
+                for e, c in enumerate(sv._local_poly(q, d, (sv.PLANE,) * m, 8)):
                     assert (c * q ** (2 * m * d + 4 * e)).denominator == 1, (q, d, m, e)
 
