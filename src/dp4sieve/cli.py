@@ -6,6 +6,12 @@ file plus flag overrides; the cache directory can also be set through the
 DP4SIEVE_CACHE environment variable.  Exit codes: 0 success, 2 invalid
 configuration, 3 budget or resource limit exceeded, 4 internal invariant
 violation.
+
+numpy is loaded only by the subcommands that need it: count and manin load
+the counting engine (secenum) on their first cache miss, and field-check,
+sieve and zeta load it through the series kernel.  cone, markings,
+tamagawa, limit-check and a count or manin whose every class is cached
+run without it.
 """
 
 from __future__ import annotations

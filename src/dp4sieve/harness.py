@@ -31,7 +31,7 @@ from .errors import (
 from .field import make_field
 from .heightzeta import tamagawa
 from .nslattice import ShrunkenCone, enumerate_nef_points, nef_cone_volume_level1
-from .secenum import DEFAULT_BUDGET, count_morphisms, default_config, validate_points
+from .surface import DEFAULT_BUDGET, default_config, validate_points
 
 CACHE_FORMAT_VERSION = 1
 COUNT_CODE_VERSION = 1      # bump when counting semantics change
@@ -274,6 +274,14 @@ class CountCache:
 
 # ---------------------------------------------------------------------------
 # counting reports
+
+def count_morphisms(surface, a: int, b: int, k, budget: int) -> int:
+    """secenum.count_morphisms, imported here, not at the top: the engine
+    loads numpy and compiles secenum, which a run that counts nothing, or
+    finds every count in its cache, never needs."""
+    from .secenum import count_morphisms
+    return count_morphisms(surface, a, b, k, budget=budget)
+
 
 @dataclass
 class CountReport:

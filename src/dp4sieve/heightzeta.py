@@ -3,14 +3,16 @@ the virtual height zeta function's Euler factors, the zeta identity of
 P^1, the Tamagawa constant, the Abel-limit consistency check, and
 per-class expected counts.
 
-Everything is exact.  A truncated series keeps integer coefficients, one
-dense numpy array of Python ints over a power-of-q scale, and gives
+Everything is exact.  A truncated series keeps its coefficients as Python
+ints in a dense numpy object array, the one at t^e standing over its own
+power of q (the series' scale plus the weighted exponent), and gives
 Fractions only when a coefficient is read; the Euler product and the
-sieve choose scalings that make every factor integral.  Deep truncations
-(degree-n factors raised to counts ~ q^n/n) use certified dyadic interval
-enclosures from exactnum, whose widths are reported and sit many orders of
-magnitude below every tolerance used.  Every series carries its
-per-variable orders.
+sieve choose scalings that make every factor integral.  numpy is imported
+when a series is first built, so the Tamagawa constant, the limit check
+and the expected counts run without it.  Deep truncations (degree-n
+factors raised to counts ~ q^n/n) use certified dyadic interval enclosures
+from exactnum, whose widths are reported and sit many orders of magnitude
+below every tolerance used.  Every series carries its per-variable orders.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .errors import LemmaViolation, TooLarge
 from .exactnum import DEFAULT_BITS, Interval
@@ -61,11 +61,15 @@ class TruncatedMultiSeries:
     share q and weights.  The constructor takes the rational coefficients
     and refuses with LemmaViolation any that the weights do not make
     integral: each caller's weights come with a proof that they do.
+
+    The methods that touch the array import numpy themselves, so that
+    importing this module does not load it.
     """
 
     __slots__ = ("orders", "q", "weights", "scale", "ints")
 
     def __init__(self, orders, coeffs=None, q: int = 1, weights=None, scale: int = 0):
+        import numpy as np      # here, not at the top: see the class docstring
         self.orders = tuple(orders)
         size = math.prod(o + 1 for o in self.orders)
         if size > MONOMIAL_CAP:
@@ -94,11 +98,13 @@ class TruncatedMultiSeries:
     @property
     def coeffs(self) -> dict:
         """The nonzero coefficients as {exponent: Fraction}."""
+        import numpy as np
         return {expo: self.coefficient(expo)
                 for expo in map(tuple, np.argwhere(self.ints).tolist())}
 
     def __mul__(self, other):
         """One shifted slice-add per nonzero of the sparser operand."""
+        import numpy as np
         assert (self.q, self.weights) == (other.q, other.weights), "one scaling per product"
         orders = tuple(min(a, b) for a, b in zip(self.orders, other.orders))
         box = tuple(slice(o + 1) for o in orders)

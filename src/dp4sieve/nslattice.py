@@ -120,9 +120,17 @@ def conic_classes() -> tuple:
     return tuple(sorted({x.add(y) for x in lines for y in lines if intersect(x, y) == 1}))
 
 
+@lru_cache(maxsize=1)
+def _line_functionals() -> tuple:
+    """The pairing_functional rows of the sixteen (-1)-classes."""
+    return tuple(pairing_functional(L) for L in minus_one_classes())
+
+
 def is_nef(alpha: CurveClass) -> bool:
     """Nef against the effective cone generated by the (-1)-classes."""
-    return all(intersect(alpha, L) >= 0 for L in minus_one_classes())
+    x0, x1, x2, x3, x4, x5 = alpha.coords
+    return all(r0 * x0 + r1 * x1 + r2 * x2 + r3 * x3 + r4 * x4 + r5 * x5 >= 0
+               for r0, r1, r2, r3, r4, r5 in _line_functionals())
 
 
 @dataclass(frozen=True, order=True)
@@ -181,8 +189,8 @@ def _slacks(alpha: CurveClass) -> dict:
     if not is_nef(alpha):
         raise NotNef(f"{alpha} is not nef")
     h = alpha.h
-    return {(f, fp): h - 2 * max(intersect(f, alpha), intersect(fp, alpha))
-            for f, fp in marking_fiber_pairs()}
+    degree = {C: intersect(C, alpha) for C in conic_classes()}
+    return {(f, fp): h - 2 * max(degree[f], degree[fp]) for f, fp in marking_fiber_pairs()}
 
 
 def choose_marking(alpha: CurveClass) -> Marking:

@@ -43,6 +43,7 @@ import numpy as np
 from dp4sieve import nslattice as ns
 from dp4sieve import secenum as se
 from dp4sieve import sieve as sv
+from dp4sieve import surface as sf
 from dp4sieve.errors import DegreeMismatch, Dp4Error, TooLarge
 from dp4sieve.exactnum import Interval
 from dp4sieve.field import FieldSpec, from_digits, poly_divmod, poly_mul, poly_trim, to_digits
@@ -60,8 +61,8 @@ from dp4sieve.projline import (
     hilb_points,
     point_at_infinity,
 )
-from dp4sieve.secenum import DEFAULT_BUDGET, SurfaceConfig
 from dp4sieve.sieve import LATTICE
+from dp4sieve.surface import DEFAULT_BUDGET, SurfaceConfig
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +441,7 @@ def centre_symmetries(cfg: SurfaceConfig) -> set:
         found = set()
         for a, b, c, d in itertools.product(range(K.q), repeat=4):
             if K.sub(K.mul(a, d), K.mul(b, c)):
-                image = [se._normalize_point(K, (K.add(K.mul(a, u), K.mul(b, v)),
+                image = [sf._normalize_point(K, (K.add(K.mul(a, u), K.mul(b, v)),
                                                  K.add(K.mul(c, u), K.mul(d, v))))
                          for u, v in pts]
                 if set(image) == set(pts):
@@ -484,14 +485,14 @@ def remark_config(cfg: SurfaceConfig, i: int, j: int):
 
     # solve for the pencil basis: G(u, v) = sum g_ab u_a v_b vanishing at
     # centers i and j; exact nullspace of a 2x4 system over the field
-    basis = nullspace(K, [se._bidegree_monomials(K, cfg.first[m], cfg.second[m])
+    basis = nullspace(K, [sf._bidegree_monomials(K, cfg.first[m], cfg.second[m])
                           for m in (i, j)])
     assert len(basis) == 2, "pencil through two centers must be 2-dimensional"
     G1, G2 = basis
 
     def ev(G, u, v):
         acc = 0
-        for g, mono in zip(G, se._bidegree_monomials(K, u, v)):
+        for g, mono in zip(G, sf._bidegree_monomials(K, u, v)):
             acc = K.add(acc, K.mul(g, mono))
         return acc
 
@@ -514,7 +515,7 @@ def remark_config(cfg: SurfaceConfig, i: int, j: int):
             raise ValueError(f"fiber through center {m} collapses badly")
         new_first.append(cfg.first[m])
         new_second.append(img)
-    new_cfg = se.validate_points(K, list(zip(new_first, new_second)),
+    new_cfg = sf.validate_points(K, list(zip(new_first, new_second)),
                                  allow_on_bidegree_curve=True)
 
     def new_invariants(a: int, b: int, k):
@@ -651,19 +652,16 @@ def mobius(w: Configuration, x: Configuration) -> int:
 
 
 def mobius_recursive(w: Configuration, x: Configuration) -> int:
-    """mu(w, x) by the generic recursion over the interval [w, x]."""
-    members = interval(w, x)
-    members.sort(key=lambda y: gamma(y))
+    """mu(w, x) by the generic recursion over the interval [w, x]:
+    mu(w, w) = 1 and mu(w, y) = -sum of mu(w, z) over w <= z < y.
+
+    Members are taken in order of gamma, which rises strictly along the
+    order, so the rest of each member's down-set [w, y], a product of local
+    intervals, is done before the member; no pair is compared."""
     mu = {}
-    for y in members:
-        if y.data == w.data:
-            mu[y.data] = 1
-            continue
-        acc = 0
-        for z in members:
-            if z.data != y.data and config_leq(z, y):
-                acc += mu.get(z.data, 0)
-        mu[y.data] = -acc
+    for y in sorted(interval(w, x), key=gamma):
+        below = [z for z in interval(w, y) if z.data != y.data]
+        mu[y.data] = -sum(mu[z.data] for z in below) if below else 1
     return mu[x.data]
 
 

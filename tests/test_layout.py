@@ -66,15 +66,57 @@ def test_no_float_accumulator():
     assert not found, ", ".join(found)
 
 
+def _fresh_interpreter(code: str) -> str:
+    """The last line that code, run in a new interpreter on src, prints."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
+def _cli_then_report(argv, modules) -> str:
+    """Code that runs the CLI on argv, its stdout discarded, then prints
+    which of `modules` the run loaded."""
+    return ("import contextlib, io, sys\n"
+            "from dp4sieve.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({list(argv)!r}) == 0\n"
+            f"print(sorted(set({list(modules)!r}) & set(sys.modules)))")
+
+
 def test_importing_the_cli_loads_no_hashlib():
     # hashlib loads OpenSSL's libcrypto, about 3.6 MB of peak RSS that only
     # a count cache needs: CountCache imports it where it checksums a line
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC.parent), os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c",
-                          "import sys, dp4sieve.cli; print('hashlib' in sys.modules)"],
-                         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _fresh_interpreter("import sys, dp4sieve.cli; print('hashlib' in sys.modules)") \
+        == "False"
+
+
+def test_building_a_surface_loads_neither_numpy_nor_the_engine():
+    # what every run pays before its first count: harness imports secenum
+    # on the first count, and the series kernel imports numpy on its first
+    # series
+    assert _fresh_interpreter(
+        "import sys, dp4sieve.cli\n"
+        "from dp4sieve.harness import RunConfig\n"
+        "RunConfig(p=3, n=1).surface()\n"
+        "RunConfig(p=2, n=2).surface()\n"
+        "print(sorted({'numpy', 'dp4sieve.secenum'} & set(sys.modules)))") == "[]"
+
+
+@pytest.mark.parametrize("command", ["cone", "markings", "tamagawa", "limit-check"])
+def test_commands_that_count_nothing_load_no_numpy(command):
+    assert _fresh_interpreter(_cli_then_report([command], ["numpy"])) == "[]"
+
+
+def test_a_warm_cache_count_loads_no_numpy(tmp_path):
+    cache = str(tmp_path / "cache")
+    loaded = {run: _fresh_interpreter(_cli_then_report(
+        ["--field-p", "3", "--cache-dir", cache, "--out-dir", str(tmp_path / run), "count"],
+        ["numpy", "dp4sieve.secenum"])) for run in ("cold", "warm")}
+    assert loaded == {"cold": "['dp4sieve.secenum', 'numpy']", "warm": "[]"}
+    csv = "count_q3_d4.csv"
+    assert (tmp_path / "warm" / csv).read_bytes() == (tmp_path / "cold" / csv).read_bytes()
 
 
 def test_field_sits_below_everything_but_errors():
@@ -124,10 +166,12 @@ def _reference_graph():
     """Nodes are (module, name) for every top-level definition or assignment
     in src and (module, class, member) for every method or property.  Each
     node maps to the (module, name) pairs its source mentions, through the
-    module's own names and its relative imports, and to the attribute names
-    it reads.  A class node covers its body without its methods.  A name
-    that the node binds itself (an argument or an assignment target) is
-    local, not a mention."""
+    module's own names and the relative imports at its top or in the node's
+    own body, and to the attribute names it reads.  A class node covers its
+    body without its methods.  A name that the node binds itself (an
+    argument or an assignment target) is local, not a mention; a name its
+    body imports is a mention of the imported definition, not of a module
+    name it shadows."""
     graph, members = {}, []
     for path in MODULES:
         mod, tree = path.stem, _tree(path)
@@ -154,11 +198,14 @@ def _reference_graph():
                 parts[(mod, name)] = [node]
         for key, trees in parts.items():
             walked = [n for tree in trees for n in ast.walk(tree)]
+            scope = names | {alias.asname or alias.name: (n.module, alias.name)
+                             for n in walked if isinstance(n, ast.ImportFrom) and n.level == 1
+                             for alias in n.names}
             bound = {n.arg if isinstance(n, ast.arg) else n.id for n in walked
                      if isinstance(n, ast.arg)
                      or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
-            free = names.keys() - bound
-            graph[key] = ({names[n.id] for n in walked if isinstance(n, ast.Name) and n.id in free},
+            free = scope.keys() - bound
+            graph[key] = ({scope[n.id] for n in walked if isinstance(n, ast.Name) and n.id in free},
                           set().union(*map(_attributes_read, trees)))
     return graph, members
 

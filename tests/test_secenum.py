@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dp4sieve import secenum as se
+from dp4sieve import surface as sf
 from dp4sieve.errors import (
     BudgetExceeded,
     CoincidentFirstCoords,
@@ -15,16 +16,16 @@ from dp4sieve.errors import (
     FieldTooSmall,
     OnBidegreeCurve,
 )
-from dp4sieve.field import make_field
+from dp4sieve.field import field_of_order, make_field
 from dp4sieve.projline import ZERO_DIVISOR, divisor
 
 F3 = make_field(3)
 F4 = make_field(2, 2)
 F5 = make_field(5)
 
-CFG3 = se.default_config(3)
-CFG4 = se.default_config(4)
-CFG5 = se.default_config(5)
+CFG3 = sf.default_config(3)
+CFG4 = sf.default_config(4)
+CFG5 = sf.default_config(5)
 
 
 # ---------------------------------------------------------------------------
@@ -32,10 +33,10 @@ CFG5 = se.default_config(5)
 
 def test_validate_points_errors():
     with pytest.raises(FieldTooSmall):
-        se.validate_points(make_field(2), [((0, 1), (0, 1))] * 4)
+        sf.validate_points(make_field(2), [((0, 1), (0, 1))] * 4)
     pts = [((0, 1), (0, 1)), ((0, 1), (1, 1)), ((2, 1), (2, 1)), ((1, 0), (1, 0))]
     with pytest.raises(CoincidentFirstCoords):
-        se.validate_points(F3, pts)
+        sf.validate_points(F3, pts)
 
 
 def test_no_q3_config_certifies():
@@ -45,8 +46,8 @@ def test_no_q3_config_certifies():
     first = [(0, 1), (1, 1), (2, 1), (1, 0)]
     for perm in itertools.permutations(first):
         with pytest.raises(OnBidegreeCurve):
-            se.validate_points(F3, list(zip(first, perm)))
-    cfg = se.validate_points(F3, list(zip(first, first)), allow_on_bidegree_curve=True)
+            sf.validate_points(F3, list(zip(first, perm)))
+    cfg = sf.validate_points(F3, list(zip(first, first)), allow_on_bidegree_curve=True)
     assert cfg.on_bidegree_curve
 
 
@@ -297,7 +298,7 @@ def test_fiber_bound_structure_theorem():
 # the PGL_2 reparametrisation behind the orbit-reduced join
 
 def _invertible(q):
-    K = se.field_of_order(q)
+    K = field_of_order(q)
     return st.sampled_from([g for g in itertools.product(range(q), repeat=4)
                             if K.sub(K.mul(g[0], g[3]), K.mul(g[1], g[2]))])
 
@@ -320,7 +321,7 @@ def test_degree_table_is_the_degree_of_the_meet():
 
 def test_form_divisor_table_is_the_factoring_oracle():
     for q, degree in [(q, d) for q in (3, 4, 5) for d in range(4)] + [(4, 4)]:
-        K = se.field_of_order(q)
+        K = field_of_order(q)
         ids = {d: i for i, d in enumerate(se._inventory(K, degree))}
         forms = itertools.product(range(q), repeat=degree + 1)
         # codes are little-endian digits: the first coefficient varies fastest
@@ -367,7 +368,7 @@ def _unfiltered_rows(cfg, side, degree):
 def test_side_orbits_equal_the_canonicalised_full_summary(q):
     # the reduced side, unfiltered, against the summary canonicalised over
     # PGL_2, and the full side's columns, tallied, against the summary
-    cfg = se.default_config(q)
+    cfg = sf.default_config(q)
     cases = list(itertools.product(range(4), "st")) + ([(4, "s"), (4, "t")] if q == 4 else [])
     for degree, side in cases:
         reps, totals = _unfiltered_rows(cfg, side, degree)
@@ -393,7 +394,7 @@ def test_orbit_reduction_q4():
 @given(q=st.sampled_from([3, 4, 5]), degree=st.integers(0, 3),
        other=st.integers(0, 3), data=st.data())
 def test_pullback_permutation_fixes_the_side_summaries(q, degree, other, data):
-    cfg = se.default_config(q)
+    cfg = sf.default_config(q)
     K = cfg.field
     g = data.draw(_invertible(q))
     perm = se._pullback_perm(K, degree, g)
@@ -430,13 +431,13 @@ V4 = {(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)}
 def _custom_config():
     # the first certified q = 7 surface, by search, whose centre permutations
     # are neither V_4 nor those of the default q = 7 surface
-    K = se.field_of_order(7)
+    K = field_of_order(7)
     points = [(c, 1) for c in range(7)] + [(1, 0)]
-    usual = {4, len(se._centre_symmetries(se.default_config(7)))}
+    usual = {4, len(se._centre_symmetries(sf.default_config(7)))}
     for first in itertools.combinations(points, 4):
         for second in itertools.permutations(points, 4):
             try:
-                cfg = se.validate_points(K, list(zip(first, second)))
+                cfg = sf.validate_points(K, list(zip(first, second)))
             except OnBidegreeCurve:
                 continue
             if len(se._centre_symmetries(cfg)) not in usual:
@@ -449,13 +450,13 @@ CUSTOM = _custom_config()
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13])
 def test_centre_symmetries_form_a_group_containing_v4(q):
-    group = {tuple(sigma) for sigma in se._centre_symmetries(se.default_config(q)).tolist()}
+    group = {tuple(sigma) for sigma in se._centre_symmetries(sf.default_config(q)).tolist()}
     assert V4 <= group
     assert all(tuple(x[i] for i in y) in group for x in group for y in group)
     assert len(group) == {3: 24, 4: 12, 5: 4}.get(q, len(group))
 
 
-@pytest.mark.parametrize("cfg", [CFG3, CFG4, CFG5, se.default_config(7), CUSTOM])
+@pytest.mark.parametrize("cfg", [CFG3, CFG4, CFG5, sf.default_config(7), CUSTOM])
 def test_centre_symmetries_are_the_moebius_realisable_permutations(cfg):
     group = se._centre_symmetries(cfg)
     assert group[0].tolist() == [0, 1, 2, 3]
@@ -495,7 +496,7 @@ def _unfiltered_join(cfg, a, b):
 
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_fundamental_domain_join_equals_the_unfiltered_join(q):
-    cfg = se.default_config(q)
+    cfg = sf.default_config(q)
     for a, b in itertools.product(range(4), repeat=2):
         assert (se._contact_histogram(cfg, a, b) == _unfiltered_join(cfg, a, b)).all(), (a, b)
 
@@ -513,7 +514,7 @@ def test_fundamental_domain_join_on_a_custom_surface():
 def test_join_is_the_reference_at_any_pass_size(q, columns_per_pass, monkeypatch):
     # the pass cap bounds memory only: one column per pass, or every column
     # in one pass, gives the reference histogram
-    cfg = se.default_config(q)
+    cfg = sf.default_config(q)
     for a, b in itertools.product(range(4), repeat=2):
         rows, row_w, cols, tab, base = _unfiltered_sides(cfg, a, b)
         cap = 1 if columns_per_pass == "one" else rows.shape[1] * cols.shape[1] + 1
@@ -550,7 +551,7 @@ def test_fundamental_rows_never_hold_the_unfiltered_side():
     # to the fundamental domain a first divisor's block at a time (9.7 MB
     # traced); tallying the whole unfiltered side before filtering it
     # peaked at 57 MB
-    cfg = se.default_config(3)
+    cfg = sf.default_config(3)
     se._first_divisors(cfg.field, 7)
     se._centre_symmetries(cfg)
     tracemalloc.start()
@@ -579,7 +580,7 @@ def test_fundamental_domain_keeps_the_orbit_weight():
 
 @pytest.mark.parametrize("q", [4, 5])
 def test_marking_independence(q):
-    cfg = se.default_config(q)
+    cfg = sf.default_config(q)
     cfg2, newinv = orc.remark_config(cfg, 2, 3)
     for (a, b, k) in ((1, 1, (0, 0, 0, 0)), (1, 3, (1, 1, 1, 1))):
         a2, b2, k2 = newinv(a, b, k)
@@ -622,7 +623,7 @@ def test_remark_q3_degenerate_collapses():
 def test_nonempty_small_nef_classes_except_anticanonical(q):
     from dp4sieve import nslattice as ns
 
-    cfg = se.default_config(q)
+    cfg = sf.default_config(q)
     budget = 2 ** 60
     empty = []
     for alpha in ns.enumerate_nef_points(4):
@@ -634,7 +635,7 @@ def test_nonempty_small_nef_classes_except_anticanonical(q):
 def test_nonempty_pattern_q3():
     from dp4sieve import nslattice as ns
 
-    cfg = se.default_config(3)
+    cfg = sf.default_config(3)
     C = ns.F.add(ns.FPRIME)
     for e in ns.E:
         C = C.add(e.scale(-1))

@@ -7,11 +7,11 @@ import numpy as np
 import oracles as orc
 import pytest
 
-from dp4sieve import secenum as se
 from dp4sieve import sieve as sv
 from dp4sieve.field import make_field
 from dp4sieve.heightzeta import factor_constant, factor_contact_coefficient
 from dp4sieve.projline import ZERO_DIVISOR, count_closed_points, divisor
+from dp4sieve.surface import default_config
 from oracles import rational_point
 
 K3 = make_field(3)
@@ -295,7 +295,7 @@ def test_sieve_sum_beyond_tuple_enumeration():
 def test_sieve_sum_leading_term_identity():
     # q^{2a+2b+4} sieve_sum(k, 0) = sum over w of #E_w, with #E_w from the
     # exact rank oracle
-    cfg5 = se.default_config(5)
+    cfg5 = default_config(5)
     a = b = 6
     for k in ((1, 0, 0, 0), (1, 1, 0, 0)):
         lhs = K5.q ** (2 * a + 2 * b + 4) * sv.sieve_sum(K5, k, 0)[0]
@@ -319,7 +319,7 @@ def test_sieve_sum_vs_euler_truncation():
 
 
 def test_gamma_rank_oracle_small():
-    cfg5 = se.default_config(5)
+    cfg5 = default_config(5)
     x = orc.empty_configuration()
     assert orc.gamma_rank_oracle(x, 4, 4, cfg5) == 0
     # one rational point at the zero element at (a, b) = (4, 4): rank 4
@@ -332,7 +332,7 @@ def test_gamma_equals_rank_oracle_exhaustive():
     # all saturated configurations of excess <= 2 over F_5 at (6, 6): the
     # jet formula agrees with the exact linear-algebra rank (the acceptance
     # suite extends this to excess 3)
-    cfg5 = se.default_config(5)
+    cfg5 = default_config(5)
     for x in orc.enumerate_configs_above((ZERO_DIVISOR,) * 4, 2, K5):
         assert orc.gamma(x) == orc.gamma_rank_oracle(x, 6, 6, cfg5)
 
