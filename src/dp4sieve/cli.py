@@ -31,13 +31,7 @@ from .harness import (
     parse_config_file,
     write_outputs,
 )
-from .heightzeta import (
-    euler_product,
-    limit_formula_check,
-    local_factor,
-    tamagawa,
-    zeta_p1_identity_check,
-)
+from .heightzeta import limit_formula_check, tamagawa, zeta_p1_identity_check
 from .nslattice import export_inventory, export_markings
 from .sieve import sieve_sum, stable_range_start
 
@@ -145,6 +139,7 @@ def _cmd_sieve(cfg: RunConfig, args) -> int:
 
 
 def _cmd_zeta(cfg: RunConfig, args) -> int:
+    from .euler import euler_product, local_factor    # only zeta loads the Euler factors
     orders = _four_degrees("--orders", args.orders)
     if args.N < 1:
         raise InvalidConfig(f"--N must be >= 1, got {args.N}")

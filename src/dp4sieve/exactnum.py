@@ -71,10 +71,6 @@ class Interval:
     def mid(self) -> Fraction:
         return Fraction(self.nlo + self.nhi, 1 << (self.bits + 1))
 
-    def __add__(self, other) -> "Interval":
-        other = _coerce(other, self.bits)
-        return Interval(self.nlo + other.nlo, self.nhi + other.nhi, self.bits)
-
     def __sub__(self, other) -> "Interval":
         other = _coerce(other, self.bits)
         return Interval(self.nlo - other.nhi, self.nhi - other.nlo, self.bits)

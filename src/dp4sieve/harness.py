@@ -191,7 +191,6 @@ class CountCache:
         self.hits = 0
         self.misses = 0
         if directory:
-            os.makedirs(directory, exist_ok=True)
             self._load()
 
     @property
@@ -204,15 +203,16 @@ class CountCache:
         return hashlib.sha256(f"{key}|{count}".encode()).hexdigest()[:16]
 
     def _load(self):
-        if not self.path or not os.path.exists(self.path):
-            return
         try:
+            os.makedirs(self.directory, exist_ok=True)
+            if not os.path.exists(self.path):
+                return
             with open(self.path, encoding="utf-8") as fh:
                 lines = fh.readlines()
         except UnicodeDecodeError as exc:
             raise CorruptCache(f"cache byte {exc.start} is not UTF-8") from exc
         except OSError as exc:
-            raise IoError(f"cannot read cache: {exc}") from exc
+            raise IoError(f"cannot open cache: {exc}") from exc
         try:
             version = json.loads(lines[0] if lines else "").get("format")
         except (json.JSONDecodeError, AttributeError) as exc:
@@ -435,14 +435,12 @@ def emit_json(report: CountReport) -> str:
 
 
 def write_outputs(report: CountReport, out_dir: str, stem: str) -> list:
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    for fmt, emit in (("csv", emit_csv), ("json", emit_json)):
-        path = os.path.join(out_dir, f"{stem}.{fmt}")
-        try:
+    paths = [os.path.join(out_dir, f"{stem}.{fmt}") for fmt in ("csv", "json")]
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for path, emit in zip(paths, (emit_csv, emit_json)):
             with open(path, "w") as fh:
                 fh.write(emit(report))
-        except OSError as exc:
-            raise IoError(f"cannot write {path}: {exc}") from exc
-        paths.append(path)
+    except OSError as exc:
+        raise IoError(f"cannot write the {stem} report: {exc}") from exc
     return paths

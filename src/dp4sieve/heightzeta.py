@@ -1,15 +1,14 @@
 """The explicit analytic layer: the package's one truncated-series kernel,
-the virtual height zeta function's Euler factors, the zeta identity of
-P^1, the Tamagawa constant, the Abel-limit consistency check, and
-per-class expected counts.
+the zeta identity of P^1, the Tamagawa constant, the Abel-limit
+consistency check, and per-class expected counts.
 
 Everything is exact.  A truncated series keeps its coefficients as Python
 ints in a dense numpy object array, the one at t^e standing over its own
 power of q (the series' scale plus the weighted exponent), and gives
-Fractions only when a coefficient is read; the Euler product and the
-sieve choose scalings that make every factor integral.  numpy is imported
-when a series is first built, so the Tamagawa constant, the limit check
-and the expected counts run without it.  Deep truncations (degree-n
+Fractions only when a coefficient is read; the Euler factors (euler.py)
+and the sieve sums choose scalings that make every factor integral.  numpy
+is imported when a series is first built, so the Tamagawa constant, the
+limit check and the expected counts run without it.  Deep truncations (degree-n
 factors raised to counts ~ q^n/n) use certified dyadic interval enclosures
 from exactnum, whose widths are reported and sit many orders of magnitude
 below every tolerance used.  Every series carries its per-variable orders.
@@ -18,7 +17,6 @@ below every tolerance used.  Every series carries its per-variable orders.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,7 +26,6 @@ from .exactnum import DEFAULT_BITS, Interval
 from .field import FieldSpec
 from .projline import count_closed_points
 
-NVARS = 4
 # Most monomials a truncated series may carry, the product of its orders
 # plus one.  (9, 9, 9, 9) at sieve truncation D = 0, the largest pattern
 # within it, takes 0.23 s at q = 3 and 0.43 s at q = 5 on a 2-core machine,
@@ -159,98 +156,6 @@ def zeta_p1_identity_check(K: FieldSpec, N: int):
 
 
 # ---------------------------------------------------------------------------
-# Euler factors
-
-def factor_constant(q: int, degree: int) -> Fraction:
-    """Constant part 1 - 6 q^{-2|c|} + 8 q^{-3|c|} - 3 q^{-4|c|}."""
-    u = Fraction(1, q ** degree)
-    return 1 - 6 * u ** 2 + 8 * u ** 3 - 3 * u ** 4
-
-
-def factor_contact_coefficient(q: int, degree: int, depth: int) -> Fraction:
-    """Scalar on t_i^{|c| depth}: (q^{|c|})^{depth} (q^{-2 depth |c|}
-    - 2 q^{-(2 depth + 1)|c|} + 2 q^{-(2 depth + 3)|c|} - q^{-(2 depth + 4)|c|})."""
-    u = Fraction(1, q ** degree)
-    d = depth
-    inner = u ** (2 * d) - 2 * u ** (2 * d + 1) + 2 * u ** (2 * d + 3) - u ** (2 * d + 4)
-    return q ** (degree * d) * inner
-
-
-def local_factor(q: int, degree: int, orders) -> TruncatedMultiSeries:
-    """One Euler factor of the virtual height zeta function at a closed
-    point of the given degree, truncated at the per-variable t-orders.
-
-    The t_i-exponents are multiples of the point degree, one contact depth
-    per marked index; no cross terms occur because a single parameter point
-    cannot sit over two distinct centers.
-
-    Kept as q^{4 degree} F(q t), which is integral: with Q = q^degree the
-    constant becomes (Q - 1)^3 (Q + 3) and every contact coefficient
-    Q^4 - 2 Q^3 + 2 Q - 1.  So the scale is 4 degree and every variable
-    weighs 1.
-    """
-    assert degree >= 1
-    coeffs = {(0,) * NVARS: factor_constant(q, degree)}
-    for i in range(NVARS):
-        depth = 1
-        while degree * depth <= orders[i]:
-            expo = [0] * NVARS
-            expo[i] = degree * depth
-            coeffs[tuple(expo)] = factor_contact_coefficient(q, degree, depth)
-            depth += 1
-    return TruncatedMultiSeries(orders, coeffs, q, (1,) * NVARS, 4 * degree)
-
-
-def euler_product(q: int, N: int, orders) -> TruncatedMultiSeries:
-    """Product of local factors over closed points of degree <= N, exact.
-
-    Factors of equal degree coincide, so the product groups by degree and
-    exponentiates; a degree above every t-order has a constant factor.
-    Integer coefficients throughout (see local_factor), so N is expected
-    small (the deep-cutoff evaluations live in the interval-based routines
-    below).
-
-    Every coefficient must print: before multiplying, an N whose constant
-    coefficient has more digits than sys.get_int_max_str_digits() is
-    refused with TooLarge (_constant_too_long), and so is a product with
-    any longer coefficient.
-    """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    orders = tuple(orders)
-    digits = sys.get_int_max_str_digits()
-    if digits and _constant_too_long(q, N, digits):
-        raise TooLarge(f"the constant coefficient at N = {N} has more than {digits} digits")
-    out = series_one(orders, q, (1,) * NVARS)
-    for n in range(1, N + 1):
-        out = out * local_factor(q, n, orders).power(count_closed_points(q, n))
-    if digits and any(max(abs(v.numerator), v.denominator) >= 10 ** digits
-                      for v in out.coeffs.values()):
-        raise TooLarge(f"a coefficient at N = {N} has more than {digits} digits")
-    return out
-
-
-def _constant_too_long(q: int, N: int, digits: int) -> bool:
-    """Whether p^e >= 10^digits, p^e the reduced denominator of the
-    product's constant coefficient, its scaled integer over q^s with the
-    scale s = sum_n 4 n count_n.
-
-    With q = p^r and Q = q^n, the degree-n scaled constant (Q - 1)^3 (Q + 3)
-    is prime to p unless p = 3, where it has one factor 3: Q + 3 is
-    3 (3^{rn - 1} + 1), and 3^{rn - 1} + 1 is 2 or prime to 3.  So
-    e = r s - [p = 3] sum_n count_n.
-    """
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    r = next(r for r in range(1, q) if p ** r == q)
-    e = 0
-    for n in range(1, N + 1):
-        e += count_closed_points(q, n) * (4 * r * n - (p == 3))
-        if e >= 4 * digits:         # p^e >= 2^e >= 10^digits, as log2(10) < 4
-            return True
-    return p ** e >= 10 ** digits
-
-
-# ---------------------------------------------------------------------------
 # the Tamagawa constant
 
 def good_factor(q: int, n: int) -> Fraction:
@@ -302,11 +207,11 @@ def _diag_local_value(q: int, n: int, tau: Fraction) -> tuple:
     """L_n(tau,...,tau), the degree-n factor with all four variables at tau,
     as an unreduced integer numerator and denominator.
 
-    The contact sums are geometric: with u = q^{-n} and v = (tau/q)^n,
-    L = factor_constant(q, n) + 4 (1 - 2u + 2u^3 - u^4) v / (1 - v), exact
-    for tau < q.  With Q = q^n and v = A / B, and the factorisations
-    Q^4 const = (Q-1)^3 (Q+3) and Q^4 bracket = (Q-1)^3 (Q+1), this is
-    (Q-1)^3 ((Q+3) B + (3Q+1) A) / (Q^4 (B - A)).
+    The contact sums are geometric: with u = q^{-n}, v = (tau/q)^n and c_0
+    the constant of euler.local_factor at degree n,
+    L = c_0 + 4 (1 - 2u + 2u^3 - u^4) v / (1 - v), exact for tau < q.  With
+    Q = q^n, v = A / B, Q^4 c_0 = (Q-1)^3 (Q+3) and Q^4 bracket =
+    (Q-1)^3 (Q+1), this is (Q-1)^3 ((Q+3) B + (3Q+1) A) / (Q^4 (B - A)).
     """
     Q = q ** n
     A, B = tau.numerator ** n, (tau.denominator * q) ** n

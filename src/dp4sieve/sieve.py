@@ -6,7 +6,10 @@ A sieve sum is one Euler-type product of local excess polynomials over
 closed points, a truncated series in t_1..t_4 and the excess variable T on
 heightzeta's series kernel (see sieve_sum); no tuple is enumerated.  Under
 t_i -> q^2 t_i and T -> q^4 T every local factor has integer
-coefficients, so the product runs on integers.
+coefficients, so the product runs on integers.  At T = 1 a local excess
+polynomial is the Euler factor L_P (euler.local_factor), so _sieve_partials
+(truncated by excess D) and euler.euler_product (truncated by point degree
+N) truncate the same product prod_P L_P.
 
 The local condition lattice (LATTICE) has as elements the product
 subspaces A + B of the four-dimensional fiber V_1 + V_2, each factor being
@@ -15,8 +18,8 @@ and the meet is intersection.  These are sixteen: V, 0 + V_2 and V_1 + 0
 (one whole side vanishes), the four planes W_i = l_i + l'_i, the eight
 lines l_i + 0 and 0 + l'_i, and 0.  The two one-side elements are needed:
 without them only four corank-2 elements remain, but the explicit Euler
-factor's -6 q^{-2|c|} term counts six, and only with them do the local
-factors match heightzeta's display coefficient by coefficient.
+factor's -6 q^{-2|c|} term counts six, and only with them does
+euler.local_factor match the displayed factor coefficient by coefficient.
 
 A local condition at a closed point is a multiplicity assignment m on the
 lattice with m(V) treated as infinity; it is saturated when every level set

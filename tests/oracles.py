@@ -21,7 +21,10 @@ computes, by a path that shares as little with it as possible:
 * the Neron-Severi lattice: the lines, conics and markings by exhaustive
   search over certified boxes and orthogonal quadruples, and the marking
   slacks and invariants that the pipeline folds into fiber pairs;
-* small closed forms: surface_count, tamagawa_exact, count_nef_points;
+* small closed forms: surface_count, tamagawa_exact, count_nef_points,
+  and the displayed Euler factor (factor_constant,
+  factor_contact_coefficient, display_local_factor) against
+  euler.local_factor's crosscut;
 * exact arithmetic: the truncated series product as a double loop over
   two dicts of Fractions, interval powers by repeated interval products,
   and the limit check's local values and cutoffs in Fractions;
@@ -47,7 +50,7 @@ from dp4sieve import surface as sf
 from dp4sieve.errors import DegreeMismatch, Dp4Error, TooLarge
 from dp4sieve.exactnum import Interval
 from dp4sieve.field import FieldSpec, from_digits, poly_divmod, poly_mul, poly_trim, to_digits
-from dp4sieve.heightzeta import factor_constant, good_factor
+from dp4sieve.heightzeta import TruncatedMultiSeries, good_factor
 from dp4sieve.linalg import row_reduce
 from dp4sieve.projline import (
     ZERO_DIVISOR,
@@ -899,6 +902,34 @@ def tamagawa_exact(q: int, N: int) -> Fraction:
     for n in range(1, N + 1):
         out *= good_factor(q, n) ** count_closed_points(q, n)
     return out
+
+
+def factor_constant(q: int, degree: int) -> Fraction:
+    """Constant of the displayed Euler factor at a degree-|c| point:
+    1 - 6 q^{-2|c|} + 8 q^{-3|c|} - 3 q^{-4|c|}."""
+    u = Fraction(1, q ** degree)
+    return 1 - 6 * u ** 2 + 8 * u ** 3 - 3 * u ** 4
+
+
+def factor_contact_coefficient(q: int, degree: int, depth: int) -> Fraction:
+    """Scalar on t_i^{|c| depth} in the displayed Euler factor:
+    (q^{|c|})^{depth} (q^{-2 depth |c|} - 2 q^{-(2 depth + 1)|c|}
+    + 2 q^{-(2 depth + 3)|c|} - q^{-(2 depth + 4)|c|})."""
+    u = Fraction(1, q ** degree)
+    d = depth
+    inner = u ** (2 * d) - 2 * u ** (2 * d + 1) + 2 * u ** (2 * d + 3) - u ** (2 * d + 4)
+    return q ** (degree * d) * inner
+
+
+def display_local_factor(q: int, degree: int, orders) -> TruncatedMultiSeries:
+    """The displayed Euler factor as a series, scaled as euler.local_factor
+    keeps it: weights (1, 1, 1, 1) and scale 4 degree."""
+    coeffs = {(0, 0, 0, 0): factor_constant(q, degree)}
+    for i, order in enumerate(orders):
+        for m in range(1, order // degree + 1):
+            coeffs[(0,) * i + (degree * m,) + (0,) * (3 - i)] = \
+                factor_contact_coefficient(q, degree, m)
+    return TruncatedMultiSeries(orders, coeffs, q, (1, 1, 1, 1), 4 * degree)
 
 
 def count_nef_points(d: int) -> int:

@@ -135,6 +135,22 @@ def test_corrupt_cache_byte_is_an_invariant_violation(tmp_path, capsys):
     assert err.startswith("internal invariant violation: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["--out-dir", "--cache-dir"])
+def test_a_path_that_names_a_file_is_an_io_error(flag, tmp_path, capsys):
+    # a file where a directory should be: exit 4, the code IoError shares
+    # with every other failed read or write, and one message line after the
+    # stage progress lines
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    argv = ["--field-p", "3", "--d-max", "1", "--out-dir", str(tmp_path / "o"),
+            "--cache-dir", str(tmp_path / "c"), "count"]
+    argv[argv.index(flag) + 1] = str(taken)
+    assert main(argv) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("internal invariant violation: cannot ")
+    assert all(line.startswith("[dp4sieve] ") for line in err[:-1])
+
+
 def test_budget_exit_code(tmp_path):
     # a budget too small for even the degree-0 class marks every row
     # partial; the report is still written and the exit code is 3

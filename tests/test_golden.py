@@ -1,7 +1,7 @@
 """The golden reports, byte for byte: the manin pair under reports/ and the
 count and ledger references under bench/reference/, each regenerated in
-process into a temporary directory, and the stdout of `sieve` against
-tests/golden/."""
+process into a temporary directory, and the stdout of `sieve` and `zeta`
+against tests/golden/."""
 
 import importlib.util
 import pathlib
@@ -57,5 +57,16 @@ def test_ledger_matches_the_reference_bytes(tmp_path):
     (["--field-p", "5", "sieve", "--k", "2,1,0,0"], "sieve_q5_k2100"),
 ], ids=["q3-k1000", "q4-k2100", "q5-k2100"])
 def test_sieve_stdout_matches_the_golden_bytes(argv, golden, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{golden}.json").read_text()
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["--field-p", "3", "zeta", "--N", "2", "--orders", "1,1,1,1"], "zeta_q3_N2_o1111"),
+    (["--field-p", "2", "--field-n", "2", "zeta", "--N", "3", "--orders", "2,1,0,0"],
+     "zeta_q4_N3_o2100"),
+    (["--field-p", "5", "zeta", "--N", "2", "--orders", "2,2,2,2"], "zeta_q5_N2_o2222"),
+], ids=["q3-N2-o1111", "q4-N3-o2100", "q5-N2-o2222"])
+def test_zeta_stdout_matches_the_golden_bytes(argv, golden, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{golden}.json").read_text()

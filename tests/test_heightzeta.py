@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import surface_count, tamagawa_exact
 
+from dp4sieve import euler as eu
 from dp4sieve import heightzeta as hz
 from dp4sieve.errors import LemmaViolation, TooLarge
 from dp4sieve.exactnum import DEFAULT_BITS, Interval
@@ -15,8 +16,8 @@ from dp4sieve.projline import count_closed_points
 def test_interval_arithmetic():
     a = Interval.exact(Fraction(1, 3))
     b = Interval.exact(Fraction(2, 7))
-    c = a * b + a
-    assert c.lo <= Fraction(1, 3) * Fraction(2, 7) + Fraction(1, 3) <= c.hi
+    c = a * b - b
+    assert c.lo <= Fraction(1, 3) * Fraction(2, 7) - Fraction(2, 7) <= c.hi
     assert c.width < Fraction(1, 2 ** 180)
     big = Interval.exact(Fraction(3, 2), bits=256).power(10 ** 6)
     assert big.lo > 0
@@ -72,11 +73,13 @@ def test_euler_factors_are_integral_after_scaling():
     for q in (3, 4, 5):
         for d in range(1, 5):
             Q = q ** d
-            assert hz.factor_constant(q, d) * Q ** 4 == (Q - 1) ** 3 * (Q + 3)
+            fac = eu.local_factor(q, d, (8, 8, 8, 8))    # refuses a fractional one
+            assert fac.coefficient((0, 0, 0, 0)) * Q ** 4 == (Q - 1) ** 3 * (Q + 3)
             for m in range(1, 8 // d + 1):
-                assert hz.factor_contact_coefficient(q, d, m) * Q ** (4 + m) \
-                    == Q ** 4 - 2 * Q ** 3 + 2 * Q - 1
-            hz.local_factor(q, d, (8, 8, 8, 8))    # refuses a fractional one
+                for i in range(4):
+                    expo = (0,) * i + (d * m,) + (0,) * (3 - i)
+                    assert fac.coefficient(expo) * Q ** (4 + m) \
+                        == Q ** 4 - 2 * Q ** 3 + 2 * Q - 1
 
 
 def test_constant_denominator_valuation():
@@ -84,7 +87,7 @@ def test_constant_denominator_valuation():
     for q, p, r in ((2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (7, 7, 1), (8, 2, 3),
                     (9, 3, 2), (25, 5, 2), (27, 3, 3)):
         for n in range(1, 6):
-            den, v = hz.factor_constant(q, n).denominator, 0
+            den, v = eu.local_factor(q, n, (0, 0, 0, 0)).coefficient((0, 0, 0, 0)).denominator, 0
             while den % p == 0:
                 den, v = den // p, v + 1
             assert den == 1 and v == 4 * r * n - (p == 3)
@@ -112,7 +115,7 @@ def test_local_factor_coefficients():
     # the displayed factor, orders <= 3, |c| in {1, 2, 3}
     for q in (2, 3, 5):
         for deg in (1, 2, 3):
-            fac = hz.local_factor(q, deg, (3, 3, 3, 3))
+            fac = eu.local_factor(q, deg, (3, 3, 3, 3))
             u = Fraction(1, q ** deg)
             assert fac.coefficient((0, 0, 0, 0)) == 1 - 6 * u ** 2 + 8 * u ** 3 - 3 * u ** 4
             for i in range(4):
@@ -130,30 +133,44 @@ def test_local_factor_coefficients():
 def test_local_factor_coefficient_example_q_generic():
     # |c| = 1: coefficient of t_i is q^{-1} - 2 q^{-2} + 2 q^{-4} - q^{-5}
     for q in (2, 3, 5, 7):
-        fac = hz.local_factor(q, 1, (1, 1, 1, 1))
+        fac = eu.local_factor(q, 1, (1, 1, 1, 1))
         u = Fraction(1, q)
         assert fac.coefficient((1, 0, 0, 0)) == u - 2 * u ** 2 + 2 * u ** 4 - u ** 5
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_closed_forms_are_the_crosscut_factor(q):
+    # good_factor and _diag_local_value sum euler.local_factor's contact
+    # coefficients c_m as a geometric series: c_(m+1) = u c_m for m >= 1
+    for n in (1, 2, 3):
+        fac, u = eu.local_factor(q, n, (8 * n, 0, 0, 0)), Fraction(1, q ** n)
+        c = [fac.coefficient((n * m, 0, 0, 0)) for m in range(9)]
+        assert all(c[m + 1] == u * c[m] for m in range(1, 8))
+        assert hz.good_factor(q, n) == (1 - u) ** 4 * (c[0] + 4 * c[1] / (1 - u))
+        for tau in (Fraction(1, 2), Fraction(3, 4), Fraction(31, 32)):
+            num, den = hz._diag_local_value(q, n, tau)
+            assert Fraction(num, den) == c[0] + 4 * c[1] * tau ** n / (1 - u * tau ** n)
 
 
 def test_euler_product_constant():
     # N = 1, orders 0: the constant is the degree-1 factor to the (q+1)-st
     for q in (2, 3):
-        prod = hz.euler_product(q, 1, (0, 0, 0, 0))
-        assert prod.coefficient((0, 0, 0, 0)) == hz.factor_constant(q, 1) ** (q + 1)
+        prod = eu.euler_product(q, 1, (0, 0, 0, 0))
+        assert prod.coefficient((0, 0, 0, 0)) == orc.factor_constant(q, 1) ** (q + 1)
 
 
 def test_euler_product_log_derivative():
     # coefficient of t_i two ways: direct expansion vs the product rule
     for q, N in ((2, 3), (3, 2)):
         orders = (1, 1, 1, 1)
-        prod = hz.euler_product(q, N, orders)
+        prod = eu.euler_product(q, N, orders)
         direct = prod.coefficient((1, 0, 0, 0))
         # only degree-1 factors carry t^1; the rest contribute constants
         c1 = count_closed_points(q, 1)
-        fac1 = hz.local_factor(q, 1, orders)
+        fac1 = eu.local_factor(q, 1, orders)
         rest = Fraction(1)
         for n in range(2, N + 1):
-            rest *= hz.factor_constant(q, n) ** count_closed_points(q, n)
+            rest *= orc.factor_constant(q, n) ** count_closed_points(q, n)
         expected = c1 * fac1.coefficient((1, 0, 0, 0)) \
             * fac1.coefficient((0, 0, 0, 0)) ** (c1 - 1) * rest
         assert direct == expected
@@ -164,12 +181,12 @@ def test_euler_product_log_derivative():
 def test_euler_product_refuses_coefficients_that_cannot_print(monkeypatch, digits, refused):
     # q = 3, N = 4: the constant has 187 digits and the t^(2,2,2,2)
     # coefficient 192, the most of any
-    monkeypatch.setattr(hz.sys, "get_int_max_str_digits", lambda: digits)
+    monkeypatch.setattr(eu.sys, "get_int_max_str_digits", lambda: digits)
     if refused is None:
-        assert hz.euler_product(3, 4, (2, 2, 2, 2)).coefficient((2, 2, 2, 2))
+        assert eu.euler_product(3, 4, (2, 2, 2, 2)).coefficient((2, 2, 2, 2))
     else:
         with pytest.raises(TooLarge, match=refused):
-            hz.euler_product(3, 4, (2, 2, 2, 2))
+            eu.euler_product(3, 4, (2, 2, 2, 2))
 
 
 def test_series_monomial_cap():
@@ -184,9 +201,9 @@ def test_euler_product_truncation_monotone():
     # after scaling by the new constant factors
     q = 3
     orders = (2, 2, 2, 2)
-    p2 = hz.euler_product(q, 2, orders)
-    p3 = hz.euler_product(q, 3, orders)
-    scale = hz.factor_constant(q, 3) ** count_closed_points(q, 3)
+    p2 = eu.euler_product(q, 2, orders)
+    p3 = eu.euler_product(q, 3, orders)
+    scale = orc.factor_constant(q, 3) ** count_closed_points(q, 3)
     for expo, val in p2.coeffs.items():
         assert p3.coefficient(expo) == val * scale
 

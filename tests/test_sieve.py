@@ -7,9 +7,9 @@ import numpy as np
 import oracles as orc
 import pytest
 
+from dp4sieve import euler as eu
 from dp4sieve import sieve as sv
 from dp4sieve.field import make_field
-from dp4sieve.heightzeta import factor_constant, factor_contact_coefficient
 from dp4sieve.projline import ZERO_DIVISOR, count_closed_points, divisor
 from dp4sieve.surface import default_config
 from oracles import rational_point
@@ -346,11 +346,27 @@ def _local_factor_entry(q, deg, m):
 
 
 def test_local_factor_matches_display_16():
-    # the 16-element lattice reproduces the explicit Euler factor exactly
+    # the 16-element lattice reproduces the explicit Euler factor exactly:
+    # entry by entry through the excess polynomials, and as the whole
+    # integral series that local_factor keeps
     for q, deg in ((3, 1), (5, 1), (4, 1), (5, 2), (3, 2)):
-        assert _local_factor_entry(q, deg, 0) == factor_constant(q, deg)
-        assert _local_factor_entry(q, deg, 1) == factor_contact_coefficient(q, deg, 1)
-        assert _local_factor_entry(q, deg, 2) == factor_contact_coefficient(q, deg, 2)
+        assert _local_factor_entry(q, deg, 0) == orc.factor_constant(q, deg)
+        assert _local_factor_entry(q, deg, 1) == orc.factor_contact_coefficient(q, deg, 1)
+        assert _local_factor_entry(q, deg, 2) == orc.factor_contact_coefficient(q, deg, 2)
+    for q, deg in itertools.product((2, 3, 4, 5, 7, 9, 13), range(1, 6)):
+        orders = (3 * deg, 2 * deg + 1, deg - 1, 0)
+        got, want = eu.local_factor(q, deg, orders), orc.display_local_factor(q, deg, orders)
+        assert (got.orders, got.weights, got.scale) == (want.orders, want.weights, want.scale)
+        assert got.ints.tolist() == want.ints.tolist(), (q, deg)
+
+
+def test_deep_plane_crosscut_is_the_depth_one_crosscut_padded():
+    # euler.local_factor steps its contact coefficients from depth 1 on this identity
+    one = sv._crosscut((sv.PLANE,))
+    for m in range(2, 7):
+        pad = (sv.PLANE,) * (m - 1)
+        assert dict(sv._crosscut((sv.PLANE,) * m)) == {
+            tau[:1] + pad + tau[1:]: mu for tau, mu in one}
 
 
 def test_sieve_factors_are_integral_after_scaling():
