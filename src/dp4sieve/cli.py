@@ -11,7 +11,8 @@ numpy is loaded only by the subcommands that need it: count and manin load
 the counting engine (secenum) on their first cache miss, and field-check,
 sieve and zeta load it through the series kernel.  cone, markings,
 tamagawa, limit-check and a count or manin whose every class is cached
-run without it.
+run without it.  Likewise only sieve and zeta load the sieve module and
+build its subspace lattice, and only zeta the Euler factors.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .harness import (
 )
 from .heightzeta import limit_formula_check, tamagawa, zeta_p1_identity_check
 from .nslattice import export_inventory, export_markings
-from .sieve import sieve_sum, stable_range_start
 
 
 def _build_parser():
@@ -124,6 +124,7 @@ def _four_degrees(flag: str, text: str) -> tuple:
 
 
 def _cmd_sieve(cfg: RunConfig, args) -> int:
+    from .sieve import sieve_sum, stable_range_start    # count and manin need no sieve
     k = _four_degrees("--k", args.k)
     K = make_field(cfg.p, cfg.n)
     partials = sieve_sum(K, k, cfg.sieve_D)

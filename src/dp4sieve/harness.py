@@ -37,9 +37,8 @@ CACHE_FORMAT_VERSION = 1
 COUNT_CODE_VERSION = 1      # bump when counting semantics change
 RHO = 6
 
-ALPHA_NORMALIZATIONS = ("volume", "volume_rho", "volume_rho_factorial")
 CONFIG_KEYS = ("field.p", "field.n", "points", "epsilon", "d_max", "sieve_D", "euler_N",
-               "limit_m_max", "budget", "cache_dir", "alpha_normalization")
+               "limit_m_max", "budget", "cache_dir")
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +56,6 @@ class RunConfig:
     limit_m_max: int = 5
     budget: int = DEFAULT_BUDGET
     cache_dir: str | None = None
-    alpha_normalization: str = "volume_rho"
 
     def __post_init__(self):
         # refuse a field or points no surface can be built from; the default
@@ -78,8 +76,6 @@ class RunConfig:
             raise InvalidConfig("d_max and sieve_D must be >= 0, euler_N and limit_m_max >= 1")
         if self.budget <= 0:
             raise InvalidConfig("budget must be > 0")
-        if self.alpha_normalization not in ALPHA_NORMALIZATIONS:
-            raise InvalidConfig(f"alpha_normalization must be one of {ALPHA_NORMALIZATIONS}")
 
     @property
     def q(self) -> int:
@@ -100,7 +96,7 @@ class RunConfig:
             "d_max": self.d_max, "sieve_D": self.sieve_D,
             "euler_N": self.euler_N, "limit_m_max": self.limit_m_max,
             "budget": self.budget,
-            "alpha_normalization": self.alpha_normalization,
+            "alpha_normalization": "volume_rho",    # names alpha = rho * vol
         }
 
 
@@ -110,7 +106,7 @@ def parse_config_file(path: str, overrides: dict | None = None) -> RunConfig:
     The keys are CONFIG_KEYS: field.p, field.n, points (two
     semicolon-separated coordinate lists, e.g. "0,1,2,inf; 0,1,3,inf"),
     epsilon (rational string), d_max, sieve_D, euler_N, limit_m_max, budget,
-    cache_dir, alpha_normalization.  Any other key is refused.
+    cache_dir.  Any other key is refused.
     """
     raw: dict = {}
     try:
@@ -147,8 +143,6 @@ def config_from_mapping(raw: dict) -> RunConfig:
         for key in ("d_max", "sieve_D", "euler_N", "limit_m_max", "budget"):
             if key in raw:
                 kw[key] = int(raw[key])
-        if "alpha_normalization" in raw:
-            kw["alpha_normalization"] = raw["alpha_normalization"]
         if "cache_dir" in raw:
             kw["cache_dir"] = raw["cache_dir"]
     except (ValueError, ZeroDivisionError) as exc:
@@ -341,22 +335,18 @@ def counting_function(cfg: RunConfig) -> CountReport:
     return report
 
 
-def _alpha_constant(cfg: RunConfig) -> Fraction:
-    vol = nef_cone_volume_level1()
-    if cfg.alpha_normalization == "volume":
-        return vol
-    if cfg.alpha_normalization == "volume_rho":
-        return vol * RHO
-    return vol * 720  # rho!
-
-
 def asymptotic_report(cfg: RunConfig) -> CountReport:
     """Counting rows augmented with the prediction
-    (1 - q^{-1}) alpha tau q^d d^5 and the upper-bound constant."""
+    (1 - q^{-1}) alpha tau q^d d^5 and the upper-bound constant.
+
+    alpha is Peyre's constant rho * vol{y nef : h(y) <= 1} = 6/1080 = 1/180:
+    the integral of e^{-h} over the nef cone is rho! vol{h <= 1}, and Peyre
+    divides it by (rho - 1)!."""
     report = counting_function(cfg)
     q = cfg.q
     tam = tamagawa(q, cfg.euler_N)
-    alpha = _alpha_constant(cfg)
+    vol = nef_cone_volume_level1()
+    alpha = RHO * vol
     # the upper-bound constant uses the full nef cone's alpha
     upper = alpha * q ** 2 / (1 - Fraction(1, q)) ** 7
     # the shrunken cone is a union of marking cones; its exact volume is
@@ -369,10 +359,10 @@ def asymptotic_report(cfg: RunConfig) -> CountReport:
         "tamagawa_N": cfg.euler_N,
         "tamagawa": str(tam.value),
         "tamagawa_last_increment": str(tam.last_increment),
-        "alpha_normalization": cfg.alpha_normalization,
+        "alpha_normalization": "volume_rho",
         "alpha_full_cone": str(alpha),
         "alpha_eps_estimate": str(alpha_eps),
-        "nef_volume_level1": str(nef_cone_volume_level1()),
+        "nef_volume_level1": str(vol),
         "upper_bound_constant": str(upper),
         "rho": RHO,
         "epsilon": str(cfg.epsilon),

@@ -634,13 +634,20 @@ def _conditions_between(lo, hi) -> tuple:
                  if condition_leq(lo, cand) and condition_leq(cand, hi))
 
 
+def _interval_data(w: Configuration, x: Configuration) -> list:
+    """The data tuples of the configurations between w and x, each as
+    configuration() would sort it: x's points come in order, and empty
+    chains drop out."""
+    locals_ = [[(pt, c) for c in _conditions_between(w.condition_at(pt), x.condition_at(pt))]
+               for pt in x.support]
+    return [tuple((pt, c) for pt, c in combo if c) for combo in itertools.product(*locals_)]
+
+
 def interval(w: Configuration, x: Configuration):
     """All configurations between w and x (product of local intervals)."""
     if not config_leq(w, x):
         raise ValueError("w is not below x")
-    locals_ = [[(pt, c) for c in _conditions_between(w.condition_at(pt), x.condition_at(pt))]
-               for pt in x.support]
-    return [configuration(list(combo)) for combo in itertools.product(*locals_)]
+    return [configuration(data) for data in _interval_data(w, x)]
 
 
 def mobius(w: Configuration, x: Configuration) -> int:
@@ -660,11 +667,12 @@ def mobius_recursive(w: Configuration, x: Configuration) -> int:
 
     Members are taken in order of gamma, which rises strictly along the
     order, so the rest of each member's down-set [w, y], a product of local
-    intervals, is done before the member; no pair is compared."""
+    intervals, is done before the member; no pair is compared.  Down-sets
+    are kept as data tuples, so only [w, x] itself builds configurations."""
     mu = {}
     for y in sorted(interval(w, x), key=gamma):
-        below = [z for z in interval(w, y) if z.data != y.data]
-        mu[y.data] = -sum(mu[z.data] for z in below) if below else 1
+        below = [data for data in _interval_data(w, y) if data != y.data]
+        mu[y.data] = -sum(mu[data] for data in below) if below else 1
     return mu[x.data]
 
 

@@ -80,15 +80,18 @@ def test_invalid_config_exit_code(tmp_path):
     assert main(["--config", str(bad), "field-check"]) == 2
 
 
-def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
-    # a typo must not fall back to the default: d_max = 4 rows are wrong here
+# a typo must not fall back to the default, d_max = 4; and alpha is
+# Peyre's constant, which no config key chooses
+@pytest.mark.parametrize("key, value", [("dmax", "2"), ("alpha_normalization", "volume_rho")],
+                         ids=["dmax", "alpha_normalization"])
+def test_unknown_config_key_is_a_config_error(key, value, tmp_path, capsys):
     cfg = tmp_path / "typo.cfg"
-    cfg.write_text("field.p = 3\ndmax = 2\n")
+    cfg.write_text(f"field.p = 3\n{key} = {value}\n")
     code = main(["--config", str(cfg), "--out-dir", str(tmp_path / "o"), "count"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration: ") and err.count("\n") == 1
-    assert "'dmax'" in err
+    assert repr(key) in err
     assert not (tmp_path / "o").exists()
 
 

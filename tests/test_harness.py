@@ -10,7 +10,7 @@ from oracles import clear_caches
 
 from dp4sieve.errors import CorruptCache, InvalidConfig, IoError, VersionMismatch
 from dp4sieve.harness import (
-    ALPHA_NORMALIZATIONS,
+    RHO,
     CountCache,
     RunConfig,
     asymptotic_report,
@@ -20,13 +20,12 @@ from dp4sieve.harness import (
     emit_json,
     parse_config_file,
 )
+from dp4sieve.nslattice import nef_cone_volume_level1
 
 
 def test_runconfig_validation():
     with pytest.raises(InvalidConfig):
         RunConfig(epsilon=Fraction(0))
-    with pytest.raises(InvalidConfig):
-        RunConfig(alpha_normalization="nope")
     for bad in ({"sieve_D": -1}, {"euler_N": 0}, {"limit_m_max": 0}, {"budget": 0},
                 {"d_max": -1}, {"p": 2}, {"points": ((0, 0), (0, 1), (1, 2), (2, "inf"))}):
         with pytest.raises(InvalidConfig):
@@ -171,6 +170,11 @@ def test_asymptotic_report_constants(tmp_path):
     assert consts["rho"] == 6
     assert consts["alpha_normalization"] == "volume_rho"
     assert Fraction(consts["nef_volume_level1"]) == Fraction(1, 1080)
+    # Peyre's alpha: vol{h <= t} = t^rho vol{h <= 1}, so the integral of
+    # e^{-h} over the nef cone is rho vol{h <= 1} * int_0^oo t^(rho-1) e^{-t} dt
+    # = rho! vol{h <= 1}; alpha divides it by (rho - 1)!, leaving 6/1080
+    assert Fraction(consts["alpha_full_cone"]) == Fraction(1, 180) \
+        == RHO * nef_cone_volume_level1()
     assert Fraction(consts["upper_bound_constant"]) == \
         Fraction(consts["alpha_full_cone"]) * 9 / (1 - Fraction(1, 3)) ** 7
     assert consts["q_epsilon_exceeds_C"] is False
@@ -187,7 +191,7 @@ def test_config_from_mapping_defaults():
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 CONFIG_KEYS = ("field.p", "field.n", "epsilon", "d_max", "sieve_D", "euler_N",
-               "limit_m_max", "budget", "cache_dir", "alpha_normalization")
+               "limit_m_max", "budget", "cache_dir")
 _coordinate = st.one_of(st.integers(-1, 5).map(str), st.just("inf"), st.text(max_size=2))
 _coordinates = st.one_of(st.lists(_coordinate, min_size=4, max_size=4),
                          st.lists(_coordinate, max_size=5))
@@ -211,7 +215,6 @@ _valid_values = {
     "limit_m_max": st.integers(1, 10).map(str),
     "budget": st.integers(1, 2 ** 40).map(str),
     "cache_dir": st.text(max_size=8),
-    "alpha_normalization": st.sampled_from(ALPHA_NORMALIZATIONS),
 }
 _junk_values = {"points": _points_text, **{key: _config_value for key in CONFIG_KEYS}}
 

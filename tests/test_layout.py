@@ -110,10 +110,11 @@ def test_commands_that_count_nothing_load_no_numpy(command):
 
 
 def test_a_warm_cache_count_loads_no_numpy(tmp_path):
+    # and no count, cold or warm, loads the sieve module
     cache = str(tmp_path / "cache")
     loaded = {run: _fresh_interpreter(_cli_then_report(
         ["--field-p", "3", "--cache-dir", cache, "--out-dir", str(tmp_path / run), "count"],
-        ["numpy", "dp4sieve.secenum"])) for run in ("cold", "warm")}
+        ["numpy", "dp4sieve.secenum", "dp4sieve.sieve"])) for run in ("cold", "warm")}
     assert loaded == {"cold": "['dp4sieve.secenum', 'numpy']", "warm": "[]"}
     csv = "count_q3_d4.csv"
     assert (tmp_path / "warm" / csv).read_bytes() == (tmp_path / "cold" / csv).read_bytes()
