@@ -14,10 +14,6 @@ class NonPrime(Dp4Error):
     pass
 
 
-class ReducibleModulus(Dp4Error):
-    pass
-
-
 class UnsupportedSize(Dp4Error):
     pass
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import DivisionByZero, NonPrime, ReducibleModulus, UnsupportedSize
+from .errors import DivisionByZero, NonPrime, UnsupportedSize
 
 _SUPPORTED_PRIMES = (2, 3, 5, 7, 11, 13)
 _MAX_Q = 13 ** 3
@@ -152,21 +152,24 @@ def poly_divmod(K: FieldSpec, num, den):
 # ---------------------------------------------------------------------------
 # construction: F_{p^n} = F_p[x]/(modulus), arithmetic over the prime field
 
-def _monic_polys(degree: int, p: int):
-    """All monic polynomials of exactly the given degree over Z/p, lex order."""
-    for code in range(p ** degree):
-        yield to_digits(code, p, degree) + (1,)
+@lru_cache(maxsize=None)
+def monic_irreducibles(K: FieldSpec, n: int) -> tuple:
+    """Every monic irreducible polynomial of degree n over K, as a
+    little-endian coefficient tuple, ascending by the code
+    sum c_i q^i of its non-leading coefficients.
 
-
-def _is_irreducible(poly, p: int) -> bool:
-    """Trial division against every monic polynomial of degree <= deg/2."""
-    deg = len(poly) - 1
-    P = _make_field_cached(p, 1)
-    for d in range(1, deg // 2 + 1):
-        for div in _monic_polys(d, p):
-            if not poly_divmod(P, poly, div)[1]:
-                return False
-    return True
+    A monic polynomial of degree n is reducible exactly when it has a monic
+    irreducible factor f of degree d <= n/2; every product f g, g monic of
+    degree n - d, is marked, and the unmarked codes remain.
+    """
+    q = K.q
+    reducible = bytearray(q ** n)
+    for d in range(1, n // 2 + 1):
+        for f in monic_irreducibles(K, d):
+            for code in range(q ** (n - d)):
+                product = poly_mul(K, f, to_digits(code, q, n - d) + (1,))
+                reducible[from_digits(product[:-1], q)] = 1
+    return tuple(to_digits(code, q, n) + (1,) for code in range(q ** n) if not reducible[code])
 
 
 def _raw_mul(a: int, b: int, p: int, n: int, modulus) -> int:
@@ -198,30 +201,19 @@ def _build_log_tables(p: int, n: int, modulus, q: int):
 
 @lru_cache(maxsize=None)
 def _make_field_cached(p: int, n: int) -> FieldSpec:
-    modulus = lex_least_irreducible(p, n) if n > 1 else ()
+    modulus = monic_irreducibles(_make_field_cached(p, 1), n)[0] if n > 1 else ()
     q = p ** n
     exp, log = _build_log_tables(p, n, modulus, q)
     return FieldSpec(p=p, n=n, modulus=modulus, q=q, _exp=exp, _log=log)
-
-
-def lex_least_irreducible(p: int, n: int) -> tuple:
-    """The first monic irreducible of degree n over Z/p in lex order.
-
-    Lex order scans the non-leading coefficient vector (c_0, ..., c_{n-1})
-    by ascending integer code sum c_i p^i, so the choice is reproducible
-    across runs and machines.
-    """
-    for poly in _monic_polys(n, p):
-        if _is_irreducible(poly, p):
-            return poly
-    raise ReducibleModulus(f"no irreducible of degree {n} over F_{p}")  # pragma: no cover
 
 
 def make_field(p: int, n: int = 1) -> FieldSpec:
     """Construct a validated FieldSpec for F_{p^n}.
 
     For n > 1 the modulus is the lexicographically least monic irreducible
-    of degree n, chosen deterministically.
+    of degree n over Z/p, the first of monic_irreducibles: least by the
+    code sum c_i p^i of its non-leading coefficients, so the choice is
+    reproducible across runs and machines.
     """
     if p not in _SUPPORTED_PRIMES:
         # every prime up to 13 is supported, so a smaller p is not prime

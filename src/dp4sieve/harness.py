@@ -307,7 +307,8 @@ def counting_function(cfg: RunConfig) -> CountReport:
     for alpha in classes:
         # counts are marking independent, so every class is counted with
         # its identity-model invariants
-        key = CountCache.class_key(surface, alpha.a, alpha.b, alpha.k)
+        # a key only for a cache directory: without one every class misses
+        key = cache.directory and CountCache.class_key(surface, alpha.a, alpha.b, alpha.k)
         val = cache.lookup(key)
         if val is None:
             try:
@@ -315,7 +316,8 @@ def counting_function(cfg: RunConfig) -> CountReport:
             except BudgetExceeded:
                 partial_from = alpha.h if partial_from is None else min(partial_from, alpha.h)
                 continue
-            cache.store(key, val)
+            if key:
+                cache.store(key, val)
         per_class[alpha] = val
     counting_seconds = time.perf_counter() - t0
     cache.flush()

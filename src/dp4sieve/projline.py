@@ -8,9 +8,8 @@ irreducible polynomial in x.  Working with forms rather than polynomials
 keeps the place at infinity on the same footing as every other point: a
 "common root" of two forms includes common vanishing at infinity.
 
-Everything here is immutable and pure.  Closed points of degree >= 2 are
-what remains of the monic polynomials once every product of a lower-degree
-closed point with a monic cofactor is struck out.
+Everything here is immutable and pure.  The affine closed points are the
+monic irreducibles that field.monic_irreducibles sieves.
 """
 
 from __future__ import annotations
@@ -20,14 +19,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import TooLarge
-from .field import (
-    FieldSpec,
-    from_digits,
-    poly_mul,
-    to_digits,
-)
+from .field import FieldSpec, from_digits, monic_irreducibles
 
 _HILB_CAP = 2_000_000
+# entries of secenum's PGL_2(F_q) permutation table: while the group closes
+# each is held as an int64, again in its row's bytes key, and once more in
+# the stacked table, 24.6 bytes in all at q = 27, degree 2; so 80 M entries
+# stay within 2 GB
+_GROUP_CAP = 80_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -65,23 +64,8 @@ def _affine_point(K: FieldSpec, poly) -> ClosedPoint:
 
 @lru_cache(maxsize=None)
 def _irreducibles_of_degree(K: FieldSpec, n: int):
-    """All monic irreducible polynomials of degree n, ascending code order.
-
-    A monic polynomial of degree n is reducible exactly when it has a monic
-    irreducible factor f of degree d <= n/2; every product f g, g monic of
-    degree n - d, is marked, and the unmarked codes remain.
-    """
-    if n == 1:
-        return tuple(_affine_point(K, (c, 1)) for c in K.elements())
-    q = K.q
-    reducible = bytearray(q ** n)
-    for d in range(1, n // 2 + 1):
-        for f in _irreducibles_of_degree(K, d):
-            for code in range(q ** (n - d)):
-                product = poly_mul(K, f.poly, to_digits(code, q, n - d) + (1,))
-                reducible[from_digits(product[:-1], q)] = 1
-    return tuple(_affine_point(K, to_digits(code, q, n) + (1,))
-                 for code in range(q ** n) if not reducible[code])
+    """The closed points of degree n other than infinity, ascending code order."""
+    return tuple(_affine_point(K, poly) for poly in monic_irreducibles(K, n))
 
 
 def closed_points_up_to(K: FieldSpec, N: int):

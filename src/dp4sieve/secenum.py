@@ -22,6 +22,16 @@ histogram of (max(a, b) + 1)^4 bins per (a, b) answers every k.  Its
 brute-force oracle, which enumerates all q^{2a+2b+4} coefficient tuples
 with direct gcd computations, lives in tests/oracles.py.
 
+Orientation.  Swapping the factors of P^1 x P^1 maps the pairs (s, t) of
+bidegree (a, b) one-to-one onto the pairs (t, s) of bidegree (b, a) on the
+transposed surface (SurfaceConfig.transposed: each centre's coordinates
+swapped), with the same contact divisors.  So count_sections and
+_contact_histogram turn (cfg, a, b) with a < b into (cfg.transposed(), b,
+a) before anything is charged or joined, and the engine sees a >= b only:
+s is swept in the functionals of cfg's first coordinates, t as the first
+side of cfg.transposed().  On a surface that is its own transpose, as the
+default q = 3 one, (a, b) reads the histogram of (b, a).
+
 Orbit reduction.  Reparametrising the source P^1 by g in PGL_2(F_q) maps
 coprime pairs to coprime pairs and pulls every composite divisor back
 along g, on both sides at once; degrees, and so every contact degree, are
@@ -39,18 +49,19 @@ line, the common scalar making g_1 that form.  At degree 0 the zero form
 is a first divisor too, and the common scalar normalises g_2 instead.  So
 a side costs one q^(d+1) sweep per first divisor.  The full side sweeps
 every id and keeps each pair's quadruple as it comes, with no tally.  The
-reduced side, the side of larger degree (s on a tie), sweeps the least id
-of each PGL_2(F_q) orbit of first divisors, each pair standing for
-|G.D_1| (q-1) pairs, and tallies representatives.
+reduced side, s of degree a >= b, sweeps the least id of each PGL_2(F_q)
+orbit of first divisors, each pair standing for |G.D_1| (q-1) pairs, and
+tallies representatives.
 
 For d >= 1 the divisors of g_1 and g_2 fix s up to the ratio of two
 scalars, and that of lambda_2(s) fixes the ratio, because coprime forms
 are not proportional; so the full side of degree d has q^(2d-1) (q^2 - 1)
 columns, all distinct.  At degree 0 it has q + 1 columns, one per point of
-P^1(F_q); the points off the four centres share one quadruple.  Either way every column stands for q - 1
-pairs, so the join weighs only rows and the histogram is multiplied by
-q - 1 once.  Reducing the side with more quadruples, which the join
-compares, is reducing the side of larger degree.
+P^1(F_q); the points off the four centres share one quadruple.  Either
+way every column stands for q - 1 pairs, so the join weighs only rows and
+the histogram is multiplied by q - 1 once.  The quadruple count grows
+with the degree, so s, of the larger degree a, is the side with more
+quadruples to compare, and the one reduced.
 
 Surface symmetries.  Let H be the permutations sigma of the four centres
 that a Moebius map g on each factor of P^1 x P^1 realises, g(p_i) =
@@ -98,7 +109,7 @@ import numpy as np
 from .errors import BudgetExceeded, DegreeMismatch, TooLarge
 from .field import FieldSpec, poly_mul
 from .linalg import solve
-from .projline import closed_points_up_to, hilb_points
+from .projline import _GROUP_CAP, closed_points_up_to, hilb_points
 from .surface import DEFAULT_BUDGET, SurfaceConfig
 
 JOIN_PASS = 2 ** 16         # row x column keys per join pass (module docstring, Memory)
@@ -240,12 +251,20 @@ def _pullback_perm(K: FieldSpec, degree: int, g):
 def _pgl2_perms(K: FieldSpec, degree: int):
     """Every divisor-id permutation that PGL_2(F_q) induces in this degree.
 
-    Closes the generators x -> x + c, x -> c x and x -> 1/x under
-    composition; one row per group element (q^3 - q rows for degree >= 1,
-    where the action is faithful), the identity first.
+    Closes the generators x -> x + p^i (i < n), x -> c x for a primitive
+    element c, and x -> 1/x under composition: the translations by a basis
+    of F_q over F_p and the scalings by the powers of c give every affine
+    map, and with 1/x all of PGL_2(F_q).  One row per group element
+    (q^3 - q rows for degree >= 1, where the action is faithful), the
+    identity first.  A table of more than _GROUP_CAP entries is refused
+    before it is built.
     """
-    gens = [(1, c, 0, 1) for c in range(1, K.q)] + [(c, 0, 0, 1) for c in range(2, K.q)]
-    gens = [_pullback_perm(K, degree, g) for g in gens + [(0, 1, 1, 0)]]
+    ids = (K.q ** (degree + 1) - 1) // (K.q - 1) + 1     # divisors and the zero sentinel
+    if (K.q ** 3 - K.q) * ids > _GROUP_CAP:
+        raise TooLarge(f"PGL_2(F_{K.q}) acting on {ids} degree-{degree} divisor ids "
+                       f"exceeds {_GROUP_CAP} table entries")
+    gens = [(1, K.p ** i, 0, 1) for i in range(K.n)] + [(K._exp[1], 0, 0, 1), (0, 1, 1, 0)]
+    gens = [_pullback_perm(K, degree, g) for g in gens]
     ident = np.arange(gens[0].size, dtype=np.int64)
     group = {ident.tobytes(): ident}
     frontier = [ident]
@@ -338,10 +357,11 @@ def _first_divisors(K: FieldSpec, degree: int):
     return firsts, len(perms) // (perms[:, firsts] == firsts).sum(axis=0)
 
 
-def _sweep(cfg: SurfaceConfig, side: str, degree: int, firsts, coprime):
+def _sweep(cfg: SurfaceConfig, degree: int, firsts, coprime):
     """Yield, for each first divisor id, the (4, n) uint16 quadruples of
     its pairs (g1, g2) in the coordinates g1 = lambda_0, g2 = lambda_1 of
-    the module docstring: one form g1 with that divisor against every form
+    the module docstring, lambda_i the functionals of cfg's first
+    coordinates: one form g1 with that divisor against every form
     g2 whose divisor is coprime to it by the matching row of `coprime`.
     """
     K = cfg.field
@@ -354,12 +374,11 @@ def _sweep(cfg: SurfaceConfig, side: str, degree: int, firsts, coprime):
     zero = len(_inventory(K, degree))
     form = np.empty(zero + 1, dtype=np.int64)     # a form of each divisor id
     form[div_id] = codes
-    lam = cfg.lam if side == "s" else cfg.lam2
-    l0, l1 = lam(0), lam(1)
+    l0, l1 = cfg.lam(0), cfg.lam(1)
     # lambda_i = alpha lambda_0 + beta lambda_1 = alpha g1 - (-beta) g2
     combos = []
     for i in (2, 3):
-        alpha, beta = solve(K, [[l0[0], l1[0]], [l0[1], l1[1]]], lam(i))
+        alpha, beta = solve(K, [[l0[0], l1[0]], [l0[1], l1[1]]], cfg.lam(i))
         combos.append((mul[alpha], mul[K.neg(beta)]))
     for first, ok in zip(firsts, coprime):
         if first == zero:           # degree 0, g1 = 0: the pairs (0, c) are one line
@@ -375,18 +394,18 @@ def _sweep(cfg: SurfaceConfig, side: str, degree: int, firsts, coprime):
 
 
 @lru_cache(maxsize=16)
-def _full_side(cfg: SurfaceConfig, side: str, degree: int):
+def _full_side(cfg: SurfaceConfig, degree: int):
     """Every coprime pair of one side up to its q - 1 scalar multiples, as a
     (4, n) uint16 array of divisor-id quadruples, one column per line of
     pairs: distinct at degree >= 1, one per point of P^1(F_q) at degree 0.
     """
     coprime = _degree_table(cfg.field, degree, degree) == 0
     firsts = np.arange(coprime.shape[0] - (degree > 0))   # every id, no zero g1 past degree 0
-    return np.concatenate(list(_sweep(cfg, side, degree, firsts, coprime)), axis=1)
+    return np.concatenate(list(_sweep(cfg, degree, firsts, coprime)), axis=1)
 
 
 @lru_cache(maxsize=16)
-def _fundamental_rows(cfg: SurfaceConfig, side: str, degree: int):
+def _fundamental_rows(cfg: SurfaceConfig, degree: int):
     """One side reduced to one representative quadruple per PGL_2(F_q)
     orbit, kept on a fundamental domain of the centre permutations H and
     weighted by the orbit's total weight times |H| / #{sigma in H : sigma
@@ -408,7 +427,7 @@ def _fundamental_rows(cfg: SurfaceConfig, side: str, degree: int):
     firsts, sizes = _first_divisors(K, degree)
     coprime = _meet_degrees(K, degree, firsts, degree) == 0
     keys, weights = [], []
-    for first, size, quad in zip(firsts, sizes, _sweep(cfg, side, degree, firsts, coprime)):
+    for first, size, quad in zip(firsts, sizes, _sweep(cfg, degree, firsts, coprime)):
         images = _encode(orbit_min[quad][group.T], base)    # phi under each sigma, identity first
         keep = images[0] == images.min(axis=0)
         quad, images = quad[:, keep], images[:, keep]
@@ -459,29 +478,24 @@ def _join(rows, row_w, cols, tables, base: int, group):
     return hist // len(group)
 
 
-def _join_sides(cfg: SurfaceConfig, a: int, b: int):
-    """(rows, row weights, columns, degree table) of the degree join: the
-    side of larger degree (s on a tie), reduced to PGL_2 orbit
-    representatives on a fundamental domain of the centre permutations,
-    against the other side in full, a column per q - 1 pairs."""
-    if a >= b:
-        return (*_fundamental_rows(cfg, "s", a), _full_side(cfg, "t", b),
-                _degree_table(cfg.field, a, b))
-    return (*_fundamental_rows(cfg, "t", b), _full_side(cfg, "s", a),
-            _degree_table(cfg.field, b, a))
-
-
 @lru_cache(maxsize=256)
 def _contact_histogram(cfg: SurfaceConfig, a: int, b: int):
     """Section pairs of bidegree (a, b) by contact-degree quadruple, as an
-    int64 array of shape (max(a, b) + 1,) * 4."""
-    rows, row_w, cols, tab = _join_sides(cfg, a, b)
+    int64 array of shape (max(a, b) + 1,) * 4: for a >= b, the degree-a
+    side reduced to PGL_2 orbit representatives on a fundamental domain of
+    the centre permutations, against the full degree-b side, whose
+    functionals are those of cfg's second coordinates."""
+    if a < b:
+        return _contact_histogram(cfg.transposed(), b, a)
+    rows, row_w = _fundamental_rows(cfg, a)
+    cols = _full_side(cfg.transposed(), b)
     group = _centre_symmetries(cfg)
     pairs = int(row_w.sum()) * cols.shape[1] * (cfg.field.q - 1)
     if pairs * len(group) >= 2 ** 63:
         raise TooLarge(f"{pairs} section pairs times {len(group)} symmetries "
                        "overflow the int64 histogram")
-    return _join(rows, row_w, cols, [tab] * 4, max(a, b) + 1, group) * (cfg.field.q - 1)
+    tables = [_degree_table(cfg.field, a, b)] * 4
+    return _join(rows, row_w, cols, tables, a + 1, group) * (cfg.field.q - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -493,23 +507,22 @@ def _charge(cost: int, budget: int, what: str):
 
 
 def _charge_sides(cfg: SurfaceConfig, a: int, b: int, budget: int) -> int:
-    """Charge the side enumerations of the degree join: q^(2d+2), the
-    coefficient pairs, on the full side of degree d = min(a, b), whose sweep
-    of q^(d+1) second composites per divisor costs less; and q^(D+1) second
+    """Charge the side enumerations of the degree join, a >= b: q^(2b+2),
+    the coefficient pairs, on the full side of degree b, whose sweep of
+    q^(b+1) second composites per divisor costs less; and q^(a+1) second
     composites for each first-divisor orbit on the reduced side of degree
-    D = max(a, b).  At least #divisors / |PGL_2(F_q)| orbits are charged
-    before the orbits are found, so that a refused count builds no table."""
+    a.  At least #divisors / |PGL_2(F_q)| orbits are charged before the
+    orbits are found, so that a refused count builds no table."""
     K = cfg.field
     q = K.q
-    low, high = min(a, b), max(a, b)
-    full = q ** (2 * low + 2)
-    divisors = (q ** (high + 1) - 1) // (q - 1)
+    full = q ** (2 * b + 2)
+    divisors = (q ** (a + 1) - 1) // (q - 1)
     least = -(-divisors // (q ** 3 - q))    # no orbit outgrows PGL_2(F_q)
-    _charge(full + least * q ** (high + 1), budget,
-            f"side enumerations {q}^{2 * low + 2} + (at least {least}) orbits * {q}^{high + 1}")
-    orbits = len(_first_divisors(K, high)[0])
-    cost = full + orbits * q ** (high + 1)
-    _charge(cost, budget, f"side enumerations {q}^{2 * low + 2} + {orbits} orbits * {q}^{high + 1}")
+    _charge(full + least * q ** (a + 1), budget,
+            f"side enumerations {q}^{2 * b + 2} + (at least {least}) orbits * {q}^{a + 1}")
+    orbits = len(_first_divisors(K, a)[0])
+    cost = full + orbits * q ** (a + 1)
+    _charge(cost, budget, f"side enumerations {q}^{2 * b + 2} + {orbits} orbits * {q}^{a + 1}")
     return cost
 
 
@@ -523,15 +536,16 @@ def count_sections(cfg: SurfaceConfig, a: int, b: int, k,
     of the two sides).  The budget is charged the side enumerations (see
     _charge_sides) plus the pairs of the degree join.
     """
+    if a < b:
+        return count_sections(cfg.transposed(), b, a, k, budget)
     k = tuple(k)
-    if a < 0 or b < 0 or len(k) != 4 or any(x < 0 for x in k):
+    if b < 0 or len(k) != 4 or any(x < 0 for x in k):
         raise DegreeMismatch("degrees and four contact orders must be non-negative")
-    if max(k) > max(a, b):
+    if max(k) > a:
         return 0        # no contact exceeds the larger side's degree
     spent = _charge_sides(cfg, a, b, budget)
-    rows, _, cols, _ = _join_sides(cfg, a, b)
-    _charge(spent + rows.shape[1] * cols.shape[1], budget,
-            "side enumerations plus fundamental-domain join pairs")
+    pairs = _fundamental_rows(cfg, a)[0].shape[1] * _full_side(cfg.transposed(), b).shape[1]
+    _charge(spent + pairs, budget, "side enumerations plus fundamental-domain join pairs")
     return int(_contact_histogram(cfg, a, b)[k])
 
 

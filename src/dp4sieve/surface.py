@@ -62,9 +62,11 @@ class SurfaceConfig:
         c, d = self.first[i]
         return (d, self.field.neg(c))
 
-    def lam2(self, i: int):
-        c, d = self.second[i]
-        return (d, self.field.neg(c))
+    def transposed(self) -> "SurfaceConfig":
+        """The same centres with the factors of P^1 x P^1 swapped, so its lam
+        are the functionals of second[i].  A (1,1)-curve through the
+        centres swaps with them, so the certificate carries over."""
+        return SurfaceConfig(self.field, self.second, self.first, self.on_bidegree_curve)
 
 
 def _bidegree_monomials(K: FieldSpec, u, v) -> list:

@@ -281,7 +281,8 @@ def contact_divisors(cfg: SurfaceConfig, s, t) -> tuple:
     for name, side in (("s", s), ("t", t)):
         if all(form_is_zero(f) for f in side):
             raise ZeroForm(f"{name} is identically zero")
-    return tuple(_contact(K, _composite(K, cfg.lam(i), s), _composite(K, cfg.lam2(i), t))
+    lam2 = cfg.transposed().lam
+    return tuple(_contact(K, _composite(K, cfg.lam(i), s), _composite(K, lam2(i), t))
                  for i in range(4))
 
 
@@ -347,8 +348,8 @@ def fiber_count(cfg: SurfaceConfig, w, a: int, b: int,
     q = cfg.field.q
     spent = q ** (2 * a + 2) + q ** (2 * b + 2)
     se._charge(spent, budget, f"side enumerations {q}^{2 * a + 2} + {q}^{2 * b + 2}")
-    S = side_summary(cfg, "s", a)
-    T = side_summary(cfg, "t", b)
+    S = side_summary(cfg, a)
+    T = side_summary(cfg.transposed(), b)
     se._charge(spent + S[0].shape[1] * T[0].shape[1], budget,
                "side enumerations plus join pairs")
     tables = [_fiber_table(cfg.field, a, b, d) for d in w]
@@ -382,9 +383,10 @@ def _projective_codes(q: int, length: int):
 
 
 @lru_cache(maxsize=8)
-def side_summary(cfg: SurfaceConfig, side: str, degree: int):
-    """Reference for secenum's full side: one side compressed to
-    (divisor-id quadruples, multiplicities).
+def side_summary(cfg: SurfaceConfig, degree: int):
+    """Reference for secenum's full side: the side in the functionals of
+    cfg's first coordinates compressed to (divisor-id quadruples,
+    multiplicities).
 
     Enumerates the coefficient pairs of one side up to a common scalar
     (every pair's four contact divisors are those of its q-1 multiples),
@@ -399,10 +401,9 @@ def side_summary(cfg: SurfaceConfig, side: str, degree: int):
     div_id = se._form_divisor_ids(K, degree)
     coprime = se._degree_table(K, degree, degree) == 0
     base = se._key_base(K, degree)
-    lam = cfg.lam if side == "s" else cfg.lam2
     scaled = []
     for i in range(4):
-        d, negc = lam(i)
+        d, negc = cfg.lam(i)
         scaled.append((mul[d][digits], mul[K.neg(negc)][digits]))
     powers = q ** np.arange(degree + 1, dtype=np.int64)
     parts, counts = [], []
@@ -420,11 +421,11 @@ def side_summary(cfg: SurfaceConfig, side: str, degree: int):
     return se._decode(keys, base), n * (q - 1)
 
 
-def side_orbits(cfg: SurfaceConfig, side: str, degree: int):
+def side_orbits(cfg: SurfaceConfig, degree: int):
     """Reference for secenum._fundamental_rows under the trivial group of
     centre permutations: the full side summary, each quadruple moved to the
     least key over the whole of PGL_2(F_q), equal keys tallied."""
-    comp, weights = side_summary(cfg, side, degree)
+    comp, weights = side_summary(cfg, degree)
     perms = se._pgl2_perms(cfg.field, degree)
     base = perms.shape[1]
     canon = se._encode(comp, base)
@@ -732,13 +733,14 @@ def gamma_rank_oracle(x: Configuration, a: int, b: int, cfg: SurfaceConfig) -> i
     gamma in the stable range.
     """
     K = cfg.field
+    lam2 = cfg.transposed().lam
     rows = []
     for pt, cond in x.data:
         for mult, idx in zip(chain_condition(cond), LATTICE.nontop):
             if mult:
                 A, B = LATTICE.elements[idx]
                 rows += [r + [0] * (2 * b + 2) for r in _subspace_rows(K, cfg.lam, pt, mult, A, a)]
-                rows += [[0] * (2 * a + 2) + r for r in _subspace_rows(K, cfg.lam2, pt, mult, B, b)]
+                rows += [[0] * (2 * a + 2) + r for r in _subspace_rows(K, lam2, pt, mult, B, b)]
     return rank(K, rows) if rows else 0
 
 

@@ -257,6 +257,21 @@ def test_fractional_scaled_sieve_coefficient_is_an_invariant_violation(monkeypat
     assert err.startswith("internal invariant violation: coefficient ") and err.count("\n") == 1
 
 
+def test_group_table_cap_exit_code(monkeypatch, tmp_path, capsys):
+    # q = 49 and q = 64 at degree 2 would need PGL_2(F_q) tables of 288 M
+    # and 1.09 G entries; a cap lowered below q = 25's degree-1 table,
+    # 15,600 elements on 27 ids, refuses that one instead (F_25 is counted
+    # by no other test, so no cached table bypasses the check)
+    from dp4sieve import secenum
+
+    monkeypatch.setattr(secenum, "_GROUP_CAP", 15_600 * 27 - 1)
+    argv = ["--field-p", "5", "--field-n", "2", "--d-max", "2", "--out-dir", str(tmp_path), "count"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit exceeded: PGL_2(F_25) ") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
 def test_resource_limit_exit_code(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise TooLarge("join histogram would need 10**9 bins")

@@ -4,7 +4,7 @@ import pytest
 from oracles import frobenius, from_vector, to_vector
 
 from dp4sieve.errors import DivisionByZero, NonPrime, UnsupportedSize
-from dp4sieve.field import lex_least_irreducible, make_field
+from dp4sieve.field import make_field, monic_irreducibles
 
 
 def test_prime_fields():
@@ -16,14 +16,51 @@ def test_prime_fields():
 
 
 def test_f4_modulus_is_lex_least():
-    # x^2 + x + 1 is the only monic irreducible quadratic over F_2,
-    # found by the exhaustive irreducibility scan.
-    assert lex_least_irreducible(2, 2) == (1, 1, 1)
+    # x^2 + x + 1 is the only monic irreducible quadratic over F_2
+    assert monic_irreducibles(make_field(2), 2) == ((1, 1, 1),)
     f4 = make_field(2, 2)
     assert f4.q == 4
     x = from_vector(f4, (0, 1))
     # x*x reduces to x+1 under x^2+x+1
     assert to_vector(f4, f4.mul(x, x)) == (1, 1)
+
+
+# the modulus of every supported extension field: an element's code means
+# its coefficient vector modulo this polynomial, so a changed modulus would
+# silently relabel every field table
+MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1),
+    (5, 2): (2, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+    (11, 2): (1, 0, 1),
+    (11, 3): (4, 1, 0, 1),
+    (13, 2): (2, 0, 1),
+    (13, 3): (2, 0, 0, 1),
+}
+
+
+def test_every_modulus_is_pinned():
+    supported = [(p, n) for p in (2, 3, 5, 7, 11, 13)
+                 for n in range(2, 12) if p ** n <= 13 ** 3]
+    assert {(p, n): make_field(p, n).modulus for p, n in supported} == MODULI
 
 
 def test_construction_errors():

@@ -73,6 +73,21 @@ def test_cache_roundtrip(tmp_path):
     assert fresh.lookup(other) is None
 
 
+def test_no_cache_key_without_a_cache(monkeypatch, capsys):
+    # with no cache directory no class key is built, and every class still
+    # counts as a miss
+    from dp4sieve.nslattice import enumerate_nef_points
+
+    def refuse(*args):
+        raise AssertionError("a class key without a cache directory")
+
+    monkeypatch.setattr(CountCache, "class_key", staticmethod(refuse))
+    report = counting_function(RunConfig(p=3, d_max=2))
+    assert report.rows[0] == {"d": 0, "N": 16, "N_eps": 16}
+    misses = len(enumerate_nef_points(2))
+    assert capsys.readouterr().err.endswith(f"cache hits 0 misses {misses}\n")
+
+
 def test_cache_corruption_detected(tmp_path):
     cache = CountCache(str(tmp_path))
     cfg = RunConfig(p=3, d_max=1, cache_dir=str(tmp_path))

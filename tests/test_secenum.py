@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 
@@ -15,9 +16,10 @@ from dp4sieve.errors import (
     DegreeMismatch,
     FieldTooSmall,
     OnBidegreeCurve,
+    TooLarge,
 )
 from dp4sieve.field import field_of_order, make_field
-from dp4sieve.projline import ZERO_DIVISOR, divisor
+from dp4sieve.projline import _GROUP_CAP, ZERO_DIVISOR, divisor
 
 F3 = make_field(3)
 F4 = make_field(2, 2)
@@ -102,7 +104,8 @@ def test_multiplicity_profile_degenerate_constant():
     # proportional to the marked lines, so both composites vanish
     # identically; contact recorded as 0 by convention
     s = t = ((0,), (1,))
-    assert orc._composite(F3, CFG3.lam(0), s) == orc._composite(F3, CFG3.lam2(0), t) == (0,)
+    assert orc._composite(F3, CFG3.lam(0), s) == (0,)
+    assert orc._composite(F3, CFG3.transposed().lam(0), t) == (0,)
     divs = orc.contact_divisors(CFG3, s, t)
     assert divs[0] == ZERO_DIVISOR
     assert _degrees(divs) == (0, 0, 0, 0)
@@ -215,6 +218,21 @@ def test_refused_count_builds_no_table():
     with pytest.raises(BudgetExceeded):
         se.count_sections(CFG5, 9, 0, (0, 0, 0, 0))
     assert (se._pgl2_perms.cache_info().misses, se._inventory.cache_info().misses) == built
+    # under an unbounded budget the PGL_2(F_5) table refuses it: 120 group
+    # elements on 2,441,407 ids exceed _GROUP_CAP, checked before any table
+    built = se._inventory.cache_info().misses, se._form_divisor_ids.cache_info().misses
+    with pytest.raises(TooLarge, match="PGL_2"):
+        se.count_sections(CFG5, 9, 0, (0, 0, 0, 0), budget=2 ** 60)
+    assert (se._inventory.cache_info().misses, se._form_divisor_ids.cache_info().misses) == built
+
+
+def test_group_cap_admits_the_reachable_tables():
+    # |PGL_2(F_q)| x (#divisor ids + 1) entries: q = 9 at degree 4 and q = 7
+    # at degree 6 fit, q = 49 and q = 64 at degree 2 are refused
+    def entries(q, degree):
+        return (q ** 3 - q) * ((q ** (degree + 1) - 1) // (q - 1) + 1)
+
+    assert max(entries(9, 4), entries(7, 6)) <= _GROUP_CAP < min(entries(49, 2), entries(64, 2))
 
 
 def test_negative_k_rejected():
@@ -339,8 +357,8 @@ def test_side_has_one_quadruple_per_projective_pair():
     # degree
     for cfg in (CFG3, CFG4, CFG5):
         q = cfg.field.q
-        for degree, side in itertools.product(range(4), "st"):
-            cols = se._full_side(cfg, side, degree)
+        for degree, side in itertools.product(range(4), (cfg, cfg.transposed())):
+            cols = se._full_side(side, degree)
             assert cols.dtype == np.uint16
             if degree:
                 assert cols.shape[1] == q ** (2 * degree - 1) * (q * q - 1)
@@ -349,19 +367,19 @@ def test_side_has_one_quadruple_per_projective_pair():
                 assert cols.shape[1] == q + 1
 
 
-def _tallied_full_side(cfg, side, degree):
+def _tallied_full_side(cfg, degree):
     # the full side's columns tallied as a side summary, q-1 pairs each
     base = se._key_base(cfg.field, degree)
-    keys, n = np.unique(se._encode(se._full_side(cfg, side, degree), base), return_counts=True)
+    keys, n = np.unique(se._encode(se._full_side(cfg, degree), base), return_counts=True)
     return se._decode(keys, base), n * (cfg.field.q - 1)
 
 
-def _unfiltered_rows(cfg, side, degree):
+def _unfiltered_rows(cfg, degree):
     # _fundamental_rows, uncached, under the trivial group of centre
     # permutations: every PGL_2 orbit representative with its orbit weight
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(se, "_centre_symmetries", lambda cfg: np.arange(4)[None])
-        return se._fundamental_rows.__wrapped__(cfg, side, degree)
+        return se._fundamental_rows.__wrapped__(cfg, degree)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
@@ -369,14 +387,15 @@ def test_side_orbits_equal_the_canonicalised_full_summary(q):
     # the reduced side, unfiltered, against the summary canonicalised over
     # PGL_2, and the full side's columns, tallied, against the summary
     cfg = sf.default_config(q)
-    cases = list(itertools.product(range(4), "st")) + ([(4, "s"), (4, "t")] if q == 4 else [])
+    sides = (cfg, cfg.transposed())
+    cases = list(itertools.product(range(5 if q == 4 else 4), sides))
     for degree, side in cases:
-        reps, totals = _unfiltered_rows(cfg, side, degree)
-        keys, weights = orc.side_orbits(cfg, side, degree)
+        reps, totals = _unfiltered_rows(side, degree)
+        keys, weights = orc.side_orbits(side, degree)
         assert reps.tolist() == keys.tolist(), (degree, side)
         assert totals.tolist() == weights.tolist(), (degree, side)
-        comp, weights = _tallied_full_side(cfg, side, degree)
-        ref, ref_weights = orc.side_summary(cfg, side, degree)
+        comp, weights = _tallied_full_side(side, degree)
+        ref, ref_weights = orc.side_summary(side, degree)
         assert comp.tolist() == ref.tolist(), (degree, side)
         assert weights.tolist() == ref_weights.tolist(), (degree, side)
 
@@ -384,8 +403,8 @@ def test_side_orbits_equal_the_canonicalised_full_summary(q):
 def test_orbit_reduction_q4():
     # the 245,760 divisor quadruples of degree-4 pairs over F_4 fall into
     # 4,336 orbits of PGL_2(F_4), a group of order 60
-    cols = se._full_side(CFG4, "s", 4)
-    reps, totals = _unfiltered_rows(CFG4, "s", 4)
+    cols = se._full_side(CFG4, 4)
+    reps, totals = _unfiltered_rows(CFG4, 4)
     assert (cols.shape[1], reps.shape[1]) == (245760, 4336)
     assert int(totals.sum()) == cols.shape[1] * 3 == _coprime_pairs(4, 4)
 
@@ -413,8 +432,8 @@ def test_pullback_permutation_fixes_the_side_summaries(q, degree, other, data):
     tab = se._degree_table(K, degree, other)
     assert (tab[perm][:, other_perm] == tab).all()
     # and carries each side summary onto itself with equal weights
-    for side in "st":
-        comp, weights = orc.side_summary(cfg, side, degree)
+    for side in (cfg, cfg.transposed()):
+        comp, weights = orc.side_summary(side, degree)
         keys = se._encode(comp, m + 1)       # ascending: the summary is sorted
         moved = se._encode(perm[comp], m + 1)
         order = np.argsort(moved)
@@ -454,6 +473,9 @@ def test_centre_symmetries_form_a_group_containing_v4(q):
     assert V4 <= group
     assert all(tuple(x[i] for i in y) in group for x in group for y in group)
     assert len(group) == {3: 24, 4: 12, 5: 4}.get(q, len(group))
+    # the n + 2 generators of _pgl2_perms close to all of PGL_2(F_q)
+    for degree in (1, 2):
+        assert len(se._pgl2_perms(field_of_order(q), degree)) == q ** 3 - q
 
 
 @pytest.mark.parametrize("cfg", [CFG3, CFG4, CFG5, sf.default_config(7), CUSTOM])
@@ -468,8 +490,9 @@ def test_centre_symmetries_fix_the_side_summaries(cfg):
     # composing a section with the Moebius map that realises sigma permutes
     # its four composite divisors, so each side summary is carried onto
     # itself with equal weights
-    for degree, side in itertools.product(range(3 if cfg is CUSTOM else 4), "st"):
-        comp, weights = orc.side_summary(cfg, side, degree)
+    sides = (cfg, cfg.transposed())
+    for degree, side in itertools.product(range(3 if cfg is CUSTOM else 4), sides):
+        comp, weights = orc.side_summary(side, degree)
         base = se._key_base(cfg.field, degree)
         keys = se._encode(comp, base)       # ascending: the summary is sorted
         for sigma in se._centre_symmetries(cfg):
@@ -482,9 +505,9 @@ def test_centre_symmetries_fix_the_side_summaries(cfg):
 def _unfiltered_sides(cfg, a, b):
     # every PGL_2 orbit representative of the larger side, with no centre
     # symmetry, and the other side's columns, q-1 pairs each
-    big, small = ("s", "t") if a >= b else ("t", "s")
+    big, small = (cfg, cfg.transposed()) if a >= b else (cfg.transposed(), cfg)
     high, low = max(a, b), min(a, b)
-    return (*_unfiltered_rows(cfg, big, high), se._full_side(cfg, small, low),
+    return (*_unfiltered_rows(big, high), se._full_side(small, low),
             se._degree_table(cfg.field, high, low), high + 1)
 
 
@@ -509,6 +532,61 @@ def test_fundamental_domain_join_on_a_custom_surface():
             assert (se._contact_histogram(CUSTOM, a, b) == _unfiltered_join(CUSTOM, a, b)).all(), (a, b)
 
 
+# ---------------------------------------------------------------------------
+# one orientation: (a, b) with a < b is (b, a) on the transposed surface
+
+def test_a_self_transposed_surface_builds_each_histogram_once(monkeypatch):
+    # the default q = 3 surface has its centres (p_i, p_i) on the diagonal,
+    # so it is its own transpose: a d_max = 4 count builds the histograms of
+    # its 10 bidegrees with a >= b, and reads each (b, a) from (a, b)
+    from dp4sieve.harness import RunConfig, counting_function
+    from dp4sieve.nslattice import enumerate_nef_points
+
+    assert CFG3.transposed() == CFG3
+    built = []
+
+    def build(cfg, a, b):
+        built.append((cfg, a, b))
+        return histogram(cfg, a, b)
+
+    histogram = se._contact_histogram.__wrapped__
+    monkeypatch.setattr(se, "_contact_histogram", functools.lru_cache(maxsize=256)(build))
+    counting_function(RunConfig(p=3, d_max=4))
+    bidegrees = {(x.a, x.b) for x in enumerate_nef_points(4)}
+    assert len(bidegrees) == 16
+    assert sorted(built) == sorted((CFG3, a, b) for a, b in bidegrees if a >= b)
+    assert len(built) == 10
+
+
+def _stabiliser_order(K, pts):
+    # the Moebius maps permuting four points: one for each permutation that
+    # keeps their cross ratio
+    return sum(se._cross_ratio(K, [pts[i] for i in sigma]) == se._cross_ratio(K, pts)
+               for sigma in itertools.permutations(range(4)))
+
+
+def test_transposition_where_the_factor_swap_fails():
+    # first coordinates with stabiliser A_4, second ones with D_4: the two
+    # quadruples are not PGL_2-equivalent, and hist(2, 3) is no relabelling
+    # of hist(3, 2).  The (2, 3) counts, which the engine reads from the
+    # transposed surface, equal the join in the pairs' own orientation: s
+    # of degree 2 in the first coordinates, reduced to PGL_2 orbits, against
+    # every t of degree 3 in the second
+    K = field_of_order(7)
+    first, second = [(0, 1), (1, 1), (2, 1), (4, 1)], [(0, 1), (1, 1), (2, 1), (3, 1)]
+    cfg = sf.validate_points(K, list(zip(first, second)))
+    assert (_stabiliser_order(K, first), _stabiliser_order(K, second)) == (12, 8)
+    hist, swapped = se._contact_histogram(cfg, 2, 3), se._contact_histogram(cfg, 3, 2)
+    assert not any((hist == swapped.transpose(sigma)).all()
+                   for sigma in itertools.permutations(range(4)))
+    rows, row_w = _unfiltered_rows(cfg, 2)
+    cols = se._full_side(cfg.transposed(), 3)
+    tables = [se._degree_table(K, 2, 3)] * 4
+    ref = se._join(rows, row_w, cols, tables, 4, np.arange(4)[None]) * (K.q - 1)
+    counts = [se.count_sections(cfg, 2, 3, k) for k in itertools.product(range(4), repeat=4)]
+    assert counts == ref.ravel().tolist()
+
+
 @pytest.mark.parametrize("q", [3, 4])
 @pytest.mark.parametrize("columns_per_pass", ["one", "all"])
 def test_join_is_the_reference_at_any_pass_size(q, columns_per_pass, monkeypatch):
@@ -527,7 +605,7 @@ def test_encode_widens_uint16_ids():
     # at q = 4, degree 4 the base is 342 and base^2 > 2^16: under NumPy 2 a
     # uint16 array times a Python int stays uint16 and would wrap
     base = se._key_base(CFG4.field, 4)
-    rows, _ = _unfiltered_rows(CFG4, "s", 4)
+    rows, _ = _unfiltered_rows(CFG4, 4)
     assert base == 342 and rows.dtype == np.uint16
     assert (se._encode(rows, base) == se._encode(rows.astype(np.int64), base)).all()
 
@@ -535,7 +613,8 @@ def test_encode_widens_uint16_ids():
 def test_join_holds_one_small_pass_at_a_time():
     # with the sides prebuilt, the (3, 3) join at q = 4 (35 rows x 15,360
     # columns) holds its keys a capped pass at a time, not all at once
-    se._join_sides(CFG4, 3, 3)
+    se._fundamental_rows(CFG4, 3), se._full_side(CFG4.transposed(), 3)
+    se._degree_table(CFG4.field, 3, 3)
     se._centre_symmetries(CFG4)
     tracemalloc.start()
     try:
@@ -556,7 +635,7 @@ def test_fundamental_rows_never_hold_the_unfiltered_side():
     se._centre_symmetries(cfg)
     tracemalloc.start()
     try:
-        se._fundamental_rows.__wrapped__(cfg, "s", 7)
+        se._fundamental_rows.__wrapped__(cfg, 7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -568,10 +647,10 @@ def test_fundamental_domain_keeps_the_orbit_weight():
     # degree-4 side at q = 4 keeps 407 of its 4,336 orbit rows under A_4
     for cfg in (CFG3, CFG4, CFG5, CUSTOM):
         q = cfg.field.q
-        for degree, side in itertools.product(range(1, 4), "st"):
-            rows, weights = se._fundamental_rows(cfg, side, degree)
+        for degree, side in itertools.product(range(1, 4), (cfg, cfg.transposed())):
+            rows, weights = se._fundamental_rows(side, degree)
             assert int(weights.sum()) == _coprime_pairs(q, degree)
-    sizes = [se._fundamental_rows(CFG4, "s", d)[0].shape[1] for d in (2, 3, 4)]
+    sizes = [se._fundamental_rows(CFG4, d)[0].shape[1] for d in (2, 3, 4)]
     assert sizes == [4, 35, 407]
 
 
