@@ -107,7 +107,7 @@ def _cmd_markings(cfg: RunConfig, args) -> int:
 
 
 def _partial(report) -> bool:
-    return any(f.startswith("budget_exceeded") for f in report.flags)
+    return any(f.startswith(("budget_exceeded", "resource_limit")) for f in report.flags)
 
 
 def _cmd_count(cfg: RunConfig, args) -> int:

@@ -1,4 +1,5 @@
-"""Exact arithmetic in small finite fields F_q, q = p^n with p <= 13 and n <= 3.
+"""Exact arithmetic in small finite fields F_q: make_field takes a prime
+p <= 13 and any q = p^n <= 13^3.
 
 Elements are canonical small integers: the element with coefficient vector
 (c_0, ..., c_{n-1}) over Z/p (c_0 the constant term) is encoded as the

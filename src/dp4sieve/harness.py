@@ -25,6 +25,7 @@ from .errors import (
     InvalidConfig,
     IoError,
     NonPrime,
+    TooLarge,
     UnsupportedSize,
     VersionMismatch,
 )
@@ -291,7 +292,11 @@ class CountReport:
 def counting_function(cfg: RunConfig) -> CountReport:
     """Cumulative morphism counts N(d) and their shrunken-cone restriction
     N_eps(d) for d = 0..d_max, exact integers, cached per class in
-    cfg.cache_dir."""
+    cfg.cache_dir.
+
+    A class refused for its budget or for its size makes the row of its h
+    partial and ends the rows there, flagged budget_exceeded_at_d or
+    resource_limit_at_d; a size refusal's reason goes to stderr."""
     surface = cfg.surface()
     cache = CountCache(cfg.cache_dir)
     cone = ShrunkenCone(epsilon=cfg.epsilon)
@@ -303,7 +308,7 @@ def counting_function(cfg: RunConfig) -> CountReport:
     t0 = time.perf_counter()
     classes = enumerate_nef_points(cfg.d_max)
     per_class = {}
-    partial_from = None
+    refused = None      # (h, flag, reason) of the least refused class
     for alpha in classes:
         # counts are marking independent, so every class is counted with
         # its identity-model invariants
@@ -313,8 +318,10 @@ def counting_function(cfg: RunConfig) -> CountReport:
         if val is None:
             try:
                 val = count_morphisms(surface, alpha.a, alpha.b, alpha.k, budget=cfg.budget)
-            except BudgetExceeded:
-                partial_from = alpha.h if partial_from is None else min(partial_from, alpha.h)
+            except (BudgetExceeded, TooLarge) as exc:
+                if refused is None or alpha.h < refused[0]:
+                    flag = "budget_exceeded" if isinstance(exc, BudgetExceeded) else "resource_limit"
+                    refused = (alpha.h, flag, str(exc))
                 continue
             if key:
                 cache.store(key, val)
@@ -325,9 +332,11 @@ def counting_function(cfg: RunConfig) -> CountReport:
     in_cone = {alpha for alpha in classes if cone.contains(alpha)}
     report.in_cone_share = Fraction(len(in_cone), len(classes))
     for d in range(cfg.d_max + 1):
-        if partial_from is not None and d >= partial_from:
+        if refused is not None and d >= refused[0]:
             report.rows.append({"d": d, "partial": True})
-            report.flags.append(f"budget_exceeded_at_d={d}")
+            report.flags.append(f"{refused[1]}_at_d={d}")
+            if refused[1] == "resource_limit":
+                print(f"resource limit exceeded: {refused[2]}", file=sys.stderr)
             break
         total = sum(v for al, v in per_class.items() if al.h <= d)
         total_eps = sum(v for al, v in per_class.items() if al.h <= d and al in in_cone)

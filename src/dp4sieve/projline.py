@@ -23,9 +23,9 @@ from .field import FieldSpec, from_digits, monic_irreducibles
 
 _HILB_CAP = 2_000_000
 # entries of secenum's PGL_2(F_q) permutation table: while the group closes
-# each is held as an int64, again in its row's bytes key, and once more in
-# the stacked table, 24.6 bytes in all at q = 27, degree 2; so 80 M entries
-# stay within 2 GB
+# each is held as uint16 in its row's bytes key and once more in the joined
+# table, and each frontier row as intp, 7.2 bytes in all at q = 27, degree 2
+# (traced); so 80 M entries stay well within 2 GB
 _GROUP_CAP = 80_000_000
 
 

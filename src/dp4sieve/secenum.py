@@ -48,7 +48,7 @@ form g_2 coprime to it; each such pair stands for the q-1 pairs of its
 line, the common scalar making g_1 that form.  At degree 0 the zero form
 is a first divisor too, and the common scalar normalises g_2 instead.  So
 a side costs one q^(d+1) sweep per first divisor.  The full side sweeps
-every id and keeps each pair's quadruple as it comes, with no tally.  The
+every id and passes each pair's quadruple on as it comes, with no tally.  The
 reduced side, s of degree a >= b, sweeps the least id of each PGL_2(F_q)
 orbit of first divisors, each pair standing for |G.D_1| (q-1) pairs, and
 tallies representatives.
@@ -81,22 +81,31 @@ orbit o through the kept orbits sigma^-1 o: #{sigma : sigma phi = phi}
 of the sigma take phi(o) to its least image, each with that weight, so o
 counts |H| times, and one exact integer division by |H| ends the join.
 
-Memory.  _key_base refuses any base of 2^16 or more, which also keeps
-every degree below 16, so side quadruples are held as uint16 divisor ids
-and contact degrees as uint8 tables.  NumPy 2 keeps uint16 times a Python
-int in uint16, where it wraps, so ids are widened to int64 before every
-key product; the join's line tables are cast first to the key dtype,
-which holds every digit times its place value.  The reduced side filters
-each first divisor's block to the fundamental domain before it
-canonicalises and tallies, so it never holds the rows the filter drops.
-The join takes its columns in passes of at most JOIN_PASS row x column
-keys (one column when the rows alone exceed it), so the keys, their
-gathers and the intp copy that np.bincount makes of its input stay
-cache-sized: the q = 4 (3, 3) join, 35 rows x 15,360 columns, peaks at
-0.7 MB of traced memory in passes of 2^16 against 5.4 MB in one pass.  Of
-the powers of two from 2^12 to 2^20, 2^16 was the fastest on the q = 4
-(4, 4) join, and on the q = 3 (6, 6) join within 2% of 2^17 (2-core
-x86-64 Xeon).
+Memory.  A degree's ids, #P^d(F_q) divisors and the zero sentinel, are
+counted in closed form, and _refuse_oversized refuses a degree whose
+PGL_2(F_q) table would exceed _GROUP_CAP entries, or whose id quadruples
+would overflow an int64 key (more than 55,108 ids, which also keeps every
+degree below 16), before any inventory, form map or group table is built.
+So every stored id fits a uint16: side quadruples, the PGL_2 table and its
+orbit minima are uint16, and contact degrees uint8 tables.  NumPy 2 keeps
+uint16 times a Python int in uint16, where it wraps, so _encode widens a
+key to int64 one component at a time as it adds them; a block's orbit-type
+images are a (4, |H|, n) uint16 array and one (|H|, n) int64 key.  The
+join's line tables are cast first to the key dtype, which holds every
+digit times its place value.  The reduced side filters each first
+divisor's block to the fundamental domain before it canonicalises and
+tallies, so it never holds the rows the filter drops.  The full side is
+never stored: each histogram sweeps it afresh and joins _sweep's blocks
+as they come, one first divisor at a time, and the closed-form column
+count above prices the join and guards the histogram against overflow.
+A block is joined in passes of at most JOIN_PASS row x column keys (one
+column when the rows alone exceed it), so the keys, their gathers and the
+intp copy that np.bincount makes of its input stay cache-sized: the q = 4
+(3, 3) join, 35 rows x 15,360 columns, peaks at 0.17 MB of traced memory
+in passes of 2^16 and at 0.10 MB in passes of 2^10, below the 0.12 MB
+that the stored degree-3 side took.  On the q = 4 (4, 4) join, passes of
+2^16 and 2^17 were the fastest of the powers of two from 2^12 to 2^20
+(2-core x86-64 Xeon).
 """
 
 from __future__ import annotations
@@ -247,37 +256,52 @@ def _pullback_perm(K: FieldSpec, degree: int, g):
     return perm
 
 
+def _id_count(q: int, degree: int) -> int:
+    """The divisor ids of exact degree, #P^degree(F_q), plus the zero sentinel."""
+    return (q ** (degree + 1) - 1) // (q - 1) + 1
+
+
+def _refuse_oversized(K: FieldSpec, degree: int):
+    """Refuse, from the closed-form id count alone, a degree whose PGL_2(F_q)
+    table exceeds _GROUP_CAP entries or whose ids overflow a key; so a
+    refused degree builds no inventory, form map or group table."""
+    ids = _id_count(K.q, degree)
+    if (K.q ** 3 - K.q) * ids > _GROUP_CAP:
+        raise TooLarge(f"PGL_2(F_{K.q}) acting on {ids} degree-{degree} divisor ids "
+                       f"exceeds {_GROUP_CAP} table entries")
+    _key_base(K, degree)
+
+
 @lru_cache(maxsize=None)
 def _pgl2_perms(K: FieldSpec, degree: int):
-    """Every divisor-id permutation that PGL_2(F_q) induces in this degree.
+    """Every divisor-id permutation that PGL_2(F_q) induces in this degree,
+    as a read-only uint16 table.
 
     Closes the generators x -> x + p^i (i < n), x -> c x for a primitive
     element c, and x -> 1/x under composition: the translations by a basis
     of F_q over F_p and the scalings by the powers of c give every affine
     map, and with 1/x all of PGL_2(F_q).  One row per group element
     (q^3 - q rows for degree >= 1, where the action is faithful), the
-    identity first.  A table of more than _GROUP_CAP entries is refused
-    before it is built.
+    identity first.  The frontier keeps intp rows, so each composition is
+    a plain gather; the group keeps only their uint16 bytes.
+    _refuse_oversized runs first, so a refused degree builds no table.
     """
-    ids = (K.q ** (degree + 1) - 1) // (K.q - 1) + 1     # divisors and the zero sentinel
-    if (K.q ** 3 - K.q) * ids > _GROUP_CAP:
-        raise TooLarge(f"PGL_2(F_{K.q}) acting on {ids} degree-{degree} divisor ids "
-                       f"exceeds {_GROUP_CAP} table entries")
+    _refuse_oversized(K, degree)
     gens = [(1, K.p ** i, 0, 1) for i in range(K.n)] + [(K._exp[1], 0, 0, 1), (0, 1, 1, 0)]
     gens = [_pullback_perm(K, degree, g) for g in gens]
-    ident = np.arange(gens[0].size, dtype=np.int64)
-    group = {ident.tobytes(): ident}
-    frontier = [ident]
+    frontier = [np.arange(gens[0].size, dtype=np.intp)]
+    group = {frontier[0].astype(np.uint16).tobytes(): None}    # insertion-ordered
     while frontier:
         found = []
         for perm in frontier:
             for gen in gens:
                 new = gen[perm]
-                if new.tobytes() not in group:
-                    group[new.tobytes()] = new
+                key = new.astype(np.uint16).tobytes()
+                if key not in group:
+                    group[key] = None
                     found.append(new)
         frontier = found
-    return np.stack(list(group.values()))
+    return np.frombuffer(b"".join(group), dtype=np.uint16).reshape(len(group), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +338,14 @@ def _centre_symmetries(cfg: SurfaceConfig):
 # side summaries and the join
 
 def _encode(comp, base: int):
-    comp = comp.astype(np.int64, copy=False)    # uint16 ids times base^3 would wrap
-    return ((comp[0] * base + comp[1]) * base + comp[2]) * base + comp[3]
+    """The int64 key of each quadruple comp[:, ...], component 0 leading;
+    each component is widened as it is added, as uint16 ids times base^3
+    would wrap."""
+    key = comp[0].astype(np.int64)
+    for digit in comp[1:]:
+        key *= base
+        key += digit
+    return key
 
 
 def _decode(keys, base: int):
@@ -326,11 +356,12 @@ def _decode(keys, base: int):
 
 
 def _key_base(K: FieldSpec, degree: int) -> int:
-    """The divisor ids of a degree plus the zero sentinel, refused if a
-    quadruple of them overflows an int64 key; so every id fits a uint16."""
-    base = len(_inventory(K, degree)) + 1
+    """The divisor ids of a degree plus the zero sentinel, from the closed
+    form, refused if a quadruple of them overflows an int64 key: at most
+    55,108 < 2^16, so every id fits a uint16."""
+    base = _id_count(K.q, degree)
     if base ** 4 >= 2 ** 63:
-        raise TooLarge(f"degree-{degree} divisor quadruples overflow int64 keys")
+        raise TooLarge(f"{base - 1} degree-{degree} divisor ids: quadruples overflow int64 keys")
     return base
 
 
@@ -385,23 +416,29 @@ def _sweep(cfg: SurfaceConfig, degree: int, firsts, coprime):
             g2 = np.ones(1, dtype=np.int64)
         else:
             g2 = codes[ok[div_id]]
-        g1 = digits[form[first]]
+        g1, g2_digits = digits[form[first]], digits[g2]
         quad = np.empty((4, g2.size), dtype=np.uint16)
         quad[0], quad[1] = first, div_id[g2]
         for i, (ag1, bg2) in enumerate(combos, 2):
-            quad[i] = div_id[sub[ag1[g1], bg2[digits[g2]]] @ powers]
+            quad[i] = div_id[sub[ag1[g1], bg2[g2_digits]] @ powers]
         yield quad
 
 
-@lru_cache(maxsize=16)
+def _side_columns(q: int, degree: int) -> int:
+    """Column count of the full side of a degree (module docstring)."""
+    return q ** (2 * degree - 1) * (q * q - 1) if degree else q + 1
+
+
 def _full_side(cfg: SurfaceConfig, degree: int):
-    """Every coprime pair of one side up to its q - 1 scalar multiples, as a
-    (4, n) uint16 array of divisor-id quadruples, one column per line of
-    pairs: distinct at degree >= 1, one per point of P^1(F_q) at degree 0.
+    """Every coprime pair of one side up to its q - 1 scalar multiples,
+    one column per line of pairs, streamed as _sweep's (4, n) uint16
+    blocks of divisor-id quadruples, one block per first divisor; the
+    _side_columns(q, degree) columns are distinct at degree >= 1, one per
+    point of P^1(F_q) at degree 0.
     """
     coprime = _degree_table(cfg.field, degree, degree) == 0
     firsts = np.arange(coprime.shape[0] - (degree > 0))   # every id, no zero g1 past degree 0
-    return np.concatenate(list(_sweep(cfg, degree, firsts, coprime)), axis=1)
+    return _sweep(cfg, degree, firsts, coprime)
 
 
 @lru_cache(maxsize=16)
@@ -440,19 +477,19 @@ def _fundamental_rows(cfg: SurfaceConfig, degree: int):
     return _decode(keys, base), total
 
 
-def _join(rows, row_w, cols, tables, base: int, group):
+def _join(rows, row_w, blocks, columns: int, tables, base: int, group):
     """Histogram of shape (base,) * 4 over the contact keys of all row x
     column pairs, averaged over the axis permutations in `group`.
 
-    The key of a pair has digit tables[i][row_i, col_i] at component i;
-    each pair adds its row's weight, every column standing for the same
-    number of pairs.  The row weights take few values, so each pass of
-    columns is tallied by one unweighted bincount of the key prefixed with
-    the row's weight class, and the classes are weighted once at the end.
-    Rows weighted to a fundamental domain of `group` (_fundamental_rows)
+    The columns come as (4, n) blocks, `columns` of them in all.  The key
+    of a pair has digit tables[i][row_i, col_i] at component i; each pair
+    adds its row's weight, every column standing for the same number of
+    pairs.  The row weights take few values, so each pass of columns is
+    tallied by one unweighted bincount of the key prefixed with the row's
+    weight class, and the classes are weighted once at the end.  Rows
+    weighted to a fundamental domain of `group` (_fundamental_rows)
     average to the full join exactly.
     """
-    total = int(row_w.sum()) * cols.shape[1]
     span = base ** 4
     rw, rclass = np.unique(row_w, return_inverse=True)
     bins = rw.size * span
@@ -466,13 +503,14 @@ def _join(rows, row_w, cols, tables, base: int, group):
     lines[0] += (rclass * span).astype(dtype)
     counts = np.zeros(bins, dtype=np.int64)
     step = max(1, JOIN_PASS // max(1, rows.shape[1]))     # columns per pass
-    for first in range(0, cols.shape[1], step):
-        keys = lines[0][cols[0][first:first + step]]
-        for line, col in zip(lines[1:], cols[1:]):
-            keys += line[col[first:first + step]]
-        counts += np.bincount(keys.ravel(), minlength=bins)
+    for cols in blocks:
+        for first in range(0, cols.shape[1], step):
+            keys = lines[0][cols[0][first:first + step]]
+            for line, col in zip(lines[1:], cols[1:]):
+                keys += line[col[first:first + step]]
+            counts += np.bincount(keys.ravel(), minlength=bins)
     hist = (counts.reshape(-1, span) * rw[:, None]).sum(axis=0).reshape((base,) * 4)
-    assert int(hist.sum()) == total
+    assert int(hist.sum()) == int(row_w.sum()) * columns      # every column streamed
     hist = sum(hist.transpose(sigma) for sigma in group)
     assert not (hist % len(group)).any()
     return hist // len(group)
@@ -484,18 +522,20 @@ def _contact_histogram(cfg: SurfaceConfig, a: int, b: int):
     int64 array of shape (max(a, b) + 1,) * 4: for a >= b, the degree-a
     side reduced to PGL_2 orbit representatives on a fundamental domain of
     the centre permutations, against the full degree-b side, whose
-    functionals are those of cfg's second coordinates."""
+    functionals are those of cfg's second coordinates, streamed."""
     if a < b:
         return _contact_histogram(cfg.transposed(), b, a)
+    q = cfg.field.q
     rows, row_w = _fundamental_rows(cfg, a)
-    cols = _full_side(cfg.transposed(), b)
+    columns = _side_columns(q, b)
     group = _centre_symmetries(cfg)
-    pairs = int(row_w.sum()) * cols.shape[1] * (cfg.field.q - 1)
+    pairs = int(row_w.sum()) * columns * (q - 1)
     if pairs * len(group) >= 2 ** 63:
         raise TooLarge(f"{pairs} section pairs times {len(group)} symmetries "
                        "overflow the int64 histogram")
     tables = [_degree_table(cfg.field, a, b)] * 4
-    return _join(rows, row_w, cols, tables, a + 1, group) * (cfg.field.q - 1)
+    cols = _full_side(cfg.transposed(), b)
+    return _join(rows, row_w, cols, columns, tables, a + 1, group) * (q - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -511,15 +551,17 @@ def _charge_sides(cfg: SurfaceConfig, a: int, b: int, budget: int) -> int:
     the coefficient pairs, on the full side of degree b, whose sweep of
     q^(b+1) second composites per divisor costs less; and q^(a+1) second
     composites for each first-divisor orbit on the reduced side of degree
-    a.  At least #divisors / |PGL_2(F_q)| orbits are charged before the
-    orbits are found, so that a refused count builds no table."""
+    a.  At least #divisors / |PGL_2(F_q)| orbits are charged, and an
+    oversized degree refused, before the orbits are found, so that a
+    refused count builds no table."""
     K = cfg.field
     q = K.q
     full = q ** (2 * b + 2)
-    divisors = (q ** (a + 1) - 1) // (q - 1)
+    divisors = _id_count(q, a) - 1
     least = -(-divisors // (q ** 3 - q))    # no orbit outgrows PGL_2(F_q)
     _charge(full + least * q ** (a + 1), budget,
             f"side enumerations {q}^{2 * b + 2} + (at least {least}) orbits * {q}^{a + 1}")
+    _refuse_oversized(K, a)     # b <= a: no table of degree b is larger
     orbits = len(_first_divisors(K, a)[0])
     cost = full + orbits * q ** (a + 1)
     _charge(cost, budget, f"side enumerations {q}^{2 * b + 2} + {orbits} orbits * {q}^{a + 1}")
@@ -544,7 +586,7 @@ def count_sections(cfg: SurfaceConfig, a: int, b: int, k,
     if max(k) > a:
         return 0        # no contact exceeds the larger side's degree
     spent = _charge_sides(cfg, a, b, budget)
-    pairs = _fundamental_rows(cfg, a)[0].shape[1] * _full_side(cfg.transposed(), b).shape[1]
+    pairs = _fundamental_rows(cfg, a)[0].shape[1] * _side_columns(cfg.field.q, b)
     _charge(spent + pairs, budget, "side enumerations plus fundamental-domain join pairs")
     return int(_contact_histogram(cfg, a, b)[k])
 

@@ -354,7 +354,8 @@ def fiber_count(cfg: SurfaceConfig, w, a: int, b: int,
                "side enumerations plus join pairs")
     tables = [_fiber_table(cfg.field, a, b, d) for d in w]
     cols = np.repeat(T[0], T[1] // (q - 1), axis=1)     # one column per q-1 pairs
-    return int(se._join(*S, cols, tables, 2, np.arange(4)[None])[1, 1, 1, 1]) * (q - 1)
+    hist = se._join(*S, [cols], cols.shape[1], tables, 2, np.arange(4)[None])
+    return int(hist[1, 1, 1, 1]) * (q - 1)
 
 
 def _fiber_table(K: FieldSpec, deg_s: int, deg_t: int, w: EffectiveDivisor):

@@ -260,16 +260,29 @@ def test_fractional_scaled_sieve_coefficient_is_an_invariant_violation(monkeypat
 def test_group_table_cap_exit_code(monkeypatch, tmp_path, capsys):
     # q = 49 and q = 64 at degree 2 would need PGL_2(F_q) tables of 288 M
     # and 1.09 G entries; a cap lowered below q = 25's degree-1 table,
-    # 15,600 elements on 27 ids, refuses that one instead (F_25 is counted
-    # by no other test, so no cached table bypasses the check)
+    # 15,600 elements on 27 ids, refuses that one instead.  The refused
+    # classes end the count as partial rows, as a budget refusal does: the
+    # rows below their h are written, equal to an uncapped run's
     from dp4sieve import secenum
 
-    monkeypatch.setattr(secenum, "_GROUP_CAP", 15_600 * 27 - 1)
-    argv = ["--field-p", "5", "--field-n", "2", "--d-max", "2", "--out-dir", str(tmp_path), "count"]
-    assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("resource limit exceeded: PGL_2(F_25) ") and err.count("\n") == 1
-    assert not any(tmp_path.iterdir())
+    def count(d_max, out):
+        argv = ["--field-p", "5", "--field-n", "2", "--d-max", str(d_max),
+                "--out-dir", str(tmp_path / out), "count"]
+        code = main(argv)
+        report = json.loads((tmp_path / out / f"count_q25_d{d_max}.json").read_text())
+        return code, report, capsys.readouterr().err
+
+    with monkeypatch.context() as mp:
+        mp.setattr(secenum, "_GROUP_CAP", 15_600 * 27 - 1)
+        code, report, err = count(2, "capped")
+    assert code == 3
+    assert err.startswith("resource limit exceeded: PGL_2(F_25) acting on 27 degree-1 ")
+    assert err.count("resource limit exceeded") == 1
+    assert report["rows"][-1] == {"d": 2, "partial": True}
+    assert report["flags"] == ["resource_limit_at_d=2"]
+    code, full, _ = count(1, "uncapped")
+    assert code == 0
+    assert report["rows"][:-1] == full["rows"] and len(full["rows"]) == 2
 
 
 def test_resource_limit_exit_code(monkeypatch, capsys):

@@ -226,6 +226,18 @@ def test_refused_count_builds_no_table():
     assert (se._inventory.cache_info().misses, se._form_divisor_ids.cache_info().misses) == built
 
 
+def test_oversized_degree_builds_no_table():
+    # (8, 1) at q = 4: 87,381 degree-8 divisor ids and the zero sentinel
+    # exceed the 55,108 whose quadruples fit an int64 key, so the count is
+    # refused within the default budget from the closed-form id count,
+    # before any inventory, form table or group table is built
+    tables = (se._inventory, se._form_divisor_ids, se._pgl2_perms)
+    built = [table.cache_info().misses for table in tables]
+    with pytest.raises(TooLarge, match="87381 degree-8 divisor ids"):
+        se.count_sections(CFG4, 8, 1, (0, 0, 0, 0))
+    assert [table.cache_info().misses for table in tables] == built
+
+
 def test_group_cap_admits_the_reachable_tables():
     # |PGL_2(F_q)| x (#divisor ids + 1) entries: q = 9 at degree 4 and q = 7
     # at degree 6 fit, q = 49 and q = 64 at degree 2 are refused
@@ -358,8 +370,10 @@ def test_side_has_one_quadruple_per_projective_pair():
     for cfg in (CFG3, CFG4, CFG5):
         q = cfg.field.q
         for degree, side in itertools.product(range(4), (cfg, cfg.transposed())):
-            cols = se._full_side(side, degree)
-            assert cols.dtype == np.uint16
+            blocks = list(se._full_side(side, degree))
+            assert all(block.dtype == np.uint16 for block in blocks)
+            cols = np.concatenate(blocks, axis=1)
+            assert cols.shape[1] == se._side_columns(q, degree)
             if degree:
                 assert cols.shape[1] == q ** (2 * degree - 1) * (q * q - 1)
                 assert np.unique(cols, axis=1).shape[1] == cols.shape[1]
@@ -367,10 +381,15 @@ def test_side_has_one_quadruple_per_projective_pair():
                 assert cols.shape[1] == q + 1
 
 
+def _full_columns(cfg, degree):
+    # the streamed full side as one (4, n) array
+    return np.concatenate(list(se._full_side(cfg, degree)), axis=1)
+
+
 def _tallied_full_side(cfg, degree):
     # the full side's columns tallied as a side summary, q-1 pairs each
     base = se._key_base(cfg.field, degree)
-    keys, n = np.unique(se._encode(se._full_side(cfg, degree), base), return_counts=True)
+    keys, n = np.unique(se._encode(_full_columns(cfg, degree), base), return_counts=True)
     return se._decode(keys, base), n * (cfg.field.q - 1)
 
 
@@ -403,7 +422,7 @@ def test_side_orbits_equal_the_canonicalised_full_summary(q):
 def test_orbit_reduction_q4():
     # the 245,760 divisor quadruples of degree-4 pairs over F_4 fall into
     # 4,336 orbits of PGL_2(F_4), a group of order 60
-    cols = se._full_side(CFG4, 4)
+    cols = _full_columns(CFG4, 4)
     reps, totals = _unfiltered_rows(CFG4, 4)
     assert (cols.shape[1], reps.shape[1]) == (245760, 4336)
     assert int(totals.sum()) == cols.shape[1] * 3 == _coprime_pairs(4, 4)
@@ -473,9 +492,11 @@ def test_centre_symmetries_form_a_group_containing_v4(q):
     assert V4 <= group
     assert all(tuple(x[i] for i in y) in group for x in group for y in group)
     assert len(group) == {3: 24, 4: 12, 5: 4}.get(q, len(group))
-    # the n + 2 generators of _pgl2_perms close to all of PGL_2(F_q)
+    # the n + 2 generators of _pgl2_perms close to all of PGL_2(F_q), held
+    # as uint16 ids
     for degree in (1, 2):
-        assert len(se._pgl2_perms(field_of_order(q), degree)) == q ** 3 - q
+        perms = se._pgl2_perms(field_of_order(q), degree)
+        assert len(perms) == q ** 3 - q and perms.dtype == np.uint16
 
 
 @pytest.mark.parametrize("cfg", [CFG3, CFG4, CFG5, sf.default_config(7), CUSTOM])
@@ -504,15 +525,16 @@ def test_centre_symmetries_fix_the_side_summaries(cfg):
 
 def _unfiltered_sides(cfg, a, b):
     # every PGL_2 orbit representative of the larger side, with no centre
-    # symmetry, and the other side's columns, q-1 pairs each
+    # symmetry, and the other side's column blocks, q-1 pairs per column
     big, small = (cfg, cfg.transposed()) if a >= b else (cfg.transposed(), cfg)
     high, low = max(a, b), min(a, b)
-    return (*_unfiltered_rows(big, high), se._full_side(small, low),
+    return (*_unfiltered_rows(big, high), list(se._full_side(small, low)),
             se._degree_table(cfg.field, high, low), high + 1)
 
 
 def _unfiltered_join(cfg, a, b):
-    rows, row_w, cols, tab, base = _unfiltered_sides(cfg, a, b)
+    rows, row_w, blocks, tab, base = _unfiltered_sides(cfg, a, b)
+    cols = np.concatenate(blocks, axis=1)
     col_w = np.full(cols.shape[1], cfg.field.q - 1)
     return orc.join_histogram(rows, row_w, cols, col_w, tab, base)
 
@@ -582,7 +604,8 @@ def test_transposition_where_the_factor_swap_fails():
     rows, row_w = _unfiltered_rows(cfg, 2)
     cols = se._full_side(cfg.transposed(), 3)
     tables = [se._degree_table(K, 2, 3)] * 4
-    ref = se._join(rows, row_w, cols, tables, 4, np.arange(4)[None]) * (K.q - 1)
+    columns = se._side_columns(K.q, 3)
+    ref = se._join(rows, row_w, cols, columns, tables, 4, np.arange(4)[None]) * (K.q - 1)
     counts = [se.count_sections(cfg, 2, 3, k) for k in itertools.product(range(4), repeat=4)]
     assert counts == ref.ravel().tolist()
 
@@ -590,14 +613,15 @@ def test_transposition_where_the_factor_swap_fails():
 @pytest.mark.parametrize("q", [3, 4])
 @pytest.mark.parametrize("columns_per_pass", ["one", "all"])
 def test_join_is_the_reference_at_any_pass_size(q, columns_per_pass, monkeypatch):
-    # the pass cap bounds memory only: one column per pass, or every column
-    # in one pass, gives the reference histogram
+    # the pass cap bounds memory only: one column per pass, or each
+    # streamed block in one pass, gives the reference histogram
     cfg = sf.default_config(q)
     for a, b in itertools.product(range(4), repeat=2):
-        rows, row_w, cols, tab, base = _unfiltered_sides(cfg, a, b)
-        cap = 1 if columns_per_pass == "one" else rows.shape[1] * cols.shape[1] + 1
+        rows, row_w, blocks, tab, base = _unfiltered_sides(cfg, a, b)
+        columns = sum(block.shape[1] for block in blocks)
+        cap = 1 if columns_per_pass == "one" else rows.shape[1] * columns + 1
         monkeypatch.setattr(se, "JOIN_PASS", cap)
-        hist = se._join(rows, row_w, cols, [tab] * 4, base, np.arange(4)[None])
+        hist = se._join(rows, row_w, blocks, columns, [tab] * 4, base, np.arange(4)[None])
         assert (hist * (q - 1) == _unfiltered_join(cfg, a, b)).all(), (a, b)
 
 
@@ -610,26 +634,42 @@ def test_encode_widens_uint16_ids():
     assert (se._encode(rows, base) == se._encode(rows.astype(np.int64), base)).all()
 
 
-def test_join_holds_one_small_pass_at_a_time():
-    # with the sides prebuilt, the (3, 3) join at q = 4 (35 rows x 15,360
-    # columns) holds its keys a capped pass at a time, not all at once
-    se._fundamental_rows(CFG4, 3), se._full_side(CFG4.transposed(), 3)
-    se._degree_table(CFG4.field, 3, 3)
-    se._centre_symmetries(CFG4)
+def _traced_q4_33_join(cfg):
+    # the traced peak of the (3, 3) join at q = 4, 35 rows x 15,360
+    # columns, with the reduced side and the tables prebuilt
+    se._fundamental_rows(cfg, 3)
+    se._degree_table(cfg.field, 3, 3)
+    se._centre_symmetries(cfg)
     tracemalloc.start()
     try:
-        se._contact_histogram.__wrapped__(CFG4, 3, 3)
-        peak = tracemalloc.get_traced_memory()[1]
+        se._contact_histogram.__wrapped__(cfg, 3, 3)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2_000_000
+
+
+def test_join_holds_one_small_pass_at_a_time():
+    # the join holds its keys a capped pass at a time, not all at once
+    assert _traced_q4_33_join(CFG4) < 2_000_000
+
+
+def test_join_never_holds_the_column_side(monkeypatch):
+    # the degree-3 column side streams in one first divisor's block at a
+    # time: in passes of 2^10 keys the join peaks below the 15,360 x 4 x
+    # 2 B = 122,880 B the stored side would take.  The surface is one no
+    # other test counts, so no side built elsewhere serves this join
+    first, second = [(0, 1), (1, 1), (2, 1), (1, 0)], [(1, 0), (3, 1), (2, 1), (1, 1)]
+    cfg = sf.validate_points(F4, list(zip(first, second)))
+    assert cfg not in (CFG4, CFG4.transposed())
+    monkeypatch.setattr(se, "JOIN_PASS", 2 ** 10)
+    assert _traced_q4_33_join(cfg) < 15_360 * 4 * 2
 
 
 def test_fundamental_rows_never_hold_the_unfiltered_side():
     # with the PGL_2 tables prebuilt, the degree-7 side at q = 3 is filtered
-    # to the fundamental domain a first divisor's block at a time (9.7 MB
+    # to the fundamental domain a first divisor's block at a time (6.3 MB
     # traced); tallying the whole unfiltered side before filtering it
-    # peaked at 57 MB
+    # peaked at 57 MB, and int64 orbit-type images at 9.7 MB
     cfg = sf.default_config(3)
     se._first_divisors(cfg.field, 7)
     se._centre_symmetries(cfg)
@@ -639,7 +679,7 @@ def test_fundamental_rows_never_hold_the_unfiltered_side():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20_000_000
+    assert peak < 8_000_000
 
 
 def test_fundamental_domain_keeps_the_orbit_weight():
