@@ -29,6 +29,7 @@ from .harness import (
     asymptotic_report,
     config_from_mapping,
     counting_function,
+    make_out_dir,
     parse_config_file,
     write_outputs,
 )
@@ -106,15 +107,19 @@ def _cmd_markings(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _partial(report) -> bool:
-    return any(f.startswith(("budget_exceeded", "resource_limit")) for f in report.flags)
+def _write_report(cfg: RunConfig, args, name: str, build) -> int:
+    """Make the output directory, then build the report and write it;
+    exit 3 if a refused class left it partial."""
+    stem = f"{name}_q{cfg.q}_d{cfg.d_max}"
+    make_out_dir(args.out_dir, stem)
+    report = build(cfg)
+    print("\n".join(write_outputs(report, args.out_dir, stem)))
+    partial = any(f.startswith(("budget_exceeded", "resource_limit")) for f in report.flags)
+    return 3 if partial else 0
 
 
 def _cmd_count(cfg: RunConfig, args) -> int:
-    report = counting_function(cfg)
-    paths = write_outputs(report, args.out_dir, f"count_q{cfg.q}_d{cfg.d_max}")
-    print("\n".join(paths))
-    return 3 if _partial(report) else 0
+    return _write_report(cfg, args, "count", counting_function)
 
 
 def _four_degrees(flag: str, text: str) -> tuple:
@@ -189,10 +194,7 @@ def _cmd_limit_check(cfg: RunConfig, args) -> int:
 
 
 def _cmd_manin(cfg: RunConfig, args) -> int:
-    report = asymptotic_report(cfg)
-    paths = write_outputs(report, args.out_dir, f"manin_q{cfg.q}_d{cfg.d_max}")
-    print("\n".join(paths))
-    return 3 if _partial(report) else 0
+    return _write_report(cfg, args, "manin", asymptotic_report)
 
 
 _COMMANDS = {

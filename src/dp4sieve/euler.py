@@ -4,8 +4,8 @@ import sys
 from fractions import Fraction
 
 from .errors import TooLarge
+from .field import count_closed_points
 from .heightzeta import TruncatedMultiSeries, series_one
-from .projline import count_closed_points
 from .sieve import PLANE, _local_poly
 
 

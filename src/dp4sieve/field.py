@@ -173,6 +173,24 @@ def monic_irreducibles(K: FieldSpec, n: int) -> tuple:
     return tuple(to_digits(code, q, n) + (1,) for code in range(q ** n) if not reducible[code])
 
 
+@lru_cache(maxsize=None)
+def count_closed_points(q: int, n: int) -> int:
+    """Number of closed points of degree n of P^1 over F_q.
+
+    Degree 1 counts q + 1 (the affine line plus infinity).  For n >= 2 it
+    is the number I_n of monic irreducibles of degree n, from the
+    factorisation of the q^n monic polynomials of degree n:
+    q^n = sum_{d | n} d I_d, with I_1 = q.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n == 1:
+        return q + 1
+    rest = q ** n - q - sum(d * count_closed_points(q, d) for d in range(2, n) if n % d == 0)
+    assert rest % n == 0
+    return rest // n
+
+
 def _raw_mul(a: int, b: int, p: int, n: int, modulus) -> int:
     if n == 1:
         return (a * b) % p

@@ -435,10 +435,19 @@ def emit_json(report: CountReport) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def write_outputs(report: CountReport, out_dir: str, stem: str) -> list:
-    paths = [os.path.join(out_dir, f"{stem}.{fmt}") for fmt in ("csv", "json")]
+def make_out_dir(out_dir: str, stem: str):
+    """Create the report directory, before any counting, so that an
+    unusable one fails at once and not after the whole count."""
     try:
         os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot write the {stem} report: {exc}") from exc
+
+
+def write_outputs(report: CountReport, out_dir: str, stem: str) -> list:
+    """Write the CSV and JSON reports into out_dir, which make_out_dir made."""
+    paths = [os.path.join(out_dir, f"{stem}.{fmt}") for fmt in ("csv", "json")]
+    try:
         for path, emit in zip(paths, (emit_csv, emit_json)):
             with open(path, "w") as fh:
                 fh.write(emit(report))

@@ -23,8 +23,7 @@ from functools import lru_cache
 
 from .errors import LemmaViolation, TooLarge
 from .exactnum import DEFAULT_BITS, Interval
-from .field import FieldSpec
-from .projline import count_closed_points
+from .field import FieldSpec, count_closed_points
 
 # Most monomials a truncated series may carry, the product of its orders
 # plus one.  (9, 9, 9, 9) at sieve truncation D = 0, the largest pattern

@@ -22,6 +22,18 @@ histogram of (max(a, b) + 1)^4 bins per (a, b) answers every k.  Its
 brute-force oracle, which enumerates all q^{2a+2b+4} coefficient tuples
 with direct gcd computations, lives in tests/oracles.py.
 
+Forms and divisor ids.  A binary form of degree d is the coefficient
+tuple (c_0, ..., c_d) meaning sum c_j X^j Y^(d-j), with code sum c_j q^j.
+Points of P^1 carry the affine coordinate x = X/Y: a closed point is the
+place at infinity (Y = 0, degree 1) or a monic irreducible in x, and a
+form vanishes at infinity to the number of its vanishing top
+coefficients, so a common root of two forms includes common vanishing
+there.  A degree-d divisor is a point of Hilb^d P^1 = P^d, a nonzero form
+up to scalar; its id is the rank of its monic form (top nonzero
+coefficient 1) among all monic codes, 0 .. #P^d(F_q) - 1, and the zero
+form gets the sentinel id #P^d(F_q).  Every id table is built from forms;
+no divisor is held as a multiset of points.
+
 Orientation.  Swapping the factors of P^1 x P^1 maps the pairs (s, t) of
 bidegree (a, b) one-to-one onto the pairs (t, s) of bidegree (b, a) on the
 transposed surface (SurfaceConfig.transposed: each centre's coordinates
@@ -85,7 +97,8 @@ Memory.  A degree's ids, #P^d(F_q) divisors and the zero sentinel, are
 counted in closed form, and _refuse_oversized refuses a degree whose
 PGL_2(F_q) table would exceed _GROUP_CAP entries, or whose id quadruples
 would overflow an int64 key (more than 55,108 ids, which also keeps every
-degree below 16), before any inventory, form map or group table is built.
+degree below 16), before any form map, multiplicity table or group table
+is built.
 So every stored id fits a uint16: side quadruples, the PGL_2 table and its
 orbit minima are uint16, and contact degrees uint8 tables.  NumPy 2 keeps
 uint16 times a Python int in uint16, where it wraps, so _encode widens a
@@ -116,88 +129,128 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetExceeded, DegreeMismatch, TooLarge
-from .field import FieldSpec, poly_mul
+from .field import FieldSpec, monic_irreducibles, poly_mul
 from .linalg import solve
-from .projline import _GROUP_CAP, closed_points_up_to, hilb_points
 from .surface import DEFAULT_BUDGET, SurfaceConfig
 
 JOIN_PASS = 2 ** 16         # row x column keys per join pass (module docstring, Memory)
+# entries of the PGL_2(F_q) permutation table: while the group closes each
+# is held as uint16 in its row's bytes key and once more in the joined
+# table, and each frontier row as intp, 7.2 bytes in all at q = 27, degree 2
+# (traced); so 80 M entries stay well within 2 GB
+_GROUP_CAP = 80_000_000
 
 
 # ---------------------------------------------------------------------------
-# divisor inventories and numpy tables
+# divisor ids and numpy tables
 
 @lru_cache(maxsize=None)
 def _np_tables(K: FieldSpec):
-    q = K.q
-    mul = np.zeros((q, q), dtype=np.int64)
+    """K.mul and K.sub as (q, q) int64 tables, from K's exp and log tables
+    and from base-p digits.  One int16 work array, every value below
+    2 q <= 2 * 13^3, holds the exponent sums and then each digit's
+    differences: 87 MB in all at q = 13^3."""
+    q, p = K.q, K.p
+    log = np.array(K._log, dtype=np.int16)
+    work = np.add.outer(log, log)
+    work %= q - 1
+    work[0] = work[:, 0] = q - 1    # a zero factor: the 0 appended to exp
+    mul = np.append(np.array(K._exp, dtype=np.int64), 0)[work]
     sub = np.zeros((q, q), dtype=np.int64)
-    for x in range(q):
-        for y in range(q):
-            mul[x, y] = K.mul(x, y)
-            sub[x, y] = K.sub(x, y)
+    for place in (p ** i for i in range(K.n)):
+        digit = np.arange(q, dtype=np.int16) // place % p
+        np.subtract.outer(digit, digit, out=work)
+        work %= p
+        work *= place
+        sub += work
     return mul, sub
 
 
-def _form_digits(q: int, degree: int):
-    """(q^(degree+1), degree+1) coefficient table of every form, row = code."""
-    codes = np.arange(q ** (degree + 1), dtype=np.int64)
+def _form_digits(q: int, degree: int, codes=None):
+    """(len(codes), degree+1) coefficient table of the forms `codes`, by
+    default every form, so that the row is the code."""
+    if codes is None:
+        codes = np.arange(q ** (degree + 1), dtype=np.int64)
     return (codes[:, None] // q ** np.arange(degree + 1, dtype=np.int64)) % q
 
 
 @lru_cache(maxsize=None)
-def _inventory(K: FieldSpec, degree: int):
-    """Divisors of exact degree; a divisor's id is its index."""
-    return tuple(hilb_points(K, degree))
+def _monic_codes(q: int, degree: int):
+    """The codes of the monic forms of a degree, ascending, so that a
+    divisor id indexes its monic form: those with top nonzero coefficient
+    c_t = 1 are the codes q^t .. 2 q^t - 1."""
+    return np.concatenate([np.arange(q ** t, 2 * q ** t, dtype=np.int64)
+                           for t in range(degree + 1)])
 
 
 @lru_cache(maxsize=None)
 def _form_divisor_ids(K: FieldSpec, degree: int):
-    """Map form code -> divisor id in the exact-degree inventory.
-
-    Each divisor's form with leading affine coefficient 1 is the product of
-    its affine closed points; the multiplicity at infinity is the missing
-    top degree.  The form's q-1 scalar multiples share its divisor.  The
-    zero form gets the sentinel id m (one past the inventory), acting as
-    the neutral element for divisor minima.
-    """
-    divs = _inventory(K, degree)
+    """Map form code -> divisor id: the rank of the form's monic multiple
+    among _monic_codes, found by scaling each monic form by the q-1
+    nonzero scalars, which share its divisor.  The zero form gets the
+    sentinel id past the monic forms, acting as the neutral element for
+    divisor minima."""
     q = K.q
     mul, _ = _np_tables(K)
-    forms = np.zeros((len(divs), degree + 1), dtype=np.int64)
-    for i, d in enumerate(divs):
-        f = (1,)
-        for pt, e in d.entries:
-            for _ in range(e if pt.poly else 0):
-                f = poly_mul(K, f, pt.poly)
-        forms[i, :len(f)] = f
+    monic = _form_digits(q, degree, _monic_codes(q, degree))
     powers = q ** np.arange(degree + 1, dtype=np.int64)
-    out = np.full(q ** (degree + 1), len(divs), dtype=np.int64)
+    out = np.full(q ** (degree + 1), len(monic), dtype=np.int64)
     for scalar in range(1, q):
-        out[mul[scalar][forms] @ powers] = np.arange(len(divs))
+        out[mul[scalar][monic] @ powers] = np.arange(len(monic))
+    return out
+
+
+def _products(K: FieldSpec, f, g):
+    """The products of the forms f and g, little-endian coefficient arrays
+    along the last axis, broadcast over the leading axes."""
+    mul, sub = _np_tables(K)
+    neg = sub[0]
+    width = g.shape[-1]
+    out = np.zeros(np.broadcast_shapes(f.shape[:-1], g.shape[:-1])
+                   + (f.shape[-1] + width - 1,), dtype=np.int64)
+    for i in range(f.shape[-1]):    # out += f_i X^i g
+        span = out[..., i:i + width]
+        span[...] = sub[span, mul[neg[f[..., i, None]], g]]
     return out
 
 
 @lru_cache(maxsize=None)
 def _multiplicities(K: FieldSpec, degree: int, top: int):
     """Multiplicities of the degree-`degree` divisors (rows, by id) at the
-    closed points of degree <= top (columns), and those points' degrees."""
-    pts = closed_points_up_to(K, top) if top else []
-    col = {pt: j for j, pt in enumerate(pts)}
-    divs = _inventory(K, degree)
-    m = np.zeros((len(divs), len(pts)), dtype=np.uint8)
-    for i, d in enumerate(divs):
-        for pt, e in d.entries:
-            if pt in col:
-                m[i, col[pt]] = e
-    return m, np.array([pt.degree for pt in pts], dtype=np.uint8)
+    closed points of degree <= top (columns), and those points' degrees.
+
+    A closed point of degree e is taken as a monic form P: Y for infinity,
+    first, then the monic irreducibles of each degree in x, in
+    monic_irreducibles order.  P^j divides a form of degree d exactly when
+    the form is P^j times a form of degree d - j e, so the ids of the
+    monic products P^j g, g monic, are marked j, for j = 1, 2, ... in
+    turn, at all P of one degree at once.
+    """
+    q = K.q
+    monic = _monic_codes(q, degree)
+    powers = q ** np.arange(degree + 1, dtype=np.int64)
+    points = [np.array([(1, 0)] * (e == 1) + list(monic_irreducibles(K, e)), dtype=np.int64)
+              for e in range(1, top + 1)]
+    pdeg = np.repeat(np.arange(1, top + 1, dtype=np.uint8), [len(P) for P in points])
+    m = np.zeros((monic.size, pdeg.size), dtype=np.uint8)
+    first = 0
+    for e, P in enumerate(points, 1):
+        cols = np.arange(first, first + len(P))[:, None]
+        power = P
+        for j in range(1, degree // e + 1):
+            cofactor = _form_digits(q, degree - j * e, _monic_codes(q, degree - j * e))
+            m[np.searchsorted(monic, _products(K, power[:, None], cofactor[None]) @ powers),
+              cols] = j
+            power = _products(K, power, P)
+        first += len(P)
+    return m, pdeg
 
 
 def _meet_degrees(K: FieldSpec, deg_s: int, rows, deg_t: int):
     """Contact degrees deg min(D, D') of the degree-deg_s divisor ids `rows`
     against every degree-deg_t id.
 
-    Ids one past an inventory are the zero sentinel, which comes last among
+    Ids past the monic forms are the zero sentinel, which comes last among
     the columns.  A zero form passes the other side's degree through, and
     two zero forms give 0.  Two nonzero forms can only share closed points
     of degree <= min(deg_s, deg_t), so those points suffice, and only the
@@ -221,7 +274,7 @@ def _meet_degrees(K: FieldSpec, deg_s: int, rows, deg_t: int):
 @lru_cache(maxsize=None)
 def _degree_table(K: FieldSpec, deg_s: int, deg_t: int):
     """_meet_degrees for every degree-deg_s id, the zero sentinel last."""
-    ids = np.arange(len(_inventory(K, deg_s)) + 1, dtype=np.int64)
+    ids = np.arange(_id_count(K.q, deg_s), dtype=np.int64)
     return _meet_degrees(K, deg_s, ids, deg_t)
 
 
@@ -243,17 +296,14 @@ def _pullback_perm(K: FieldSpec, degree: int, g):
         for lin in [(b, a)] * j + [(d, c)] * (degree - j):
             f = poly_mul(K, f, lin)
         basis.append(f + (0,) * (degree + 1 - len(f)))
-    digits = _form_digits(K.q, degree)
+    digits = _form_digits(K.q, degree, np.append(_monic_codes(K.q, degree), 0))   # by id
     image = np.zeros(len(digits), dtype=np.int64)
     for k in range(degree + 1):
         acc = np.zeros(len(digits), dtype=np.int64)
         for j in range(degree + 1):
             acc = sub[acc, mul[digits[:, j], K.neg(basis[j][k])]]
         image += acc * K.q ** k
-    div_id = _form_divisor_ids(K, degree)
-    perm = np.empty(len(_inventory(K, degree)) + 1, dtype=np.int64)
-    perm[div_id] = div_id[image]
-    return perm
+    return _form_divisor_ids(K, degree)[image]
 
 
 def _id_count(q: int, degree: int) -> int:
@@ -264,9 +314,11 @@ def _id_count(q: int, degree: int) -> int:
 def _refuse_oversized(K: FieldSpec, degree: int):
     """Refuse, from the closed-form id count alone, a degree whose PGL_2(F_q)
     table exceeds _GROUP_CAP entries or whose ids overflow a key; so a
-    refused degree builds no inventory, form map or group table."""
+    refused degree builds no form map, multiplicity table or group table.
+    The table has q^3 - q rows, one at degree 0, where the action is
+    trivial."""
     ids = _id_count(K.q, degree)
-    if (K.q ** 3 - K.q) * ids > _GROUP_CAP:
+    if (K.q ** 3 - K.q if degree else 1) * ids > _GROUP_CAP:
         raise TooLarge(f"PGL_2(F_{K.q}) acting on {ids} degree-{degree} divisor ids "
                        f"exceeds {_GROUP_CAP} table entries")
     _key_base(K, degree)
@@ -402,9 +454,8 @@ def _sweep(cfg: SurfaceConfig, degree: int, firsts, coprime):
     digits = _form_digits(q, degree)
     powers = q ** np.arange(degree + 1, dtype=np.int64)
     codes = np.arange(div_id.size, dtype=np.int64)
-    zero = len(_inventory(K, degree))
-    form = np.empty(zero + 1, dtype=np.int64)     # a form of each divisor id
-    form[div_id] = codes
+    form = np.append(_monic_codes(q, degree), 0)    # each divisor id's monic form, then zero
+    zero = form.size - 1
     l0, l1 = cfg.lam(0), cfg.lam(1)
     # lambda_i = alpha lambda_0 + beta lambda_1 = alpha g1 - (-beta) g2
     combos = []

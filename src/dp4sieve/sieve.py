@@ -56,9 +56,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DegreeMismatch
-from .field import FieldSpec
+from .field import FieldSpec, count_closed_points
 from .heightzeta import TruncatedMultiSeries, series_one
-from .projline import count_closed_points
 
 # the scaling t_i -> q^2 t_i, T -> q^4 T that makes every sieve factor
 # coefficient an integer

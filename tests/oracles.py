@@ -6,8 +6,9 @@ computes, by a path that shares as little with it as possible:
 * section counting: one pass over every coprime section pair of a bidegree,
   tallied by the four contact divisors that polynomial gcds give, against
   secenum's contact-degree join; the divisor of a form by trial division,
-  against secenum's product table; the closed points of a degree by trial
-  division, against projline's marking of products; the orbit-reduced side
+  against secenum's monic-form ids and multiplicity tables; the closed
+  points of a degree by trial division, against field.monic_irreducibles'
+  marking of products; the orbit-reduced side
   as the full side summary moved to least keys over all of PGL_2(F_q),
   against secenum's enumeration from first-divisor orbits; the full side summary by
   coefficient pairs, against secenum's sweep under the trivial group; the
@@ -28,8 +29,11 @@ computes, by a path that shares as little with it as possible:
 * exact arithmetic: the truncated series product as a double loop over
   two dicts of Fractions, interval powers by repeated interval products,
   and the limit check's local values and cutoffs in Fractions;
-* element vectors, the Frobenius map and pointwise divisor arithmetic,
-  which the pipeline never needs.
+* closed points, effective divisors as multisets of them and the
+  degree-n divisor inventories (hilb_points): the oracle's own divisor
+  model, which the engine replaces by monic forms; element vectors, the
+  Frobenius map and pointwise divisor arithmetic, which the pipeline never
+  needs.
 """
 
 from __future__ import annotations
@@ -49,23 +53,112 @@ from dp4sieve import sieve as sv
 from dp4sieve import surface as sf
 from dp4sieve.errors import DegreeMismatch, Dp4Error, TooLarge
 from dp4sieve.exactnum import Interval
-from dp4sieve.field import FieldSpec, from_digits, poly_divmod, poly_mul, poly_trim, to_digits
+from dp4sieve.field import (
+    FieldSpec,
+    count_closed_points,
+    from_digits,
+    monic_irreducibles,
+    poly_divmod,
+    poly_mul,
+    poly_trim,
+    to_digits,
+)
 from dp4sieve.heightzeta import TruncatedMultiSeries, good_factor
 from dp4sieve.linalg import row_reduce
-from dp4sieve.projline import (
-    ZERO_DIVISOR,
-    ClosedPoint,
-    EffectiveDivisor,
-    _affine_point,
-    _irreducibles_of_degree,
-    closed_points_up_to,
-    count_closed_points,
-    divisor,
-    hilb_points,
-    point_at_infinity,
-)
 from dp4sieve.sieve import LATTICE
 from dp4sieve.surface import DEFAULT_BUDGET, SurfaceConfig
+
+
+# ---------------------------------------------------------------------------
+# the oracle's divisor model: closed points and effective divisors as
+# multisets of them.  Points of P^1 carry the affine coordinate x = X/Y of
+# secenum's forms, so a closed point is either the place at infinity
+# (Y = 0, degree 1) or a monic irreducible polynomial in x.
+
+_HILB_CAP = 2_000_000
+
+
+@dataclass(frozen=True, order=True)
+class ClosedPoint:
+    """A closed point of P^1: infinity, or a monic irreducible in x.
+
+    The sort key is (degree, code).  Infinity carries code -1, so it sorts
+    first among the degree-1 points; closed_points_up_to lists it last
+    among them instead.
+    """
+
+    degree: int
+    code: int            # poly code sum c_i q^i, or -1 for infinity
+    poly: tuple          # () for infinity, else monic coefficient tuple
+
+    @property
+    def is_infinity(self) -> bool:
+        return not self.poly
+
+
+def point_at_infinity() -> ClosedPoint:
+    return ClosedPoint(degree=1, code=-1, poly=())
+
+
+def _affine_point(K: FieldSpec, poly) -> ClosedPoint:
+    poly = tuple(poly)
+    return ClosedPoint(degree=len(poly) - 1, code=from_digits(poly, K.q), poly=poly)
+
+
+def closed_points_up_to(K: FieldSpec, N: int):
+    """All closed points of degree <= N in deterministic order.
+
+    Degree 1 lists the q affine rational points by coordinate code and then
+    infinity; higher degrees list monic irreducibles by coefficient code.
+    """
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    pts = [_affine_point(K, P) for P in monic_irreducibles(K, 1)] + [point_at_infinity()]
+    for n in range(2, N + 1):
+        pts.extend(_affine_point(K, P) for P in monic_irreducibles(K, n))
+    return pts
+
+
+@dataclass(frozen=True)
+class EffectiveDivisor:
+    """A finite multiset of closed points: sorted ((point, mult), ...) pairs."""
+
+    entries: tuple
+
+    def __post_init__(self):
+        assert all(m >= 1 for _, m in self.entries)
+
+    @property
+    def degree(self) -> int:
+        return sum(pt.degree * m for pt, m in self.entries)
+
+
+def divisor(pairs) -> EffectiveDivisor:
+    ent = tuple(sorted((pt, m) for pt, m in pairs if m))
+    return EffectiveDivisor(entries=ent)
+
+
+ZERO_DIVISOR = EffectiveDivisor(entries=())
+
+
+def hilb_points(K: FieldSpec, n: int):
+    """All effective divisors of degree n; their number is #P^n(F_q)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    expected = (K.q ** (n + 1) - 1) // (K.q - 1)
+    if expected > _HILB_CAP:
+        raise TooLarge(f"degree-{n} divisor inventory over F_{K.q} has {expected} members")
+    if n == 0:
+        return [ZERO_DIVISOR]
+    # by_degree[r]: point multisets of degree r over the points seen so far;
+    # taking r upwards lets each point repeat (an unbounded knapsack)
+    by_degree = [[()]] + [[] for _ in range(n)]
+    for pt in closed_points_up_to(K, n):
+        for r in range(pt.degree, n + 1):
+            by_degree[r].extend(ms + (pt,) for ms in by_degree[r - pt.degree])
+    out = [divisor(Counter(ms).items()) for ms in by_degree[n]]
+    assert len(out) == expected
+    return sorted(out, key=lambda d: d.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +216,7 @@ def _affine_part(coeffs):
 
 
 def irreducibles_by_trial_division(K: FieldSpec, n: int) -> tuple:
-    """Reference for projline._irreducibles_of_degree: the monic polynomials
+    """Reference for field.monic_irreducibles: the monic polynomials
     of degree n, ascending by code, that no lower-degree monic irreducible
     divides."""
     lower = [pt.poly for d in range(1, n // 2 + 1)
@@ -149,15 +242,15 @@ def factor_poly(K: FieldSpec, poly) -> list:
             monic = tuple(K.mul(c, inv) for c in poly)
             out.append((_affine_point(K, monic), 1))
             break
-        for pt in _irreducibles_of_degree(K, n):
+        for factor in monic_irreducibles(K, n):
             mult = 0
             while True:
-                quot, rem = poly_divmod(K, poly, pt.poly)
+                quot, rem = poly_divmod(K, poly, factor)
                 if rem:
                     break
                 poly, mult = quot, mult + 1
             if mult:
-                out.append((pt, mult))
+                out.append((_affine_point(K, factor), mult))
         n += 1
     assert sum(pt.degree * m for pt, m in out) == deg
     return out
@@ -175,6 +268,21 @@ def divisor_of_form(K: FieldSpec, coeffs) -> EffectiveDivisor:
     div = divisor(pairs)
     assert div.degree == len(coeffs) - 1
     return div
+
+
+def monic_forms(K: FieldSpec, degree: int) -> list:
+    """The monic forms of a degree (top nonzero coefficient 1), as
+    coefficient tuples ascending by code: secenum's divisor id of a form
+    is the index here of its monic multiple."""
+    return [to_digits(r, K.q, t) + (1,) + (0,) * (degree - t)
+            for t in range(degree + 1) for r in range(K.q ** t)]
+
+
+@lru_cache(maxsize=None)
+def id_divisors(K: FieldSpec, degree: int) -> tuple:
+    """The divisor of each of secenum's divisor ids of a degree, by
+    factoring its monic form."""
+    return tuple(divisor_of_form(K, f) for f in monic_forms(K, degree))
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +469,8 @@ def fiber_count(cfg: SurfaceConfig, w, a: int, b: int,
 def _fiber_table(K: FieldSpec, deg_s: int, deg_t: int, w: EffectiveDivisor):
     """0/1 table [min(D, D') = w] over the same rows and columns as
     _degree_table, with the same zero rules (two zero forms meet in 0)."""
-    S = list(se._inventory(K, deg_s)) + [None]
-    T = list(se._inventory(K, deg_t)) + [None]
+    S = list(id_divisors(K, deg_s)) + [None]
+    T = list(id_divisors(K, deg_t)) + [None]
 
     def meet(x, y):
         if x is None:

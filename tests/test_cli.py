@@ -142,7 +142,8 @@ def test_corrupt_cache_byte_is_an_invariant_violation(tmp_path, capsys):
 def test_a_path_that_names_a_file_is_an_io_error(flag, tmp_path, capsys):
     # a file where a directory should be: exit 4, the code IoError shares
     # with every other failed read or write, and one message line after the
-    # stage progress lines
+    # stage progress lines.  Both directories are made before any class is
+    # counted, so the counting stage never reports
     taken = tmp_path / "taken"
     taken.write_text("")
     argv = ["--field-p", "3", "--d-max", "1", "--out-dir", str(tmp_path / "o"),
@@ -152,6 +153,7 @@ def test_a_path_that_names_a_file_is_an_io_error(flag, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[-1].startswith("internal invariant violation: cannot ")
     assert all(line.startswith("[dp4sieve] ") for line in err[:-1])
+    assert not any(line.startswith("[dp4sieve] counting stage") for line in err)
 
 
 def test_budget_exit_code(tmp_path):
@@ -285,11 +287,23 @@ def test_group_table_cap_exit_code(monkeypatch, tmp_path, capsys):
     assert report["rows"][:-1] == full["rows"] and len(full["rows"]) == 2
 
 
-def test_resource_limit_exit_code(monkeypatch, capsys):
+def test_degree_0_group_table_is_one_row(tmp_path):
+    # PGL_2(F_343) acts trivially on the 2 degree-0 ids, so its table is one
+    # row of 2 entries, not the 40 M rows of the faithful action, and the
+    # count is not refused: N(0) is the 344^2 constant maps to P^1 x P^1
+    argv = ["--field-p", "7", "--field-n", "3", "--d-max", "0",
+            "--out-dir", str(tmp_path), "count"]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "count_q343_d0.json").read_text())
+    assert report["rows"] == [{"d": 0, "N": 344 ** 2, "N_eps": 344 ** 2}]
+    assert report["flags"] == []
+
+
+def test_resource_limit_exit_code(monkeypatch, tmp_path, capsys):
     def refuse(*args, **kwargs):
         raise TooLarge("join histogram would need 10**9 bins")
 
     monkeypatch.setattr(cli, "counting_function", refuse)
-    assert main(["--field-p", "3", "count"]) == 3
+    assert main(["--field-p", "3", "--out-dir", str(tmp_path), "count"]) == 3
     err = capsys.readouterr().err
     assert err == "resource limit exceeded: join histogram would need 10**9 bins\n"

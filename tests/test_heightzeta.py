@@ -10,7 +10,7 @@ from dp4sieve import euler as eu
 from dp4sieve import heightzeta as hz
 from dp4sieve.errors import LemmaViolation, TooLarge
 from dp4sieve.exactnum import DEFAULT_BITS, Interval
-from dp4sieve.projline import count_closed_points
+from dp4sieve.field import count_closed_points
 
 
 def test_interval_arithmetic():

@@ -2,7 +2,9 @@ import itertools
 
 import pytest
 from oracles import (
+    ZERO_DIVISOR,
     ZeroForm,
+    closed_points_up_to,
     divisor_min,
     divisor_mult,
     divisor_of_form,
@@ -11,20 +13,14 @@ from oracles import (
     form_gcd_degree,
     frobenius,
     from_vector,
+    hilb_points,
     irreducibles_by_trial_division,
+    point_at_infinity,
     rational_point,
 )
 
 from dp4sieve import heightzeta as hz
-from dp4sieve.field import make_field
-from dp4sieve.projline import (
-    ZERO_DIVISOR,
-    _irreducibles_of_degree,
-    closed_points_up_to,
-    count_closed_points,
-    hilb_points,
-    point_at_infinity,
-)
+from dp4sieve.field import count_closed_points, make_field, monic_irreducibles
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -122,8 +118,9 @@ def test_irreducibles_by_marking_equal_trial_division():
     # the same points in the same order, and as many as the necklace formula
     for K in (F2, F3, F4, F5):
         for n in range(1, 5):
-            marked = _irreducibles_of_degree(K, n)
-            assert marked == irreducibles_by_trial_division(K, n), (K.q, n)
+            marked = monic_irreducibles(K, n)
+            assert marked == tuple(pt.poly for pt in irreducibles_by_trial_division(K, n)), \
+                (K.q, n)
             assert len(marked) == count_closed_points(K.q, n) - (n == 1)
 
 

@@ -7,6 +7,7 @@ import oracles as orc
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import ZERO_DIVISOR, divisor
 
 from dp4sieve import secenum as se
 from dp4sieve import surface as sf
@@ -18,8 +19,7 @@ from dp4sieve.errors import (
     OnBidegreeCurve,
     TooLarge,
 )
-from dp4sieve.field import field_of_order, make_field
-from dp4sieve.projline import _GROUP_CAP, ZERO_DIVISOR, divisor
+from dp4sieve.field import field_of_order, from_digits, make_field
 
 F3 = make_field(3)
 F4 = make_field(2, 2)
@@ -210,32 +210,37 @@ def test_budget_charges_the_orbit_enumeration():
         se.count_sections(CFG4, 2, 1, k, budget=charge - 1)
 
 
+def _tables_built():
+    # the misses of every cached divisor-id table: the form map, the
+    # multiplicities and the PGL_2 permutations
+    return [table.cache_info().misses
+            for table in (se._form_divisor_ids, se._multiplicities, se._pgl2_perms)]
+
+
 def test_refused_count_builds_no_table():
     # (9, 0) at q = 5: 2,441,406 divisors of degree 9 make at least 20,346
     # orbits of PGL_2(F_5), each charged 5^10, which exceeds the default
-    # budget before the orbits or the degree-9 inventory are built
-    built = se._pgl2_perms.cache_info().misses, se._inventory.cache_info().misses
+    # budget before the orbits or any degree-9 table are built
+    built = _tables_built()
     with pytest.raises(BudgetExceeded):
         se.count_sections(CFG5, 9, 0, (0, 0, 0, 0))
-    assert (se._pgl2_perms.cache_info().misses, se._inventory.cache_info().misses) == built
+    assert _tables_built() == built
     # under an unbounded budget the PGL_2(F_5) table refuses it: 120 group
     # elements on 2,441,407 ids exceed _GROUP_CAP, checked before any table
-    built = se._inventory.cache_info().misses, se._form_divisor_ids.cache_info().misses
     with pytest.raises(TooLarge, match="PGL_2"):
         se.count_sections(CFG5, 9, 0, (0, 0, 0, 0), budget=2 ** 60)
-    assert (se._inventory.cache_info().misses, se._form_divisor_ids.cache_info().misses) == built
+    assert _tables_built() == built
 
 
 def test_oversized_degree_builds_no_table():
     # (8, 1) at q = 4: 87,381 degree-8 divisor ids and the zero sentinel
     # exceed the 55,108 whose quadruples fit an int64 key, so the count is
     # refused within the default budget from the closed-form id count,
-    # before any inventory, form table or group table is built
-    tables = (se._inventory, se._form_divisor_ids, se._pgl2_perms)
-    built = [table.cache_info().misses for table in tables]
+    # before any form map, multiplicity table or group table is built
+    built = _tables_built()
     with pytest.raises(TooLarge, match="87381 degree-8 divisor ids"):
         se.count_sections(CFG4, 8, 1, (0, 0, 0, 0))
-    assert [table.cache_info().misses for table in tables] == built
+    assert _tables_built() == built
 
 
 def test_group_cap_admits_the_reachable_tables():
@@ -244,7 +249,7 @@ def test_group_cap_admits_the_reachable_tables():
     def entries(q, degree):
         return (q ** 3 - q) * ((q ** (degree + 1) - 1) // (q - 1) + 1)
 
-    assert max(entries(9, 4), entries(7, 6)) <= _GROUP_CAP < min(entries(49, 2), entries(64, 2))
+    assert max(entries(9, 4), entries(7, 6)) <= se._GROUP_CAP < min(entries(49, 2), entries(64, 2))
 
 
 def test_negative_k_rejected():
@@ -337,27 +342,90 @@ def _shape(d):
     return sorted((pt.degree, m) for pt, m in d.entries)
 
 
+def test_np_tables_are_the_field_arithmetic():
+    # built from the exp and log tables and from base-p digits, never from
+    # K.mul or K.sub themselves
+    for q in (2, 3, 4, 5, 8, 9, 25, 27, 49):
+        K = field_of_order(q)
+        mul, sub = se._np_tables(K)
+        assert mul.dtype == sub.dtype == np.int64
+        assert mul.tolist() == [[K.mul(x, y) for y in range(q)] for x in range(q)], q
+        assert sub.tolist() == [[K.sub(x, y) for y in range(q)] for x in range(q)], q
+
+
+# the fields and degrees on which the divisor-id tables meet the factoring
+# oracle: every degree <= 3, and degree 4 at q = 4
+ORACLE_DEGREES = [(q, d) for q in (3, 4, 5, 7, 8, 9) for d in range(4)] + [(4, 4)]
+
+
+def _meet_degrees_by_point(S, T):
+    # the degree of orc.divisor_min(x, y) for each x in S and y in T, summed
+    # over the points x and y share, visiting only those pairs: all pairs
+    # through divisor_min take 5.5 us each, 9 s over the degrees below
+    through = {}
+    for j, y in enumerate(T):
+        for pt, n in y.entries:
+            through.setdefault(pt, []).append((j, n))
+    out = [[0] * len(T) for _ in S]
+    for row, x in zip(out, S):
+        for pt, m in x.entries:
+            for j, n in through.get(pt, ()):
+                row[j] += pt.degree * min(m, n)
+    return out
+
+
 def test_degree_table_is_the_degree_of_the_meet():
-    for K in (F3, F4):
-        for ds, dt in itertools.product(range(3), repeat=2):
-            S, T = se._inventory(K, ds), se._inventory(K, dt)
-            tab = se._degree_table(K, ds, dt)
+    for (q, ds), (r, dt) in itertools.product(ORACLE_DEGREES, repeat=2):
+        if q != r:
+            continue
+        K = field_of_order(q)
+        S, T = orc.id_divisors(K, ds), orc.id_divisors(K, dt)
+        tab = se._degree_table(K, ds, dt)
+        assert tab[:-1, :-1].tolist() == _meet_degrees_by_point(S, T), (q, ds, dt)
+        if q == 3 or max(ds, dt) <= 2:      # the definition itself, on every pair
             assert tab[:-1, :-1].tolist() == [[orc.divisor_min(x, y).degree for y in T]
                                                for x in S]
-            # a zero form passes the other side through; two meet in 0
-            assert (tab[:-1, -1] == ds).all() and (tab[-1, :-1] == dt).all()
-            assert tab[-1, -1] == 0
+        # a zero form passes the other side through; two meet in 0
+        assert (tab[:-1, -1] == ds).all() and (tab[-1, :-1] == dt).all()
+        assert tab[-1, -1] == 0
 
 
 def test_form_divisor_table_is_the_factoring_oracle():
-    for q, degree in [(q, d) for q in (3, 4, 5) for d in range(4)] + [(4, 4)]:
+    # an id is the rank of its monic form among the monic codes, two nonzero
+    # forms share an id exactly when they have the same divisor, and the
+    # zero form gets the sentinel past the ids
+    for q, degree in ORACLE_DEGREES:
         K = field_of_order(q)
-        ids = {d: i for i, d in enumerate(se._inventory(K, degree))}
+        div_id = se._form_divisor_ids(K, degree)
+        divs = orc.id_divisors(K, degree)
+        assert len(set(divs)) == len(divs) == se._id_count(q, degree) - 1
+        monic = [from_digits(f, q) for f in orc.monic_forms(K, degree)]
+        assert div_id[monic].tolist() == list(range(len(divs))), (q, degree)
         forms = itertools.product(range(q), repeat=degree + 1)
         # codes are little-endian digits: the first coefficient varies fastest
+        ids = {d: i for i, d in enumerate(divs)}
         expected = [ids[orc.divisor_of_form(K, f[::-1])] if any(f) else len(ids)
                     for f in forms]
-        assert se._form_divisor_ids(K, degree).tolist() == expected, (q, degree)
+        assert div_id.tolist() == expected, (q, degree)
+
+
+def test_multiplicity_rows_are_the_factoring_oracle():
+    # row i holds the multiplicities of id i's divisor at infinity and then
+    # at the monic irreducibles of degree 1..top, those by trial division;
+    # a smaller top keeps the leading columns
+    for q, degree in ORACLE_DEGREES:
+        K = field_of_order(q)
+        divs = orc.id_divisors(K, degree)
+        m, pdeg = se._multiplicities(K, degree, degree)
+        points = [orc.point_at_infinity()] * bool(degree) + [
+            pt for n in range(1, degree + 1) for pt in orc.irreducibles_by_trial_division(K, n)]
+        assert pdeg.tolist() == [pt.degree for pt in points]
+        assert m.tolist() == [[orc.divisor_mult(d, pt) for pt in points] for d in divs], \
+            (q, degree)
+        for top in range(degree):
+            m_top, pdeg_top = se._multiplicities(K, degree, top)
+            width = pdeg_top.size
+            assert (m_top == m[:, :width]).all() and (pdeg_top == pdeg[:width]).all()
 
 
 def test_side_has_one_quadruple_per_projective_pair():
@@ -436,7 +504,7 @@ def test_pullback_permutation_fixes_the_side_summaries(q, degree, other, data):
     K = cfg.field
     g = data.draw(_invertible(q))
     perm = se._pullback_perm(K, degree, g)
-    divs = se._inventory(K, degree)
+    divs = orc.id_divisors(K, degree)
     m = len(divs)
     # a bijection of the divisor ids that fixes the zero sentinel and keeps
     # each divisor's shape, hence its degree

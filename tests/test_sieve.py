@@ -9,10 +9,9 @@ import pytest
 
 from dp4sieve import euler as eu
 from dp4sieve import sieve as sv
-from dp4sieve.field import make_field
-from dp4sieve.projline import ZERO_DIVISOR, count_closed_points, divisor
+from dp4sieve.field import count_closed_points, make_field
 from dp4sieve.surface import default_config
-from oracles import rational_point
+from oracles import ZERO_DIVISOR, divisor, rational_point
 
 K3 = make_field(3)
 K5 = make_field(5)
