@@ -97,12 +97,6 @@ class FieldSpec:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    # -- inventory ----------------------------------------------------------
-
-    def elements(self) -> range:
-        """All q elements in canonical order; starts 0, 1."""
-        return range(self.q)
-
     def __str__(self):
         return f"F_{self.q}" if self.n == 1 else f"F_{self.q} = F_{self.p}[x]/{self.modulus}"
 

@@ -71,8 +71,10 @@ class RunConfig:
             raise InvalidConfig(f"unsupported field: {exc}") from exc
         except (CoincidentFirstCoords, CoincidentSecondCoords, ValueError) as exc:
             raise InvalidConfig(f"bad points: {exc}") from exc
-        if self.epsilon <= 0:
-            raise InvalidConfig("epsilon must be > 0")
+        # every nonzero nef class has ell <= h - 2 < h, so each epsilon >= 1
+        # shrinks the cone to {0}, as epsilon = 1 does
+        if not 0 < self.epsilon <= 1:
+            raise InvalidConfig("epsilon must be in (0, 1]")
         if min(self.d_max, self.sieve_D) < 0 or min(self.euler_N, self.limit_m_max) < 1:
             raise InvalidConfig("d_max and sieve_D must be >= 0, euler_N and limit_m_max >= 1")
         if self.budget <= 0:
@@ -294,8 +296,9 @@ def counting_function(cfg: RunConfig) -> CountReport:
     N_eps(d) for d = 0..d_max, exact integers, cached per class in
     cfg.cache_dir.
 
-    A class refused for its budget or for its size makes the row of its h
-    partial and ends the rows there, flagged budget_exceeded_at_d or
+    The classes are counted in ascending h.  The first one refused for its
+    budget or for its size ends the count and makes the row of its h
+    partial and the last, flagged budget_exceeded_at_d or
     resource_limit_at_d; a size refusal's reason goes to stderr."""
     surface = cfg.surface()
     cache = CountCache(cfg.cache_dir)
@@ -308,8 +311,10 @@ def counting_function(cfg: RunConfig) -> CountReport:
     t0 = time.perf_counter()
     classes = enumerate_nef_points(cfg.d_max)
     per_class = {}
-    refused = None      # (h, flag, reason) of the least refused class
-    for alpha in classes:
+    refused = None      # (h, flag, reason) of the refused class
+    # stable: coordinate order within an h, so the first refusal is the least
+    # refused h's first, and every class from it on is cut from the rows
+    for alpha in sorted(classes, key=lambda x: x.h):
         # counts are marking independent, so every class is counted with
         # its identity-model invariants
         # a key only for a cache directory: without one every class misses
@@ -319,10 +324,9 @@ def counting_function(cfg: RunConfig) -> CountReport:
             try:
                 val = count_morphisms(surface, alpha.a, alpha.b, alpha.k, budget=cfg.budget)
             except (BudgetExceeded, TooLarge) as exc:
-                if refused is None or alpha.h < refused[0]:
-                    flag = "budget_exceeded" if isinstance(exc, BudgetExceeded) else "resource_limit"
-                    refused = (alpha.h, flag, str(exc))
-                continue
+                flag = "budget_exceeded" if isinstance(exc, BudgetExceeded) else "resource_limit"
+                refused = (alpha.h, flag, str(exc))
+                break
             if key:
                 cache.store(key, val)
         per_class[alpha] = val
@@ -378,10 +382,10 @@ def asymptotic_report(cfg: RunConfig) -> CountReport:
         "rho": RHO,
         "epsilon": str(cfg.epsilon),
     })
-    qe_exceeds = q ** cfg.epsilon.numerator > (2 ** 32) ** cfg.epsilon.denominator
-    report.constants["q_epsilon_exceeds_C"] = qe_exceeds
-    if not qe_exceeds:
-        report.flags.append("q^epsilon <= 2^32: asymptotic error-term regime out of reach (diagnostic only)")
+    # fixed labels, kept for byte identity: epsilon <= 1 and q <= 13^3 give
+    # q^epsilon <= q < 2^32, so q^epsilon never exceeds C = 2^32
+    report.constants["q_epsilon_exceeds_C"] = False
+    report.flags.append("q^epsilon <= 2^32: asymptotic error-term regime out of reach (diagnostic only)")
     pref = (1 - Fraction(1, q)) * alpha * tam.value
     for row in report.rows:
         if row.get("partial"):

@@ -32,14 +32,15 @@ there.  A degree-d divisor is a point of Hilb^d P^1 = P^d, a nonzero form
 up to scalar; its id is the rank of its monic form (top nonzero
 coefficient 1) among all monic codes, 0 .. #P^d(F_q) - 1, and the zero
 form gets the sentinel id #P^d(F_q).  Every id table is built from forms;
-no divisor is held as a multiset of points.
+no divisor is held as a multiset of points.  The closed points of degree
+e are the rows of _multiplicities' degree-e table that no lower point marks.
 
 Orientation.  Swapping the factors of P^1 x P^1 maps the pairs (s, t) of
 bidegree (a, b) one-to-one onto the pairs (t, s) of bidegree (b, a) on the
 transposed surface (SurfaceConfig.transposed: each centre's coordinates
-swapped), with the same contact divisors.  So count_sections and
-_contact_histogram turn (cfg, a, b) with a < b into (cfg.transposed(), b,
-a) before anything is charged or joined, and the engine sees a >= b only:
+swapped), with the same contact divisors.  So count_sections, and
+nothing else, turns (cfg, a, b) with a < b into (cfg.transposed(), b, a)
+before anything is charged or joined, and the engine sees a >= b only:
 s is swept in the functionals of cfg's first coordinates, t as the first
 side of cfg.transposed().  On a surface that is its own transpose, as the
 default q = 3 one, (a, b) reads the histogram of (b, a).
@@ -94,11 +95,11 @@ of the sigma take phi(o) to its least image, each with that weight, so o
 counts |H| times, and one exact integer division by |H| ends the join.
 
 Memory.  A degree's ids, #P^d(F_q) divisors and the zero sentinel, are
-counted in closed form, and _refuse_oversized refuses a degree whose
-PGL_2(F_q) table would exceed _GROUP_CAP entries, or whose id quadruples
-would overflow an int64 key (more than 55,108 ids, which also keeps every
-degree below 16), before any form map, multiplicity table or group table
-is built.
+counted in closed form, and _refuse_oversized, the one refusal, refuses a
+degree whose PGL_2(F_q) table would exceed _GROUP_CAP entries, or whose id
+quadruples would overflow an int64 key (more than 55,108 ids, which also
+keeps every degree below 16), before any form map, multiplicity table or
+group table is built; the id count itself is then the key base.
 So every stored id fits a uint16: side quadruples, the PGL_2 table and its
 orbit minima are uint16, and contact degrees uint8 tables.  NumPy 2 keeps
 uint16 times a Python int in uint16, where it wraps, so _encode widens a
@@ -129,7 +130,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetExceeded, DegreeMismatch, TooLarge
-from .field import FieldSpec, monic_irreducibles, poly_mul
+from .field import FieldSpec, count_closed_points
 from .linalg import solve
 from .surface import DEFAULT_BUDGET, SurfaceConfig
 
@@ -215,34 +216,37 @@ def _products(K: FieldSpec, f, g):
 
 
 @lru_cache(maxsize=None)
-def _multiplicities(K: FieldSpec, degree: int, top: int):
-    """Multiplicities of the degree-`degree` divisors (rows, by id) at the
-    closed points of degree <= top (columns), and those points' degrees.
+def _multiplicities(K: FieldSpec, degree: int):
+    """Multiplicities of the degree-`degree` divisors (rows, by id) at every
+    closed point of degree <= degree (columns), and those points' degrees.
 
-    A closed point of degree e is taken as a monic form P: Y for infinity,
-    first, then the monic irreducibles of each degree in x, in
-    monic_irreducibles order.  P^j divides a form of degree d exactly when
-    the form is P^j times a form of degree d - j e, so the ids of the
-    monic products P^j g, g monic, are marked j, for j = 1, 2, ... in
-    turn, at all P of one degree at once.
+    The points of degree e, by ascending code (Y, infinity, first), are the
+    monic forms of degree e that no lower point divides: the rows of the
+    degree-e table unmarked at its lower columns, this table's own at e =
+    degree, so each lower degree's columns are a prefix of these.  P^j
+    divides a form of degree d exactly when the form is P^j times a form of
+    degree d - j e, so the ids of the monic products P^j g, g monic, are
+    marked j, for j = 1, 2, ... in turn, at all P of one degree at once.
     """
     q = K.q
     monic = _monic_codes(q, degree)
     powers = q ** np.arange(degree + 1, dtype=np.int64)
-    points = [np.array([(1, 0)] * (e == 1) + list(monic_irreducibles(K, e)), dtype=np.int64)
-              for e in range(1, top + 1)]
-    pdeg = np.repeat(np.arange(1, top + 1, dtype=np.uint8), [len(P) for P in points])
+    sizes = [count_closed_points(q, e) for e in range(1, degree + 1)]
+    pdeg = np.repeat(np.arange(1, degree + 1, dtype=np.uint8), sizes)
     m = np.zeros((monic.size, pdeg.size), dtype=np.uint8)
     first = 0
-    for e, P in enumerate(points, 1):
-        cols = np.arange(first, first + len(P))[:, None]
+    for e, size in enumerate(sizes, 1):
+        m_e, pdeg_e = _multiplicities(K, e) if e < degree else (m, pdeg)
+        P = _form_digits(q, e, _monic_codes(q, e)[~m_e[:, pdeg_e < e].any(axis=1)])
+        assert len(P) == size, "closed points miscounted"
+        cols = np.arange(first, first + size)[:, None]
         power = P
         for j in range(1, degree // e + 1):
             cofactor = _form_digits(q, degree - j * e, _monic_codes(q, degree - j * e))
             m[np.searchsorted(monic, _products(K, power[:, None], cofactor[None]) @ powers),
               cols] = j
             power = _products(K, power, P)
-        first += len(P)
+        first += size
     return m, pdeg
 
 
@@ -253,17 +257,17 @@ def _meet_degrees(K: FieldSpec, deg_s: int, rows, deg_t: int):
     Ids past the monic forms are the zero sentinel, which comes last among
     the columns.  A zero form passes the other side's degree through, and
     two zero forms give 0.  Two nonzero forms can only share closed points
-    of degree <= min(deg_s, deg_t), so those points suffice, and only the
-    points some row passes through are visited.
+    of degree <= min(deg_s, deg_t), the shorter table's columns, so those
+    suffice, and only the points some row passes through are visited.
     """
-    top = min(deg_s, deg_t)
-    mS, pdeg = _multiplicities(K, deg_s, top)
-    mT, _ = _multiplicities(K, deg_t, top)
+    mS, pdeg = _multiplicities(K, deg_s)
+    mT, _ = _multiplicities(K, deg_t)
+    width = min(mS.shape[1], mT.shape[1])
     zero = rows == mS.shape[0]
     tab = np.zeros((rows.size, mT.shape[0] + 1), dtype=np.uint8)
     tab[zero, :-1] = deg_t
     tab[~zero, -1] = deg_s
-    mR = mS[rows[~zero]]
+    mR = mS[rows[~zero], :width]
     meet = np.zeros((mR.shape[0], mT.shape[0]), dtype=np.uint8)
     for j in np.flatnonzero(mR.any(axis=0)):
         meet += pdeg[j] * np.minimum(mR[:, j, None], mT[None, :, j])
@@ -289,19 +293,18 @@ def _pullback_perm(K: FieldSpec, degree: int, g):
     """
     a, b, c, d = g
     mul, sub = _np_tables(K)
-    # images of the monomials X^j Y^(degree-j), as coefficient tuples
-    basis = []
-    for j in range(degree + 1):
-        f = (1,)
-        for lin in [(b, a)] * j + [(d, c)] * (degree - j):
-            f = poly_mul(K, f, lin)
-        basis.append(f + (0,) * (degree + 1 - len(f)))
+    neg = sub[0]
+    # images of the monomials X^j Y^(degree-j): row j takes j factors
+    # X -> aX + bY and degree - j factors Y -> cX + dY
+    basis = np.ones((degree + 1, 1), dtype=np.int64)
+    for i in range(degree):
+        basis = _products(K, basis, np.where(np.arange(degree + 1)[:, None] > i, (b, a), (d, c)))
     digits = _form_digits(K.q, degree, np.append(_monic_codes(K.q, degree), 0))   # by id
     image = np.zeros(len(digits), dtype=np.int64)
     for k in range(degree + 1):
         acc = np.zeros(len(digits), dtype=np.int64)
         for j in range(degree + 1):
-            acc = sub[acc, mul[digits[:, j], K.neg(basis[j][k])]]
+            acc = sub[acc, mul[digits[:, j], neg[basis[j, k]]]]
         image += acc * K.q ** k
     return _form_divisor_ids(K, degree)[image]
 
@@ -313,7 +316,8 @@ def _id_count(q: int, degree: int) -> int:
 
 def _refuse_oversized(K: FieldSpec, degree: int):
     """Refuse, from the closed-form id count alone, a degree whose PGL_2(F_q)
-    table exceeds _GROUP_CAP entries or whose ids overflow a key; so a
+    table exceeds _GROUP_CAP entries or whose id quadruples overflow an
+    int64 key (more than 55,108 ids, so every id fits a uint16); so a
     refused degree builds no form map, multiplicity table or group table.
     The table has q^3 - q rows, one at degree 0, where the action is
     trivial."""
@@ -321,7 +325,8 @@ def _refuse_oversized(K: FieldSpec, degree: int):
     if (K.q ** 3 - K.q if degree else 1) * ids > _GROUP_CAP:
         raise TooLarge(f"PGL_2(F_{K.q}) acting on {ids} degree-{degree} divisor ids "
                        f"exceeds {_GROUP_CAP} table entries")
-    _key_base(K, degree)
+    if ids ** 4 >= 2 ** 63:
+        raise TooLarge(f"{ids - 1} degree-{degree} divisor ids: quadruples overflow int64 keys")
 
 
 @lru_cache(maxsize=None)
@@ -405,16 +410,6 @@ def _decode(keys, base: int):
     for i in range(3, -1, -1):
         keys, comp[i] = np.divmod(keys, base)
     return comp
-
-
-def _key_base(K: FieldSpec, degree: int) -> int:
-    """The divisor ids of a degree plus the zero sentinel, from the closed
-    form, refused if a quadruple of them overflows an int64 key: at most
-    55,108 < 2^16, so every id fits a uint16."""
-    base = _id_count(K.q, degree)
-    if base ** 4 >= 2 ** 63:
-        raise TooLarge(f"{base - 1} degree-{degree} divisor ids: quadruples overflow int64 keys")
-    return base
 
 
 def _tally(keys, weights):
@@ -508,8 +503,8 @@ def _fundamental_rows(cfg: SurfaceConfig, degree: int):
     than the identity that fix D_1 are searched for the rest.
     """
     K = cfg.field
-    base = _key_base(K, degree)
-    perms = _pgl2_perms(K, degree)
+    perms = _pgl2_perms(K, degree)      # refuses an oversized degree first
+    base = _id_count(K.q, degree)
     orbit_min = perms.min(axis=0)
     group = _centre_symmetries(cfg)
     firsts, sizes = _first_divisors(K, degree)
@@ -528,12 +523,12 @@ def _fundamental_rows(cfg: SurfaceConfig, degree: int):
     return _decode(keys, base), total
 
 
-def _join(rows, row_w, blocks, columns: int, tables, base: int, group):
+def _join(rows, row_w, blocks, columns: int, table, base: int, group):
     """Histogram of shape (base,) * 4 over the contact keys of all row x
     column pairs, averaged over the axis permutations in `group`.
 
     The columns come as (4, n) blocks, `columns` of them in all.  The key
-    of a pair has digit tables[i][row_i, col_i] at component i; each pair
+    of a pair has digit table[row_i, col_i] at component i; each pair
     adds its row's weight, every column standing for the same number of
     pairs.  The row weights take few values, so each pass of columns is
     tallied by one unweighted bincount of the key prefixed with the row's
@@ -545,12 +540,12 @@ def _join(rows, row_w, blocks, columns: int, tables, base: int, group):
     rw, rclass = np.unique(row_w, return_inverse=True)
     bins = rw.size * span
     dtype = np.min_scalar_type(bins - 1)
-    # component i's table on the rows, one contiguous line per column id,
+    # the table on component i's rows, one contiguous line per column id,
     # as key digits in the narrowest dtype that holds a key (and so every
     # digit times its place value); component 0 carries the row's weight
     # class as an offset
-    lines = [np.ascontiguousarray(tab[rows[i]].T, dtype=dtype) * dtype.type(base ** (3 - i))
-             for i, tab in enumerate(tables)]
+    lines = [np.ascontiguousarray(table[row].T, dtype=dtype) * dtype.type(base ** (3 - i))
+             for i, row in enumerate(rows)]
     lines[0] += (rclass * span).astype(dtype)
     counts = np.zeros(bins, dtype=np.int64)
     step = max(1, JOIN_PASS // max(1, rows.shape[1]))     # columns per pass
@@ -569,13 +564,12 @@ def _join(rows, row_w, blocks, columns: int, tables, base: int, group):
 
 @lru_cache(maxsize=256)
 def _contact_histogram(cfg: SurfaceConfig, a: int, b: int):
-    """Section pairs of bidegree (a, b) by contact-degree quadruple, as an
-    int64 array of shape (max(a, b) + 1,) * 4: for a >= b, the degree-a
-    side reduced to PGL_2 orbit representatives on a fundamental domain of
-    the centre permutations, against the full degree-b side, whose
-    functionals are those of cfg's second coordinates, streamed."""
-    if a < b:
-        return _contact_histogram(cfg.transposed(), b, a)
+    """Section pairs of bidegree (a, b), a >= b, by contact-degree
+    quadruple, as an int64 array of shape (a + 1,) * 4: the degree-a side
+    reduced to PGL_2 orbit representatives on a fundamental domain of the
+    centre permutations, against the full degree-b side, whose functionals
+    are those of cfg's second coordinates, streamed."""
+    assert a >= b, "count_sections transposes a < b"
     q = cfg.field.q
     rows, row_w = _fundamental_rows(cfg, a)
     columns = _side_columns(q, b)
@@ -584,9 +578,9 @@ def _contact_histogram(cfg: SurfaceConfig, a: int, b: int):
     if pairs * len(group) >= 2 ** 63:
         raise TooLarge(f"{pairs} section pairs times {len(group)} symmetries "
                        "overflow the int64 histogram")
-    tables = [_degree_table(cfg.field, a, b)] * 4
+    table = _degree_table(cfg.field, a, b)
     cols = _full_side(cfg.transposed(), b)
-    return _join(rows, row_w, cols, columns, tables, a + 1, group) * (q - 1)
+    return _join(rows, row_w, cols, columns, table, a + 1, group) * (q - 1)
 
 
 # ---------------------------------------------------------------------------

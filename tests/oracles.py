@@ -14,7 +14,8 @@ computes, by a path that shares as little with it as possible:
   coefficient pairs, against secenum's sweep under the trivial group; the
   centre permutations by trying every Moebius map, and the join over every
   orbit representative, against secenum's fundamental-domain join; the
-  join-based fiber count; u_k_points; the elementary transform
+  fiber count through that join, one 0/1 table per contact component, so
+  it shares no join code with secenum; u_k_points; the elementary transform
   remark_config;
 * the configuration poset behind the sieve: configurations, intervals, the
   generic Moebius recursion, enumeration above a base, and the exact rank
@@ -443,7 +444,8 @@ def u_k_points(K: FieldSpec, k, limit: int = 200_000):
 def fiber_count(cfg: SurfaceConfig, w, a: int, b: int,
                 budget: int = DEFAULT_BUDGET) -> int:
     """Sections whose four contact divisors equal the given tuple exactly,
-    through secenum's join kernel with 0/1 tables and unreduced rows.
+    through join_histogram with one 0/1 table per component, over the
+    unreduced side summaries.
 
     w is a tuple of four effective divisors with pairwise disjoint
     supports; summing over all of u_k_points recovers count_sections for
@@ -461,9 +463,7 @@ def fiber_count(cfg: SurfaceConfig, w, a: int, b: int,
     se._charge(spent + S[0].shape[1] * T[0].shape[1], budget,
                "side enumerations plus join pairs")
     tables = [_fiber_table(cfg.field, a, b, d) for d in w]
-    cols = np.repeat(T[0], T[1] // (q - 1), axis=1)     # one column per q-1 pairs
-    hist = se._join(*S, [cols], cols.shape[1], tables, 2, np.arange(4)[None])
-    return int(hist[1, 1, 1, 1]) * (q - 1)
+    return int(join_histogram(*S, *T, tables, 2)[1, 1, 1, 1])
 
 
 def _fiber_table(K: FieldSpec, deg_s: int, deg_t: int, w: EffectiveDivisor):
@@ -509,7 +509,7 @@ def side_summary(cfg: SurfaceConfig, degree: int):
     digits = se._form_digits(q, degree)
     div_id = se._form_divisor_ids(K, degree)
     coprime = se._degree_table(K, degree, degree) == 0
-    base = se._key_base(K, degree)
+    base = se._id_count(q, degree)
     scaled = []
     for i in range(4):
         d, negc = cfg.lam(i)
@@ -564,17 +564,17 @@ def centre_symmetries(cfg: SurfaceConfig) -> set:
     return realised(list(cfg.first)) & realised(list(cfg.second))
 
 
-def join_histogram(rows, row_w, cols, col_w, tab, base: int):
-    """Reference for secenum._join on one degree table: every row x column
-    pair adds its weight product at its contact key, a chunk of rows at a
-    time, with no symmetry."""
+def join_histogram(rows, row_w, cols, col_w, tables, base: int):
+    """Reference for secenum._join, with one table per component: every row
+    x column pair adds its weight product at the key whose digit i is
+    tables[i][row_i, col_i], a chunk of rows at a time, with no symmetry."""
     hist = np.zeros(base ** 4, dtype=np.int64)
     step = max(1, _CHUNK // max(1, cols.shape[1]))
     for first in range(0, rows.shape[1], step):
         rs = slice(first, first + step)
         keys = 0
         for i in range(4):
-            keys = keys * base + tab[rows[i, rs]][:, cols[i]].astype(np.int64)
+            keys = keys * base + tables[i][rows[i, rs]][:, cols[i]].astype(np.int64)
         np.add.at(hist, keys.ravel(), (row_w[rs, None] * col_w[None, :]).ravel())
     return hist.reshape((base,) * 4)
 
@@ -640,7 +640,7 @@ def remark_config(cfg: SurfaceConfig, i: int, j: int):
 
 
 def _projective_points(K: FieldSpec):
-    return [(c, 1) for c in K.elements()] + [(1, 0)]
+    return [(c, 1) for c in range(K.q)] + [(1, 0)]
 
 
 def clear_caches():

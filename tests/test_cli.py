@@ -80,6 +80,23 @@ def test_invalid_config_exit_code(tmp_path):
     assert main(["--config", str(bad), "field-check"]) == 2
 
 
+def test_epsilon_above_1_exits_2_before_any_output(tmp_path):
+    out = tmp_path / "o"
+    assert main(["--epsilon", "3/2", "--out-dir", str(out), "count"]) == 2
+    assert not out.exists()
+
+
+def test_tiny_epsilon_writes_the_fixed_diagnostic(tmp_path):
+    # q^epsilon <= q < 2^32 for every accepted epsilon, so the diagnostic is
+    # a constant, and no 2^(32 * 10^7) is built
+    assert main(["--epsilon", "1/10000000", "--d-max", "0", "--out-dir", str(tmp_path),
+                 "manin"]) == 0
+    report = json.loads((tmp_path / "manin_q3_d0.json").read_text())
+    assert report["constants"]["q_epsilon_exceeds_C"] is False
+    assert "q^epsilon <= 2^32: asymptotic error-term regime out of reach (diagnostic only)" \
+        in report["flags"]
+
+
 # a typo must not fall back to the default, d_max = 4; and alpha is
 # Peyre's constant, which no config key chooses
 @pytest.mark.parametrize("key, value", [("dmax", "2"), ("alpha_normalization", "volume_rho")],

@@ -156,6 +156,37 @@ def test_shrunken_monotonicity_in_epsilon(tmp_path):
     del base
 
 
+def test_epsilon_above_1_is_refused():
+    # every epsilon >= 1 gives the cone {0}: only (0, 1] is accepted
+    assert RunConfig(epsilon=Fraction(1)).epsilon == 1
+    with pytest.raises(InvalidConfig, match="epsilon"):
+        RunConfig(epsilon=Fraction(3, 2))
+
+
+def test_count_stops_at_the_first_refusal(monkeypatch):
+    # budget 100 at q = 3 admits (2, 0), of h = 4 and cost 98, but refuses
+    # every (1, 1) class, cost 114, the least of h = 2.  Classes go in
+    # ascending h, coordinate order within an h, so the count stops at the
+    # first (1, 1) class and never counts (2, 0), which precedes it in
+    # coordinate order; the partial report is that of the whole walk
+    from dp4sieve import harness
+
+    called = []
+    count = harness.count_morphisms
+
+    def counting(surface, a, b, k, budget):
+        called.append((a, b, tuple(k)))
+        return count(surface, a, b, k, budget)
+
+    monkeypatch.setattr(harness, "count_morphisms", counting)
+    report = counting_function(RunConfig(p=3, d_max=4, budget=100))
+    assert called == [(0, 0, (0, 0, 0, 0)), (1, 0, (0, 0, 0, 0)), (0, 1, (0, 0, 0, 0)),
+                      (1, 1, (1, 1, 0, 0))]
+    full = counting_function(RunConfig(p=3, d_max=1))
+    assert report.rows == full.rows + [{"d": 2, "partial": True}]
+    assert report.flags == ["points_on_bidegree_curve", "budget_exceeded_at_d=2"]
+
+
 def test_emit_deterministic_and_exact(tmp_path):
     cfg = RunConfig(p=3, d_max=2, cache_dir=str(tmp_path))
     report = asymptotic_report(cfg)

@@ -136,6 +136,16 @@ def test_sieve_imports_nothing_from_secenum():
     assert "secenum" not in _package_imports(_tree(SRC / "sieve.py"))
 
 
+def test_secenum_takes_no_polynomial_kernel_from_field():
+    # the engine multiplies forms with its own numpy kernel and reads the
+    # closed points off its multiplicity tables; field's pure-Python
+    # polynomials serve field construction and the test oracles
+    names = {alias.name for node in ast.walk(_tree(SRC / "secenum.py"))
+             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "field"
+             for alias in node.names}
+    assert names == {"FieldSpec", "count_closed_points"}
+
+
 def test_sieve_has_no_series_kernel_of_its_own():
     # truncated series arithmetic lives in heightzeta.TruncatedMultiSeries:
     # besides exactnum's interval numbers no other class multiplies, and no

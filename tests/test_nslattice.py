@@ -193,6 +193,17 @@ def test_shrunken_cone_membership_monotone_in_epsilon():
     assert n_small <= n_big <= len(pts)
 
 
+def test_every_epsilon_from_1_on_shrinks_the_cone_to_zero():
+    # f.alpha and f'.alpha vanish together only on the negative-definite
+    # span of the contracted lines, so a nonzero nef class has ell <= h - 2:
+    # for epsilon >= 1 the shrunken cone is {0}, whatever epsilon
+    pts = ns.enumerate_nef_points(10)
+    assert len(pts) == 3621
+    assert all(ns.ell_functional(x) <= x.h - 2 for x in pts if x.h)
+    cone = ns.ShrunkenCone(epsilon=Fraction(1))
+    assert [x.h for x in pts if cone.contains(x)] == [0]
+
+
 def _reflect(x, r):
     """The reflection x -> x + (x.r) r in a root r (r.r = -2)."""
     return x.add(r.scale(ns.intersect(x, r)))

@@ -158,6 +158,13 @@ def _coprime_pairs(q, d):
     return q * q - 1 if d == 0 else (q - 1) * (q ** (2 * d + 1) - q ** (2 * d - 1))
 
 
+def _histogram(cfg, a, b):
+    # the contact histogram of (a, b) in any orientation: count_sections
+    # reads a < b as (b, a) on the transposed surface
+    return se._contact_histogram(cfg, a, b) if a >= b else \
+        se._contact_histogram(cfg.transposed(), b, a)
+
+
 def test_histogram_total_is_the_product_of_side_totals():
     from dp4sieve import nslattice as ns
 
@@ -165,7 +172,7 @@ def test_histogram_total_is_the_product_of_side_totals():
     for cfg in (CFG3, CFG4):
         q = cfg.field.q
         for a, b in bidegrees:
-            hist = se._contact_histogram(cfg, a, b)
+            hist = _histogram(cfg, a, b)
             assert hist.dtype == np.int64 and hist.shape == (max(a, b) + 1,) * 4
             assert int(hist.sum()) == _coprime_pairs(q, a) * _coprime_pairs(q, b)
 
@@ -411,21 +418,28 @@ def test_form_divisor_table_is_the_factoring_oracle():
 
 def test_multiplicity_rows_are_the_factoring_oracle():
     # row i holds the multiplicities of id i's divisor at infinity and then
-    # at the monic irreducibles of degree 1..top, those by trial division;
-    # a smaller top keeps the leading columns
+    # at the monic irreducibles of degree 1..degree, those by trial
+    # division; each lower degree's table has the leading columns
     for q, degree in ORACLE_DEGREES:
         K = field_of_order(q)
         divs = orc.id_divisors(K, degree)
-        m, pdeg = se._multiplicities(K, degree, degree)
+        m, pdeg = se._multiplicities(K, degree)
         points = [orc.point_at_infinity()] * bool(degree) + [
             pt for n in range(1, degree + 1) for pt in orc.irreducibles_by_trial_division(K, n)]
         assert pdeg.tolist() == [pt.degree for pt in points]
         assert m.tolist() == [[orc.divisor_mult(d, pt) for pt in points] for d in divs], \
             (q, degree)
-        for top in range(degree):
-            m_top, pdeg_top = se._multiplicities(K, degree, top)
-            width = pdeg_top.size
-            assert (m_top == m[:, :width]).all() and (pdeg_top == pdeg[:width]).all()
+        for lower in range(degree):
+            m_low, pdeg_low = se._multiplicities(K, lower)
+            width = pdeg_low.size
+            assert (pdeg_low == pdeg[:width]).all() and (pdeg[width:] > lower).all()
+            # a form f of the lower degree is f Y^(degree - lower), of the same
+            # code, in this one: the same multiplicities at the lower table's
+            # columns, but for degree - lower more at infinity, the first
+            rows = np.searchsorted(se._monic_codes(q, degree), se._monic_codes(q, lower))
+            lifted = m[rows, :width].astype(np.int64)
+            lifted[:, :1] -= degree - lower
+            assert (lifted == m_low).all(), (q, degree, lower)
 
 
 def test_side_has_one_quadruple_per_projective_pair():
@@ -456,7 +470,7 @@ def _full_columns(cfg, degree):
 
 def _tallied_full_side(cfg, degree):
     # the full side's columns tallied as a side summary, q-1 pairs each
-    base = se._key_base(cfg.field, degree)
+    base = se._id_count(cfg.field.q, degree)
     keys, n = np.unique(se._encode(_full_columns(cfg, degree), base), return_counts=True)
     return se._decode(keys, base), n * (cfg.field.q - 1)
 
@@ -470,7 +484,7 @@ def _unfiltered_rows(cfg, degree):
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
-def test_side_orbits_equal_the_canonicalised_full_summary(q):
+def test_unfiltered_rows_equal_the_canonicalised_full_summary(q):
     # the reduced side, unfiltered, against the summary canonicalised over
     # PGL_2, and the full side's columns, tallied, against the summary
     cfg = sf.default_config(q)
@@ -582,7 +596,7 @@ def test_centre_symmetries_fix_the_side_summaries(cfg):
     sides = (cfg, cfg.transposed())
     for degree, side in itertools.product(range(3 if cfg is CUSTOM else 4), sides):
         comp, weights = orc.side_summary(side, degree)
-        base = se._key_base(cfg.field, degree)
+        base = se._id_count(cfg.field.q, degree)
         keys = se._encode(comp, base)       # ascending: the summary is sorted
         for sigma in se._centre_symmetries(cfg):
             moved = se._encode(comp[sigma], base)
@@ -604,14 +618,14 @@ def _unfiltered_join(cfg, a, b):
     rows, row_w, blocks, tab, base = _unfiltered_sides(cfg, a, b)
     cols = np.concatenate(blocks, axis=1)
     col_w = np.full(cols.shape[1], cfg.field.q - 1)
-    return orc.join_histogram(rows, row_w, cols, col_w, tab, base)
+    return orc.join_histogram(rows, row_w, cols, col_w, [tab] * 4, base)
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_fundamental_domain_join_equals_the_unfiltered_join(q):
     cfg = sf.default_config(q)
     for a, b in itertools.product(range(4), repeat=2):
-        assert (se._contact_histogram(cfg, a, b) == _unfiltered_join(cfg, a, b)).all(), (a, b)
+        assert (_histogram(cfg, a, b) == _unfiltered_join(cfg, a, b)).all(), (a, b)
 
 
 def test_fundamental_domain_join_on_a_custom_surface():
@@ -619,7 +633,7 @@ def test_fundamental_domain_join_on_a_custom_surface():
     assert len(se._centre_symmetries(CUSTOM)) == 12
     for a, b in itertools.product(range(4), repeat=2):
         if a + b <= 4:
-            assert (se._contact_histogram(CUSTOM, a, b) == _unfiltered_join(CUSTOM, a, b)).all(), (a, b)
+            assert (_histogram(CUSTOM, a, b) == _unfiltered_join(CUSTOM, a, b)).all(), (a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -666,14 +680,14 @@ def test_transposition_where_the_factor_swap_fails():
     first, second = [(0, 1), (1, 1), (2, 1), (4, 1)], [(0, 1), (1, 1), (2, 1), (3, 1)]
     cfg = sf.validate_points(K, list(zip(first, second)))
     assert (_stabiliser_order(K, first), _stabiliser_order(K, second)) == (12, 8)
-    hist, swapped = se._contact_histogram(cfg, 2, 3), se._contact_histogram(cfg, 3, 2)
+    hist, swapped = se._contact_histogram(cfg.transposed(), 3, 2), se._contact_histogram(cfg, 3, 2)
     assert not any((hist == swapped.transpose(sigma)).all()
                    for sigma in itertools.permutations(range(4)))
     rows, row_w = _unfiltered_rows(cfg, 2)
     cols = se._full_side(cfg.transposed(), 3)
-    tables = [se._degree_table(K, 2, 3)] * 4
     columns = se._side_columns(K.q, 3)
-    ref = se._join(rows, row_w, cols, columns, tables, 4, np.arange(4)[None]) * (K.q - 1)
+    ref = se._join(rows, row_w, cols, columns, se._degree_table(K, 2, 3), 4,
+                   np.arange(4)[None]) * (K.q - 1)
     counts = [se.count_sections(cfg, 2, 3, k) for k in itertools.product(range(4), repeat=4)]
     assert counts == ref.ravel().tolist()
 
@@ -689,14 +703,14 @@ def test_join_is_the_reference_at_any_pass_size(q, columns_per_pass, monkeypatch
         columns = sum(block.shape[1] for block in blocks)
         cap = 1 if columns_per_pass == "one" else rows.shape[1] * columns + 1
         monkeypatch.setattr(se, "JOIN_PASS", cap)
-        hist = se._join(rows, row_w, blocks, columns, [tab] * 4, base, np.arange(4)[None])
+        hist = se._join(rows, row_w, blocks, columns, tab, base, np.arange(4)[None])
         assert (hist * (q - 1) == _unfiltered_join(cfg, a, b)).all(), (a, b)
 
 
 def test_encode_widens_uint16_ids():
     # at q = 4, degree 4 the base is 342 and base^2 > 2^16: under NumPy 2 a
     # uint16 array times a Python int stays uint16 and would wrap
-    base = se._key_base(CFG4.field, 4)
+    base = se._id_count(4, 4)
     rows, _ = _unfiltered_rows(CFG4, 4)
     assert base == 342 and rows.dtype == np.uint16
     assert (se._encode(rows, base) == se._encode(rows.astype(np.int64), base)).all()
