@@ -11,8 +11,8 @@ numpy is loaded only by the subcommands that need it: count and manin load
 the counting engine (secenum) on their first cache miss, and field-check,
 sieve and zeta load it through the series kernel.  cone, markings,
 tamagawa, limit-check and a count or manin whose every class is cached
-run without it.  Likewise only sieve and zeta load the sieve module and
-build its subspace lattice, and only zeta the Euler factors.
+run without it.  Likewise only sieve and zeta load the sieve module, and
+only zeta the Euler factors.
 """
 
 from __future__ import annotations

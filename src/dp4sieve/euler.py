@@ -1,31 +1,28 @@
 """The height zeta function's Euler factors L_P and their product over P^1."""
 
 import sys
-from fractions import Fraction
 
 from .errors import TooLarge
 from .field import count_closed_points
 from .heightzeta import TruncatedMultiSeries, series_one
-from .sieve import PLANE, _local_poly
+from .sieve import local_poly
 
 
 def local_factor(q: int, degree: int, orders) -> TruncatedMultiSeries:
     """L_P at a closed point of the given degree, truncated at the t-orders:
-    the sieve's _local_poly at T = 1 (its crosscut terms lie within excess
-    2 degree) with t_i -> q t_i.  The t_i^{degree m} coefficient comes from
-    the depth-m plane base, whose crosscut is the depth-1 one with m - 1
-    more plane levels (only its first and padding levels have covers), so
-    each is q^{-degree} times the last.  Kept as q^{4 degree} L_P(q t),
-    integral with unit weights and scale 4 degree: with Q = q^degree the
-    constant is (Q - 1)^3 (Q + 3), every contact coefficient (Q - 1)^3 (Q + 1).
+    the sieve's local excess polynomials (sieve.local_poly) at T = 1, the
+    one at the depth-m plane base being the t_i^{degree m} coefficient,
+    with t_i -> q t_i.  Kept as q^{4 degree} L_P(q t), integral with unit
+    weights and scale 4 degree: with Q = q^degree the constant is
+    (Q - 1)^3 (Q + 3), every contact coefficient (Q - 1)^3 (Q + 1).
     """
-    constant, first = (sum(_local_poly(q, degree, base, 2 * degree)) for base in ((), (PLANE,)))
-    coeffs, u = {(0, 0, 0, 0): constant}, Fraction(1, q ** degree)
+    def at_one(depth):
+        return sum(local_poly(q, degree, depth).values())
+
+    coeffs = {(0, 0, 0, 0): at_one(0)}
     for i, order in enumerate(orders):
-        entry = q ** degree * first
         for m in range(1, order // degree + 1):
-            coeffs[(0,) * i + (degree * m,) + (0,) * (3 - i)] = entry
-            entry *= u
+            coeffs[(0,) * i + (degree * m,) + (0,) * (3 - i)] = q ** (degree * m) * at_one(m)
     return TruncatedMultiSeries(orders, coeffs, q, (1, 1, 1, 1), 4 * degree)
 
 

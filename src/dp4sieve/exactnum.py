@@ -20,10 +20,6 @@ from fractions import Fraction
 DEFAULT_BITS = 192
 
 
-def _floor_div(a: int, b: int) -> int:
-    return a // b
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
@@ -47,12 +43,12 @@ class Interval:
         x = Fraction(x)
         scaled_num = x.numerator << bits
         den *= x.denominator
-        return Interval(_floor_div(scaled_num, den), _ceil_div(scaled_num, den), bits)
+        return Interval(scaled_num // den, _ceil_div(scaled_num, den), bits)
 
     @staticmethod
     def from_bounds(lo, hi, bits: int = DEFAULT_BITS) -> "Interval":
         lo, hi = Fraction(lo), Fraction(hi)
-        return Interval(_floor_div(lo.numerator << bits, lo.denominator),
+        return Interval((lo.numerator << bits) // lo.denominator,
                         _ceil_div(hi.numerator << bits, hi.denominator), bits)
 
     @property
@@ -88,8 +84,8 @@ class Interval:
         if other.nlo <= 0 <= other.nhi:
             raise ZeroDivisionError("interval straddles zero")
         shifted_lo, shifted_hi = self.nlo << self.bits, self.nhi << self.bits
-        cands_lo = (_floor_div(shifted_lo, other.nlo), _floor_div(shifted_lo, other.nhi),
-                    _floor_div(shifted_hi, other.nlo), _floor_div(shifted_hi, other.nhi))
+        cands_lo = (shifted_lo // other.nlo, shifted_lo // other.nhi,
+                    shifted_hi // other.nlo, shifted_hi // other.nhi)
         cands_hi = (_ceil_div(shifted_lo, other.nlo), _ceil_div(shifted_lo, other.nhi),
                     _ceil_div(shifted_hi, other.nlo), _ceil_div(shifted_hi, other.nhi))
         return Interval(min(cands_lo), max(cands_hi), self.bits)

@@ -1,6 +1,6 @@
-"""Inclusion-exclusion over configuration posets: the local condition
-lattice at closed points of P^1, saturation, expected codimension, local
-Moebius values, and truncated sieve sums.
+"""Truncated sieve sums: the inclusion-exclusion over local conditions at
+the closed points of P^1, as one Euler-type product of closed-form local
+excess polynomials.
 
 A sieve sum is one Euler-type product of local excess polynomials over
 closed points, a truncated series in t_1..t_4 and the excess variable T on
@@ -11,41 +11,44 @@ polynomial is the Euler factor L_P (euler.local_factor), so _sieve_partials
 (truncated by excess D) and euler.euler_product (truncated by point degree
 N) truncate the same product prod_P L_P.
 
-The local condition lattice (LATTICE) has as elements the product
-subspaces A + B of the four-dimensional fiber V_1 + V_2, each factor being
-the full plane, one of four marked lines, or zero; the order is inclusion
-and the meet is intersection.  These are sixteen: V, 0 + V_2 and V_1 + 0
-(one whole side vanishes), the four planes W_i = l_i + l'_i, the eight
-lines l_i + 0 and 0 + l'_i, and 0.  The two one-side elements are needed:
-without them only four corank-2 elements remain, but the explicit Euler
-factor's -6 q^{-2|c|} term counts six, and only with them does
-euler.local_factor match the displayed factor coefficient by coefficient.
+Local conditions.  The fiber of the two sides at a point is V_1 + V_2, and
+its product subspaces A + B, each factor the full plane, one of four marked
+lines or zero, form a lattice of sixteen elements under inclusion: V; six
+coatoms of corank 2, the one-side elements 0 + V_2 and V_1 + 0 and the four
+planes W_i = l_i + l'_i; the eight lines l_i + 0 and 0 + l'_i, of corank 3;
+and 0, of corank 4.  A saturated local condition is a chain of levels
+e_1 <= e_2 <= ... of non-top elements, ordered levelwise in reverse; its
+expected codimension gamma is the sum of the levels' coranks.  The excess of
+tau over a base counts, weighted by the point's degree d, the growth in
+depth plus the base levels strictly refined: the unique grading for which
+zero excess means tau = base while depth-1 conditions at fresh points cost
+one unit.  The local excess polynomial of a base is the sum of
+mu(base, tau) u^gamma(tau) T^excess(tau) over tau >= base, u = q^-d.
 
-A local condition at a closed point is a multiplicity assignment m on the
-lattice with m(V) treated as infinity; it is saturated when every level set
-{m >= j} is meet-closed, equivalently m(p ^ q) = min(m(p), m(q)).  In this
-lattice every meet-closed up-set is principal, so a saturated condition is
-the same thing as its chain of level meets, chain[j-1] = meet {m >= j} for
-j = 1..max m, and m(e) counts the levels at or below e.  Level sets shrink
-as j grows, so their meets rise: chain[j-1] <= chain[j].  The sieve stores
-every condition as this chain of non-top elements (the trivial condition is
-the empty chain), so each one is saturated by construction.  Its expected
-codimension is the sum of the coranks of its levels.
+Closed forms.  By Rota's crosscut theorem mu(base, tau) is the sum of
+(-1)^|S| over the sets S of covers of base whose join, the levelwise meet,
+is tau, so mu(base, .) vanishes beyond one level above the base and each
+polynomial has three terms at most:
 
-Moebius values come from Rota's crosscut theorem.  Pad each chain with the
-top for its empty levels; then x <= y exactly when every level of y lies
-below the same level of x, so the conditions are monotone chains in a
-finite lattice ordered levelwise in reverse, and the join is the levelwise
-meet.  Every interval [w, x] is therefore a finite lattice, and
-mu(w, x) = sum of (-1)^|S| over the sets S of covers of w whose join is x.
-A cover lowers one level one lattice step, so mu(w, .) vanishes beyond one
-level above w: 16 conditions above the empty base, 8 above a plane base.
+    den_d(T)     = 1 + (-6 u^2 + 8 u^3 - 3 u^4) T^d                 (empty base)
+    num_{d,m}(T) = u^{2m} (1 - 2 u T^d + (2 u^3 - u^4) T^{2d})      (depth m >= 1)
 
-Truncation bookkeeping: the excess of x over a base w counts, per closed
-point and weighted by its degree, the growth in multiplicity depth plus the
-number of base levels strictly refined.  This is the unique grading for
-which zero excess means exactly x = w (the leading-term identity of the
-acceptance suite) while depth-1 conditions at fresh points cost one unit.
+den_d: above the empty base every tau has depth 1 and excess d, and the
+lattice's Moebius function is -1 on the six coatoms, +1 on the eight lines
+and -3 at zero.  num_{d,m}: the plane base (W_1,) * m, where the first
+contact component sits (the four are symmetric), has three covers: its
+first level drops to either line of W_1, or a new level W_1 is added.  Over
+the base's u^{2m}, the joins of the seven nonempty sets of covers carry
+u, u^2, u^3, u^4 with net coefficients -2, 0, +2, -1: either line (-2 u) at
+excess d; zero as first level (+u^2) and the added level (-u^2), both at
+excess d; a line with the added level (+2 u^3) and zero with it (-u^4),
+both at excess 2d.  Only the first level and the padding level have
+covers, so the depth-m crosscut is the depth-1 one padded with m - 1 more
+levels W_1, each adding u^2.
+
+tests/oracles.py keeps the lattice, the chains and the generic Moebius
+recursion over local intervals, and local_poly_by_definition there is the
+definition that local_poly is checked against.
 """
 
 from __future__ import annotations
@@ -64,121 +67,15 @@ from .heightzeta import TruncatedMultiSeries, series_one
 SIEVE_WEIGHTS = (2, 2, 2, 2, 4)
 
 
-# ---------------------------------------------------------------------------
-# the condition lattice
-
-@dataclass(frozen=True)
-class ConditionLattice:
-    """A finite meet-semilattice of fiber subspaces with coranks.
-
-    Elements are encoded as pairs (A, B); each factor is 'full', 'zero', or
-    a line index 0..3.  The top element (full, full) is the ambient space
-    and never a level of a condition's chain.
-    """
-
-    elements: tuple
-    coranks: tuple
-    meet_idx: tuple
-    top: int
-
-    def index(self, elem) -> int:
-        return self.elements.index(elem)
-
-    def leq(self, i: int, j: int) -> bool:
-        return self.meet_idx[i][j] == i
-
-    def meet_many(self, idxs) -> int:
-        acc = self.top
-        for i in idxs:
-            acc = self.meet_idx[acc][i]
-        return acc
-
-    @property
-    def nontop(self):
-        return tuple(i for i in range(len(self.elements)) if i != self.top)
-
-
-def _factor_meet(x, y):
-    if x == "full":
-        return y
-    if y == "full":
-        return x
-    if x == y:
-        return x
-    return "zero"
-
-
-def _factor_corank(x):
-    return 0 if x == "full" else (1 if x != "zero" else 2)
-
-
-def _build_lattice(elems):
-    elems = tuple(elems)
-    idx = {e: i for i, e in enumerate(elems)}
-    meets = tuple(tuple(idx[_factor_meet(a1, a2), _factor_meet(b1, b2)] for a2, b2 in elems)
-                  for a1, b1 in elems)
-    coranks = tuple(_factor_corank(a) + _factor_corank(b) for a, b in elems)
-    return ConditionLattice(elements=elems, coranks=coranks, meet_idx=meets,
-                            top=idx[("full", "full")])
-
-
-# V, the two one-side elements, the four W_i, the eight marked lines, 0
-LATTICE = _build_lattice(
-    [("full", "full"), ("zero", "full"), ("full", "zero")]
-    + [(i, i) for i in range(4)]
-    + [(i, "zero") for i in range(4)]
-    + [("zero", i) for i in range(4)]
-    + [("zero", "zero")])
-PLANE = LATTICE.index((0, 0))     # W_1, where the first contact component sits
-
-
-# ---------------------------------------------------------------------------
-# local conditions, as chains of level meets
-
-def condition_gamma(chain) -> int:
-    """Sum of the coranks of the level meets."""
-    return sum(LATTICE.coranks[m] for m in chain)
-
-
-def condition_excess(base, chain, degree: int) -> int:
-    """Degree-weighted truncation excess of chain over base (see module doc)."""
-    refined = sum(1 for b, c in zip(base, chain) if b != c)
-    return degree * ((len(chain) - len(base)) + refined)
-
-
-# ---------------------------------------------------------------------------
-# local Moebius values
-
-def _cover_chains(chain) -> list:
-    """Chains of the covers of the condition with this chain, which ends in
-    one empty level (the top): one level drops one lattice cover step and
-    the chain stays monotone."""
-    def below(f, e):
-        return f != e and LATTICE.leq(f, e)
-    return [chain[:j] + (f,) + chain[j + 1:]
-            for j, cur in enumerate(chain) for f in LATTICE.nontop
-            if below(f, cur) and (j == 0 or LATTICE.leq(chain[j - 1], f))
-            and not any(below(f, g) and below(g, cur) for g in LATTICE.nontop)]
-
-
-@lru_cache(maxsize=None)
-def _crosscut(base) -> tuple:
-    """((tau, mu(base, tau)), ...) over every chain tau with mu(base, tau) != 0.
-
-    Rota's crosscut theorem on the finite lattice [base, tau]:
-    mu(base, tau) = sum of (-1)^|S| over the sets S of covers of base whose
-    join, the levelwise meet, is tau.  Every such join lies within one level
-    of base, so only the padding level can stay at the top; it is dropped.
-    """
-    padded = base + (LATTICE.top,)
-    covers = _cover_chains(padded)
-    mu: dict = {}
-    for size in range(len(covers) + 1):
-        for subset in itertools.combinations(covers, size):
-            tau = tuple(map(LATTICE.meet_many, zip(padded, *subset)))
-            tau = tau[:-1] if tau[-1] == LATTICE.top else tau
-            mu[tau] = mu.get(tau, 0) + (-1) ** size
-    return tuple((tau, m) for tau, m in mu.items() if m)
+def local_poly(q: int, degree: int, depth: int) -> dict:
+    """The local excess polynomial at a closed point of this degree, as
+    {excess: coefficient}: den_degree at depth 0, num_{degree, depth} at a
+    plane base of depth >= 1 (module doc)."""
+    u = Fraction(1, q ** degree)
+    if depth == 0:
+        return {0: Fraction(1), degree: -6 * u ** 2 + 8 * u ** 3 - 3 * u ** 4}
+    lead = u ** (2 * depth)
+    return {0: lead, degree: -2 * u * lead, 2 * degree: (2 * u ** 3 - u ** 4) * lead}
 
 
 # ---------------------------------------------------------------------------
@@ -201,24 +98,6 @@ def stable_range_I(a: int, b: int, k) -> int:
 def stable_range_start(k) -> int:
     """Least a with stable_range_I(a, a, k) >= 0, i.e. 2a + 1 - sum k >= 4."""
     return (4 + sum(k)) // 2
-
-
-@lru_cache(maxsize=None)
-def _local_poly(q: int, deg: int, base, budget: int):
-    """Excess generating polynomial at one closed point, base a chain.
-
-    Coefficient of T^e sums mu(base, tau) q^{-deg * gamma(tau)} over
-    saturated tau >= base of excess e <= budget.  By the crosscut
-    (_crosscut) that is the sum over the sets S of covers of base of
-    (-1)^|S| q^{-deg * gamma(join S)} T^{excess(join S)}, so the cost does
-    not grow with the budget.
-    """
-    out = [Fraction(0)] * (budget + 1)
-    for tau, mu in _crosscut(base):
-        excess = condition_excess(base, tau, deg)
-        if excess <= budget:
-            out[excess] += mu * Fraction(1, q ** (deg * condition_gamma(tau)))
-    return tuple(out)
 
 
 def sieve_sum(K: FieldSpec, k, D: int) -> list:
@@ -247,8 +126,9 @@ def _sieve_partials(q: int, k: tuple, D: int) -> tuple:
     den_d is the local excess polynomial at the empty base, num_{d,m} at the
     depth-m plane base (component 0 stands for all four by symmetry), and
     N_d counts degree-d closed points.  Each point picks one term, so the
-    supports of w are disjoint for free and nothing is divided.  The product
-    is symmetric in t_1..t_4, so sieve_sum asks only for sorted k.
+    supports of w are disjoint for free and nothing is divided.  The series
+    constructor drops the terms beyond T^D.  The product is symmetric in
+    t_1..t_4, so sieve_sum asks only for sorted k.
 
     The factors carry SIEVE_WEIGHTS, which make them integral; the series
     constructor refuses a fractional coefficient with LemmaViolation.
@@ -256,12 +136,10 @@ def _sieve_partials(q: int, k: tuple, D: int) -> tuple:
     orders = k + (D,)
     product = series_one(orders, q, SIEVE_WEIGHTS)
     for d in range(1, max(orders) + 1):
-        den = _local_poly(q, d, (), D)
-        coeffs = {(0, 0, 0, 0, e): c for e, c in enumerate(den)}
+        coeffs = {(0, 0, 0, 0, e): c for e, c in local_poly(q, d, 0).items()}
         for m in range(1, max(k) // d + 1):
-            num = _local_poly(q, d, (PLANE,) * m, D)
-            for i, e in itertools.product(range(4), range(D + 1)):
-                coeffs[(0,) * i + (m * d,) + (0,) * (3 - i) + (e,)] = num[e]
+            for i, (e, c) in itertools.product(range(4), local_poly(q, d, m).items()):
+                coeffs[(0,) * i + (m * d,) + (0,) * (3 - i) + (e,)] = c
         factor = TruncatedMultiSeries(orders, coeffs, q, SIEVE_WEIGHTS)
         product = product * factor.power(count_closed_points(q, d))
     return tuple(itertools.accumulate(

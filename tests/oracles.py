@@ -17,16 +17,21 @@ computes, by a path that shares as little with it as possible:
   fiber count through that join, one 0/1 table per contact component, so
   it shares no join code with secenum; u_k_points; the elementary transform
   remark_config;
-* the configuration poset behind the sieve: configurations, intervals, the
-  generic Moebius recursion, enumeration above a base, and the exact rank
-  of the linear system a configuration imposes;
+* the configuration poset behind the sieve: the sixteen-element lattice of
+  fiber subspaces, local conditions as chains of its elements, their
+  codimension and excess, the local excess polynomials by the generic
+  Moebius recursion over local intervals, against sieve.local_poly's
+  closed forms; configurations, intervals, the Moebius function as a
+  product of local values and by the recursion over the whole interval,
+  enumeration above a base, and the exact rank of the linear system a
+  configuration imposes;
 * the Neron-Severi lattice: the lines, conics and markings by exhaustive
   search over certified boxes and orthogonal quadruples, and the marking
   slacks and invariants that the pipeline folds into fiber pairs;
 * small closed forms: surface_count, tamagawa_exact, count_nef_points,
   and the displayed Euler factor (factor_constant,
   factor_contact_coefficient, display_local_factor) against
-  euler.local_factor's crosscut;
+  euler.local_factor;
 * exact arithmetic: the truncated series product as a double loop over
   two dicts of Fractions, interval powers by repeated interval products,
   and the limit check's local values and cutoffs in Fractions;
@@ -50,7 +55,6 @@ import numpy as np
 
 from dp4sieve import nslattice as ns
 from dp4sieve import secenum as se
-from dp4sieve import sieve as sv
 from dp4sieve import surface as sf
 from dp4sieve.errors import DegreeMismatch, Dp4Error, TooLarge
 from dp4sieve.exactnum import Interval
@@ -66,7 +70,6 @@ from dp4sieve.field import (
 )
 from dp4sieve.heightzeta import TruncatedMultiSeries, good_factor
 from dp4sieve.linalg import row_reduce
-from dp4sieve.sieve import LATTICE
 from dp4sieve.surface import DEFAULT_BUDGET, SurfaceConfig
 
 
@@ -654,7 +657,80 @@ def clear_caches():
 
 
 # ---------------------------------------------------------------------------
-# the configuration poset behind the sieve
+# the configuration poset behind the sieve: the local condition lattice
+
+@dataclass(frozen=True)
+class ConditionLattice:
+    """A finite meet-semilattice of fiber subspaces with coranks.
+
+    Elements are encoded as pairs (A, B); each factor is 'full', 'zero', or
+    a line index 0..3.  The top element (full, full) is the ambient space
+    and never a level of a condition's chain.
+    """
+
+    elements: tuple
+    coranks: tuple
+    meet_idx: tuple
+    top: int
+
+    def index(self, elem) -> int:
+        return self.elements.index(elem)
+
+    def leq(self, i: int, j: int) -> bool:
+        return self.meet_idx[i][j] == i
+
+    @property
+    def nontop(self):
+        return tuple(i for i in range(len(self.elements)) if i != self.top)
+
+
+def _factor_meet(x, y):
+    if x == "full":
+        return y
+    if y == "full":
+        return x
+    if x == y:
+        return x
+    return "zero"
+
+
+def _factor_corank(x):
+    return 0 if x == "full" else (1 if x != "zero" else 2)
+
+
+def _build_lattice(elems):
+    elems = tuple(elems)
+    idx = {e: i for i, e in enumerate(elems)}
+    meets = tuple(tuple(idx[_factor_meet(a1, a2), _factor_meet(b1, b2)] for a2, b2 in elems)
+                  for a1, b1 in elems)
+    coranks = tuple(_factor_corank(a) + _factor_corank(b) for a, b in elems)
+    return ConditionLattice(elements=elems, coranks=coranks, meet_idx=meets,
+                            top=idx[("full", "full")])
+
+
+# V, the two one-side elements, the four W_i, the eight marked lines, 0
+LATTICE = _build_lattice(
+    [("full", "full"), ("zero", "full"), ("full", "zero")]
+    + [(i, i) for i in range(4)]
+    + [(i, "zero") for i in range(4)]
+    + [("zero", i) for i in range(4)]
+    + [("zero", "zero")])
+PLANE = LATTICE.index((0, 0))     # W_1, where the first contact component sits
+
+
+# ---------------------------------------------------------------------------
+# local conditions, as chains of level meets
+
+def condition_gamma(chain) -> int:
+    """Sum of the coranks of the level meets."""
+    return sum(LATTICE.coranks[m] for m in chain)
+
+
+def condition_excess(base, chain, degree: int) -> int:
+    """Degree-weighted truncation excess of chain over base (sieve module doc)."""
+    refined = sum(1 for b, c in zip(base, chain) if b != c)
+    return degree * ((len(chain) - len(base)) + refined)
+
 
 def condition_leq(lo, hi) -> bool:
     """The levelwise order on chains: hi is at least as deep as lo, and each
@@ -729,12 +805,12 @@ def config_from_divisor_tuple(w) -> Configuration:
 
 def gamma(x: Configuration) -> int:
     """Expected codimension: degree-weighted sum of local level coranks."""
-    return sum(pt.degree * sv.condition_gamma(cond) for pt, cond in x.data)
+    return sum(pt.degree * condition_gamma(cond) for pt, cond in x.data)
 
 
 def config_excess(w: Configuration, x: Configuration) -> int:
     assert config_leq(w, x)
-    return sum(sv.condition_excess(w.condition_at(pt), cond, pt.degree)
+    return sum(condition_excess(w.condition_at(pt), cond, pt.degree)
                for pt, cond in x.data)
 
 
@@ -742,6 +818,28 @@ def config_excess(w: Configuration, x: Configuration) -> int:
 def _conditions_between(lo, hi) -> tuple:
     return tuple(cand for cand in _local_shapes(len(hi))
                  if condition_leq(lo, cand) and condition_leq(cand, hi))
+
+
+@lru_cache(maxsize=None)
+def local_mobius(lo, hi) -> int:
+    """mu(lo, hi) by the generic recursion over the local interval [lo, hi]."""
+    if lo == hi:
+        return 1
+    return -sum(local_mobius(lo, mid) for mid in _conditions_between(lo, hi) if mid != hi)
+
+
+def local_poly_by_definition(q: int, degree: int, base, budget: int) -> tuple:
+    """The local excess polynomial of sieve.local_poly by its definition:
+    every saturated tau above the chain base of excess <= budget, weighted
+    by local_mobius(base, tau) q^(-degree gamma(tau))."""
+    out = [Fraction(0)] * (budget + 1)
+    for tau in _local_shapes(len(base) + budget // degree):
+        if condition_leq(base, tau):
+            excess = condition_excess(base, tau, degree)
+            if excess <= budget:
+                out[excess] += Fraction(local_mobius(base, tau),
+                                        q ** (degree * condition_gamma(tau)))
+    return tuple(out)
 
 
 def _interval_data(w: Configuration, x: Configuration) -> list:
@@ -762,12 +860,12 @@ def interval(w: Configuration, x: Configuration):
 
 def mobius(w: Configuration, x: Configuration) -> int:
     """mu(w, x) of the configuration poset as the product over closed
-    points of the local crosscut values that the sieve uses."""
+    points of the local values."""
     if not config_leq(w, x):
         raise ValueError("w is not below x")
     out = 1
     for pt in x.support:
-        out *= dict(sv._crosscut(w.condition_at(pt))).get(x.condition_at(pt), 0)
+        out *= local_mobius(w.condition_at(pt), x.condition_at(pt))
     return out
 
 
@@ -809,7 +907,7 @@ def enumerate_configs_above(w, D: int, K: FieldSpec, limit: int = 500_000):
         cands = []
         for cand in _local_shapes(len(lo) + D // pt.degree):
             if condition_leq(lo, cand):
-                excess = sv.condition_excess(lo, cand, pt.degree)
+                excess = condition_excess(lo, cand, pt.degree)
                 if excess <= D:
                     cands.append((cand, excess))
         per_point.append(cands)

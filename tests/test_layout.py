@@ -1,6 +1,7 @@
 """Static checks on the package source: no unused imports, no float
 accumulator, no definition and no parameter default that only tests reach,
-and the module layering that keeps the arithmetic kernels at the bottom."""
+no private name imported from a sibling module, and the module layering
+that keeps the arithmetic kernels at the bottom."""
 
 import ast
 import os
@@ -134,6 +135,17 @@ def test_heightzeta_does_not_import_sieve():
 
 def test_sieve_imports_nothing_from_secenum():
     assert "secenum" not in _package_imports(_tree(SRC / "sieve.py"))
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # a name with a leading underscore belongs to its own module; a sibling
+    # that needs it reads a public name instead
+    found = [f"{path.name}:{node.lineno} {alias.name}"
+             for path in MODULES for node in ast.walk(_tree(path))
+             if isinstance(node, ast.ImportFrom)
+             and (node.level == 1 or (node.module or "").startswith("dp4sieve"))
+             for alias in node.names if alias.name.startswith("_")]
+    assert not found, ", ".join(found)
 
 
 def test_secenum_takes_no_polynomial_kernel_from_field():

@@ -136,6 +136,22 @@ def test_count_bidegree_11_avoiding_q4():
     assert se.count_sections(CFG4, 1, 1, (0, 0, 0, 0)) == 14040
 
 
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 27, 49])
+def test_counts_follow_one_polynomial_across_characteristics(q):
+    # (q^3 - q)(q^3 - 4q^2 + 9q - 10) maps of bidegree (1,1) avoiding every
+    # centre, and as many of bidegree (2,1) with contact (1,1,0,0), pinned
+    # in characteristics 2, 3, 5 and 7 up to q = 49 with no brute force.
+    # _GROUP_CAP refuses the (2,1) table at q = 49
+    cfg = sf.default_config(q)
+    want = (q ** 3 - q) * (q ** 3 - 4 * q ** 2 + 9 * q - 10)
+    assert se.count_morphisms(cfg, 1, 1, (0, 0, 0, 0)) == want
+    if q < 49:
+        assert se.count_morphisms(cfg, 2, 1, (1, 1, 0, 0)) == want
+    else:
+        with pytest.raises(TooLarge):
+            se.count_morphisms(cfg, 2, 1, (1, 1, 0, 0))
+
+
 def test_raw_vs_join_small_grid():
     # the join strategy is guarded by full-product enumeration on the
     # smallest instances

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 from fractions import Fraction
@@ -15,22 +14,9 @@ from oracles import ZERO_DIVISOR, divisor, rational_point
 
 K3 = make_field(3)
 K5 = make_field(5)
-L16 = sv.LATTICE
+L16 = orc.LATTICE
 W = [(i, i) for i in range(4)]
 ZERO = L16.index(("zero", "zero"))
-
-
-@functools.lru_cache(maxsize=None)
-def _interval_mobius(lo, hi):
-    """mu(lo, hi) by the generic recursion over the local interval [lo, hi]."""
-    if lo == hi:
-        return 1
-    return -sum(_interval_mobius(lo, mid)
-                for mid in orc._conditions_between(lo, hi) if mid != hi)
-
-
-def _plane_bases():
-    return [(sv.PLANE,) * m for m in (1, 2, 3)]
 
 
 def test_lattice_shapes():
@@ -80,7 +66,7 @@ def test_saturated_conditions_of_depth_one_are_the_short_chains():
     # two transverse planes without their meet, and a line without its plane
     assert ones(W[0], W[1]) not in kept and ones((0, "zero")) not in kept
     assert ones(W[0]) in kept
-    assert sv.condition_gamma((sv.PLANE, sv.PLANE)) == 4  # two levels of corank 2
+    assert orc.condition_gamma((orc.PLANE, orc.PLANE)) == 4  # two levels of corank 2
 
 
 def test_levelwise_order_is_the_pointwise_multiplicity_order():
@@ -108,59 +94,25 @@ def test_mobius_base_cases():
     w = orc.empty_configuration()
     assert orc.mobius(w, w) == 1
     # two-element interval: a covering pair has mu = -1
-    x = orc.configuration([(rational_point(K3, 0), (sv.PLANE,))])
+    x = orc.configuration([(rational_point(K3, 0), (orc.PLANE,))])
     assert orc.mobius(w, x) == -1
     with pytest.raises(ValueError, match="not below"):
         y = orc.configuration([(rational_point(K3, 1), (L16.index(W[1]),))])
         orc.mobius(x, y)
 
 
-def test_covers_are_the_minimal_shapes_above_base():
-    # every shape of depth <= 2 and the plane bases of depth 1-3; nothing
-    # two levels deeper is minimal either
-    for base in set(orc._local_shapes(2)) | set(_plane_bases()):
-        above = [s for s in orc._local_shapes(len(base) + 2)
-                 if s != base and orc.condition_leq(base, s)]
-        minimal = {s for s in above
-                   if not any(t != s and orc.condition_leq(t, s) for t in above)}
-        covers = sv._cover_chains(base + (L16.top,))
-        assert {c[:-1] if c[-1] == L16.top else c for c in covers} == minimal
-
-
-def test_crosscut_mobius_matches_interval_recursion():
-    # mu(base, x) vanishes more than one level above the base, and the
-    # crosscut values equal the recursion everywhere up to three levels
-    for base in orc._local_shapes(1):
-        depth = len(base)
-        crosscut = dict(sv._crosscut(base))
-        assert all(len(x) <= depth + 1 for x in crosscut)
-        for x in orc._local_shapes(depth + 3):
-            if orc.condition_leq(base, x):
-                mu = _interval_mobius(base, x)
-                assert mu == crosscut.get(x, 0)
-                if len(x) > depth + 1:
-                    assert mu == 0
-
-
-def _local_poly_by_recursion(q, deg, base, budget):
-    """The definition of _local_poly: every saturated tau above base of
-    excess <= budget, weighted by the recursive mu(base, tau)."""
-    out = [Fraction(0)] * (budget + 1)
-    for tau in orc._local_shapes(len(base) + budget // deg):
-        if orc.condition_leq(base, tau):
-            excess = sv.condition_excess(base, tau, deg)
-            if excess <= budget:
-                out[excess] += Fraction(_interval_mobius(base, tau),
-                                        q ** (deg * sv.condition_gamma(tau)))
-    return tuple(out)
-
-
 @pytest.mark.parametrize("deg", [1, 2, 3])
 def test_crosscut_local_poly_matches_definition(deg):
-    for base in [()] + _plane_bases():
-        full = _local_poly_by_recursion(3, deg, base, 6)
-        for D in range(7):
-            assert sv._local_poly(3, deg, base, D) == full[:D + 1]
+    # the closed forms against the Moebius recursion over every local
+    # interval, budgets <= 6: at degree 1 every tau up to six levels above
+    # the empty base and the plane bases of depth 1-3; at degrees 2 and 3
+    # the plane bases up to depth 6, where num_{d,m} is the depth-1 form
+    # padded
+    for depth in range(4 if deg == 1 else 7):
+        terms = sv.local_poly(3, deg, depth)
+        assert max(terms) <= 6
+        assert tuple(terms.get(e, 0) for e in range(7)) == \
+            orc.local_poly_by_definition(3, deg, (orc.PLANE,) * depth, 6)
 
 
 def test_mobius_multiplicative_matches_recursive_seeded():
@@ -199,7 +151,7 @@ def test_mobius_recursion_sums_vanish():
 
 
 def test_gamma_additive_over_disjoint_supports():
-    c1 = (sv.PLANE,)
+    c1 = (orc.PLANE,)
     c2 = (L16.index(W[2]),) * 2
     x1 = orc.configuration([(rational_point(K3, 0), c1)])
     x2 = orc.configuration([(rational_point(K3, 1), c2)])
@@ -338,10 +290,9 @@ def test_gamma_equals_rank_oracle_exhaustive():
 
 def _local_factor_entry(q, deg, m):
     """The t_1^(deg m) entry of the local factor at a degree-deg point,
-    times q^(deg m): its excess polynomial at the depth-m plane base, summed
-    over an excess budget that holds every tau with mu != 0."""
-    base = (sv.PLANE,) * m
-    return q ** (deg * m) * sum(sv._local_poly(q, deg, base, deg * (m + 2)))
+    times q^(deg m): its excess polynomial at the depth-m plane base at
+    T = 1."""
+    return q ** (deg * m) * sum(sv.local_poly(q, deg, m).values())
 
 
 def test_local_factor_matches_display_16():
@@ -359,22 +310,13 @@ def test_local_factor_matches_display_16():
         assert got.ints.tolist() == want.ints.tolist(), (q, deg)
 
 
-def test_deep_plane_crosscut_is_the_depth_one_crosscut_padded():
-    # euler.local_factor steps its contact coefficients from depth 1 on this identity
-    one = sv._crosscut((sv.PLANE,))
-    for m in range(2, 7):
-        pad = (sv.PLANE,) * (m - 1)
-        assert dict(sv._crosscut((sv.PLANE,) * m)) == {
-            tau[:1] + pad + tau[1:]: mu for tau, mu in one}
-
-
 def test_sieve_factors_are_integral_after_scaling():
     # t_i -> q^2 t_i and T -> q^4 T clear every denominator: for depth
-    # m <= 4 at points of degree d <= 4 and excess e <= 8, the T^e
-    # coefficient of the excess polynomial times q^(2 m d + 4 e) is an integer
+    # m <= 4 at points of degree d <= 4, each T^e coefficient of the excess
+    # polynomial times q^(2 m d + 4 e) is an integer
     for q in (3, 4, 5):
         for d in range(1, 5):
             for m in range(5):
-                for e, c in enumerate(sv._local_poly(q, d, (sv.PLANE,) * m, 8)):
+                for e, c in sv.local_poly(q, d, m).items():
                     assert (c * q ** (2 * m * d + 4 * e)).denominator == 1, (q, d, m, e)
 
