@@ -135,10 +135,10 @@ from .linalg import solve
 from .surface import DEFAULT_BUDGET, SurfaceConfig
 
 JOIN_PASS = 2 ** 16         # row x column keys per join pass (module docstring, Memory)
-# entries of the PGL_2(F_q) permutation table: while the group closes each
-# is held as uint16 in its row's bytes key and once more in the joined
-# table, and each frontier row as intp, 7.2 bytes in all at q = 27, degree 2
-# (traced); so 80 M entries stay well within 2 GB
+# entries of the PGL_2(F_q) permutation table: each is one uint16 of the
+# table, and the flipped affine block and one gathered cell beside it add
+# 2/(q+1) more (q = 27, degree 2 peaked at 30.5 MiB traced for the 28.4
+# MiB table); so 80 M entries, 160 MB, stay well within 2 GB
 _GROUP_CAP = 80_000_000
 
 
@@ -332,33 +332,33 @@ def _refuse_oversized(K: FieldSpec, degree: int):
 @lru_cache(maxsize=None)
 def _pgl2_perms(K: FieldSpec, degree: int):
     """Every divisor-id permutation that PGL_2(F_q) induces in this degree,
-    as a read-only uint16 table.
+    as a read-only uint16 table, one row per group element (q^3 - q rows
+    for degree >= 1, where the action is faithful), the identity first.
 
-    Closes the generators x -> x + p^i (i < n), x -> c x for a primitive
-    element c, and x -> 1/x under composition: the translations by a basis
-    of F_q over F_p and the scalings by the powers of c give every affine
-    map, and with 1/x all of PGL_2(F_q).  One row per group element
-    (q^3 - q rows for degree >= 1, where the action is faithful), the
-    identity first.  The frontier keeps intp rows, so each composition is
-    a plain gather; the group keeps only their uint16 bytes.
+    The Bruhat decomposition PGL_2(F_q) = B + B w U writes each element
+    exactly once: B is the q (q - 1) affine maps x -> c x + t, one gather
+    of the translation rows by the scaling rows, and each of them composed
+    once with w: x -> 1/x and then with one of the q translations gives
+    the rest.  So the q + 1 blocks go straight into the table, and nothing
+    is deduplicated.  At degree 0 the action is trivial: one identity row.
     _refuse_oversized runs first, so a refused degree builds no table.
     """
     _refuse_oversized(K, degree)
-    gens = [(1, K.p ** i, 0, 1) for i in range(K.n)] + [(K._exp[1], 0, 0, 1), (0, 1, 1, 0)]
-    gens = [_pullback_perm(K, degree, g) for g in gens]
-    frontier = [np.arange(gens[0].size, dtype=np.intp)]
-    group = {frontier[0].astype(np.uint16).tobytes(): None}    # insertion-ordered
-    while frontier:
-        found = []
-        for perm in frontier:
-            for gen in gens:
-                new = gen[perm]
-                key = new.astype(np.uint16).tobytes()
-                if key not in group:
-                    group[key] = None
-                    found.append(new)
-        frontier = found
-    return np.frombuffer(b"".join(group), dtype=np.uint16).reshape(len(group), -1)
+    q = K.q
+    if not degree:
+        table = np.arange(_id_count(q, 0), dtype=np.uint16)[None]
+        table.flags.writeable = False
+        return table
+    shift = np.array([_pullback_perm(K, degree, (1, t, 0, 1)) for t in range(q)], dtype=np.uint16)
+    scale = np.array([_pullback_perm(K, degree, (c, 0, 0, 1)) for c in K._exp], dtype=np.uint16)
+    table = np.empty((q ** 3 - q, shift.shape[1]), dtype=np.uint16)
+    affine = table[:q * q - q]
+    affine[...] = shift[:, scale].reshape(affine.shape)
+    flip = affine[:, _pullback_perm(K, degree, (0, 1, 1, 0))]
+    for t, cell in enumerate(table[q * q - q:].reshape(q, q * q - q, -1)):
+        cell[...] = flip[:, shift[t]]
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------

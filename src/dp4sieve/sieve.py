@@ -88,11 +88,9 @@ class SievePrediction:
 
 
 def stable_range_I(a: int, b: int, k) -> int:
-    """floor( min(2a+1-sum k, 2b+1-sum k) / 8 - 1/2 ), possibly negative."""
-    sk = sum(k)
-    m = min(2 * a + 1 - sk, 2 * b + 1 - sk)
-    val = Fraction(m, 8) - Fraction(1, 2)
-    return val.numerator // val.denominator
+    """floor(m / 8 - 1/2) = floor((m - 4) / 8) with m = 2 min(a, b) + 1 - sum k,
+    possibly negative."""
+    return (2 * min(a, b) - 3 - sum(k)) // 8
 
 
 def stable_range_start(k) -> int:

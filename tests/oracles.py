@@ -8,8 +8,9 @@ computes, by a path that shares as little with it as possible:
   secenum's contact-degree join; the divisor of a form by trial division,
   against secenum's monic-form ids and multiplicity tables; the closed
   points of a degree by trial division, against field.monic_irreducibles'
-  marking of products; the orbit-reduced side
-  as the full side summary moved to least keys over all of PGL_2(F_q),
+  marking of products; the PGL_2(F_q) permutation table from every
+  invertible matrix, against secenum's Bruhat cells; the orbit-reduced side
+  as the full side summary moved to least keys over that table,
   against secenum's enumeration from first-divisor orbits; the full side summary by
   coefficient pairs, against secenum's sweep under the trivial group; the
   centre permutations by trying every Moebius map, and the join over every
@@ -533,12 +534,22 @@ def side_summary(cfg: SurfaceConfig, degree: int):
     return se._decode(keys, base), n * (q - 1)
 
 
+def pgl2_rows(K: FieldSpec, degree: int):
+    """Reference for secenum._pgl2_perms: the divisor-id permutation of each
+    element of PGL_2(F_q) by its definition, one invertible matrix
+    (a, b, c, d) with first nonzero entry 1 per element."""
+    return np.array([se._pullback_perm(K, degree, g)
+                     for g in itertools.product(range(K.q), repeat=4)
+                     if K.sub(K.mul(g[0], g[3]), K.mul(g[1], g[2])) and next(filter(None, g)) == 1],
+                    dtype=np.uint16)
+
+
 def side_orbits(cfg: SurfaceConfig, degree: int):
     """Reference for secenum._fundamental_rows under the trivial group of
     centre permutations: the full side summary, each quadruple moved to the
     least key over the whole of PGL_2(F_q), equal keys tallied."""
     comp, weights = side_summary(cfg, degree)
-    perms = se._pgl2_perms(cfg.field, degree)
+    perms = pgl2_rows(cfg.field, degree)
     base = perms.shape[1]
     canon = se._encode(comp, base)
     for perm in perms:

@@ -526,6 +526,37 @@ def test_orbit_reduction_q4():
     assert int(totals.sum()) == cols.shape[1] * 3 == _coprime_pairs(4, 4)
 
 
+@pytest.mark.parametrize("q, degrees", [(3, 4), (4, 4), (5, 4), (7, 3), (8, 3), (9, 3)])
+def test_pgl2_table_is_the_group(q, degrees):
+    # the Bruhat cells B + B w U against the definition of PGL_2(F_q): the
+    # rows are pairwise distinct, the identity first, and as a set they are
+    # the pullbacks of the invertible matrices up to scalar
+    K = field_of_order(q)
+    for degree in range(degrees):
+        perms = se._pgl2_perms(K, degree)
+        assert perms.dtype == np.uint16 and not perms.flags.writeable
+        assert (perms[0] == np.arange(perms.shape[1])).all()
+        rows = {row.tobytes() for row in perms}
+        assert len(rows) == len(perms) == (q ** 3 - q if degree else 1)
+        assert rows == {row.tobytes() for row in orc.pgl2_rows(K, degree)}
+
+
+def test_pgl2_table_is_built_in_place():
+    # the cells are written into the preallocated table: at q = 27, degree 2
+    # (19,656 x 758 uint16, 28.4 MiB) the build holds beside it only the
+    # flipped affine block and one gathered cell, 2/28 of the table
+    K = field_of_order(27)
+    se._form_divisor_ids(K, 2)
+    se._np_tables(K)
+    tracemalloc.start()
+    try:
+        table = se._pgl2_perms.__wrapped__(K, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * table.nbytes
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(q=st.sampled_from([3, 4, 5]), degree=st.integers(0, 3),
        other=st.integers(0, 3), data=st.data())
@@ -540,7 +571,7 @@ def test_pullback_permutation_fixes_the_side_summaries(q, degree, other, data):
     # each divisor's shape, hence its degree
     assert sorted(perm) == list(range(m + 1)) and perm[m] == m
     assert all(_shape(divs[perm[i]]) == _shape(divs[i]) for i in range(m))
-    # it lies in the closure of the generators, which is all of PGL_2(F_q)
+    # it is a row of the group table, which is all of PGL_2(F_q)
     group = se._pgl2_perms(K, degree)
     assert any((row == perm).all() for row in group)
     assert len(group) == (q ** 3 - q if degree else 1)
@@ -590,8 +621,8 @@ def test_centre_symmetries_form_a_group_containing_v4(q):
     assert V4 <= group
     assert all(tuple(x[i] for i in y) in group for x in group for y in group)
     assert len(group) == {3: 24, 4: 12, 5: 4}.get(q, len(group))
-    # the n + 2 generators of _pgl2_perms close to all of PGL_2(F_q), held
-    # as uint16 ids
+    # the Bruhat cells of _pgl2_perms fill all of PGL_2(F_q), held as
+    # uint16 ids
     for degree in (1, 2):
         perms = se._pgl2_perms(field_of_order(q), degree)
         assert len(perms) == q ** 3 - q and perms.dtype == np.uint16

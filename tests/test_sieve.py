@@ -177,6 +177,10 @@ def test_stable_range_formula():
     # raising the binding side by 4 raises I by one
     base = sv.stable_range_I(10, 30, (0, 0, 0, 0))
     assert sv.stable_range_I(14, 30, (0, 0, 0, 0)) == base + 1
+    # the definition, floor(m / 8 - 1/2) in exact rationals
+    for a, b, sk in itertools.product(range(13), range(13), range(49)):
+        val = Fraction(min(2 * a + 1 - sk, 2 * b + 1 - sk), 8) - Fraction(1, 2)
+        assert sv.stable_range_I(a, b, (sk, 0, 0, 0)) == val.numerator // val.denominator
 
 
 def test_sieve_sum_base_cases():
