@@ -114,8 +114,7 @@ def _write_report(cfg: RunConfig, args, name: str, build) -> int:
     make_out_dir(args.out_dir, stem)
     report = build(cfg)
     print("\n".join(write_outputs(report, args.out_dir, stem)))
-    partial = any(f.startswith(("budget_exceeded", "resource_limit")) for f in report.flags)
-    return 3 if partial else 0
+    return 3 if any(row.get("partial") for row in report.rows) else 0
 
 
 def _cmd_count(cfg: RunConfig, args) -> int:

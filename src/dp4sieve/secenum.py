@@ -4,13 +4,7 @@ four marked point pairs of P^1 x P^1.
 
 The contact order at the i-th marked pair (p_i, p'_i) is the degree of the
 common vanishing divisor of the two composite forms lambda_i(s) and
-lambda'_i(t), where lambda_i is the linear functional cutting p_i.  A zero
-composite (the section rides the fiber line through the marked point, only
-possible on a degree-0 side) acts as the neutral bound: its "divisor"
-contains everything, so the contact is carried by the other side alone.
-When both composites vanish identically the pair is a constant section
-sitting at the marked point; the artifact counts it with contact 0, which
-makes the degree-0 count equal the number of constant maps to P^1 x P^1.
+lambda'_i(t), where lambda_i is the linear functional cutting p_i.
 The marked pairs come as a SurfaceConfig, which surface.py validates and
 builds without numpy; this module is the only one that needs numpy at
 import, and harness imports it on the first count.
@@ -30,8 +24,8 @@ form vanishes at infinity to the number of its vanishing top
 coefficients, so a common root of two forms includes common vanishing
 there.  A degree-d divisor is a point of Hilb^d P^1 = P^d, a nonzero form
 up to scalar; its id is the rank of its monic form (top nonzero
-coefficient 1) among all monic codes, 0 .. #P^d(F_q) - 1, and the zero
-form gets the sentinel id #P^d(F_q).  Every id table is built from forms;
+coefficient 1) among all monic codes, 0 .. #P^d(F_q) - 1.  The zero form
+has no divisor and so no id.  Every id table is built from forms;
 no divisor is held as a multiset of points.  The closed points of degree
 e are the rows of _multiplicities' degree-e table that no lower point marks.
 
@@ -44,6 +38,19 @@ before anything is charged or joined, and the engine sees a >= b only:
 s is swept in the functionals of cfg's first coordinates, t as the first
 side of cfg.transposed().  On a surface that is its own transpose, as the
 default q = 3 one, (a, b) reads the histogram of (b, a).
+
+Constant sides.  A side t of degree 0 is one of the q + 1 points of
+P^1(F_q) with q - 1 scalars, so count_sections answers b = 0 in closed
+form, before anything is charged or built.  lambda'_i(t) is zero exactly
+when t is the i-th centre's second coordinate, and the four are distinct
+on every validated surface.  Then the pair rides the fibre through that
+centre: for a >= 1 the contact there is all of lambda_i(s), of degree a,
+and it is 0 at the other three centres.  With P = (q - 1)^2 times the
+degree-a side's columns, the count is P (q - 3) at k = 0, P at each
+k = a e_i, and 0 elsewhere.  At a = 0 every contact is 0, a constant pair
+at a centre included, and all ((q + 1)(q - 1))^2 pairs have k = 0.  So
+the engine sweeps sides of degree >= 1 only, where no composite of a
+coprime pair vanishes.
 
 Orbit reduction.  Reparametrising the source P^1 by g in PGL_2(F_q) maps
 coprime pairs to coprime pairs and pulls every composite divisor back
@@ -58,23 +65,20 @@ Since p_0 != p_1, g_1 = lambda_0(s) and g_2 = lambda_1(s) are coordinates
 of s, and lambda_2(s), lambda_3(s) are fixed combinations of them.  For
 each first divisor D_1, one form g_1 with divisor D_1 is paired with every
 form g_2 coprime to it; each such pair stands for the q-1 pairs of its
-line, the common scalar making g_1 that form.  At degree 0 the zero form
-is a first divisor too, and the common scalar normalises g_2 instead.  So
-a side costs one q^(d+1) sweep per first divisor.  The full side sweeps
-every id and passes each pair's quadruple on as it comes, with no tally.  The
+line, the common scalar making g_1 that form.  So a side costs one
+q^(d+1) sweep per first divisor.  The full side sweeps every id and
+passes each pair's quadruple on as it comes, with no tally.  The
 reduced side, s of degree a >= b, sweeps the least id of each PGL_2(F_q)
 orbit of first divisors, each pair standing for |G.D_1| (q-1) pairs, and
 tallies representatives.
 
-For d >= 1 the divisors of g_1 and g_2 fix s up to the ratio of two
-scalars, and that of lambda_2(s) fixes the ratio, because coprime forms
-are not proportional; so the full side of degree d has q^(2d-1) (q^2 - 1)
-columns, all distinct.  At degree 0 it has q + 1 columns, one per point of
-P^1(F_q); the points off the four centres share one quadruple.  Either
-way every column stands for q - 1 pairs, so the join weighs only rows and
-the histogram is multiplied by q - 1 once.  The quadruple count grows
-with the degree, so s, of the larger degree a, is the side with more
-quadruples to compare, and the one reduced.
+The divisors of g_1 and g_2 fix s up to the ratio of two scalars, and
+that of lambda_2(s) fixes the ratio, because coprime forms are not
+proportional; so the full side of degree d has q^(2d-1) (q^2 - 1)
+columns, all distinct.  Every column stands for q - 1 pairs, so the join
+weighs only rows and the histogram is multiplied by q - 1 once.  The
+quadruple count grows with the degree, so s, of the larger degree a, is
+the side with more quadruples to compare, and the one reduced.
 
 Surface symmetries.  Let H be the permutations sigma of the four centres
 that a Moebius map g on each factor of P^1 x P^1 realises, g(p_i) =
@@ -94,12 +98,12 @@ orbit o through the kept orbits sigma^-1 o: #{sigma : sigma phi = phi}
 of the sigma take phi(o) to its least image, each with that weight, so o
 counts |H| times, and one exact integer division by |H| ends the join.
 
-Memory.  A degree's ids, #P^d(F_q) divisors and the zero sentinel, are
-counted in closed form, and _refuse_oversized, the one refusal, refuses a
-degree whose PGL_2(F_q) table would exceed _GROUP_CAP entries, or whose id
-quadruples would overflow an int64 key (more than 55,108 ids, which also
-keeps every degree below 16), before any form map, multiplicity table or
-group table is built; the id count itself is then the key base.
+Memory.  A degree's #P^d(F_q) divisor ids are counted in closed form,
+and _refuse_oversized, the one refusal, refuses a degree whose
+PGL_2(F_q) table would exceed _GROUP_CAP entries, or whose id quadruples
+would overflow an int64 key (more than 55,108 ids, which also keeps
+every degree below 16), before any form map, multiplicity table or group
+table is built; the id count itself is then the key base.
 So every stored id fits a uint16: side quadruples, the PGL_2 table and its
 orbit minima are uint16, and contact degrees uint8 tables.  NumPy 2 keeps
 uint16 times a Python int in uint16, where it wraps, so _encode widens a
@@ -188,9 +192,9 @@ def _monic_codes(q: int, degree: int):
 def _form_divisor_ids(K: FieldSpec, degree: int):
     """Map form code -> divisor id: the rank of the form's monic multiple
     among _monic_codes, found by scaling each monic form by the q-1
-    nonzero scalars, which share its divisor.  The zero form gets the
-    sentinel id past the monic forms, acting as the neutral element for
-    divisor minima."""
+    nonzero scalars, which share its divisor.  The zero form, which has no
+    divisor, maps to the id count, past every table, so that a stray read
+    of it raises an IndexError."""
     q = K.q
     mul, _ = _np_tables(K)
     monic = _form_digits(q, degree, _monic_codes(q, degree))
@@ -254,30 +258,22 @@ def _meet_degrees(K: FieldSpec, deg_s: int, rows, deg_t: int):
     """Contact degrees deg min(D, D') of the degree-deg_s divisor ids `rows`
     against every degree-deg_t id.
 
-    Ids past the monic forms are the zero sentinel, which comes last among
-    the columns.  A zero form passes the other side's degree through, and
-    two zero forms give 0.  Two nonzero forms can only share closed points
-    of degree <= min(deg_s, deg_t), the shorter table's columns, so those
-    suffice, and only the points some row passes through are visited.
+    Two forms can only share closed points of degree <= min(deg_s, deg_t),
+    the shorter table's columns, so those suffice, and only the points
+    some row passes through are visited.
     """
     mS, pdeg = _multiplicities(K, deg_s)
     mT, _ = _multiplicities(K, deg_t)
-    width = min(mS.shape[1], mT.shape[1])
-    zero = rows == mS.shape[0]
-    tab = np.zeros((rows.size, mT.shape[0] + 1), dtype=np.uint8)
-    tab[zero, :-1] = deg_t
-    tab[~zero, -1] = deg_s
-    mR = mS[rows[~zero], :width]
-    meet = np.zeros((mR.shape[0], mT.shape[0]), dtype=np.uint8)
+    mR = mS[rows, :min(mS.shape[1], mT.shape[1])]
+    tab = np.zeros((rows.size, mT.shape[0]), dtype=np.uint8)
     for j in np.flatnonzero(mR.any(axis=0)):
-        meet += pdeg[j] * np.minimum(mR[:, j, None], mT[None, :, j])
-    tab[~zero, :-1] = meet
+        tab += pdeg[j] * np.minimum(mR[:, j, None], mT[None, :, j])
     return tab
 
 
 @lru_cache(maxsize=None)
 def _degree_table(K: FieldSpec, deg_s: int, deg_t: int):
-    """_meet_degrees for every degree-deg_s id, the zero sentinel last."""
+    """_meet_degrees for every degree-deg_s id."""
     ids = np.arange(_id_count(K.q, deg_s), dtype=np.int64)
     return _meet_degrees(K, deg_s, ids, deg_t)
 
@@ -288,8 +284,8 @@ def _degree_table(K: FieldSpec, deg_s: int, deg_t: int):
 def _pullback_perm(K: FieldSpec, degree: int, g):
     """Divisor-id permutation of f(X, Y) -> f(aX + bY, cX + dY), g = (a, b, c, d).
 
-    The substitution pulls every divisor back along the Moebius map; the
-    zero sentinel is fixed.  g must be invertible.
+    The substitution pulls every divisor back along the Moebius map.  g
+    must be invertible.
     """
     a, b, c, d = g
     mul, sub = _np_tables(K)
@@ -299,7 +295,7 @@ def _pullback_perm(K: FieldSpec, degree: int, g):
     basis = np.ones((degree + 1, 1), dtype=np.int64)
     for i in range(degree):
         basis = _products(K, basis, np.where(np.arange(degree + 1)[:, None] > i, (b, a), (d, c)))
-    digits = _form_digits(K.q, degree, np.append(_monic_codes(K.q, degree), 0))   # by id
+    digits = _form_digits(K.q, degree, _monic_codes(K.q, degree))    # by id
     image = np.zeros(len(digits), dtype=np.int64)
     for k in range(degree + 1):
         acc = np.zeros(len(digits), dtype=np.int64)
@@ -310,45 +306,39 @@ def _pullback_perm(K: FieldSpec, degree: int, g):
 
 
 def _id_count(q: int, degree: int) -> int:
-    """The divisor ids of exact degree, #P^degree(F_q), plus the zero sentinel."""
-    return (q ** (degree + 1) - 1) // (q - 1) + 1
+    """The divisor ids of exact degree, #P^degree(F_q)."""
+    return (q ** (degree + 1) - 1) // (q - 1)
 
 
 def _refuse_oversized(K: FieldSpec, degree: int):
     """Refuse, from the closed-form id count alone, a degree whose PGL_2(F_q)
     table exceeds _GROUP_CAP entries or whose id quadruples overflow an
     int64 key (more than 55,108 ids, so every id fits a uint16); so a
-    refused degree builds no form map, multiplicity table or group table.
-    The table has q^3 - q rows, one at degree 0, where the action is
-    trivial."""
+    refused degree builds no form map, multiplicity table or group table."""
     ids = _id_count(K.q, degree)
-    if (K.q ** 3 - K.q if degree else 1) * ids > _GROUP_CAP:
+    if (K.q ** 3 - K.q) * ids > _GROUP_CAP:
         raise TooLarge(f"PGL_2(F_{K.q}) acting on {ids} degree-{degree} divisor ids "
                        f"exceeds {_GROUP_CAP} table entries")
     if ids ** 4 >= 2 ** 63:
-        raise TooLarge(f"{ids - 1} degree-{degree} divisor ids: quadruples overflow int64 keys")
+        raise TooLarge(f"{ids} degree-{degree} divisor ids: quadruples overflow int64 keys")
 
 
 @lru_cache(maxsize=None)
 def _pgl2_perms(K: FieldSpec, degree: int):
-    """Every divisor-id permutation that PGL_2(F_q) induces in this degree,
-    as a read-only uint16 table, one row per group element (q^3 - q rows
-    for degree >= 1, where the action is faithful), the identity first.
+    """Every divisor-id permutation that PGL_2(F_q) induces in a degree >= 1,
+    as a read-only uint16 table, one row per group element (q^3 - q rows:
+    the action is faithful), the identity first.
 
     The Bruhat decomposition PGL_2(F_q) = B + B w U writes each element
     exactly once: B is the q (q - 1) affine maps x -> c x + t, one gather
     of the translation rows by the scaling rows, and each of them composed
     once with w: x -> 1/x and then with one of the q translations gives
     the rest.  So the q + 1 blocks go straight into the table, and nothing
-    is deduplicated.  At degree 0 the action is trivial: one identity row.
-    _refuse_oversized runs first, so a refused degree builds no table.
+    is deduplicated.  _refuse_oversized runs first, so a refused degree
+    builds no table.
     """
     _refuse_oversized(K, degree)
     q = K.q
-    if not degree:
-        table = np.arange(_id_count(q, 0), dtype=np.uint16)[None]
-        table.flags.writeable = False
-        return table
     shift = np.array([_pullback_perm(K, degree, (1, t, 0, 1)) for t in range(q)], dtype=np.uint16)
     scale = np.array([_pullback_perm(K, degree, (c, 0, 0, 1)) for c in K._exp], dtype=np.uint16)
     table = np.empty((q ** 3 - q, shift.shape[1]), dtype=np.uint16)
@@ -421,18 +411,13 @@ def _tally(keys, weights):
 
 
 @lru_cache(maxsize=None)
-def _first_divisors(K: FieldSpec, degree: int):
-    """The least id of each orbit of degree-`degree` divisor ids under
-    PGL_2(F_q), ascending, with the orbits' sizes.
-
-    The zero sentinel, an orbit of its own, is kept at degree 0 only: at
-    degree >= 1 a zero first composite has no coprime second composite.
-    """
-    perms = _pgl2_perms(K, degree)
-    firsts = np.flatnonzero(perms.min(axis=0) == np.arange(perms.shape[1]))
-    if degree:
-        firsts = firsts[:-1]
-    return firsts, len(perms) // (perms[:, firsts] == firsts).sum(axis=0)
+def _orbits(K: FieldSpec, degree: int):
+    """The PGL_2(F_q) orbits of the degree-`degree` divisor ids: each id's
+    orbit minimum, the ids that are their own minimum, ascending, and their
+    orbits' sizes, each the number of ids with that minimum."""
+    orbit_min = _pgl2_perms(K, degree).min(axis=0)
+    firsts = np.flatnonzero(orbit_min == np.arange(orbit_min.size))
+    return orbit_min, firsts, np.bincount(orbit_min)[firsts]
 
 
 def _sweep(cfg: SurfaceConfig, degree: int, firsts, coprime):
@@ -448,9 +433,7 @@ def _sweep(cfg: SurfaceConfig, degree: int, firsts, coprime):
     div_id = _form_divisor_ids(K, degree)
     digits = _form_digits(q, degree)
     powers = q ** np.arange(degree + 1, dtype=np.int64)
-    codes = np.arange(div_id.size, dtype=np.int64)
-    form = np.append(_monic_codes(q, degree), 0)    # each divisor id's monic form, then zero
-    zero = form.size - 1
+    form = _monic_codes(q, degree)      # each divisor id's monic form
     l0, l1 = cfg.lam(0), cfg.lam(1)
     # lambda_i = alpha lambda_0 + beta lambda_1 = alpha g1 - (-beta) g2
     combos = []
@@ -458,10 +441,7 @@ def _sweep(cfg: SurfaceConfig, degree: int, firsts, coprime):
         alpha, beta = solve(K, [[l0[0], l1[0]], [l0[1], l1[1]]], cfg.lam(i))
         combos.append((mul[alpha], mul[K.neg(beta)]))
     for first, ok in zip(firsts, coprime):
-        if first == zero:           # degree 0, g1 = 0: the pairs (0, c) are one line
-            g2 = np.ones(1, dtype=np.int64)
-        else:
-            g2 = codes[ok[div_id]]
+        g2 = 1 + np.flatnonzero(ok[div_id[1:]])     # the zero form has no id
         g1, g2_digits = digits[form[first]], digits[g2]
         quad = np.empty((4, g2.size), dtype=np.uint16)
         quad[0], quad[1] = first, div_id[g2]
@@ -472,19 +452,17 @@ def _sweep(cfg: SurfaceConfig, degree: int, firsts, coprime):
 
 def _side_columns(q: int, degree: int) -> int:
     """Column count of the full side of a degree (module docstring)."""
-    return q ** (2 * degree - 1) * (q * q - 1) if degree else q + 1
+    return q ** (2 * degree - 1) * (q * q - 1)
 
 
 def _full_side(cfg: SurfaceConfig, degree: int):
     """Every coprime pair of one side up to its q - 1 scalar multiples,
     one column per line of pairs, streamed as _sweep's (4, n) uint16
     blocks of divisor-id quadruples, one block per first divisor; the
-    _side_columns(q, degree) columns are distinct at degree >= 1, one per
-    point of P^1(F_q) at degree 0.
+    _side_columns(q, degree) columns are distinct.
     """
     coprime = _degree_table(cfg.field, degree, degree) == 0
-    firsts = np.arange(coprime.shape[0] - (degree > 0))   # every id, no zero g1 past degree 0
-    return _sweep(cfg, degree, firsts, coprime)
+    return _sweep(cfg, degree, np.arange(coprime.shape[0]), coprime)
 
 
 @lru_cache(maxsize=16)
@@ -505,9 +483,8 @@ def _fundamental_rows(cfg: SurfaceConfig, degree: int):
     K = cfg.field
     perms = _pgl2_perms(K, degree)      # refuses an oversized degree first
     base = _id_count(K.q, degree)
-    orbit_min = perms.min(axis=0)
     group = _centre_symmetries(cfg)
-    firsts, sizes = _first_divisors(K, degree)
+    orbit_min, firsts, sizes = _orbits(K, degree)
     coprime = _meet_degrees(K, degree, firsts, degree) == 0
     keys, weights = [], []
     for first, size, quad in zip(firsts, sizes, _sweep(cfg, degree, firsts, coprime)):
@@ -596,21 +573,32 @@ def _charge_sides(cfg: SurfaceConfig, a: int, b: int, budget: int) -> int:
     the coefficient pairs, on the full side of degree b, whose sweep of
     q^(b+1) second composites per divisor costs less; and q^(a+1) second
     composites for each first-divisor orbit on the reduced side of degree
-    a.  At least #divisors / |PGL_2(F_q)| orbits are charged, and an
-    oversized degree refused, before the orbits are found, so that a
-    refused count builds no table."""
+    a >= b >= 1.  At least #P^a(F_q) / |PGL_2(F_q)| orbits of the degree-a
+    divisors are charged, and an oversized degree refused, before the
+    orbits are found, so that a refused count builds no table."""
     K = cfg.field
     q = K.q
     full = q ** (2 * b + 2)
-    divisors = _id_count(q, a) - 1
+    divisors = _id_count(q, a)
     least = -(-divisors // (q ** 3 - q))    # no orbit outgrows PGL_2(F_q)
     _charge(full + least * q ** (a + 1), budget,
             f"side enumerations {q}^{2 * b + 2} + (at least {least}) orbits * {q}^{a + 1}")
     _refuse_oversized(K, a)     # b <= a: no table of degree b is larger
-    orbits = len(_first_divisors(K, a)[0])
+    orbits = len(_orbits(K, a)[1])
     cost = full + orbits * q ** (a + 1)
     _charge(cost, budget, f"side enumerations {q}^{2 * b + 2} + {orbits} orbits * {q}^{a + 1}")
     return cost
+
+
+def _constant_side_count(q: int, a: int, k) -> int:
+    """count_sections for b = 0, a >= max(k), in closed form (module
+    docstring, Constant sides)."""
+    if not a:
+        return ((q + 1) * (q - 1)) ** 2
+    pairs = _side_columns(q, a) * (q - 1) ** 2
+    if not any(k):
+        return pairs * (q - 3)
+    return pairs if sorted(k) == [0, 0, 0, a] else 0
 
 
 def count_sections(cfg: SurfaceConfig, a: int, b: int, k,
@@ -621,7 +609,9 @@ def count_sections(cfg: SurfaceConfig, a: int, b: int, k,
     without common roots, whose contact order at the i-th marked pair is
     exactly k_i.  The result is divisible by (q-1)^2 (independent scaling
     of the two sides).  The budget is charged the side enumerations (see
-    _charge_sides) plus the pairs of the degree join.
+    _charge_sides) plus the pairs of the degree join.  A constant side,
+    b = 0 after the orientation swap, is counted in closed form and
+    charged nothing.
     """
     if a < b:
         return count_sections(cfg.transposed(), b, a, k, budget)
@@ -630,6 +620,8 @@ def count_sections(cfg: SurfaceConfig, a: int, b: int, k,
         raise DegreeMismatch("degrees and four contact orders must be non-negative")
     if max(k) > a:
         return 0        # no contact exceeds the larger side's degree
+    if not b:
+        return _constant_side_count(cfg.field.q, a, k)
     spent = _charge_sides(cfg, a, b, budget)
     pairs = _fundamental_rows(cfg, a)[0].shape[1] * _side_columns(cfg.field.q, b)
     _charge(spent + pairs, budget, "side enumerations plus fundamental-domain join pairs")

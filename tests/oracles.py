@@ -5,19 +5,19 @@ computes, by a path that shares as little with it as possible:
 
 * section counting: one pass over every coprime section pair of a bidegree,
   tallied by the four contact divisors that polynomial gcds give, against
-  secenum's contact-degree join; the divisor of a form by trial division,
-  against secenum's monic-form ids and multiplicity tables; the closed
-  points of a degree by trial division, against field.monic_irreducibles'
-  marking of products; the PGL_2(F_q) permutation table from every
-  invertible matrix, against secenum's Bruhat cells; the orbit-reduced side
-  as the full side summary moved to least keys over that table,
-  against secenum's enumeration from first-divisor orbits; the full side summary by
-  coefficient pairs, against secenum's sweep under the trivial group; the
-  centre permutations by trying every Moebius map, and the join over every
-  orbit representative, against secenum's fundamental-domain join; the
-  fiber count through that join, one 0/1 table per contact component, so
-  it shares no join code with secenum; u_k_points; the elementary transform
-  remark_config;
+  secenum's contact-degree join and its closed form for a constant side; the
+  divisor of a form by trial division, against secenum's monic-form ids and
+  multiplicity tables; the closed points of a degree by trial division,
+  against field.monic_irreducibles' marking of products; the PGL_2(F_q)
+  permutation table from every invertible matrix, against secenum's Bruhat
+  cells; the orbit-reduced side as the full side summary moved to least keys
+  over that table, against secenum's enumeration from first-divisor orbits;
+  the full side summary by coefficient pairs, against secenum's sweep under
+  the trivial group; the centre permutations by trying every Moebius map,
+  and the join over every orbit representative, against secenum's
+  fundamental-domain join; the fiber count through that join, one 0/1 table
+  per contact component, so it shares no join code with secenum; u_k_points;
+  the elementary transform remark_config;
 * the configuration poset behind the sieve: the sixteen-element lattice of
   fiber subspaces, local conditions as chains of its elements, their
   codimension and excess, the local excess polynomials by the generic
@@ -389,7 +389,8 @@ def _contact(K: FieldSpec, g, h) -> EffectiveDivisor:
 def contact_divisors(cfg: SurfaceConfig, s, t) -> tuple:
     """The four contact divisors of the section pair (s, t), each a pair of
     coefficient tuples: the gcd of the composites lambda_i(s), lambda'_i(t),
-    with the zero conventions of secenum's module docstring."""
+    and contact 0 where both vanish, a constant pair at a centre (secenum's
+    module docstring, Constant sides)."""
     K = cfg.field
     for name, side in (("s", s), ("t", t)):
         if all(form_is_zero(f) for f in side):
@@ -453,7 +454,7 @@ def fiber_count(cfg: SurfaceConfig, w, a: int, b: int,
 
     w is a tuple of four effective divisors with pairwise disjoint
     supports; summing over all of u_k_points recovers count_sections for
-    k = (deg w_i).
+    k = (deg w_i).  Both degrees are >= 1, as side_summary's are.
     """
     if len(w) != 4:
         raise DegreeMismatch("w must have four components")
@@ -472,16 +473,10 @@ def fiber_count(cfg: SurfaceConfig, w, a: int, b: int,
 
 def _fiber_table(K: FieldSpec, deg_s: int, deg_t: int, w: EffectiveDivisor):
     """0/1 table [min(D, D') = w] over the same rows and columns as
-    _degree_table, with the same zero rules (two zero forms meet in 0)."""
-    S = list(id_divisors(K, deg_s)) + [None]
-    T = list(id_divisors(K, deg_t)) + [None]
-
-    def meet(x, y):
-        if x is None:
-            return ZERO_DIVISOR if y is None else y
-        return x if y is None else divisor_min(x, y)
-
-    return np.array([[meet(x, y) == w for y in T] for x in S], dtype=np.int64)
+    _degree_table."""
+    T = id_divisors(K, deg_t)
+    return np.array([[divisor_min(x, y) == w for y in T] for x in id_divisors(K, deg_s)],
+                    dtype=np.int64)
 
 
 _CHUNK = 1 << 17
@@ -497,15 +492,18 @@ def _projective_codes(q: int, length: int):
 
 @lru_cache(maxsize=8)
 def side_summary(cfg: SurfaceConfig, degree: int):
-    """Reference for secenum's full side: the side in the functionals of
-    cfg's first coordinates compressed to (divisor-id quadruples,
-    multiplicities).
+    """Reference for secenum's full side of a degree >= 1: the side in the
+    functionals of cfg's first coordinates compressed to (divisor-id
+    quadruples, multiplicities).
 
     Enumerates the coefficient pairs of one side up to a common scalar
     (every pair's four contact divisors are those of its q-1 multiples),
     keeps those with no common root, computes the four composite forms by
     vectorized table arithmetic, and aggregates equal divisor-id quadruples.
+    A zero form, which has no id, shares every root of the other form, so
+    it is masked out before the ids are read.
     """
+    assert degree >= 1, "a constant side has no side summary"
     K = cfg.field
     q = K.q
     mul, sub = se._np_tables(K)
@@ -522,6 +520,8 @@ def side_summary(cfg: SurfaceConfig, degree: int):
     parts, counts = [], []
     for codes in _projective_codes(q, 2 * degree + 2):
         f1, f2 = np.divmod(codes, nforms)
+        nonzero = (f1 > 0) & (f2 > 0)
+        f1, f2 = f1[nonzero], f2[nonzero]
         ok = coprime[div_id[f1], div_id[f2]]
         f1, f2 = f1[ok], f2[ok]
         quad = np.empty((4, f1.size), dtype=np.int64)

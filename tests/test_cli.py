@@ -174,17 +174,20 @@ def test_a_path_that_names_a_file_is_an_io_error(flag, tmp_path, capsys):
 
 
 def test_budget_exit_code(tmp_path):
-    # a budget too small for even the degree-0 class marks every row
-    # partial; the report is still written and the exit code is 3
+    # a budget of 10 admits the classes with a constant side, which are
+    # counted in closed form and charged nothing, and refuses the first
+    # (1, 1) class, of h = 2; the report is still written and the exit
+    # code is 3
     code = main(["--field-p", "3", "--d-max", "2", "--budget", "10",
                  "--cache-dir", str(tmp_path / "c"),
                  "--out-dir", str(tmp_path / "o"), "count"])
     assert code == 3
-    # d = 0 is refused too, so no row may pass for complete (the true N(0)
-    # is 16): the report holds one partial d = 0 row and nothing else
+    # no nef class has h = 1, so d = 0 and d = 1 hold the 16 constant maps,
+    # complete, and d = 2 is the one partial row
     report = json.loads((tmp_path / "o" / "count_q3_d2.json").read_text())
-    assert report["rows"] == [{"d": 0, "partial": True}]
-    assert "budget_exceeded_at_d=0" in report["flags"]
+    assert report["rows"] == [{"d": 0, "N": 16, "N_eps": 16}, {"d": 1, "N": 16, "N_eps": 16},
+                              {"d": 2, "partial": True}]
+    assert "budget_exceeded_at_d=2" in report["flags"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -279,7 +282,7 @@ def test_fractional_scaled_sieve_coefficient_is_an_invariant_violation(monkeypat
 def test_group_table_cap_exit_code(monkeypatch, tmp_path, capsys):
     # q = 49 and q = 64 at degree 2 would need PGL_2(F_q) tables of 288 M
     # and 1.09 G entries; a cap lowered below q = 25's degree-1 table,
-    # 15,600 elements on 27 ids, refuses that one instead.  The refused
+    # 15,600 elements on 26 ids, refuses that one instead.  The refused
     # classes end the count as partial rows, as a budget refusal does: the
     # rows below their h are written, equal to an uncapped run's
     from dp4sieve import secenum
@@ -292,10 +295,10 @@ def test_group_table_cap_exit_code(monkeypatch, tmp_path, capsys):
         return code, report, capsys.readouterr().err
 
     with monkeypatch.context() as mp:
-        mp.setattr(secenum, "_GROUP_CAP", 15_600 * 27 - 1)
+        mp.setattr(secenum, "_GROUP_CAP", 15_600 * 26 - 1)
         code, report, err = count(2, "capped")
     assert code == 3
-    assert err.startswith("resource limit exceeded: PGL_2(F_25) acting on 27 degree-1 ")
+    assert err.startswith("resource limit exceeded: PGL_2(F_25) acting on 26 degree-1 ")
     assert err.count("resource limit exceeded") == 1
     assert report["rows"][-1] == {"d": 2, "partial": True}
     assert report["flags"] == ["resource_limit_at_d=2"]
@@ -304,10 +307,10 @@ def test_group_table_cap_exit_code(monkeypatch, tmp_path, capsys):
     assert report["rows"][:-1] == full["rows"] and len(full["rows"]) == 2
 
 
-def test_degree_0_group_table_is_one_row(tmp_path):
-    # PGL_2(F_343) acts trivially on the 2 degree-0 ids, so its table is one
-    # row of 2 entries, not the 40 M rows of the faithful action, and the
-    # count is not refused: N(0) is the 344^2 constant maps to P^1 x P^1
+def test_constant_maps_need_no_group_table(tmp_path):
+    # N(0) is the 344^2 constant maps to P^1 x P^1, counted in closed form:
+    # no PGL_2(F_343) table, of 40 M rows, is built, and the count is not
+    # refused
     argv = ["--field-p", "7", "--field-n", "3", "--d-max", "0",
             "--out-dir", str(tmp_path), "count"]
     assert main(argv) == 0

@@ -164,8 +164,9 @@ def test_epsilon_above_1_is_refused():
 
 
 def test_count_stops_at_the_first_refusal(monkeypatch):
-    # budget 100 at q = 3 admits (2, 0), of h = 4 and cost 98, but refuses
-    # every (1, 1) class, cost 114, the least of h = 2.  Classes go in
+    # budget 100 at q = 3 admits (2, 0), of h = 4, whose constant side is
+    # charged nothing, but refuses every (1, 1) class, cost 114, the least
+    # of h = 2.  Classes go in
     # ascending h, coordinate order within an h, so the count stops at the
     # first (1, 1) class and never counts (2, 0), which precedes it in
     # coordinate order; the partial report is that of the whole walk
